@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .gitrepo import GitRepo, RepoAccessError, UnknownCommit
+from .gitrepo import RepoAccessError, UnknownCommit
 from .history import MethodNotAtSnapshot
 from .labeling import EmptyProject
 from .metrics import METRIC_NAMES, compute_metric_vector
@@ -20,23 +20,17 @@ from .ml import CLASSIFIER_NAMES
 from .pipeline import (
     ConfigError,
     INDICATOR_ALIASES,
+    STAGES,
     MissingStage,
     PipelineConfig,
     StageError,
     decl_from_record,
-    digest_file,
-    digest_params,
     emit_plot_data,
+    open_snapshot,
     read_ndjson,
-    run_bugs,
-    run_correlate,
-    run_extract,
-    run_label,
-    run_pareto,
     run_pipeline,
-    run_rank,
-    run_trace,
-    run_train,
+    run_stage,
+    ugly_points,
     validate_config,
     write_csv,
     write_ndjson,
@@ -166,25 +160,28 @@ def load_config(args) -> PipelineConfig:
     return config
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _require(config: PipelineConfig, *fields) -> None:
     for name in fields:
         if not getattr(config, name):
             raise ConfigError(f"--{name} is required (flag or config file)")
 
 
-def cmd_extract(args) -> int:
+def _run_stage(args, stage: str, inputs: dict[str, str], **extra) -> list[Path]:
+    """Run one stage on the input files named by the flags, with the
+    snapshot of --repo/--commit, and print the paths it wrote."""
     config = load_config(args)
-    _require(config, "repo", "commit")
-    repo = GitRepo(config.repo)
-    digests = {"params": digest_params({"files": config.files, "commit": config.commit})}
-    run_extract(config, repo, _out_dir(config), digests)
-    print(f"wrote {_out_dir(config) / 'methods.ndjson'}")
+    if STAGES[stage].reads_repo:
+        _require(config, "repo", "commit")
+    repo, snapshot = open_snapshot(config)
+    Path(config.out).mkdir(parents=True, exist_ok=True)
+    written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
+                        repo, snapshot, **extra)
+    print("wrote " + " and ".join(str(path) for path in written))
+    return written
+
+
+def cmd_extract(args) -> int:
+    _run_stage(args, "extract", {})
     return EXIT_OK
 
 
@@ -214,103 +211,41 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = load_config(args)
-    _require(config, "repo", "commit")
-    repo = GitRepo(config.repo)
-    methods_path = Path(args.methods)
-    digests = {
-        "methods.ndjson": digest_file(methods_path),
-        "params": digest_params({"theta": config.theta, "windowYears": config.window_years}),
-    }
-    run_trace(config, repo, _out_dir(config), digests, methods_path=methods_path)
-    print(f"wrote {_out_dir(config) / 'histories.ndjson'}")
+    _run_stage(args, "trace", {"methods.ndjson": args.methods})
     return EXIT_OK
 
 
 def cmd_label(args) -> int:
-    config = load_config(args)
-    histories_path = Path(args.histories)
-    digests = {
-        "histories.ndjson": digest_file(histories_path),
-        "params": digest_params({"indicator": config.indicator, "uglyFraction": config.ugly_fraction}),
-    }
-    run_label(config, _out_dir(config), digests, histories_path=histories_path)
-    print(f"wrote {_out_dir(config) / 'dataset.ndjson'}")
+    _run_stage(args, "label", {"histories.ndjson": args.histories})
     return EXIT_OK
 
 
 def cmd_pareto(args) -> int:
-    config = load_config(args)
-    dataset_path = Path(args.labeled)
-    run_pareto(config, _out_dir(config), {"dataset.ndjson": digest_file(dataset_path)},
-               dataset_path=dataset_path)
-    print(f"wrote {_out_dir(config) / 'pareto.csv'}")
+    _run_stage(args, "pareto", {"dataset.ndjson": args.labeled})
     return EXIT_OK
 
 
 def cmd_bugs(args) -> int:
-    config = load_config(args)
-    dataset_path = Path(args.labeled)
     dataset = "highRecall" if args.dataset == "high-recall" else "highPrecision"
-    run_bugs(config, _out_dir(config), {"dataset.ndjson": digest_file(dataset_path)},
-             dataset_path=dataset_path, datasets=(dataset,))
-    name = "bugs_high_recall.csv" if dataset == "highRecall" else "bugs_high_precision.csv"
-    print(f"wrote {_out_dir(config) / name}")
+    _run_stage(args, "bugs", {"dataset.ndjson": args.labeled}, datasets=(dataset,))
     return EXIT_OK
 
 
 def cmd_correlate(args) -> int:
-    config = load_config(args)
-    dataset_path = Path(args.labeled)
-    run_correlate(config, _out_dir(config), {"dataset.ndjson": digest_file(dataset_path)},
-                  dataset_path=dataset_path)
-    print(f"wrote {_out_dir(config) / 'correlations.csv'}")
+    _run_stage(args, "correlate", {"dataset.ndjson": args.labeled})
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
-    config = load_config(args)
-    dataset_path = Path(args.labeled)
-    histories_path = Path(args.histories)
-    digests = {
-        "dataset.ndjson": digest_file(dataset_path),
-        "histories.ndjson": digest_file(histories_path),
-    }
-    run_rank(config, _out_dir(config), digests,
-             dataset_path=dataset_path, histories_path=histories_path)
-    out = _out_dir(config)
-    print(f"wrote {out / 'surprisingly_good.ndjson'} and {out / 'surprisingly_ugly.ndjson'}")
+    _run_stage(args, "rank", {"dataset.ndjson": args.labeled, "histories.ndjson": args.histories})
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    config = load_config(args)
-    dataset_path = Path(args.dataset)
-    digests = {
-        "dataset.ndjson": digest_file(dataset_path),
-        "params": digest_params({"seed": config.seed, "approach": config.approach}),
-    }
-    run_train(config, _out_dir(config), digests,
-              dataset_path=dataset_path, classifiers=args.classifier)
-    report_path = _out_dir(config) / "report.json"
-    print(f"wrote {report_path}")
+    [report_path] = _run_stage(args, "train", {"dataset.ndjson": args.dataset}, classifiers=args.classifier)
     if args.cdf_csv:
-        import json
-
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        rows = []
-        if report.get("approach") == 2:
-            for project in sorted(report.get("projects", {})):
-                for name in sorted(report["projects"][project]):
-                    rep = report["projects"][project][name]
-                    if rep is None:
-                        continue
-                    ugly = rep["perClass"]["ugly"]
-                    rows.append((project, ugly["precision"], ugly["recall"]))
-        else:
-            for name in sorted(report.get("classifiers", {})):
-                ugly = report["classifiers"][name]["report"]["perClass"]["ugly"]
-                rows.append((f"test:{name}", ugly["precision"], ugly["recall"]))
+        rows = [(project if project is not None else f"test:{name}", precision, recall)
+                for project, name, precision, recall in ugly_points(report_path)]
         write_csv(Path(args.cdf_csv), ["project", "precision", "recall"], rows)
         print(f"wrote {args.cdf_csv}")
     return EXIT_OK

@@ -85,15 +85,15 @@ class GitRepo:
         return commits
 
     def file_at(self, commit: str, path: str) -> str | None:
-        """File content at a commit (LF-normalized), or None when absent."""
+        """File content at a commit, line endings as stored, or None when
+        absent.  Callers fold line endings with java_extract.normalize_source."""
         proc = subprocess.run(
             [self.git, "-C", self.path, "cat-file", "blob", f"{commit}:{path}"],
             capture_output=True,
         )
         if proc.returncode != 0:
             return None
-        text = proc.stdout.decode("utf-8", "replace")
-        return text.replace("\r\n", "\n").replace("\r", "\n")
+        return proc.stdout.decode("utf-8", "replace")
 
     def changes(self, parent: str | None, child: str) -> dict[str, tuple[str, str | None]]:
         """Per-path change between a commit and its parent, rename-aware.

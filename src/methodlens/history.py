@@ -410,10 +410,6 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
     )
 
 
-def walk_first_parent(repo: GitRepo, snapshot: str) -> list[CommitMeta]:
-    return repo.first_parent_chain(snapshot)
-
-
 def compute_indicators(history: MethodHistory, cfg: TraceConfig) -> ChangeIndicators:
     """Indicator sums over revisions inside the age window (inclusive bound)."""
     limit = cfg.window_days

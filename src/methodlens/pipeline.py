@@ -12,11 +12,13 @@ import json
 import logging
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
+from typing import Callable
 
-from .gitrepo import CommitMeta, GitRepo, RepoAccessError, UnknownCommit
+from .gitrepo import CommitMeta, GitRepo
 from .history import (
     ChangeIndicators,
     MethodHistory,
@@ -37,7 +39,7 @@ from .labeling import (
     label_methods,
     pareto_curve,
 )
-from .metrics import METRIC_NAMES, MetricVector, compute_metric_vector
+from .metrics import MetricVector, compute_metric_vector
 from .ml import run_approach1, run_approach2
 from .stats import composite_scores, correlation_table, select_surprising, signs_from_table
 
@@ -45,31 +47,6 @@ log = logging.getLogger("methodlens.pipeline")
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-
-STAGE_ORDER = ("extract", "trace", "label", "pareto", "bugs", "correlate", "rank", "train")
-
-STAGE_OUTPUTS = {
-    "extract": ("methods.ndjson",),
-    "trace": ("histories.ndjson",),
-    "label": ("dataset.ndjson",),
-    "pareto": ("pareto.csv",),
-    "bugs": ("bugs_high_recall.csv", "bugs_high_precision.csv"),
-    "correlate": ("correlations.csv",),
-    "rank": ("surprisingly_good.ndjson", "surprisingly_ugly.ndjson"),
-    "train": ("report.json",),
-}
-
-STAGE_DEPS = {
-    "extract": (),
-    "trace": ("extract",),
-    "label": ("trace",),
-    "pareto": ("label",),
-    "bugs": ("label",),
-    "correlate": ("label",),
-    "rank": ("label",),
-    "train": ("label",),
-}
-
 
 class ConfigError(Exception):
     pass
@@ -214,10 +191,28 @@ def validate_config(path: str | Path) -> PipelineConfig:
 # persistence
 
 
+# mkstemp creates its files 0o600; artifacts get the mode open() would give
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Replace `path` through a temporary file of its own in the same
+    directory, so two writers of one path never share a temporary name; the
+    temporary file is removed if the write or the replace fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _json_line(obj) -> str:
@@ -492,27 +487,23 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
     indicators_by_key = {h.identity.as_str(): ind for h, ind in pairs}
     eligible = filter_by_age(histories, snapshot_time, cfg)
     bug_by_key = bug_counts(histories, config.bug_rules(), cfg)
-
-    class _Sample:
-        def __init__(self, identity, indicators):
-            self.identity = identity
-            self.indicators = indicators
-
-    samples = [_Sample(h.identity, indicators_by_key[h.identity.as_str()]) for h in eligible]
-    labels = label_methods(samples, indicator=config.indicator, ugly_fraction=config.ugly_fraction)
-    out_records = []
+    methods = []
     for h in eligible:
         key = h.identity.as_str()
         bugs = bug_by_key[key]
-        labeled = LabeledMethod(
+        methods.append(LabeledMethod(
             identity=h.identity,
             metrics=compute_metric_vector(h.introductionDecl),
             indicators=indicators_by_key[key],
-            label=labels[key],
+            label="",  # set below, once every eligible method is known
             bugCountHighRecall=bugs[0],
             bugCountHighPrecision=bugs[1],
-        )
+        ))
+    labels = label_methods(methods, indicator=config.indicator, ugly_fraction=config.ugly_fraction)
+    out_records = []
+    for h, m in zip(eligible, methods):
         age_days = (snapshot_time - h.introduction.authorTime) / 86400.0
+        labeled = replace(m, label=labels[m.identity.as_str()])
         out_records.append(labeled_record(labeled, h.introduction.authorTime, age_days))
     out_records.sort(key=lambda r: (
         r["identity"]["project"], r["identity"]["file"],
@@ -551,17 +542,19 @@ def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str],
     write_csv(out / "pareto.csv", ["project", "fraction", "captured"], rows)
 
 
+BUG_OUTPUTS = {"highRecall": "bugs_high_recall.csv", "highPrecision": "bugs_high_precision.csv"}
+
+
 def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str],
              dataset_path: Path | None = None, datasets=("highRecall", "highPrecision")) -> None:
     methods = _load_dataset(out, dataset_path)
-    names = {"highRecall": "bugs_high_recall.csv", "highPrecision": "bugs_high_precision.csv"}
-    for dataset, filename in ((d, names[d]) for d in datasets):
+    for dataset in datasets:
         rows = []
         for project, group in _by_project(methods).items():
             curve = bug_capture(group, indicator=config.indicator, dataset=dataset)
             for fraction, captured in zip(curve.fractions, curve.captured):
                 rows.append((project, fraction, _fmt(captured)))
-        write_csv(out / filename, ["project", "fraction", "captured"], rows)
+        write_csv(out / BUG_OUTPUTS[dataset], ["project", "fraction", "captured"], rows)
 
 
 def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str],
@@ -654,7 +647,7 @@ def run_train(config: PipelineConfig, out: Path, digests: dict[str, str],
             "status": "not-trainable",
             "reason": str(err),
         }
-        _atomic_write(out / "report.json", (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+        _write_json(out / "report.json", payload)
 
 
 def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, chosen) -> None:
@@ -692,7 +685,7 @@ def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, c
                 for project, entry in outcome["projects"].items()
             },
         }
-    _atomic_write(out / "report.json", (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    _write_json(out / "report.json", payload)
 
 
 def _fmt(value: float) -> str:
@@ -705,45 +698,82 @@ def _fmt(value: float) -> str:
 # orchestration
 
 
-def _stage_digests(config: PipelineConfig, stage: str, out: Path, snapshot: str) -> dict[str, str]:
+@dataclass(frozen=True)
+class Stage:
+    """A stage reads the artifacts named in `inputs` and writes those named
+    in `outputs` into the output directory.  What it writes depends on the
+    inputs' bytes, on `params(config)` and on the snapshot.  Its runner is
+    the module function run_<name>, looked up when the stage runs."""
+
+    name: str
+    inputs: tuple[str, ...]
+    params: Callable[[PipelineConfig], dict]
+    outputs: tuple[str, ...]
+    reads_repo: bool = False
+
+
+def _indicator_params(config: PipelineConfig) -> dict:
+    return {"indicator": config.indicator}
+
+
+STAGES = {stage.name: stage for stage in (
+    Stage("extract", (), lambda c: {"files": c.files, "project": c.project_name()},
+          ("methods.ndjson",), reads_repo=True),
+    Stage("trace", ("methods.ndjson",), lambda c: {"theta": c.theta, "windowYears": c.window_years},
+          ("histories.ndjson",), reads_repo=True),
+    Stage("label", ("histories.ndjson",), lambda c: {
+        "indicator": c.indicator,
+        "uglyFraction": c.ugly_fraction,
+        "windowYears": c.window_years,
+        "bugRules": [
+            list(c.high_recall_keywords),
+            list(c.high_precision_bug_words),
+            list(c.high_precision_fix_words),
+        ],
+    }, ("dataset.ndjson",)),
+    Stage("pareto", ("dataset.ndjson",), _indicator_params, ("pareto.csv",)),
+    Stage("bugs", ("dataset.ndjson",), _indicator_params, tuple(BUG_OUTPUTS.values())),
+    Stage("correlate", ("dataset.ndjson",), _indicator_params, ("correlations.csv",)),
+    Stage("rank", ("dataset.ndjson", "histories.ndjson"),
+          lambda c: {"indicator": c.indicator, "topN": c.top_n, "perProjectCap": c.per_project_cap},
+          ("surprisingly_good.ndjson", "surprisingly_ugly.ndjson")),
+    Stage("train", ("dataset.ndjson",), lambda c: {"seed": c.seed, "approach": c.approach},
+          ("report.json",)),
+)}
+
+
+def stage_digests(stage: Stage, config: PipelineConfig, inputs: dict[str, Path], snapshot: str) -> dict[str, str]:
     """Digests of everything a stage's output depends on."""
-    common = {"toolVersion": TOOL_VERSION, "snapshot": snapshot}
-    params: dict = {}
-    inputs: dict[str, str] = {}
-    if stage == "extract":
-        params = {"files": config.files, "project": config.project_name()}
-    elif stage == "trace":
-        params = {"theta": config.theta, "windowYears": config.window_years}
-        inputs["methods.ndjson"] = digest_file(out / "methods.ndjson")
-    elif stage == "label":
-        params = {
-            "indicator": config.indicator,
-            "uglyFraction": config.ugly_fraction,
-            "windowYears": config.window_years,
-            "bugRules": [
-                list(config.high_recall_keywords),
-                list(config.high_precision_bug_words),
-                list(config.high_precision_fix_words),
-            ],
-        }
-        inputs["histories.ndjson"] = digest_file(out / "histories.ndjson")
-    elif stage in ("pareto", "bugs", "correlate"):
-        params = {"indicator": config.indicator}
-        inputs["dataset.ndjson"] = digest_file(out / "dataset.ndjson")
-    elif stage == "rank":
-        params = {
-            "indicator": config.indicator,
-            "topN": config.top_n,
-            "perProjectCap": config.per_project_cap,
-        }
-        inputs["dataset.ndjson"] = digest_file(out / "dataset.ndjson")
-        inputs["histories.ndjson"] = digest_file(out / "histories.ndjson")
-    elif stage == "train":
-        params = {"seed": config.seed, "approach": config.approach}
-        inputs["dataset.ndjson"] = digest_file(out / "dataset.ndjson")
-    digests = dict(inputs)
-    digests["params"] = digest_params({**common, **params})
+    digests = {name: digest_file(inputs[name]) for name in stage.inputs}
+    digests["params"] = digest_params({"toolVersion": TOOL_VERSION, "snapshot": snapshot, **stage.params(config)})
     return digests
+
+
+def open_snapshot(config: PipelineConfig) -> tuple[GitRepo | None, str]:
+    """The repository and its resolved snapshot commit when both `repo` and
+    `commit` are configured; otherwise no repository and an empty snapshot,
+    as for a merged multi-project dataset."""
+    if not (config.repo and config.commit):
+        return None, ""
+    repo = GitRepo(config.repo)
+    return repo, repo.resolve_commit(config.commit)
+
+
+def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: GitRepo | None,
+              snapshot: str, digests: dict[str, str] | None = None, **extra) -> list[Path]:
+    """Run one stage on the given input files into `config.out` and return
+    the paths it wrote.  The digests are computed from the table unless the
+    caller already has them; `extra` goes to the runner as it is."""
+    stage = STAGES[name]
+    out = Path(config.out)
+    if digests is None:
+        digests = stage_digests(stage, config, inputs, snapshot)
+    leading = (config, repo, out, digests) if stage.reads_repo else (config, out, digests)
+    # methods.ndjson is passed as methods_path, and so on
+    paths = {f"{artifact.split('.')[0]}_path": path for artifact, path in inputs.items()}
+    globals()[f"run_{name}"](*leading, **paths, **extra)
+    written = [BUG_OUTPUTS[d] for d in extra["datasets"]] if "datasets" in extra else stage.outputs
+    return [out / artifact for artifact in written]
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
@@ -762,44 +792,32 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         except json.JSONDecodeError:
             manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": {}}
 
-    runners = {
-        "extract": lambda d: run_extract(config, repo, out, d),
-        "trace": lambda d: run_trace(config, repo, out, d),
-        "label": lambda d: run_label(config, out, d),
-        "pareto": lambda d: run_pareto(config, out, d),
-        "bugs": lambda d: run_bugs(config, out, d),
-        "correlate": lambda d: run_correlate(config, out, d),
-        "rank": lambda d: run_rank(config, out, d),
-        "train": lambda d: run_train(config, out, d),
-    }
-
     status: dict[str, str] = {}
-    ran: set[str] = set()
-    for stage in STAGE_ORDER:
-        digests = _stage_digests(config, stage, out, snapshot)
+    rewritten: set[str] = set()
+    for name, stage in STAGES.items():
+        inputs = {artifact: out / artifact for artifact in stage.inputs}
+        digests = stage_digests(stage, config, inputs, snapshot)
         digest = digest_params(digests)
-        outputs = [out / name for name in STAGE_OUTPUTS[stage]]
-        recorded = manifest["stages"].get(stage, {})
+        recorded = manifest["stages"].get(name, {})
+        # a stage that reads an artifact rewritten in this run runs again,
+        # even when the rewritten bytes came out the same
         fresh = (
-            not any(dep in ran for dep in STAGE_DEPS[stage])
+            rewritten.isdisjoint(stage.inputs)
             and recorded.get("digest") == digest
-            and all(p.exists() for p in outputs)
+            and all((out / artifact).exists() for artifact in stage.outputs)
         )
         if fresh:
-            status[stage] = "skipped"
+            status[name] = "skipped"
             continue
         try:
-            runners[stage](digests)
+            run_stage(name, config, inputs, repo, snapshot, digests)
         except Exception as err:  # noqa: BLE001 - stage boundary
-            _atomic_write(manifest_path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
-            raise StageError(stage, err) from err
-        manifest["stages"][stage] = {
-            "digest": digest,
-            "outputs": list(STAGE_OUTPUTS[stage]),
-        }
-        status[stage] = "ran"
-        ran.add(stage)
-    _atomic_write(manifest_path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+            _write_json(manifest_path, manifest)
+            raise StageError(name, err) from err
+        manifest["stages"][name] = {"digest": digest, "outputs": list(stage.outputs)}
+        status[name] = "ran"
+        rewritten.update(stage.outputs)
+    _write_json(manifest_path, manifest)
     return status
 
 
@@ -830,6 +848,23 @@ def _curve_cdf_rows(csv_path: Path, series_prefix: str):
     return rows
 
 
+def ugly_points(report_path: Path) -> list[tuple[str | None, str, float, float]]:
+    """(project, classifier, precision, recall) of the ugly class for every
+    classifier a train report evaluated: one point per held-out project
+    under approach 2, and one on the pooled test projects (project None)
+    under approach 1."""
+    if not report_path.exists():
+        raise MissingStage(f"{report_path.name} not found in {report_path.parent}")
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    if report.get("approach") == 2:
+        reports = [(project, name, rep) for project, entry in sorted(report.get("projects", {}).items())
+                   for name, rep in sorted(entry.items()) if rep is not None]
+    else:
+        reports = [(None, name, entry["report"]) for name, entry in sorted(report.get("classifiers", {}).items())]
+    return [(project, name, rep["perClass"]["ugly"]["precision"], rep["perClass"]["ugly"]["recall"])
+            for project, name, rep in reports]
+
+
 def emit_plot_data(artifacts: str | Path, plots_dir: str | Path | None = None) -> list[Path]:
     """Plot-ready CDF files, columns exactly (series, x, y)."""
     artifacts = Path(artifacts)
@@ -851,31 +886,16 @@ def emit_plot_data(artifacts: str | Path, plots_dir: str | Path | None = None) -
         write_csv(path, ["series", "x", "y"], rows)
         written.append(path)
 
-    report_path = artifacts / "report.json"
-    if not report_path.exists():
-        raise MissingStage(f"report.json not found in {artifacts}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    per_classifier: dict[str, dict[str, list[float]]] = {}
+    for _, name, precision, recall in ugly_points(artifacts / "report.json"):
+        slot = per_classifier.setdefault(name, {"precision": [], "recall": []})
+        for key, value in (("precision", precision), ("recall", recall)):
+            if value is not None and not math.isnan(value):
+                slot[key].append(value)
     rows = []
-    if report.get("approach") == 2:
-        per_classifier: dict[str, dict[str, list[float]]] = {}
-        for entry in report.get("projects", {}).values():
-            for name, rep in entry.items():
-                if rep is None:
-                    continue
-                ugly = rep["perClass"]["ugly"]
-                slot = per_classifier.setdefault(name, {"precision": [], "recall": []})
-                for key in ("precision", "recall"):
-                    value = ugly[key]
-                    if value is not None and not (isinstance(value, float) and math.isnan(value)):
-                        slot[key].append(value)
-        for name in sorted(per_classifier):
-            for key in ("precision", "recall"):
-                rows.extend(_cdf_points(f"{key}-ugly-{name}", per_classifier[name][key]))
-    else:
-        for name, entry in sorted(report.get("classifiers", {}).items()):
-            ugly = entry["report"]["perClass"]["ugly"]
-            rows.append((f"precision-ugly-{name}", _fmt(ugly["precision"]), "1.0"))
-            rows.append((f"recall-ugly-{name}", _fmt(ugly["recall"]), "1.0"))
+    for name in sorted(per_classifier):
+        for key in ("precision", "recall"):
+            rows.extend(_cdf_points(f"{key}-ugly-{name}", per_classifier[name][key]))
     path = plots / "prediction_pr_cdf.csv"
     write_csv(path, ["series", "x", "y"], rows)
     written.append(path)

@@ -15,7 +15,6 @@ from methodlens.history import (
     compute_indicators,
     filter_by_age,
     trace_method,
-    walk_first_parent,
 )
 from methodlens.java_extract import signature
 from methodlens.labeling import BugRuleConfig, bug_counts
@@ -37,7 +36,7 @@ def traced(fixture_repo):
 
 def test_commit_topology(fixture_repo):
     repo = GitRepo(str(fixture_repo["repo"]))
-    chain = walk_first_parent(repo, fixture_repo["snapshot"])
+    chain = repo.first_parent_chain(fixture_repo["snapshot"])
     assert len(chain) == fixture_repo["first_parent_length"] == 11
     total = subprocess.run(
         ["git", "-C", str(fixture_repo["repo"]), "rev-list", "--all", "--count"],
@@ -51,7 +50,7 @@ def test_commit_topology(fixture_repo):
 def test_unknown_commit_raises(fixture_repo):
     repo = GitRepo(str(fixture_repo["repo"]))
     with pytest.raises(UnknownCommit):
-        walk_first_parent(repo, "0" * 40)
+        repo.first_parent_chain("0" * 40)
 
 
 def test_snapshot_extraction_finds_all_methods(traced):
@@ -139,6 +138,10 @@ def test_method_born_at_snapshot(traced):
 
 # --- full pipeline over the fixture repository -----------------------------
 
+ARTIFACTS = ("methods.ndjson", "histories.ndjson", "dataset.ndjson", "pareto.csv",
+             "bugs_high_recall.csv", "bugs_high_precision.csv", "correlations.csv",
+             "surprisingly_good.ndjson", "surprisingly_ugly.ndjson", "report.json")
+
 
 @pytest.fixture(scope="session")
 def pipeline_run(fixture_repo, tmp_path_factory):
@@ -191,14 +194,22 @@ def test_pipeline_stage_isolation(pipeline_run):
     assert (out / "pareto.csv").read_bytes() == before
 
 
+def test_pipeline_reruns_the_dependents_of_a_deleted_artifact(pipeline_run):
+    _, config, out, _ = pipeline_run
+    before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    (out / "histories.ndjson").unlink()
+    status = run_pipeline(config)
+    assert status["extract"] == "skipped"
+    assert all(state == "ran" for stage, state in status.items() if stage != "extract")
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
 def test_pipeline_deterministic_artifacts(pipeline_run, tmp_path_factory):
     ledger, config, out, _ = pipeline_run
     out2 = tmp_path_factory.mktemp("artifacts-again")
     config2 = PipelineConfig(**{**config.__dict__, "out": str(out2)})
     run_pipeline(config2)
-    for name in ("methods.ndjson", "histories.ndjson", "dataset.ndjson", "pareto.csv",
-                 "bugs_high_recall.csv", "bugs_high_precision.csv", "correlations.csv",
-                 "surprisingly_good.ndjson", "surprisingly_ugly.ndjson", "report.json"):
+    for name in ARTIFACTS:
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 

@@ -3,17 +3,22 @@ plot-data emitter."""
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
+from methodlens import pipeline
 from methodlens.cli import main
 from methodlens.pipeline import (
     ConfigError,
     PipelineConfig,
     emit_plot_data,
+    labeled_record,
     read_ndjson,
     validate_config,
+    write_ndjson,
 )
 
 
@@ -172,6 +177,27 @@ def test_cli_curves_and_rank_and_train(cli_artifacts, tmp_path):
     assert report["status"] == "not-trainable"  # single-project corpus
 
 
+def test_subcommands_write_the_pipeline_bytes(fixture_repo, tmp_path):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    methods, histories, dataset = (str(staged / name) for name in
+                                   ("methods.ndjson", "histories.ndjson", "dataset.ndjson"))
+    for argv in (["extract"],
+                 ["trace", "--methods", methods],
+                 ["label", "--histories", histories],
+                 ["pareto", "--labeled", dataset],
+                 ["bugs", "--labeled", dataset, "--dataset", "high-recall"],
+                 ["bugs", "--labeled", dataset, "--dataset", "high-precision"],
+                 ["correlate", "--labeled", dataset],
+                 ["rank", "--labeled", dataset, "--histories", histories],
+                 ["train", "--dataset", dataset]):
+        assert main([*argv, "--repo", repo, "--commit", sha, "--seed", "7", "--out", str(staged)]) == 0
+    assert main(["pipeline", "--repo", repo, "--commit", sha, "--seed", "7", "--out", str(piped)]) == 0
+    names = sorted(path.name for path in piped.iterdir() if path.name != "manifest.json")
+    assert len(names) == 10
+    assert [name for name in names if (staged / name).read_bytes() != (piped / name).read_bytes()] == []
+
+
 def test_cli_report_emits_series_x_y(cli_artifacts):
     _, out = cli_artifacts
     assert main(["report", "--artifacts", str(out)]) == 0
@@ -183,6 +209,116 @@ def test_cli_report_emits_series_x_y(cli_artifacts):
     # single project: one point per fraction
     series = {line.split(",")[0] for line in pareto[1:]}
     assert series == {"pareto-top5", "pareto-top10", "pareto-top15", "pareto-top20"}
+
+
+# --- prediction points of a trainable multi-project corpus --------------------
+
+@pytest.fixture(scope="module")
+def trainable_dataset(tmp_path_factory):
+    """Five separable projects with 15% of the labels flipped, so the scores
+    are not all 1.0, plus one project without ugly methods, whose held-out
+    scores are undefined (nan) under approach 2."""
+    import random
+
+    from synth import labeled, metric_vector, separable_corpus
+
+    methods = separable_corpus(projects=5, per_project=20, seed=3, bad_share=0.1)
+    rng = random.Random(1)
+    for m in methods:
+        if rng.random() < 0.15:
+            m.label = "good" if m.label == "ugly" else "ugly"
+    methods += [labeled(1000 + i, project="quiet", metrics=metric_vector(size=5 + i)) for i in range(10)]
+    path = tmp_path_factory.mktemp("trainable") / "dataset.ndjson"
+    write_ndjson(path, "label", {}, [labeled_record(m, 0, 2000.0) for m in methods])
+    return path
+
+
+CDF_CSV = {
+    1: """project,precision,recall
+test:forest,0.6666666666666666,0.5
+test:logistic,0.6666666666666666,0.5
+test:tree,0.6666666666666666,0.5
+""",
+    2: """project,precision,recall
+proj0,0.8571428571428571,0.6
+proj0,0.8571428571428571,0.6
+proj0,0.7777777777777778,0.7
+proj1,0.6666666666666666,0.5
+proj1,0.6666666666666666,0.5
+proj1,0.6666666666666666,0.5
+proj2,0.8,1.0
+proj2,0.8,1.0
+proj2,0.6666666666666666,0.75
+proj3,1.0,0.7142857142857143
+proj3,1.0,0.7142857142857143
+proj3,0.7142857142857143,0.7142857142857143
+proj4,0.8571428571428571,1.0
+proj4,0.8571428571428571,1.0
+proj4,0.8333333333333334,0.8333333333333334
+quiet,nan,nan
+quiet,nan,nan
+quiet,nan,nan
+""",
+}
+
+PREDICTION_CDF = {
+    1: """series,x,y
+precision-ugly-forest,0.6666666666666666,1.0
+recall-ugly-forest,0.5,1.0
+precision-ugly-logistic,0.6666666666666666,1.0
+recall-ugly-logistic,0.5,1.0
+precision-ugly-tree,0.6666666666666666,1.0
+recall-ugly-tree,0.5,1.0
+""",
+    2: """series,x,y
+precision-ugly-forest,0.6666666666666666,0.2
+precision-ugly-forest,0.8,0.4
+precision-ugly-forest,0.8571428571428571,0.6
+precision-ugly-forest,0.8571428571428571,0.8
+precision-ugly-forest,1.0,1.0
+recall-ugly-forest,0.5,0.2
+recall-ugly-forest,0.6,0.4
+recall-ugly-forest,0.7142857142857143,0.6
+recall-ugly-forest,1.0,0.8
+recall-ugly-forest,1.0,1.0
+precision-ugly-logistic,0.6666666666666666,0.2
+precision-ugly-logistic,0.8,0.4
+precision-ugly-logistic,0.8571428571428571,0.6
+precision-ugly-logistic,0.8571428571428571,0.8
+precision-ugly-logistic,1.0,1.0
+recall-ugly-logistic,0.5,0.2
+recall-ugly-logistic,0.6,0.4
+recall-ugly-logistic,0.7142857142857143,0.6
+recall-ugly-logistic,1.0,0.8
+recall-ugly-logistic,1.0,1.0
+precision-ugly-tree,0.6666666666666666,0.2
+precision-ugly-tree,0.6666666666666666,0.4
+precision-ugly-tree,0.7142857142857143,0.6
+precision-ugly-tree,0.7777777777777778,0.8
+precision-ugly-tree,0.8333333333333334,1.0
+recall-ugly-tree,0.5,0.2
+recall-ugly-tree,0.7,0.4
+recall-ugly-tree,0.7142857142857143,0.6
+recall-ugly-tree,0.75,0.8
+recall-ugly-tree,0.8333333333333334,1.0
+""",
+}
+
+
+@pytest.mark.parametrize("approach", [1, 2])
+def test_cli_train_cdf_csv_and_prediction_cdf(trainable_dataset, tmp_path, approach):
+    labeled = str(trainable_dataset)
+    out = str(tmp_path)
+    cdf_csv = tmp_path / "pr.csv"
+    assert main(["train", "--dataset", labeled, "--approach", str(approach), "--seed", "5",
+                 "--out", out, "--cdf-csv", str(cdf_csv)]) == 0
+    assert cdf_csv.read_text() == CDF_CSV[approach]
+
+    assert main(["pareto", "--labeled", labeled, "--out", out]) == 0
+    for dataset in ("high-recall", "high-precision"):
+        assert main(["bugs", "--labeled", labeled, "--dataset", dataset, "--out", out]) == 0
+    assert main(["report", "--artifacts", out]) == 0
+    assert (tmp_path / "plots" / "prediction_pr_cdf.csv").read_text() == PREDICTION_CDF[approach]
 
 
 def test_cli_exit_code_repo_error(fixture_repo, tmp_path):
@@ -217,6 +353,46 @@ def test_git_executable_override(fixture_repo, tmp_path, monkeypatch):
     code = main(["extract", "--repo", str(fixture_repo["repo"]),
                  "--commit", fixture_repo["snapshot"], "--out", str(tmp_path)])
     assert code == 3
+
+
+# --- atomic artifact writes ----------------------------------------------------
+
+class _BeforeFirstReplace:
+    """Stands in for the os module inside methodlens.pipeline and calls
+    `hook` once, just before the first replace."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, src, dst):
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        os.replace(src, dst)
+
+
+def test_atomic_write_survives_a_concurrent_writer_of_the_same_path(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    monkeypatch.setattr(pipeline, "os", _BeforeFirstReplace(lambda: pipeline._atomic_write(target, b"inner\n")))
+    pipeline._atomic_write(target, b"outer\n")
+    assert target.read_bytes() == b"outer\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path, monkeypatch):
+    def fail():
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pipeline, "os", _BeforeFirstReplace(fail))
+    with pytest.raises(OSError):
+        pipeline._atomic_write(tmp_path / "pareto.csv", b"project,fraction,captured\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_plot_data_missing_stage_raises(tmp_path):
