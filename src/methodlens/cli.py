@@ -51,7 +51,6 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value configuration file")
     common.add_argument("--out", help="output directory (default: artifacts)")
     common.add_argument("--seed", type=int, help="root random seed")
-    common.add_argument("--jobs", type=int, help="worker threads for tracing")
     common.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return common
 
@@ -116,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", choices=list(CLASSIFIER_NAMES), action="append",
                    help="restrict to one classifier (repeatable; default: all)")
     p.add_argument("--dataset", required=True, help="dataset.ndjson from `label`")
-    p.add_argument("--cdf-csv", help="also write per-project (project, precision, recall) points")
+    p.add_argument("--cdf-csv", help="also write (project, classifier, precision, recall) points of the "
+                                     "ugly class; project is empty for approach 1's pooled test projects")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", parents=[common], help="emit plot-ready CDF CSV files")
@@ -142,7 +142,6 @@ def load_config(args) -> PipelineConfig:
         "commit": getattr(args, "commit", None),
         "out": getattr(args, "out", None),
         "seed": getattr(args, "seed", None),
-        "jobs": getattr(args, "jobs", None),
         "files": getattr(args, "files", None),
         "ugly_fraction": getattr(args, "ugly_fraction", None),
         "theta": getattr(args, "theta", None),
@@ -211,6 +210,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    config = load_config(args)
+    _require(config, "repo", "commit")
+    _, snapshot = open_snapshot(config)
+    header, _ = read_ndjson(Path(args.methods))
+    if header.get("snapshot") != snapshot:
+        raise ConfigError(f"--commit resolves to {snapshot}, but {args.methods} was extracted "
+                          f"at {header.get('snapshot')}; trace at the snapshot it was extracted at")
     _run_stage(args, "trace", {"methods.ndjson": args.methods})
     return EXIT_OK
 
@@ -244,9 +250,9 @@ def cmd_rank(args) -> int:
 def cmd_train(args) -> int:
     [report_path] = _run_stage(args, "train", {"dataset.ndjson": args.dataset}, classifiers=args.classifier)
     if args.cdf_csv:
-        rows = [(project if project is not None else f"test:{name}", precision, recall)
+        rows = [(project or "", name, precision, recall)
                 for project, name, precision, recall in ugly_points(report_path)]
-        write_csv(Path(args.cdf_csv), ["project", "precision", "recall"], rows)
+        write_csv(Path(args.cdf_csv), ["project", "classifier", "precision", "recall"], rows)
         print(f"wrote {args.cdf_csv}")
     return EXIT_OK
 

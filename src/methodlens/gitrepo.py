@@ -3,6 +3,13 @@
 Only porcelain-stable plumbing commands are used (log/diff-tree/cat-file/
 ls-tree with -z separators).  The executable can be overridden with the
 METHODLENS_GIT environment variable.
+
+The stages read history in bulk: `first_parent_history` is one `git log`
+for the whole first-parent chain and what changed at each commit,
+`ls_tree` one listing of a commit with blob ids, and `read_blobs` one
+`git cat-file --batch` for any number of blobs.  `changes`, `file_at`,
+`first_parent_chain` and `ls_files` answer the same questions one commit
+or one blob at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +37,30 @@ class CommitMeta:
     message: str
 
 
+@dataclass(frozen=True)
+class Change:
+    """How one path changed between a commit and its first parent."""
+
+    status: str  # as `changes` reports it: A, M, D, T, R<score>, C<score>
+    oldPath: str | None  # the parent-side path of a rename or copy
+    oldBlob: str | None  # the parent-side object id; None for an addition
+
+
+# one log record: hash, parents, author time and raw message, \x01-separated
+_COMMIT_FORMAT = "%H%x01%P%x01%at%x01%B"
+
+
+def _commit_meta(record: bytes) -> CommitMeta:
+    commit_id, parents, author_time, message = record.decode("utf-8", "replace").split("\x01", 3)
+    parent_ids = parents.split()
+    return CommitMeta(
+        id=commit_id,
+        firstParentId=parent_ids[0] if parent_ids else None,
+        authorTime=int(author_time),
+        message=message,
+    )
+
+
 class GitRepo:
     def __init__(self, path: str, git_exe: str | None = None):
         self.path = str(path)
@@ -39,11 +70,12 @@ class GitRepo:
         except (OSError, RepoAccessError) as err:
             raise RepoAccessError(f"not a readable git repository: {self.path}: {err}") from err
 
-    def _run(self, args: list[str], check: bool = True) -> bytes:
+    def _run(self, args: list[str], check: bool = True, input: bytes | None = None) -> bytes:
         try:
             proc = subprocess.run(
                 [self.git, "-C", self.path] + args,
                 capture_output=True,
+                input=input,
             )
         except OSError as err:
             raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
@@ -65,24 +97,42 @@ class GitRepo:
     def first_parent_chain(self, snapshot: str) -> list[CommitMeta]:
         """Snapshot followed by its first-parent ancestors, newest first."""
         snapshot = self.resolve_commit(snapshot)
-        out = self._run(
-            ["log", "-z", "--first-parent", "--format=%H%x01%P%x01%at%x01%B", snapshot]
-        )
-        commits = []
-        for record in out.split(b"\x00"):
-            if not record.strip():
-                continue
-            commit_id, parents, author_time, message = record.decode("utf-8", "replace").split("\x01", 3)
-            parent_ids = parents.split()
-            commits.append(
-                CommitMeta(
-                    id=commit_id,
-                    firstParentId=parent_ids[0] if parent_ids else None,
-                    authorTime=int(author_time),
-                    message=message,
-                )
-            )
-        return commits
+        out = self._run(["log", "-z", "--first-parent", "--format=" + _COMMIT_FORMAT, snapshot])
+        return [_commit_meta(record) for record in out.split(b"\x00") if record.strip()]
+
+    def first_parent_history(self, snapshot: str) -> tuple[list[CommitMeta], list[dict[str, Change]]]:
+        """The chain `first_parent_chain` returns and, for each of its
+        commits, the map `changes(firstParent, commit)` returns with the
+        parent-side blob id of each path (the root is diffed against the
+        empty tree), from one `git log`."""
+        snapshot = self.resolve_commit(snapshot)
+        out = self._run([
+            "log", "-z", "--first-parent", "-m", "-M", "--root", "--raw", "--no-abbrev",
+            "--format=%x02" + _COMMIT_FORMAT, snapshot,
+        ])
+        # NUL-separated fields: "\x02" + a commit record, then one raw entry
+        # ":oldmode newmode oldid newid status" per changed path, followed by
+        # its path, or by the old and the new path of a rename or copy
+        chain: list[CommitMeta] = []
+        changes: list[dict[str, Change]] = []
+        fields = out.split(b"\x00")
+        i = 0
+        while i < len(fields):
+            field = fields[i].lstrip(b"\n")
+            i += 1
+            if field.startswith(b"\x02"):
+                chain.append(_commit_meta(field[1:]))
+                changes.append({})
+            elif field.startswith(b":"):
+                _, _, old_blob, _, status = field[1:].decode("ascii").split(" ")
+                old_path = None
+                if status[0] in ("R", "C"):
+                    old_path = fields[i].decode("utf-8", "replace")
+                    i += 1
+                path = fields[i].decode("utf-8", "replace")
+                i += 1
+                changes[-1][path] = Change(status, old_path, old_blob if old_blob.strip("0") else None)
+        return chain, changes
 
     def file_at(self, commit: str, path: str) -> str | None:
         """File content at a commit, line endings as stored, or None when
@@ -127,6 +177,41 @@ class GitRepo:
         return result
 
     def ls_files(self, commit: str, suffix: str = ".java") -> list[str]:
-        out = self._run(["ls-tree", "-r", "-z", "--name-only", commit])
-        paths = [p.decode("utf-8", "replace") for p in out.split(b"\x00") if p]
-        return [p for p in paths if p.endswith(suffix)]
+        return list(self.ls_tree(commit, suffix))
+
+    def ls_tree(self, commit: str, suffix: str = ".java") -> dict[str, str]:
+        """{path: object id} of every file under `commit` whose path ends
+        with `suffix`, in git's order."""
+        out = self._run(["ls-tree", "-r", "-z", commit])
+        entries = {}
+        for entry in out.split(b"\x00"):
+            if entry:
+                info, _, path = entry.partition(b"\t")
+                path = path.decode("utf-8", "replace")
+                if path.endswith(suffix):
+                    entries[path] = info.split(b" ")[2].decode("ascii")
+        return entries
+
+    def read_blobs(self, ids) -> dict[str, str | None]:
+        """{id: text} for object ids, or any names `git cat-file` accepts,
+        from one `git cat-file --batch`.  Texts are decoded as `file_at`
+        decodes them; a name that is missing or not a blob maps to None, as
+        `file_at` returns None for it."""
+        ids = list(dict.fromkeys(ids))
+        if not ids:
+            return {}
+        out = self._run(["cat-file", "--batch"], input="".join(f"{oid}\n" for oid in ids).encode("utf-8"))
+        # per name "<oid> <type> <size>\n<content>\n", or "<name> missing\n"
+        texts: dict[str, str | None] = {}
+        pos = 0
+        for oid in ids:
+            eol = out.index(b"\n", pos)
+            header = out[pos:eol].rsplit(b" ", 2)
+            pos = eol + 1
+            if len(header) < 3 or not header[2].isdigit():
+                texts[oid] = None
+                continue
+            size = int(header[2])
+            texts[oid] = out[pos:pos + size].decode("utf-8", "replace") if header[1] == b"blob" else None
+            pos += size + 1
+        return texts

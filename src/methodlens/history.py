@@ -4,11 +4,12 @@ along the first-parent chain, and windowed change indicators."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gitrepo import CommitMeta, GitRepo
+from .gitrepo import Change, CommitMeta, GitRepo
 from .java_extract import (
     ExtractionError,
     LexicalError,
@@ -209,6 +210,12 @@ def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
 
 
 def _body_block_text(decl: MethodDeclaration) -> str:
+    if decl.bodyBlock is None:
+        decl.bodyBlock = _find_body_block(decl)
+    return decl.bodyBlock
+
+
+def _find_body_block(decl: MethodDeclaration) -> str:
     toks = [t for t in tokenize(decl.bodyText) if t.kind != "comment"]
     open_idx = None
     i = 0
@@ -288,38 +295,94 @@ def match_method(
 
 
 class TraceSession:
-    """Shared state for tracing many methods of one snapshot: the
-    first-parent chain plus per-commit diff and per-file extraction caches."""
+    """Shared state for tracing the methods of one snapshot.
+
+    One `git log` gives the first-parent chain and what changed at each
+    commit.  Methods are traced one file at a time: the first lookup in a
+    file reads, in one batch, its snapshot version and every parent-side
+    version on its rename chain, and moving to another file drops them, so
+    texts and extractions (keyed by blob id) never hold more than one
+    file's history."""
 
     def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
         self.repo = repo
         self.cfg = cfg
         self.project = project or "project"
-        self.chain = repo.first_parent_chain(snapshot)
+        self.chain, self._changes = repo.first_parent_history(snapshot)
         self.snapshot = self.chain[0]
-        self._changes: dict[str, dict] = {}
-        self._extracted: dict[tuple[str, str], list[MethodDeclaration] | None] = {}
+        # path -> indices of the chain commits that changed it; the root
+        # has no parent to trace into
+        self._changed_at: dict[str, list[int]] = {}
+        for k, changes in enumerate(self._changes[:-1]):
+            for path in changes:
+                self._changed_at.setdefault(path, []).append(k)
+        self._snapshot_blobs = repo.ls_tree(self.snapshot.id, suffix="")
+        self._file: str | None = None
+        self._steps: list[tuple[int, Change]] = []
+        self._blob_ids: dict[tuple[str, str], str] = {}
+        self._texts: dict[str, str | None] = {}
+        self._extracted: dict[str, list[MethodDeclaration] | None] = {}
+        self.files_traced = 0
+        self.blobs_read = 0
+        self.failures = 0
 
-    def changes_at(self, index: int) -> dict[str, tuple[str, str | None]]:
-        child = self.chain[index]
-        if child.id not in self._changes:
-            parent = self.chain[index + 1].id if index + 1 < len(self.chain) else None
-            self._changes[child.id] = self.repo.changes(parent, child.id)
-        return self._changes[child.id]
+    def steps(self, path: str) -> list[tuple[int, Change]]:
+        """(chain index, change) at every commit that changed the snapshot
+        file `path`, newest first, following renames to the old path and
+        ending where the file was added or deleted.  Opens the file."""
+        self._open(path)
+        return self._steps
+
+    def _open(self, path: str) -> None:
+        if path == self._file:
+            return
+        steps = []
+        blob_ids = {}
+        if path in self._snapshot_blobs:
+            blob_ids[(self.snapshot.id, path)] = self._snapshot_blobs[path]
+        cur_path = path
+        k = 0
+        while True:
+            indices = self._changed_at.get(cur_path, ())
+            i = bisect_left(indices, k)
+            if i == len(indices):
+                break
+            k = indices[i]
+            change = self._changes[k][cur_path]
+            steps.append((k, change))
+            if change.status[0] in ("A", "D"):
+                break
+            cur_path = change.oldPath or cur_path
+            k += 1
+            blob_ids[(self.chain[k].id, cur_path)] = change.oldBlob
+        self._file, self._steps, self._blob_ids = path, steps, blob_ids
+        self._texts = self.repo.read_blobs(blob_ids.values())
+        self._extracted = {}
+        self.files_traced += 1
+        self.blobs_read += len(self._texts)
 
     def methods_at(self, commit_id: str, path: str) -> list[MethodDeclaration] | None:
-        key = (commit_id, path)
-        if key not in self._extracted:
-            content = self.repo.file_at(commit_id, path)
-            if content is None:
-                self._extracted[key] = None
-            else:
+        """Methods of `path` at `commit_id`, or None when the file is absent
+        there or fails to extract.  A snapshot lookup opens the file; the
+        parent-side versions on its rename chain are then already read, and
+        any other version costs one git process of its own."""
+        if commit_id == self.snapshot.id:
+            self._open(path)
+        blob = self._blob_ids.get((commit_id, path), f"{commit_id}:{path}")
+        if blob not in self._texts:
+            self._texts.update(self.repo.read_blobs([blob]))
+            self.blobs_read += 1
+        if blob not in self._extracted:
+            content = self._texts[blob]
+            methods = None
+            if content is not None:
                 try:
-                    self._extracted[key] = extract_methods(normalize_source(path, content))
+                    methods = extract_methods(normalize_source(path, content))
                 except (ExtractionError, LexicalError) as err:
                     log.warning("extraction failed at %s:%s: %s", commit_id[:12], path, err)
-                    self._extracted[key] = None
-        return self._extracted[key]
+                    self.failures += 1
+            self._extracted[blob] = methods
+        return self._extracted[blob]
 
     def resolve_at_snapshot(self, path: str, sig: str, start_line: int | None = None) -> MethodDeclaration:
         methods = self.methods_at(self.snapshot.id, path)
@@ -336,26 +399,21 @@ class TraceSession:
 
 
 def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:
-    """Walk the first-parent chain backwards from the snapshot, following file
-    renames and method matches; record a revision whenever the declaration
-    text changed (comment and formatting changes included)."""
+    """Step back from the snapshot through the first-parent commits that
+    changed the method's file, following file renames and method matches;
+    record a revision whenever the declaration text changed (comment and
+    formatting changes included)."""
     chain = session.chain
     cur_decl = decl
     cur_path = path
     pending: list[tuple[CommitMeta, int, int, int]] = []  # newest first
     introduction = chain[-1]
-    introduction_found = False
 
-    for k in range(len(chain) - 1):
+    for k, change in session.steps(path):
         child = chain[k]
-        entry = session.changes_at(k).get(cur_path)
-        if entry is None:
-            continue
-        status, old_path = entry
-        kind = status[0]
+        kind = change.status[0]
         if kind == "A":
             introduction = child
-            introduction_found = True
             break
         if kind == "D":
             log.warning(
@@ -363,11 +421,9 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
                 cur_decl.name, cur_path, child.id[:12],
             )
             introduction = child
-            introduction_found = True
             break
-        parent_path = old_path if kind in ("R", "C") and old_path else cur_path
-        parent = chain[k + 1]
-        prev_methods = session.methods_at(parent.id, parent_path)
+        parent_path = change.oldPath or cur_path
+        prev_methods = session.methods_at(chain[k + 1].id, parent_path)
         if prev_methods is None:
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path
@@ -375,7 +431,6 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
         matched = match_method(prev_methods, cur_decl, session.cfg)
         if matched is None:
             introduction = child
-            introduction_found = True
             break
         if matched.bodyText != cur_decl.bodyText:
             added, deleted = line_diff(matched.bodyText, cur_decl.bodyText)
@@ -383,8 +438,6 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
             pending.append((child, added, deleted, distance))
         cur_decl = matched
         cur_path = parent_path
-    if not introduction_found:
-        introduction = chain[-1]
 
     revisions = [
         Revision(

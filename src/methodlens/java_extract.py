@@ -106,6 +106,9 @@ class MethodDeclaration:
     startLine: int
     endLine: int
     containerChain: list[str]
+    # bodyText from the opening brace of the body on; history computes it
+    # on first use and keeps it here, so each declaration is lexed for it once
+    bodyBlock: str | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def normalize_source(path: str, raw: str) -> SourceFile:

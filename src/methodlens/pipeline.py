@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable
@@ -71,6 +70,9 @@ INDICATOR_ALIASES = {
 }
 INDICATOR_FLAGS = {v: k for k, v in INDICATOR_ALIASES.items()}
 
+# the `jobs` key is kept so that existing configuration files still parse
+JOBS_ERROR = "jobs must be 1: tracing is single-process"
+
 
 @dataclass
 class PipelineConfig:
@@ -91,6 +93,10 @@ class PipelineConfig:
     high_recall_keywords: tuple[str, ...] = BugRuleConfig().highRecallKeywords
     high_precision_bug_words: tuple[str, ...] = BugRuleConfig().highPrecisionBugWords
     high_precision_fix_words: tuple[str, ...] = BugRuleConfig().highPrecisionFixWords
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ConfigError(JOBS_ERROR)
 
     def project_name(self) -> str:
         return self.project or Path(self.repo).resolve().name or "project"
@@ -150,8 +156,8 @@ def _parse_value(key: str, raw: str, line_no: int):
             value = int(raw)
         except ValueError:
             fail(f"{key} expects an integer, got {raw!r}")
-        if key == "jobs" and value < 1:
-            fail("jobs must be >= 1")
+        if key == "jobs" and value != 1:
+            fail(JOBS_ERROR)
         if key == "approach" and value not in (1, 2):
             fail("approach must be 1 or 2")
         if key in ("top_n", "per_project_cap") and value < 1:
@@ -429,11 +435,12 @@ def labeled_from_record(record: dict) -> LabeledMethod:
 
 def run_extract(config: PipelineConfig, repo: GitRepo, out: Path, digests: dict[str, str]) -> None:
     snapshot = repo.resolve_commit(config.commit)
+    blobs = {path: blob for path, blob in repo.ls_tree(snapshot).items()
+             if config.files in ("", "*") or fnmatch.fnmatch(path, config.files)}
+    texts = repo.read_blobs(blobs.values())
     records = []
-    for path in repo.ls_files(snapshot):
-        if config.files not in ("", "*") and not fnmatch.fnmatch(path, config.files):
-            continue
-        content = repo.file_at(snapshot, path)
+    for path, blob in blobs.items():
+        content = texts[blob]
         if content is None:
             continue
         try:
@@ -451,17 +458,15 @@ def run_trace(config: PipelineConfig, repo: GitRepo, out: Path, digests: dict[st
     header, records = read_ndjson(methods_path or out / "methods.ndjson")
     cfg = config.trace_config()
     session = TraceSession(repo, header["snapshot"], cfg, project=config.project_name())
-
-    def trace_one(record):
+    out_records = []
+    # one file at a time, so the session reads each file's history once
+    for record in sorted(records, key=lambda r: r["file"]):
         decl = session.resolve_at_snapshot(record["file"], record["signature"], record["startLine"])
         history = trace_method(session, decl, record["file"])
-        return history_record(history, compute_indicators(history, cfg))
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            out_records = list(pool.map(trace_one, records))
-    else:
-        out_records = [trace_one(r) for r in records]
+        out_records.append(history_record(history, compute_indicators(history, cfg)))
+    log.info("trace: %d chain commits, %d files traced, %d blobs read, "
+             "%d historical versions failed to extract",
+             len(session.chain), session.files_traced, session.blobs_read, session.failures)
     out_records.sort(key=lambda r: (
         r["identity"]["project"], r["identity"]["file"],
         r["identity"]["startLine"], r["identity"]["signature"],

@@ -420,3 +420,67 @@ def _expected_labels(methods: dict) -> dict[str, str]:
     for sig in ranked[:k]:
         labels[sig] = "ugly"
     return labels
+
+
+# --- small histories for the repository layer --------------------------------
+
+
+def commit_files(repo: Path, tag: str, message: str, files: dict[str, str | None]) -> str:
+    """Write (or, for None, delete) the given files, commit everything with
+    the date of `tag` and return the commit sha."""
+    for path, content in files.items():
+        target = repo / path
+        if content is None:
+            target.unlink()
+            continue
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(content.encode("utf-8"))
+    _git(repo, "add", "-A", tag=tag)
+    _git(repo, "commit", "-q", "--allow-empty", "-m", message, tag=tag)
+    return _git(repo, "rev-parse", "HEAD", tag=tag)
+
+
+def init_repo(root: Path, name: str) -> Path:
+    repo = root / name
+    repo.mkdir(parents=True)
+    _git(repo, "init", "-q", "-b", "main")
+    _git(repo, "config", "core.autocrlf", "false")
+    return repo
+
+
+def build_layout_repo(root: Path) -> dict:
+    """File-level events for the bulk history reader: the root commit, a
+    rename in place with an edit, a move to another directory next to a
+    deletion, an empty commit, a side branch merged back, a CRLF file and a
+    path with a space and a non-ASCII letter."""
+    repo = init_repo(root, "layout-repo")
+    shas = {}
+    alpha = _java_file("Alpha", [ALPHA_V2, STABLE_V1, FRAGILE_V2])
+    shas["c01"] = commit_files(repo, "c01", "root", {
+        "src/Alpha.java": alpha,
+        "src/Crlf.java": _java_file("Crlf", [HELPER_V1]).replace("\n", "\r\n"),
+        "docs/notes.txt": "notes\n",
+    })
+    shas["c02"] = commit_files(repo, "c02", "rename Alpha to Beta", {
+        "src/Alpha.java": None,
+        "src/Beta.java": alpha.replace("class Alpha", "class Beta").replace("9999", "8888"),
+    })
+    shas["c03"] = commit_files(repo, "c03", "move Crlf, drop notes", {
+        "src/Crlf.java": None,
+        "lib/Crlf.java": _java_file("Crlf", [HELPER_V2]).replace("\n", "\r\n"),
+        "docs/notes.txt": None,
+    })
+    shas["c04"] = commit_files(repo, "c04", "nothing", {})
+    _git(repo, "checkout", "-q", "-b", "side", tag="s1")
+    shas["s1"] = commit_files(repo, "s1", "side work", {
+        "src/Side.java": _java_file("Side", [LOG_TWO_V1]),
+        "src/Beta.java": alpha.replace("class Alpha", "class Beta").replace("9999", "7777"),
+    })
+    _git(repo, "checkout", "-q", "main", tag="c10")
+    shas["c05"] = commit_files(repo, "c05", "main work", {"src/sp ace é.java": _java_file("Space", [STABLE_V1])})
+    _git(repo, "merge", "-q", "--no-ff", "-m", "Merge branch 'side'", "side", tag="c10")
+    shas["c10"] = _git(repo, "rev-parse", "HEAD", tag="c10")
+    shas["c11"] = commit_files(repo, "c11", "edit the CRLF file", {
+        "lib/Crlf.java": _java_file("Crlf", [HELPER_V2, LOG_TWO_V1]).replace("\n", "\r\n"),
+    })
+    return {"repo": repo, "shas": shas, "snapshot": shas["c11"]}

@@ -70,6 +70,16 @@ def test_config_rejects_type_mismatch(tmp_path):
         validate_config(write_config(tmp_path, "seed = soon"))
 
 
+def test_jobs_other_than_one_is_a_config_error(tmp_path):
+    assert validate_config(write_config(tmp_path, "jobs = 1")).jobs == 1
+    with pytest.raises(ConfigError, match="line 1: jobs must be 1: tracing is single-process"):
+        validate_config(write_config(tmp_path, "jobs = 4"))
+    with pytest.raises(ConfigError, match="single-process"):
+        PipelineConfig(jobs=2)
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--jobs", "2"])
+
+
 def test_config_round_trips_losslessly(tmp_path):
     config = PipelineConfig(repo="/x", commit="abc", window_years=3.5, seed=11,
                             indicator="diffSize", high_recall_keywords=("boom", "oops"))
@@ -234,30 +244,30 @@ def trainable_dataset(tmp_path_factory):
 
 
 CDF_CSV = {
-    1: """project,precision,recall
-test:forest,0.6666666666666666,0.5
-test:logistic,0.6666666666666666,0.5
-test:tree,0.6666666666666666,0.5
+    1: """project,classifier,precision,recall
+,forest,0.6666666666666666,0.5
+,logistic,0.6666666666666666,0.5
+,tree,0.6666666666666666,0.5
 """,
-    2: """project,precision,recall
-proj0,0.8571428571428571,0.6
-proj0,0.8571428571428571,0.6
-proj0,0.7777777777777778,0.7
-proj1,0.6666666666666666,0.5
-proj1,0.6666666666666666,0.5
-proj1,0.6666666666666666,0.5
-proj2,0.8,1.0
-proj2,0.8,1.0
-proj2,0.6666666666666666,0.75
-proj3,1.0,0.7142857142857143
-proj3,1.0,0.7142857142857143
-proj3,0.7142857142857143,0.7142857142857143
-proj4,0.8571428571428571,1.0
-proj4,0.8571428571428571,1.0
-proj4,0.8333333333333334,0.8333333333333334
-quiet,nan,nan
-quiet,nan,nan
-quiet,nan,nan
+    2: """project,classifier,precision,recall
+proj0,forest,0.8571428571428571,0.6
+proj0,logistic,0.8571428571428571,0.6
+proj0,tree,0.7777777777777778,0.7
+proj1,forest,0.6666666666666666,0.5
+proj1,logistic,0.6666666666666666,0.5
+proj1,tree,0.6666666666666666,0.5
+proj2,forest,0.8,1.0
+proj2,logistic,0.8,1.0
+proj2,tree,0.6666666666666666,0.75
+proj3,forest,1.0,0.7142857142857143
+proj3,logistic,1.0,0.7142857142857143
+proj3,tree,0.7142857142857143,0.7142857142857143
+proj4,forest,0.8571428571428571,1.0
+proj4,logistic,0.8571428571428571,1.0
+proj4,tree,0.8333333333333334,0.8333333333333334
+quiet,forest,nan,nan
+quiet,logistic,nan,nan
+quiet,tree,nan,nan
 """,
 }
 
@@ -325,6 +335,16 @@ def test_cli_exit_code_repo_error(fixture_repo, tmp_path):
     code = main(["extract", "--repo", str(fixture_repo["repo"]),
                  "--commit", "f" * 40, "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_cli_trace_commit_must_be_the_extracted_snapshot(fixture_repo, tmp_path):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
+    trace = ["trace", "--repo", repo, "--out", str(tmp_path), "--methods", str(tmp_path / "methods.ndjson")]
+    assert main(trace + ["--commit", f"{sha}~3"]) == 2
+    assert not (tmp_path / "histories.ndjson").exists()
+    assert main(trace + ["--commit", sha]) == 0
+    assert read_ndjson(tmp_path / "histories.ndjson")[0]["snapshot"] == sha
 
 
 def test_cli_exit_code_missing_repo(tmp_path):

@@ -1,0 +1,69 @@
+"""How the trace stage reads git and lexes: a bounded number of git
+processes per run, one batch per traced file, one body-block lex per
+declaration, and a counted summary of what it read and failed to extract."""
+
+import logging
+import subprocess
+from pathlib import Path
+
+from methodlens import history
+from methodlens.gitrepo import GitRepo
+from methodlens.history import TraceConfig, match_method
+from methodlens.java_extract import extract_methods, normalize_source
+from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline, run_stage
+from repo_builder import commit_files, init_repo
+
+
+def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_path, monkeypatch):
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(args, *rest, **kwargs):
+        calls.append(args[3] if args[1] == "-C" else args[1])
+        return real_run(args, *rest, **kwargs)
+
+    monkeypatch.setattr("methodlens.gitrepo.subprocess.run", counting_run)
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    run_pipeline(config)
+    _, records = read_ndjson(tmp_path / "methods.ndjson")
+    traced_files = len({r["file"] for r in records})
+    assert traced_files == 3
+    assert len(calls) <= traced_files + 8, calls
+    assert calls.count("log") == 1 and calls.count("cat-file") == traced_files + 1
+    assert "diff-tree" not in calls
+
+
+def test_match_method_lexes_each_declaration_once(monkeypatch):
+    source = "class A {\n" + "".join(
+        f"  int m{i}(int v) {{\n    int a = v * {i};\n    return a + {i * 7} - v;\n  }}\n" for i in range(6)
+    ) + "}\n"
+    prev = extract_methods(normalize_source("A.java", source))
+    target = extract_methods(normalize_source("A.java", source.replace("m3(", "renamed(")))[3]
+    lexed = []
+    real_tokenize = history.tokenize
+    monkeypatch.setattr(history, "tokenize", lambda text: lexed.append(text) or real_tokenize(text))
+    for _ in range(2):
+        assert match_method(prev, target, TraceConfig()).name == "m3"
+    assert len(lexed) == len(set(lexed)) <= len(prev) + 1
+
+
+def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, caplog):
+    repo = init_repo(tmp_path, "unlexable")
+    method = "  int keep(int v) {\n    return v + 1;\n  }\n"
+    commit_files(repo, "c01", "add", {"src/A.java": "class A {\n" + method + "}\n"})
+    commit_files(repo, "c02", "break", {"src/A.java": "class A {\n" + method + '  String s = "open;\n}\n'})
+    snapshot = commit_files(repo, "c03", "mend", {"src/A.java": "class A {\n" + method + "  int x;\n}\n"})
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    Path(config.out).mkdir()
+    git = GitRepo(str(repo))
+    methods = Path(config.out) / "methods.ndjson"
+    with caplog.at_level(logging.INFO, logger="methodlens"):
+        run_stage("extract", config, {}, git, snapshot)
+        run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
+    assert summary == ["trace: 3 chain commits, 1 files traced, 3 blobs read, "
+                       "1 historical versions failed to extract"]
+    assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
+    _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
+    assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
