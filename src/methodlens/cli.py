@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mine per-method change histories from Java git repositories, "
                     "compute inception-time code metrics, and rank/predict "
                     "change-prone methods.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

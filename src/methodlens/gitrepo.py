@@ -104,11 +104,11 @@ class GitRepo:
         """The chain `first_parent_chain` returns and, for each of its
         commits, the map `changes(firstParent, commit)` returns with the
         parent-side blob id of each path (the root is diffed against the
-        empty tree), from one `git log`."""
-        snapshot = self.resolve_commit(snapshot)
+        empty tree), from one `git log`.  `snapshot` is a commit id the
+        caller has resolved (`resolve_commit`)."""
         out = self._run([
             "log", "-z", "--first-parent", "-m", "-M", "--root", "--raw", "--no-abbrev",
-            "--format=%x02" + _COMMIT_FORMAT, snapshot,
+            "--format=%x02" + _COMMIT_FORMAT, snapshot, "--",
         ])
         # NUL-separated fields: "\x02" + a commit record, then one raw entry
         # ":oldmode newmode oldid newid status" per changed path, followed by

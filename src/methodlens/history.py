@@ -6,14 +6,14 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .gitrepo import Change, CommitMeta, GitRepo
 from .java_extract import (
     ExtractionError,
     LexicalError,
     MethodDeclaration,
+    body_open_index,
     normalize_source,
     extract_methods,
     signature,
@@ -102,101 +102,83 @@ INDICATOR_NAMES = ("revisions", "diffSize", "additionOnly", "editDistance")
 # text distances
 
 
-def _strip_common(a: str, b: str) -> tuple[str, str]:
+def _strip_common(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
+    """a and b without their common prefix and suffix."""
     pre = 0
     limit = min(len(a), len(b))
     while pre < limit and a[pre] == b[pre]:
         pre += 1
-    a, b = a[pre:], b[pre:]
     suf = 0
-    limit = min(len(a), len(b))
+    limit -= pre
     while suf < limit and a[len(a) - 1 - suf] == b[len(b) - 1 - suf]:
         suf += 1
-    if suf:
-        a, b = a[:len(a) - suf], b[:len(b) - suf]
-    return a, b
+    return a[pre:len(a) - suf], b[pre:len(b) - suf]
+
+
+def _position_masks(seq: Sequence) -> dict:
+    """Symbol -> int with bit i set where seq[i] is that symbol."""
+    masks: dict = {}
+    bit = 1
+    for s in seq:
+        masks[s] = masks.get(s, 0) | bit
+        bit <<= 1
+    return masks
 
 
 def levenshtein(a: str, b: str) -> int:
     """Minimal character insertions/deletions/substitutions turning a into b.
 
-    Memory stays proportional to min(|a|, |b|).
+    Bit-parallel over the shorter string's positions (G. Myers, JACM 1999,
+    in H. Hyyrö's edit-distance form, 2003). The DP column over a is kept
+    as its vertical steps: bit i of pv/mv is set where row i is one more/one
+    less than row i-1. `score` is the column's last cell.
     """
-    if a == b:
-        return 0
     a, b = _strip_common(a, b)
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(b) < len(a):
         a, b = b, a
-    if len(b) <= 64:
-        return _levenshtein_small(a, b)
     m = len(a)
-    a_arr = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    b_arr = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    idx = np.arange(m + 1, dtype=np.int64)
-    prev = idx.copy()
-    base = np.empty(m + 1, dtype=np.int64)
-    for j in range(1, len(b_arr) + 1):
-        np.minimum(prev[1:] + 1, prev[:-1] + (a_arr != b_arr[j - 1]), out=base[1:])
-        base[0] = j
-        # resolve the left-neighbor (insertion) dependency with a prefix min
-        prev = np.minimum.accumulate(base - idx) + idx
-        base = np.empty(m + 1, dtype=np.int64)
-    return int(prev[m])
-
-
-def _levenshtein_small(a: str, b: str) -> int:
-    m = len(a)
-    prev = list(range(m + 1))
-    for j, cb in enumerate(b, start=1):
-        cur = [j] + [0] * m
-        for i in range(1, m + 1):
-            cost = 0 if a[i - 1] == cb else 1
-            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + cost)
-        prev = cur
-    return prev[m]
+    if not m:
+        return len(b)
+    peq = _position_masks(a)
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        # ~ sets every bit above m; mv is cut back by xv, pv by the mask
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def line_diff(a: str, b: str) -> tuple[int, int]:
     """Longest-common-subsequence line diff: (added, deleted)."""
-    la = a.split("\n")
-    lb = b.split("\n")
-    pre = 0
-    limit = min(len(la), len(lb))
-    while pre < limit and la[pre] == lb[pre]:
-        pre += 1
-    suf = 0
-    limit = min(len(la) - pre, len(lb) - pre)
-    while suf < limit and la[len(la) - 1 - suf] == lb[len(lb) - 1 - suf]:
-        suf += 1
-    ca = la[pre:len(la) - suf]
-    cb = lb[pre:len(lb) - suf]
-    lcs = _lcs_length(ca, cb)
-    return len(cb) - lcs, len(ca) - lcs
+    xs, ys = _strip_common(a.split("\n"), b.split("\n"))
+    lcs = _lcs_length(xs, ys)
+    return len(ys) - lcs, len(xs) - lcs
 
 
 def _lcs_length(xs: list[str], ys: list[str]) -> int:
-    if not xs or not ys:
-        return 0
-    # hash lines so inner comparisons are cheap
-    table: dict[str, int] = {}
-    ax = [table.setdefault(s, len(table)) for s in xs]
-    ay = [table.setdefault(s, len(table)) for s in ys]
-    if len(ay) < len(ax):
-        ax, ay = ay, ax
-    prev = [0] * (len(ax) + 1)
-    for y in ay:
-        cur = [0] * (len(ax) + 1)
-        for i, x in enumerate(ax, start=1):
-            if x == y:
-                cur[i] = prev[i - 1] + 1
-            else:
-                cur[i] = max(prev[i], cur[i - 1])
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length (Allison-Dix 1986, Hyyrö 2004) over the
+    shorter list's positions: bit i of v is 0 where the LCS with the lines
+    read so far grows at xs[i], so the zeros count the LCS."""
+    if len(ys) < len(xs):
+        xs, ys = ys, xs
+    masks = _position_masks(xs)
+    full = v = (1 << len(xs)) - 1
+    for y in ys:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(xs) - v.bit_count()
 
 
 def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
@@ -217,34 +199,12 @@ def _body_block_text(decl: MethodDeclaration) -> str:
 
 def _find_body_block(decl: MethodDeclaration) -> str:
     toks = [t for t in tokenize(decl.bodyText) if t.kind != "comment"]
-    open_idx = None
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.text == "@":
-            i += 1
-            while i < len(toks) and (toks[i].kind == "identifier" or toks[i].text == "."):
-                i += 1
-            if i < len(toks) and toks[i].text == "(":
-                depth = 0
-                while i < len(toks):
-                    if toks[i].text == "(":
-                        depth += 1
-                    elif toks[i].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    i += 1
-                i += 1
-            continue
-        if t.text == "{":
-            open_idx = t
-            break
-        i += 1
+    open_idx = body_open_index(toks)
     if open_idx is None:
         return decl.bodyText
+    brace = toks[open_idx]
     lines = decl.bodyText.split("\n")
-    offset = sum(len(line) + 1 for line in lines[:open_idx.line - 1]) + open_idx.column - 1
+    offset = sum(len(line) + 1 for line in lines[:brace.line - 1]) + brace.column - 1
     return decl.bodyText[offset:]
 
 

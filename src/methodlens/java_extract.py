@@ -172,6 +172,41 @@ def signature(decl: MethodDeclaration) -> str:
     return "%s#%s(%s)" % (".".join(decl.containerChain), decl.name, ",".join(decl.parameterTypes))
 
 
+def match_forward(toks: list[Token], i: int, open_txt: str, close_txt: str) -> int:
+    """Index of the token closing toks[i] (which must be the opener)."""
+    depth = 0
+    for j in range(i, len(toks)):
+        t = toks[j].text
+        if t == open_txt:
+            depth += 1
+        elif t == close_txt:
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(toks) - 1
+
+
+def body_open_index(toks: list[Token]) -> int | None:
+    """Index of the '{' that opens the method body in a declaration's
+    comment-free tokens (annotation argument groups in the header are
+    skipped)."""
+    i = 0
+    n = len(toks)
+    while i < n:
+        t = toks[i]
+        if t.text == "@":
+            i += 1
+            while i < n and (toks[i].kind == "identifier" or toks[i].text == "."):
+                i += 1
+            if i < n and toks[i].text == "(":
+                i = match_forward(toks, i, "(", ")") + 1
+            continue
+        if t.text == "{":
+            return i
+        i += 1
+    return None
+
+
 _TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 

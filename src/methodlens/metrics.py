@@ -15,6 +15,8 @@ from .java_extract import (
     MethodDeclaration,
     PRIMITIVE_TYPES,
     Token,
+    body_open_index,
+    match_forward,
     tokenize,
 )
 
@@ -105,40 +107,6 @@ def _logistic(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def _match_forward(toks: list[Token], i: int, open_txt: str, close_txt: str) -> int:
-    """Index of the token closing toks[i] (which must be the opener)."""
-    depth = 0
-    for j in range(i, len(toks)):
-        t = toks[j].text
-        if t == open_txt:
-            depth += 1
-        elif t == close_txt:
-            depth -= 1
-            if depth == 0:
-                return j
-    return len(toks) - 1
-
-
-def _body_open_index(toks: list[Token]) -> int | None:
-    """Index of the '{' that opens the method body (annotation argument
-    groups in the header are skipped)."""
-    i = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i]
-        if t.text == "@":
-            i += 1
-            while i < n and (toks[i].kind == "identifier" or toks[i].text == "."):
-                i += 1
-            if i < n and toks[i].text == "(":
-                i = _match_forward(toks, i, "(", ")") + 1
-            continue
-        if t.text == "{":
-            return i
-        i += 1
-    return None
-
-
 def _declaration_tokens(decl: MethodDeclaration) -> list[Token]:
     return tokenize(decl.bodyText)
 
@@ -146,10 +114,10 @@ def _declaration_tokens(decl: MethodDeclaration) -> list[Token]:
 def _body_slice(toks: list[Token]) -> list[Token]:
     """Tokens of the body block, outer braces included (empty when absent)."""
     code = [t for t in toks if t.kind != "comment"]
-    open_idx = _body_open_index(code)
+    open_idx = body_open_index(code)
     if open_idx is None:
         return []
-    close_idx = _match_forward(code, open_idx, "{", "}")
+    close_idx = match_forward(code, open_idx, "{", "}")
     return code[open_idx:close_idx + 1]
 
 
@@ -230,12 +198,12 @@ def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
     while i < n:
         t = body[i]
         if t.kind == "keyword" and t.text in ("if", "while", "switch") and i + 1 < n and body[i + 1].text == "(":
-            close = _match_forward(body, i + 1, "(", ")")
+            close = match_forward(body, i + 1, "(", ")")
             out.append(body[i + 2:close])
             i = close + 1
             continue
         if t.kind == "keyword" and t.text == "for" and i + 1 < n and body[i + 1].text == "(":
-            close = _match_forward(body, i + 1, "(", ")")
+            close = match_forward(body, i + 1, "(", ")")
             inner = body[i + 2:close]
             semis = []
             depth = 0
@@ -359,7 +327,7 @@ def _scan_statements(toks: list[Token], i: int, end: int, depth: int) -> int:
 
 def _skip_paren_group(toks: list[Token], i: int, end: int) -> int:
     if i < end and toks[i].text == "(":
-        return min(_match_forward(toks, i, "(", ")") + 1, end)
+        return min(match_forward(toks, i, "(", ")") + 1, end)
     return i
 
 
@@ -374,7 +342,7 @@ def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[in
     if txt == ";":
         return i + 1, 0
     if txt == "{":
-        close = _match_forward(toks, i, "{", "}")
+        close = match_forward(toks, i, "{", "}")
         m = _scan_statements(toks, i + 1, min(close, end), depth)
         return min(close + 1, end), m
 
@@ -422,7 +390,7 @@ def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[in
             while j < end and toks[j].text != "{":
                 j += 1
             if j < end:
-                close = _match_forward(toks, j, "{", "}")
+                close = match_forward(toks, j, "{", "}")
                 m = _scan_statements(toks, j + 1, min(close, end), depth)
                 return min(close + 1, end), m
             return end, 0
@@ -446,7 +414,7 @@ def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[in
         elif e in (")", "]"):
             group -= 1
         elif e == "{":
-            close = _match_forward(toks, j, "{", "}")
+            close = match_forward(toks, j, "{", "}")
             best = max(best, _scan_statements(toks, j + 1, min(close, end), depth))
             j = close
         elif e == ";" and group <= 0:
@@ -463,7 +431,7 @@ def _scan_embedded(toks: list[Token], i: int, end: int, depth: int) -> tuple[int
     if i >= end:
         return end, depth + 1
     if toks[i].text == "{":
-        close = _match_forward(toks, i, "{", "}")
+        close = match_forward(toks, i, "{", "}")
         inner = _scan_statements(toks, i + 1, min(close, end), depth + 1)
         return min(close + 1, end), max(depth + 1, inner)
     j, inner = _scan_statement(toks, i, end, depth + 1)
@@ -592,7 +560,7 @@ def _count_local_declarators(body: list[Token]) -> int:
         if txt == "(":
             kind = prev_keyword or "other"
             if kind == "catch":
-                i = _match_forward(body, i, "(", ")") + 1
+                i = match_forward(body, i, "(", ")") + 1
                 prev_keyword = None
                 statement_start = False
                 continue
@@ -639,7 +607,7 @@ def _count_local_declarators(body: list[Token]) -> int:
             while i < n and (body[i].kind == "identifier" or body[i].text == "."):
                 i += 1
             if i < n and body[i].text == "(":
-                i = _match_forward(body, i, "(", ")") + 1
+                i = match_forward(body, i, "(", ")") + 1
             continue
         statement_start = False
         prev_keyword = None

@@ -433,8 +433,8 @@ def labeled_from_record(record: dict) -> LabeledMethod:
 # stage implementations
 
 
-def run_extract(config: PipelineConfig, repo: GitRepo, out: Path, digests: dict[str, str]) -> None:
-    snapshot = repo.resolve_commit(config.commit)
+def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
+                digests: dict[str, str]) -> None:
     blobs = {path: blob for path, blob in repo.ls_tree(snapshot).items()
              if config.files in ("", "*") or fnmatch.fnmatch(path, config.files)}
     texts = repo.read_blobs(blobs.values())
@@ -453,11 +453,11 @@ def run_extract(config: PipelineConfig, repo: GitRepo, out: Path, digests: dict[
                  extra_header={"snapshot": snapshot, "project": config.project_name()})
 
 
-def run_trace(config: PipelineConfig, repo: GitRepo, out: Path, digests: dict[str, str],
+def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str],
               methods_path: Path | None = None) -> None:
-    header, records = read_ndjson(methods_path or out / "methods.ndjson")
+    _, records = read_ndjson(methods_path or out / "methods.ndjson")
     cfg = config.trace_config()
-    session = TraceSession(repo, header["snapshot"], cfg, project=config.project_name())
+    session = TraceSession(repo, snapshot, cfg, project=config.project_name())
     out_records = []
     # one file at a time, so the session reads each file's history once
     for record in sorted(records, key=lambda r: r["file"]):
@@ -708,7 +708,8 @@ class Stage:
     """A stage reads the artifacts named in `inputs` and writes those named
     in `outputs` into the output directory.  What it writes depends on the
     inputs' bytes, on `params(config)` and on the snapshot.  Its runner is
-    the module function run_<name>, looked up when the stage runs."""
+    the module function run_<name>, looked up when the stage runs; a stage
+    that reads the repository gets it and the resolved snapshot commit."""
 
     name: str
     inputs: tuple[str, ...]
@@ -773,7 +774,7 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     out = Path(config.out)
     if digests is None:
         digests = stage_digests(stage, config, inputs, snapshot)
-    leading = (config, repo, out, digests) if stage.reads_repo else (config, out, digests)
+    leading = (config, repo, snapshot, out, digests) if stage.reads_repo else (config, out, digests)
     # methods.ndjson is passed as methods_path, and so on
     paths = {f"{artifact.split('.')[0]}_path": path for artifact, path in inputs.items()}
     globals()[f"run_{name}"](*leading, **paths, **extra)

@@ -347,6 +347,16 @@ def test_cli_trace_commit_must_be_the_extracted_snapshot(fixture_repo, tmp_path)
     assert read_ndjson(tmp_path / "histories.ndjson")[0]["snapshot"] == sha
 
 
+def test_common_flags_before_the_subcommand_are_rejected(fixture_repo, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["-v", "--repo", str(fixture_repo["repo"]), "pipeline",
+              "--commit", fixture_repo["snapshot"], "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: methodlens")
+    assert not out.exists()
+
+
 def test_cli_exit_code_missing_repo(tmp_path):
     code = main(["extract", "--repo", str(tmp_path / "nope"),
                  "--commit", "abc", "--out", str(tmp_path)])

@@ -68,3 +68,62 @@ def test_line_diff_matches_lcs_oracle():
         a = "\n".join(rng.choice(lines) for _ in range(rng.randrange(0, 10)))
         b = "\n".join(rng.choice(lines) for _ in range(rng.randrange(0, 10)))
         assert line_diff(a, b) == lcs_line_diff(a, b)
+
+
+# lengths on both sides of the 64-bit word boundaries of the bit-vector
+# kernels, plus one long input
+BOUNDARY_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129, 600)
+# code points of one, two, three and four UTF-8 bytes, one of them astral
+ALPHABET = "ab{}();\n é中文😀"
+
+
+def _edits(rng, text: str, count: int) -> str:
+    chars = list(text)
+    for _ in range(count):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or i == len(chars):
+            chars.insert(i, rng.choice(ALPHABET))
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(ALPHABET)
+    return "".join(chars)
+
+
+def test_levenshtein_matches_oracle_at_word_boundary_lengths():
+    rng = random.Random(64)
+    for n in BOUNDARY_LENGTHS:
+        for m in BOUNDARY_LENGTHS:
+            a = "".join(rng.choice(ALPHABET) for _ in range(n))
+            # a symbol absent from a at both ends of b, so no common prefix
+            # or suffix shortens the pair below its boundary length
+            b = "".join(rng.choice(ALPHABET) for _ in range(m))
+            b = ("𝄞" + b[1:-1] + "𝄞")[:m]
+            expected = levenshtein_full_matrix(a, b)
+            assert levenshtein(a, b) == expected, (n, m)
+            assert levenshtein(b, a) == expected, (m, n)
+        if n:
+            a = "".join(rng.choice(ALPHABET) for _ in range(n))
+            b = _edits(rng, a, max(1, n // 10))
+            assert levenshtein(a, b) == levenshtein_full_matrix(a, b), n
+
+
+def test_line_diff_matches_lcs_oracle_on_long_repetitive_inputs():
+    rng = random.Random(200)
+    lines = ["{", "}", "    return x;", "", "    x += 1; // é", "    y = \"中文😀\";"]
+    counts = [n for n in BOUNDARY_LENGTHS if n <= 200] + [rng.randrange(150, 201) for _ in range(4)]
+    for n in counts:
+        a = [rng.choice(lines) for _ in range(n)]
+        edited = list(a)
+        for _ in range(max(1, n // 8)):
+            i = rng.randrange(len(edited) + 1)
+            if i < len(edited) and rng.random() < 0.5:
+                del edited[i]
+            else:
+                edited.insert(i, rng.choice(lines))
+        others = [[rng.choice(lines) for _ in range(m)] for m in (0, 64, rng.randrange(0, 201))]
+        for b in [edited] + others:
+            ta, tb = "\n".join(a), "\n".join(b)
+            assert line_diff(ta, tb) == lcs_line_diff(ta, tb), (n, len(b))
+            assert line_diff(tb, ta) == lcs_line_diff(tb, ta), (len(b), n)

@@ -29,7 +29,8 @@ def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_pat
     _, records = read_ndjson(tmp_path / "methods.ndjson")
     traced_files = len({r["file"] for r in records})
     assert traced_files == 3
-    assert len(calls) <= traced_files + 8, calls
+    assert len(calls) <= traced_files + 6, calls
+    assert calls.count("rev-parse") == 2  # --git-dir, then the snapshot once
     assert calls.count("log") == 1 and calls.count("cat-file") == traced_files + 1
     assert "diff-tree" not in calls
 
