@@ -25,6 +25,7 @@ from .pipeline import (
     PipelineConfig,
     StageError,
     decl_from_record,
+    digest_file,
     emit_plot_data,
     open_snapshot,
     read_ndjson,
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--files", default=None, help="glob filter over repository paths")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("metrics", parents=[common], help="annotate methods.ndjson with metric vectors")
+    p = sub.add_parser("metrics", parents=[common],
+                       help="write the methods with their metric vectors to metrics.ndjson in --out")
     p.add_argument("--methods", required=True, help="methods.ndjson from `extract`")
     p.add_argument("--csv", help="also write a 17-column metrics CSV")
     p.set_defaults(func=cmd_metrics)
@@ -187,19 +189,17 @@ def cmd_metrics(args) -> int:
     config = load_config(args)
     methods_path = Path(args.methods)
     header, records = read_ndjson(methods_path)
-    annotated = []
-    vectors = []
-    for record in records:
-        vector = compute_metric_vector(decl_from_record(record))
-        record = dict(record)
-        record["metrics"] = vector.as_dict()
-        annotated.append(record)
-        vectors.append(vector)
-    input_digests = dict(header.get("inputDigests", {}))
-    write_ndjson(methods_path, header.get("stage", "extract"), input_digests, annotated,
+    vectors = [compute_metric_vector(decl_from_record(record)) for record in records]
+    annotated = [{**record, "metrics": vector.as_dict()} for record, vector in zip(records, vectors)]
+    # a file of its own: rewriting methods.ndjson under extract's header would
+    # make a later pipeline run skip extract and trace the annotated records
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics_path = out / "metrics.ndjson"
+    write_ndjson(metrics_path, "metrics", {"methods.ndjson": digest_file(methods_path)}, annotated,
                  extra_header={k: v for k, v in header.items()
                                if k not in ("schemaVersion", "stage", "toolVersion", "inputDigests")})
-    print(f"annotated {len(annotated)} records in {methods_path}")
+    print(f"wrote {len(annotated)} annotated records to {metrics_path}")
     if args.csv:
         rows = [[repr(float(getattr(v, name))) if isinstance(getattr(v, name), float)
                  else getattr(v, name) for name in METRIC_NAMES] for v in vectors]

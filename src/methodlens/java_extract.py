@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class LexicalError(Exception):
@@ -55,12 +56,19 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?", ":",
 ]
 
+# One alternation, tried in order at each position.  After each construct
+# that can fail to close comes an alternative that matches only its failure:
+# '/*' with no later '*/', and '"""' with no later '"""' (a text block that
+# does close later but not legally falls through to the string rules).  The
+# final '.' catches every character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n\f]+)
     | (?P<linecomment>//[^\n]*)
     | (?P<blockcomment>/\*(?:[^*]|\*(?!/))*\*/)
+    | (?P<unclosedcomment>/\*)
     | (?P<textblock>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
+    | (?P<unclosedtextblock>\"\"\"(?!.*\"\"\"))
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<char>'(?:[^'\\\n]|\\.)*')
     | (?P<number>
@@ -73,21 +81,37 @@ _TOKEN_RE = re.compile(
     | (?P<ident>(?:[^\W\d]|\$)[\w$]*)
     | (?P<sep>\.\.\.|::|[(){}\[\];,.@])
     | (?P<op>%s)
+    | (?P<error>.)
     """ % "|".join(re.escape(op) for op in _OPERATORS),
     re.VERBOSE | re.DOTALL,
 )
 
+# token kind of each group; ident is split further by its text
+_GROUP_KINDS = {
+    "linecomment": "comment", "blockcomment": "comment",
+    "textblock": "literal", "string": "literal", "char": "literal", "number": "literal",
+    "sep": "separator", "op": "operator",
+}
 
-@dataclass(frozen=True)
-class Token:
+
+def _lex_error(group: str, text: str, line: int) -> LexicalError:
+    if group == "unclosedcomment":
+        return LexicalError("unterminated block comment", line)
+    if group == "unclosedtextblock":
+        return LexicalError("unterminated text block", line)
+    if text == '"':
+        return LexicalError("unterminated string literal", line)
+    if text == "'":
+        return LexicalError("unterminated character literal", line)
+    return LexicalError(f"unexpected character {text!r}", line)
+
+
+class Token(NamedTuple):
     kind: str  # keyword | identifier | literal | operator | separator | comment
     text: str
     line: int  # 1-based
     column: int  # 1-based
-
-    @property
-    def line_count(self) -> int:
-        return self.text.count("\n") + 1
+    line_count: int  # lines the token spans
 
 
 @dataclass(frozen=True)
@@ -119,51 +143,26 @@ def normalize_source(path: str, raw: str) -> SourceFile:
 def tokenize(source: str) -> list[Token]:
     """Lex Java source into a full-fidelity token stream (whitespace dropped)."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    new_token = tuple.__new__  # skips Token.__new__'s Python-level frame
     line = 1
-    col = 1
-    n = len(source)
-    while pos < n:
-        # Unterminated multi-char constructs would otherwise be mis-lexed as
-        # operator runs, so they are detected up front.
-        if source.startswith("/*", pos) and source.find("*/", pos + 2) < 0:
-            raise LexicalError("unterminated block comment", line)
-        if source.startswith('"""', pos) and source.find('"""', pos + 3) < 0:
-            raise LexicalError("unterminated text block", line)
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            ch = source[pos]
-            if ch == '"':
-                raise LexicalError("unterminated string literal", line)
-            if ch == "'":
-                raise LexicalError("unterminated character literal", line)
-            raise LexicalError(f"unexpected character {ch!r}", line)
-        text = m.group(0)
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(source):
         group = m.lastgroup
-        if group != "ws":
+        text = m.group()
+        kind = _GROUP_KINDS.get(group)
+        if kind is None:
             if group == "ident":
-                if text in KEYWORDS:
-                    kind = "keyword"
-                elif text in WORD_LITERALS:
-                    kind = "literal"
-                else:
-                    kind = "identifier"
-            elif group in ("linecomment", "blockcomment"):
-                kind = "comment"
-            elif group in ("string", "char", "number", "textblock"):
-                kind = "literal"
-            elif group == "sep":
-                kind = "separator"
-            else:
-                kind = "operator"
-            tokens.append(Token(kind=kind, text=text, line=line, column=col))
+                kind = "keyword" if text in KEYWORDS else "literal" if text in WORD_LITERALS else "identifier"
+            elif group != "ws":
+                raise _lex_error(group, text, line)
+        start = m.start()
         nl = text.count("\n")
+        if kind is not None:
+            append(new_token(Token, (kind, text, line, start - line_start + 1, nl + 1)))
         if nl:
             line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
+            line_start = start + text.rfind("\n") + 1
     return tokens
 
 

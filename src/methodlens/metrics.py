@@ -111,6 +111,10 @@ def _declaration_tokens(decl: MethodDeclaration) -> list[Token]:
     return tokenize(decl.bodyText)
 
 
+def _body_tokens(decl: MethodDeclaration) -> list[Token]:
+    return _body_slice(_declaration_tokens(decl))
+
+
 def _body_slice(toks: list[Token]) -> list[Token]:
     """Tokens of the body block, outer braces included (empty when absent)."""
     code = [t for t in toks if t.kind != "comment"]
@@ -226,15 +230,22 @@ def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
 
 # ---------------------------------------------------------------------------
 # individual metrics
+#
+# Each public compute_* lexes the declaration it is given; compute_metric_vector
+# lexes once and hands the tokens, or the body slice of them, to the private
+# function behind each metric.
 
 
 def compute_size(decl: MethodDeclaration) -> int:
     """Lines in the declaration span carrying at least one non-comment token."""
+    return _size(_declaration_tokens(decl))
+
+
+def _size(toks: list[Token]) -> int:
     marked: set[int] = set()
-    for t in _declaration_tokens(decl):
-        if t.kind == "comment":
-            continue
-        marked.update(range(t.line, t.line + t.line_count))
+    for t in toks:
+        if t.kind != "comment":
+            marked.update(range(t.line, t.line + t.line_count))
     return len(marked)
 
 
@@ -253,7 +264,10 @@ def compute_mccabe(decl: MethodDeclaration) -> int:
     closing while), case labels, catch clauses, ternary '?', and every
     '&&'/'||'.  'default' labels do not count.
     """
-    body = _body_slice(_declaration_tokens(decl))
+    return _mccabe(_body_tokens(decl))
+
+
+def _mccabe(body: list[Token]) -> int:
     count = 0
     for i, t in enumerate(body):
         if t.kind == "keyword" and t.text in ("if", "for", "while", "case", "catch"):
@@ -268,7 +282,10 @@ def compute_mccabe(decl: MethodDeclaration) -> int:
 def compute_mcclure(decl: MethodDeclaration) -> tuple[int, int]:
     """(nvar, ncomp): distinct identifiers and comparison operators inside
     decision expressions."""
-    body = _body_slice(_declaration_tokens(decl))
+    return _mcclure(_body_tokens(decl))
+
+
+def _mcclure(body: list[Token]) -> tuple[int, int]:
     names: set[str] = set()
     comparisons = 0
     for expr in _predicate_expressions(body):
@@ -311,7 +328,10 @@ _CONTROL_KEYWORDS = ("if", "for", "while", "do", "switch", "try", "synchronized"
 def compute_max_block_depth(decl: MethodDeclaration) -> int:
     """Deepest nesting of control-structure blocks; the method body itself is
     depth 0 and braceless single-statement bodies count as blocks."""
-    body = _body_slice(_declaration_tokens(decl))
+    return _max_block_depth(_body_tokens(decl))
+
+
+def _max_block_depth(body: list[Token]) -> int:
     if len(body) < 2:
         return 0
     return _scan_statements(body, 1, len(body) - 1, 0)
@@ -440,8 +460,11 @@ def _scan_embedded(toks: list[Token], i: int, end: int, depth: int) -> tuple[int
 
 def compute_fanout(decl: MethodDeclaration) -> int:
     """Distinct invoked method simple names in the body."""
-    body = _body_slice(_declaration_tokens(decl))
-    calls = _invocation_indices(body)
+    body = _body_tokens(decl)
+    return _fanout(body, _invocation_indices(body))
+
+
+def _fanout(body: list[Token], calls: set[int]) -> int:
     return len({body[i].text for i in calls})
 
 
@@ -452,8 +475,11 @@ def compute_halstead(decl: MethodDeclaration) -> HalsteadCounts:
     symbols, one per bracket pair, and one per invocation (the called name
     absorbs its parentheses).  ';', ',' and other separators are ignored.
     """
-    body = _body_slice(_declaration_tokens(decl))
-    calls = _invocation_indices(body)
+    body = _body_tokens(decl)
+    return _halstead(body, _invocation_indices(body))
+
+
+def _halstead(body: list[Token], calls: set[int]) -> HalsteadCounts:
     consumed_parens = {i + 1 for i in calls}
     operators: list[str] = []
     operands: list[str] = []
@@ -508,7 +534,11 @@ def _buse_features(decl: MethodDeclaration, toks: list[Token]) -> dict[str, floa
 def compute_readability_buse(decl: MethodDeclaration) -> float:
     """Surrogate of the learned line-shape readability model: logistic score
     over eight documented features with ledger-fixed weights."""
-    features = _buse_features(decl, _declaration_tokens(decl))
+    return _readability_buse(decl, _declaration_tokens(decl))
+
+
+def _readability_buse(decl: MethodDeclaration, toks: list[Token]) -> float:
+    features = _buse_features(decl, toks)
     z = BUSE_INTERCEPT + sum(w * features[name] for name, w in BUSE_WEIGHTS)
     return _logistic(z)
 
@@ -690,15 +720,18 @@ def _try_parse_declaration(body: list[Token], i: int, n: int) -> tuple[int, int]
 def compute_counts(decl: MethodDeclaration) -> tuple[int, int, float]:
     """(parameters, local-variable declarators, commentRatio)."""
     toks = _declaration_tokens(decl)
-    body = _body_slice(toks)
-    variables = _count_local_declarators(body)
-    size = compute_size(decl)
-    comment_lines = _comment_line_count(toks)
-    return len(decl.parameterTypes), variables, comment_lines / size
+    return _counts(decl, toks, _body_slice(toks), _size(toks))
+
+
+def _counts(decl: MethodDeclaration, toks: list[Token], body: list[Token], size: int) -> tuple[int, int, float]:
+    return len(decl.parameterTypes), _count_local_declarators(body), _comment_line_count(toks) / size
 
 
 def detect_getter_setter(decl: MethodDeclaration) -> bool:
-    body = _body_slice(_declaration_tokens(decl))
+    return _getter_setter(decl, _body_tokens(decl))
+
+
+def _getter_setter(decl: MethodDeclaration, body: list[Token]) -> bool:
     inner = body[1:-1] if len(body) >= 2 else []
     if not inner:
         return False
@@ -718,28 +751,32 @@ def detect_getter_setter(decl: MethodDeclaration) -> bool:
 
 
 def compute_metric_vector(decl: MethodDeclaration) -> MetricVector:
-    """All 17 metrics; deterministic for identical declaration text."""
-    size = compute_size(decl)
-    halstead = compute_halstead(decl)
-    mccabe = compute_mccabe(decl)
-    nvar, ncomp = compute_mcclure(decl)
-    parameters, variables, comment_ratio = compute_counts(decl)
+    """All 17 metrics from one lex of the declaration; deterministic for
+    identical declaration text."""
+    toks = _declaration_tokens(decl)
+    body = _body_slice(toks)
+    calls = _invocation_indices(body)
+    size = _size(toks)
+    halstead = _halstead(body, calls)
+    mccabe = _mccabe(body)
+    nvar, ncomp = _mcclure(body)
+    parameters, variables, comment_ratio = _counts(decl, toks, body, size)
     return MetricVector(
         size=size,
         mccabe=mccabe,
         nvar=nvar,
         ncomp=ncomp,
         indentStd=compute_indent_std(decl),
-        maxBlockDepth=compute_max_block_depth(decl),
-        fanout=compute_fanout(decl),
+        maxBlockDepth=_max_block_depth(body),
+        fanout=_fanout(body, calls),
         halsteadLength=halstead.length,
         maintainabilityIndex=compute_maintainability_index(size, mccabe, halstead),
-        readability=compute_readability_buse(decl),
+        readability=_readability_buse(decl, toks),
         simpleReadability=compute_readability_posnett(decl, halstead),
         parameters=parameters,
         variables=variables,
         commentRatio=comment_ratio,
-        getterSetter=detect_getter_setter(decl),
+        getterSetter=_getter_setter(decl, body),
         isPublic="public" in decl.modifiers,
         isStatic="static" in decl.modifiers,
     )

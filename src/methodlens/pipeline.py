@@ -439,16 +439,21 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
              if config.files in ("", "*") or fnmatch.fnmatch(path, config.files)}
     texts = repo.read_blobs(blobs.values())
     records = []
+    files_read = failures = 0
     for path, blob in blobs.items():
         content = texts[blob]
         if content is None:
             continue
+        files_read += 1
         try:
             decls = extract_methods(normalize_source(path, content))
         except (ExtractionError, LexicalError) as err:
             log.warning("skipping %s: %s", path, err)
+            failures += 1
             continue
         records.extend(method_record(path, d) for d in decls)
+    log.info("extract: %d files read, %d methods, %d files failed to extract",
+             files_read, len(records), failures)
     write_ndjson(out / "methods.ndjson", "extract", digests, records,
                  extra_header={"snapshot": snapshot, "project": config.project_name()})
 

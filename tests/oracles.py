@@ -8,8 +8,11 @@ separate route, not against itself.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
+
+from methodlens.java_extract import KEYWORDS, WORD_LITERALS, LexicalError
 
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
@@ -83,3 +86,88 @@ def population_std(values) -> float:
 def logistic(z: float) -> float:
     z = max(-30.0, min(30.0, z))
     return 1.0 / (1.0 + math.exp(-z))
+
+
+# The Java lexer as it was before it became one regex pass: a per-position
+# loop with up-front probes for unterminated block comments and text blocks.
+# Kept verbatim (tokens are plain (kind, text, line, column) tuples) as the
+# oracle the production lexer is compared against.
+_REFERENCE_OPERATORS = [
+    ">>>=", ">>=", "<<=", ">>>", ">>", "<<", "->", "==", "!=", "<=", ">=",
+    "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?", ":",
+]
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n\f]+)
+    | (?P<linecomment>//[^\n]*)
+    | (?P<blockcomment>/\*(?:[^*]|\*(?!/))*\*/)
+    | (?P<textblock>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\n]|\\.)*')
+    | (?P<number>
+          0[xX][0-9a-fA-F_]+[lL]?
+        | 0[bB][01_]+[lL]?
+        | (?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?
+           |\.\d[\d_]*(?:[eE][+-]?\d+)?
+           |\d[\d_]*(?:[eE][+-]?\d+)?)[fFdDlL]?
+      )
+    | (?P<ident>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<sep>\.\.\.|::|[(){}\[\];,.@])
+    | (?P<op>%s)
+    """ % "|".join(re.escape(op) for op in _REFERENCE_OPERATORS),
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize_reference(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) for every non-whitespace token; raises
+    LexicalError with the same messages and lines as the production lexer."""
+    tokens = []
+    pos = 0
+    line = 1
+    col = 1
+    n = len(source)
+    while pos < n:
+        # Unterminated multi-char constructs would otherwise be mis-lexed as
+        # operator runs, so they are detected up front.
+        if source.startswith("/*", pos) and source.find("*/", pos + 2) < 0:
+            raise LexicalError("unterminated block comment", line)
+        if source.startswith('"""', pos) and source.find('"""', pos + 3) < 0:
+            raise LexicalError("unterminated text block", line)
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            ch = source[pos]
+            if ch == '"':
+                raise LexicalError("unterminated string literal", line)
+            if ch == "'":
+                raise LexicalError("unterminated character literal", line)
+            raise LexicalError(f"unexpected character {ch!r}", line)
+        text = m.group(0)
+        group = m.lastgroup
+        if group != "ws":
+            if group == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+                elif text in WORD_LITERALS:
+                    kind = "literal"
+                else:
+                    kind = "identifier"
+            elif group in ("linecomment", "blockcomment"):
+                kind = "comment"
+            elif group in ("string", "char", "number", "textblock"):
+                kind = "literal"
+            elif group == "sep":
+                kind = "separator"
+            else:
+                kind = "operator"
+            tokens.append((kind, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    return tokens

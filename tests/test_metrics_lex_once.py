@@ -1,0 +1,62 @@
+"""Each declaration is lexed once for all 17 metrics, and the public
+per-metric functions, which lex on their own, agree with the vector."""
+
+import pytest
+
+from methodlens import metrics
+from methodlens.gitrepo import GitRepo
+from methodlens.java_extract import extract_methods, normalize_source
+from methodlens.metrics import compute_metric_vector
+from methodlens.pipeline import PipelineConfig, read_ndjson, run_stage
+
+from golden_corpus import corpus_files
+
+DECLS = [decl for name, content in corpus_files().items()
+         for decl in extract_methods(normalize_source(name, content))]
+
+
+@pytest.fixture
+def lexed(monkeypatch):
+    texts = []
+    real_tokenize = metrics.tokenize
+    monkeypatch.setattr(metrics, "tokenize", lambda text: texts.append(text) or real_tokenize(text))
+    return texts
+
+
+def test_metric_vector_lexes_the_declaration_once(lexed):
+    for decl in DECLS[:5]:
+        lexed.clear()
+        compute_metric_vector(decl)
+        assert lexed == [decl.bodyText]
+
+
+def test_label_lexes_each_eligible_method_once(fixture_repo, tmp_path, lexed):
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    git = GitRepo(config.repo)
+    run_stage("extract", config, {}, git, config.commit)
+    run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, config.commit)
+    lexed.clear()
+    run_stage("label", config, {"histories.ndjson": tmp_path / "histories.ndjson"}, None, config.commit)
+    _, records = read_ndjson(tmp_path / "dataset.ndjson")
+    assert 0 < len(records) < 11  # some methods are too young to be labelled
+    assert len(lexed) == len(records)
+
+
+@pytest.mark.parametrize("decl", DECLS, ids=lambda d: f"{d.containerChain[-1]}.{d.name}")
+def test_each_public_metric_equals_its_field_of_the_vector(decl):
+    vector = compute_metric_vector(decl)
+    size = metrics.compute_size(decl)
+    mccabe = metrics.compute_mccabe(decl)
+    halstead = metrics.compute_halstead(decl)
+    parameters, variables, comment_ratio = metrics.compute_counts(decl)
+    assert (size, mccabe, halstead.length) == (vector.size, vector.mccabe, vector.halsteadLength)
+    assert metrics.compute_mcclure(decl) == (vector.nvar, vector.ncomp)
+    assert metrics.compute_indent_std(decl) == vector.indentStd
+    assert metrics.compute_max_block_depth(decl) == vector.maxBlockDepth
+    assert metrics.compute_fanout(decl) == vector.fanout
+    assert metrics.compute_maintainability_index(size, mccabe, halstead) == vector.maintainabilityIndex
+    assert metrics.compute_readability_buse(decl) == vector.readability
+    assert metrics.compute_readability_posnett(decl, halstead) == vector.simpleReadability
+    assert (parameters, variables, comment_ratio) == (vector.parameters, vector.variables, vector.commentRatio)
+    assert metrics.detect_getter_setter(decl) is vector.getterSetter

@@ -120,9 +120,14 @@ def test_cli_extract_records_have_documented_fields(cli_artifacts):
 def test_cli_metrics_annotates_and_emits_17_column_csv(cli_artifacts, tmp_path):
     _, out = cli_artifacts
     csv_path = tmp_path / "metrics.csv"
-    assert main(["metrics", "--methods", str(out / "methods.ndjson"),
+    methods_before = (out / "methods.ndjson").read_bytes()
+    assert main(["metrics", "--methods", str(out / "methods.ndjson"), "--out", str(tmp_path),
                  "--csv", str(csv_path)]) == 0
-    _, records = read_ndjson(out / "methods.ndjson")
+    assert (out / "methods.ndjson").read_bytes() == methods_before
+    header, records = read_ndjson(tmp_path / "metrics.ndjson")
+    assert header["stage"] == "metrics"
+    _, methods = read_ndjson(out / "methods.ndjson")
+    assert [{k: v for k, v in r.items() if k != "metrics"} for r in records] == methods
     assert all("metrics" in r for r in records)
     assert all(len(r["metrics"]) == 17 for r in records)
     lines = csv_path.read_text().splitlines()
@@ -206,6 +211,19 @@ def test_subcommands_write_the_pipeline_bytes(fixture_repo, tmp_path):
     names = sorted(path.name for path in piped.iterdir() if path.name != "manifest.json")
     assert len(names) == 10
     assert [name for name in names if (staged / name).read_bytes() != (piped / name).read_bytes()] == []
+
+
+def test_metrics_between_two_pipeline_runs_changes_no_pipeline_output(fixture_repo, tmp_path):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    clean, rerun = tmp_path / "clean", tmp_path / "rerun"
+    common = ["--repo", repo, "--commit", sha, "--seed", "7"]
+    assert main(["pipeline", *common, "--out", str(clean)]) == 0
+    assert main(["pipeline", *common, "--out", str(rerun)]) == 0
+    assert main(["metrics", "--methods", str(rerun / "methods.ndjson"), "--out", str(rerun)]) == 0
+    assert main(["pipeline", *common, "--out", str(rerun)]) == 0
+    names = sorted(path.name for path in clean.iterdir())
+    assert len(names) == 11 and "manifest.json" in names
+    assert [name for name in names if (clean / name).read_bytes() != (rerun / name).read_bytes()] == []
 
 
 def test_cli_report_emits_series_x_y(cli_artifacts):

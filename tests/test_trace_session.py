@@ -1,6 +1,7 @@
 """How the trace stage reads git and lexes: a bounded number of git
 processes per run, one batch per traced file, one body-block lex per
-declaration, and a counted summary of what it read and failed to extract."""
+declaration, and a counted summary of what it read and failed to extract;
+and the same summary of the extract stage."""
 
 import logging
 import subprocess
@@ -68,3 +69,21 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
     assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
     _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
     assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
+
+
+def test_extract_counts_the_snapshot_file_that_fails_to_extract(tmp_path, caplog):
+    repo = init_repo(tmp_path, "unlexable-snapshot")
+    snapshot = commit_files(repo, "c01", "add", {
+        "src/A.java": "class A {\n  int keep(int v) {\n    return v + 1;\n  }\n}\n",
+        "src/B.java": 'class B {\n  String s = "open;\n}\n',
+        "src/C.java": "class C {\n  void a() {}\n  void b() {}\n}\n",
+        "README.md": "not java\n",
+    })
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    Path(config.out).mkdir()
+    with caplog.at_level(logging.INFO, logger="methodlens"):
+        run_stage("extract", config, {}, GitRepo(str(repo)), snapshot)
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("extract:")]
+    assert summary == ["extract: 3 files read, 3 methods, 1 files failed to extract"]
+    _, records = read_ndjson(Path(config.out) / "methods.ndjson")
+    assert sorted(r["signature"] for r in records) == ["A#keep(int)", "C#a()", "C#b()"]
