@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .gitrepo import RepoAccessError, UnknownCommit
-from .history import MethodNotAtSnapshot
 from .labeling import EmptyProject
 from .metrics import METRIC_NAMES, compute_metric_vector
 from .ml import CLASSIFIER_NAMES
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
     except (RepoAccessError, UnknownCommit) as err:
         print(f"repository error: {err}", file=sys.stderr)
         return EXIT_REPO
-    except (StageError, MissingStage, EmptyProject, MethodNotAtSnapshot) as err:
+    except (StageError, MissingStage, EmptyProject) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_STAGE
     except OSError as err:

@@ -176,19 +176,19 @@ class GitRepo:
                 i += 2
         return result
 
-    def ls_files(self, commit: str, suffix: str = ".java") -> list[str]:
-        return list(self.ls_tree(commit, suffix))
+    def ls_files(self, commit: str) -> list[str]:
+        return list(self.ls_tree(commit))
 
-    def ls_tree(self, commit: str, suffix: str = ".java") -> dict[str, str]:
-        """{path: object id} of every file under `commit` whose path ends
-        with `suffix`, in git's order."""
+    def ls_tree(self, commit: str) -> dict[str, str]:
+        """{path: object id} of every .java file under `commit`, in git's
+        order."""
         out = self._run(["ls-tree", "-r", "-z", commit])
         entries = {}
         for entry in out.split(b"\x00"):
             if entry:
                 info, _, path = entry.partition(b"\t")
                 path = path.decode("utf-8", "replace")
-                if path.endswith(suffix):
+                if path.endswith(".java"):
                     entries[path] = info.split(b" ")[2].decode("ascii")
         return entries
 

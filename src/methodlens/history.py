@@ -25,17 +25,10 @@ log = logging.getLogger("methodlens.history")
 DAYS_PER_YEAR = 365.25
 
 
-class MethodNotAtSnapshot(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TraceConfig:
     similarity_threshold: float = 0.75
     window_years: float = 5.0
-    snapshot_commit: str = ""
-    # below this declaration length, cross-name matches are too error-prone
-    small_method_chars: int = 60
 
     def __post_init__(self):
         if not (0.0 < self.similarity_threshold <= 1.0):
@@ -212,6 +205,10 @@ def _find_body_block(decl: MethodDeclaration) -> str:
 # matching and tracing
 
 
+# below this declaration length, cross-name matches are too error-prone
+SMALL_METHOD_CHARS = 60
+
+
 def match_method(
     prev_methods: list[MethodDeclaration],
     target: MethodDeclaration,
@@ -248,7 +245,7 @@ def match_method(
     found = best_of(same_name)
     if found is not None:
         return found
-    if len(target.bodyText) < cfg.small_method_chars:
+    if len(target.bodyText) < SMALL_METHOD_CHARS:
         return None
     others = [m for m in prev_methods if m.name != target.name]
     return best_of(others)
@@ -257,12 +254,13 @@ def match_method(
 class TraceSession:
     """Shared state for tracing the methods of one snapshot.
 
-    One `git log` gives the first-parent chain and what changed at each
-    commit.  Methods are traced one file at a time: the first lookup in a
-    file reads, in one batch, its snapshot version and every parent-side
-    version on its rename chain, and moving to another file drops them, so
-    texts and extractions (keyed by blob id) never hold more than one
-    file's history."""
+    One `git log` gives the first-parent chain, what changed at each commit
+    and the parent-side blob of each change.  The snapshot methods come from
+    the caller (the extract stage's records), so the snapshot itself is
+    never read.  Methods are traced one file at a time: the first lookup in
+    a file reads, in one batch, every parent-side version on its rename
+    chain, and moving to another file drops them, so texts and extractions
+    (keyed by blob id) never hold more than one file's history."""
 
     def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
         self.repo = repo
@@ -276,7 +274,6 @@ class TraceSession:
         for k, changes in enumerate(self._changes[:-1]):
             for path in changes:
                 self._changed_at.setdefault(path, []).append(k)
-        self._snapshot_blobs = repo.ls_tree(self.snapshot.id, suffix="")
         self._file: str | None = None
         self._steps: list[tuple[int, Change]] = []
         self._blob_ids: dict[tuple[str, str], str] = {}
@@ -294,12 +291,14 @@ class TraceSession:
         return self._steps
 
     def _open(self, path: str) -> None:
+        """Make `path` the open file: walk its steps and read every
+        parent-side version on its rename chain in one `cat-file --batch`.
+        A file that no commit changed after its addition has no such
+        version and starts no process."""
         if path == self._file:
             return
         steps = []
         blob_ids = {}
-        if path in self._snapshot_blobs:
-            blob_ids[(self.snapshot.id, path)] = self._snapshot_blobs[path]
         cur_path = path
         k = 0
         while True:
@@ -322,16 +321,10 @@ class TraceSession:
         self.blobs_read += len(self._texts)
 
     def methods_at(self, commit_id: str, path: str) -> list[MethodDeclaration] | None:
-        """Methods of `path` at `commit_id`, or None when the file is absent
-        there or fails to extract.  A snapshot lookup opens the file; the
-        parent-side versions on its rename chain are then already read, and
-        any other version costs one git process of its own."""
-        if commit_id == self.snapshot.id:
-            self._open(path)
-        blob = self._blob_ids.get((commit_id, path), f"{commit_id}:{path}")
-        if blob not in self._texts:
-            self._texts.update(self.repo.read_blobs([blob]))
-            self.blobs_read += 1
+        """Methods of the parent-side version of `path` at `commit_id` that
+        a step of the open file names, or None when that version is not a
+        readable blob or fails to extract.  Each version is extracted once."""
+        blob = self._blob_ids[(commit_id, path)]
         if blob not in self._extracted:
             content = self._texts[blob]
             methods = None
@@ -343,19 +336,6 @@ class TraceSession:
                     self.failures += 1
             self._extracted[blob] = methods
         return self._extracted[blob]
-
-    def resolve_at_snapshot(self, path: str, sig: str, start_line: int | None = None) -> MethodDeclaration:
-        methods = self.methods_at(self.snapshot.id, path)
-        if methods is None:
-            raise MethodNotAtSnapshot(f"{path} not readable at snapshot")
-        hits = [m for m in methods if signature(m) == sig]
-        if not hits:
-            raise MethodNotAtSnapshot(f"{sig} not found in {path} at snapshot")
-        if start_line is not None:
-            for m in hits:
-                if m.startLine == start_line:
-                    return m
-        return hits[0]
 
 
 def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:

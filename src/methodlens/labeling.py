@@ -7,6 +7,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .history import ChangeIndicators, INDICATOR_NAMES, MethodHistory, MethodIdentity, TraceConfig
 from .metrics import MetricVector
@@ -60,6 +61,18 @@ def _fraction_cutoff(fraction: float, n: int) -> int:
     return min(n, math.ceil(fraction * n - 1e-9))
 
 
+def _capture_curve(name: str, values: list, fractions, zero_warning: str) -> ParetoCurve:
+    """captured(p): share of sum(values) held by the first ceil(p*n) of the
+    ranked values; all NaN, with `zero_warning`, when the sum is not positive."""
+    total = sum(values)
+    if total <= 0:
+        warnings.warn(zero_warning)
+        return ParetoCurve(name, tuple(fractions), tuple(float("nan") for _ in fractions))
+    prefix = [0, *accumulate(values)]
+    n = len(values)
+    return ParetoCurve(name, tuple(fractions), tuple(prefix[_fraction_cutoff(p, n)] / total for p in fractions))
+
+
 def label_methods(samples, indicator: str = "editDistance", ugly_fraction: float = 0.2) -> dict[str, str]:
     """Labels keyed by identity string.
 
@@ -92,20 +105,8 @@ def label_methods(samples, indicator: str = "editDistance", ugly_fraction: float
 def pareto_curve(samples, indicator: str = "editDistance", fractions=DEFAULT_FRACTIONS) -> ParetoCurve:
     """captured(p): share of the total indicator mass held by the top
     ceil(p*n) methods ranked by that indicator."""
-    samples = list(samples)
-    values = sorted(
-        (s.indicators.value(indicator) for s in samples), reverse=True
-    )
-    total = sum(values)
-    if total <= 0:
-        warnings.warn(f"total {indicator} is zero; Pareto curve undefined")
-        return ParetoCurve(indicator, tuple(fractions), tuple(float("nan") for _ in fractions))
-    n = len(values)
-    prefix = [0]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    captured = tuple(prefix[_fraction_cutoff(p, n)] / total for p in fractions)
-    return ParetoCurve(indicator, tuple(fractions), captured)
+    values = sorted((s.indicators.value(indicator) for s in samples), reverse=True)
+    return _capture_curve(indicator, values, fractions, f"total {indicator} is zero; Pareto curve undefined")
 
 
 _WORD_SPLIT = re.compile(r"[^a-z0-9]+")
@@ -181,14 +182,5 @@ def bug_capture(
         key=lambda m: (-m.indicators.value(indicator), m.identity.as_str()),
     )
     bugs = [getattr(m, attr) for m in ranked]
-    total = sum(bugs)
-    name = f"bugs-{dataset}"
-    if total <= 0:
-        warnings.warn(f"total {dataset} bug count is zero; capture curve undefined")
-        return ParetoCurve(name, tuple(fractions), tuple(float("nan") for _ in fractions))
-    prefix = [0]
-    for b in bugs:
-        prefix.append(prefix[-1] + b)
-    n = len(bugs)
-    captured = tuple(prefix[_fraction_cutoff(p, n)] / total for p in fractions)
-    return ParetoCurve(name, tuple(fractions), captured)
+    return _capture_curve(f"bugs-{dataset}", bugs, fractions,
+                          f"total {dataset} bug count is zero; capture curve undefined")

@@ -20,6 +20,7 @@ from typing import Callable
 from .gitrepo import CommitMeta, GitRepo
 from .history import (
     ChangeIndicators,
+    INDICATOR_NAMES,
     MethodHistory,
     MethodIdentity,
     Revision,
@@ -105,7 +106,6 @@ class PipelineConfig:
         return TraceConfig(
             similarity_threshold=self.theta,
             window_years=self.window_years,
-            snapshot_commit=self.commit,
         )
 
     def bug_rules(self) -> BugRuleConfig:
@@ -317,14 +317,30 @@ def decl_from_record(record: dict) -> MethodDeclaration:
     )
 
 
+def identity_record(identity: MethodIdentity) -> dict:
+    return {
+        "project": identity.project,
+        "file": identity.file,
+        "signature": identity.signature,
+        "startLine": identity.startLine,
+    }
+
+
+def identity_from_record(record: dict) -> MethodIdentity:
+    return MethodIdentity(**record)
+
+
+def indicators_record(indicators: ChangeIndicators) -> dict:
+    return {name: getattr(indicators, name) for name in INDICATOR_NAMES}
+
+
+def indicators_from_record(record: dict) -> ChangeIndicators:
+    return ChangeIndicators(**record)
+
+
 def history_record(h: MethodHistory, indicators: ChangeIndicators) -> dict:
     return {
-        "identity": {
-            "project": h.identity.project,
-            "file": h.identity.file,
-            "signature": h.identity.signature,
-            "startLine": h.identity.startLine,
-        },
+        "identity": identity_record(h.identity),
         "introduction": {
             "commit": h.introduction.id,
             "time": h.introduction.authorTime,
@@ -343,23 +359,14 @@ def history_record(h: MethodHistory, indicators: ChangeIndicators) -> dict:
             }
             for r in h.revisions
         ],
-        "indicators": {
-            "revisions": indicators.revisions,
-            "diffSize": indicators.diffSize,
-            "additionOnly": indicators.additionOnly,
-            "editDistance": indicators.editDistance,
-        },
+        "indicators": indicators_record(indicators),
     }
 
 
 def history_from_record(record: dict) -> tuple[MethodHistory, ChangeIndicators]:
-    ident = record["identity"]
     intro = record["introduction"]
     history = MethodHistory(
-        identity=MethodIdentity(
-            project=ident["project"], file=ident["file"],
-            signature=ident["signature"], startLine=ident["startLine"],
-        ),
+        identity=identity_from_record(record["identity"]),
         introduction=CommitMeta(
             id=intro["commit"], firstParentId=None,
             authorTime=intro["time"], message="",
@@ -378,30 +385,15 @@ def history_from_record(record: dict) -> tuple[MethodHistory, ChangeIndicators]:
             for r in record["revisions"]
         ],
     )
-    ind = record["indicators"]
-    indicators = ChangeIndicators(
-        revisions=ind["revisions"], diffSize=ind["diffSize"],
-        additionOnly=ind["additionOnly"], editDistance=ind["editDistance"],
-    )
-    return history, indicators
+    return history, indicators_from_record(record["indicators"])
 
 
 def labeled_record(m: LabeledMethod, intro_time: int, age_days: float) -> dict:
     return {
-        "identity": {
-            "project": m.identity.project,
-            "file": m.identity.file,
-            "signature": m.identity.signature,
-            "startLine": m.identity.startLine,
-        },
+        "identity": identity_record(m.identity),
         "label": m.label,
         "metrics": m.metrics.as_dict(),
-        "indicators": {
-            "revisions": m.indicators.revisions,
-            "diffSize": m.indicators.diffSize,
-            "additionOnly": m.indicators.additionOnly,
-            "editDistance": m.indicators.editDistance,
-        },
+        "indicators": indicators_record(m.indicators),
         "bugCountHighRecall": m.bugCountHighRecall,
         "bugCountHighPrecision": m.bugCountHighPrecision,
         "introTime": intro_time,
@@ -410,19 +402,10 @@ def labeled_record(m: LabeledMethod, intro_time: int, age_days: float) -> dict:
 
 
 def labeled_from_record(record: dict) -> LabeledMethod:
-    ident = record["identity"]
-    ind = record["indicators"]
-    raw_metrics = dict(record["metrics"])
     return LabeledMethod(
-        identity=MethodIdentity(
-            project=ident["project"], file=ident["file"],
-            signature=ident["signature"], startLine=ident["startLine"],
-        ),
-        metrics=MetricVector(**raw_metrics),
-        indicators=ChangeIndicators(
-            revisions=ind["revisions"], diffSize=ind["diffSize"],
-            additionOnly=ind["additionOnly"], editDistance=ind["editDistance"],
-        ),
+        identity=identity_from_record(record["identity"]),
+        metrics=MetricVector(**record["metrics"]),
+        indicators=indicators_from_record(record["indicators"]),
         label=record["label"],
         bugCountHighRecall=record["bugCountHighRecall"],
         bugCountHighPrecision=record["bugCountHighPrecision"],
@@ -463,19 +446,14 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
     _, records = read_ndjson(methods_path or out / "methods.ndjson")
     cfg = config.trace_config()
     session = TraceSession(repo, snapshot, cfg, project=config.project_name())
-    out_records = []
     # one file at a time, so the session reads each file's history once
-    for record in sorted(records, key=lambda r: r["file"]):
-        decl = session.resolve_at_snapshot(record["file"], record["signature"], record["startLine"])
-        history = trace_method(session, decl, record["file"])
-        out_records.append(history_record(history, compute_indicators(history, cfg)))
+    histories = [trace_method(session, decl_from_record(record), record["file"])
+                 for record in sorted(records, key=lambda r: r["file"])]
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
              "%d historical versions failed to extract",
              len(session.chain), session.files_traced, session.blobs_read, session.failures)
-    out_records.sort(key=lambda r: (
-        r["identity"]["project"], r["identity"]["file"],
-        r["identity"]["startLine"], r["identity"]["signature"],
-    ))
+    histories.sort(key=lambda h: h.identity.key())
+    out_records = [history_record(h, compute_indicators(h, cfg)) for h in histories]
     write_ndjson(
         out / "histories.ndjson", "trace", digests, out_records,
         extra_header={
@@ -510,15 +488,11 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
             bugCountHighPrecision=bugs[1],
         ))
     labels = label_methods(methods, indicator=config.indicator, ugly_fraction=config.ugly_fraction)
-    out_records = []
-    for h, m in zip(eligible, methods):
-        age_days = (snapshot_time - h.introduction.authorTime) / 86400.0
-        labeled = replace(m, label=labels[m.identity.as_str()])
-        out_records.append(labeled_record(labeled, h.introduction.authorTime, age_days))
-    out_records.sort(key=lambda r: (
-        r["identity"]["project"], r["identity"]["file"],
-        r["identity"]["startLine"], r["identity"]["signature"],
-    ))
+    out_records = [
+        labeled_record(replace(m, label=labels[m.identity.as_str()]), h.introduction.authorTime,
+                       (snapshot_time - h.introduction.authorTime) / 86400.0)
+        for h, m in sorted(zip(eligible, methods), key=lambda pair: pair[1].identity.key())
+    ]
     write_ndjson(
         out / "dataset.ndjson", "label", digests, out_records,
         extra_header={
@@ -579,11 +553,7 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
              dataset_path: Path | None = None, histories_path: Path | None = None) -> None:
     methods = _load_dataset(out, dataset_path)
     _, history_records = read_ndjson(histories_path or out / "histories.ndjson")
-    history_by_key = {}
-    for record in history_records:
-        ident = record["identity"]
-        key = f"{ident['project']}:{ident['file']}:{ident['startLine']}:{ident['signature']}"
-        history_by_key[key] = record
+    history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
     table = correlation_table(methods, indicator=config.indicator)
     ranking = composite_scores(methods, signs_from_table(table))
     good, ugly = select_surprising(
@@ -596,12 +566,7 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
             h = history_by_key.get(key, {})
             intro = h.get("introduction", {})
             yield {
-                "identity": {
-                    "project": m.identity.project,
-                    "file": m.identity.file,
-                    "signature": m.identity.signature,
-                    "startLine": m.identity.startLine,
-                },
+                "identity": identity_record(m.identity),
                 "label": m.label,
                 "compositeScore": ranking.scores[key],
                 "rank": ranking.ranks[key],

@@ -222,12 +222,12 @@ def test_criterion_5_pareto():
 def test_criterion_6_fixture_repo(tmp_path):
     ledger = build_fixture_repo(tmp_path)
     repo = GitRepo(str(ledger["repo"]))
-    cfg = TraceConfig(snapshot_commit=ledger["snapshot"])
+    cfg = TraceConfig()
     session = TraceSession(repo, ledger["snapshot"], cfg, project="fixture")
     assert len(session.chain) == 11
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
-        for decl in session.methods_at(ledger["snapshot"], path):
+        for decl in extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path))):
             history = trace_method(session, decl, path)
             histories[history.identity.signature] = history
     assert set(histories) == set(ledger["methods"])

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from methodlens.gitrepo import GitRepo
 from methodlens.java_extract import (
     ExtractionError,
     MethodDeclaration,
@@ -8,6 +11,10 @@ from methodlens.java_extract import (
     normalize_source,
     signature,
 )
+from methodlens.pipeline import decl_from_record, method_record
+
+from golden_corpus import corpus_files
+from repo_builder import build_layout_repo
 
 
 def src(content, path="A.java"):
@@ -268,3 +275,61 @@ class A {
     decls = extract_methods(src(content))
     assert [d.name for d in decls] == ["outer", "inner"]
     assert decls[1].containerChain == ["A", "Local"]
+
+
+SHAPES = """\
+package demo;
+
+public class Outer<T> {
+    @Override
+    public final String toString() { return "o"; }
+
+    @SuppressWarnings({"unchecked", "rawtypes"})
+    static <K extends Comparable<K>> java.util.Map<K, T[]> index(java.util.List<? super K> keys, int[][] grid, String... rest) {
+        return null;
+    }
+
+    protected static class Inner {
+        private synchronized void run(final java.util.Map<String, java.util.List<Integer>> m) {}
+
+        interface Deep {
+            default int depth(Outer.Inner self) { return 3; }
+        }
+    }
+
+    enum Kind {
+        A, B;
+
+        Kind next() { return B; }
+    }
+}
+"""
+
+
+def _snapshot_sources(name, request, tmp_path_factory) -> dict[str, str]:
+    if name == "golden":
+        return corpus_files()
+    if name == "shapes":
+        return {"src/demo/Outer.java": SHAPES}
+    if name == "fixture":
+        ledger = request.getfixturevalue("fixture_repo")
+    else:
+        ledger = build_layout_repo(tmp_path_factory.mktemp("layout"))
+    repo = GitRepo(str(ledger["repo"]))
+    blobs = repo.ls_tree(ledger["snapshot"])
+    texts = repo.read_blobs(blobs.values())
+    return {path: texts[blob] for path, blob in blobs.items()}
+
+
+@pytest.mark.parametrize("name", ["fixture", "layout", "golden", "shapes"])
+def test_method_records_rebuild_the_extracted_declarations(name, request, tmp_path_factory):
+    """Trace starts from the extract stage's records, so a record read back
+    from methods.ndjson must give the declaration extraction found."""
+    decls = [(path, decl) for path, text in _snapshot_sources(name, request, tmp_path_factory).items()
+             for decl in extract_methods(normalize_source(path, text))]
+    assert decls
+    for path, decl in decls:
+        record = json.loads(json.dumps(method_record(path, decl)))
+        rebuilt = decl_from_record(record)
+        assert rebuilt == decl, signature(decl)
+        assert method_record(path, rebuilt) == record, signature(decl)

@@ -16,7 +16,7 @@ from methodlens.history import (
     filter_by_age,
     trace_method,
 )
-from methodlens.java_extract import signature
+from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
 from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline
 
@@ -24,11 +24,11 @@ from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline
 def traced(fixture_repo):
     ledger = fixture_repo
     repo = GitRepo(str(ledger["repo"]))
-    cfg = TraceConfig(snapshot_commit=ledger["snapshot"])
+    cfg = TraceConfig()
     session = TraceSession(repo, ledger["snapshot"], cfg, project="fixture")
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
-        for decl in session.methods_at(ledger["snapshot"], path):
+        for decl in extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path))):
             h = trace_method(session, decl, path)
             histories[h.identity.signature] = h
     return ledger, cfg, histories

@@ -14,12 +14,15 @@ from methodlens.cli import main
 from methodlens.pipeline import (
     ConfigError,
     PipelineConfig,
+    StageError,
     emit_plot_data,
     labeled_record,
     read_ndjson,
+    run_pipeline,
     validate_config,
     write_ndjson,
 )
+from repo_builder import commit_files, init_repo
 
 
 # --- configuration ---------------------------------------------------------------
@@ -224,6 +227,23 @@ def test_metrics_between_two_pipeline_runs_changes_no_pipeline_output(fixture_re
     names = sorted(path.name for path in clean.iterdir())
     assert len(names) == 11 and "manifest.json" in names
     assert [name for name in names if (clean / name).read_bytes() != (rerun / name).read_bytes()] == []
+
+
+@pytest.mark.xfail(strict=True, raises=StageError,
+                   reason="bodyText starts at the header's line, inside the comment that "
+                          "ends there, so the apostrophe lexes as an unterminated character literal")
+def test_pipeline_runs_on_a_method_header_after_a_block_comment_on_its_line(tmp_path):
+    repo = init_repo(tmp_path, "mid-comment")
+    commit_files(repo, "c01", "add", {"src/A.java": (
+        "class A {\n"
+        "  /* note\n"
+        "     it's here */ int f(int v) { return v + 1; }\n"
+        "}\n"
+    )})
+    snapshot = commit_files(repo, "c11", "docs", {"README.md": "notes\n"})
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    status = run_pipeline(config)
+    assert set(status.values()) == {"ran"}
 
 
 def test_cli_report_emits_series_x_y(cli_artifacts):

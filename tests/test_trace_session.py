@@ -1,7 +1,8 @@
 """How the trace stage reads git and lexes: a bounded number of git
-processes per run, one batch per traced file, one body-block lex per
-declaration, and a counted summary of what it read and failed to extract;
-and the same summary of the extract stage."""
+processes per run, at most one batch per traced file (none for a file with
+no parent-side version), one body-block lex per declaration, and a counted
+summary of what it read and failed to extract; and the same summary of the
+extract stage."""
 
 import logging
 import subprocess
@@ -30,8 +31,9 @@ def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_pat
     _, records = read_ndjson(tmp_path / "methods.ndjson")
     traced_files = len({r["file"] for r in records})
     assert traced_files == 3
-    assert len(calls) <= traced_files + 6, calls
+    assert len(calls) <= traced_files + 5, calls
     assert calls.count("rev-parse") == 2  # --git-dir, then the snapshot once
+    assert calls.count("ls-tree") == 1  # extract's; trace never lists the snapshot
     assert calls.count("log") == 1 and calls.count("cat-file") == traced_files + 1
     assert "diff-tree" not in calls
 
@@ -64,11 +66,35 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
         run_stage("extract", config, {}, git, snapshot)
         run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
-    assert summary == ["trace: 3 chain commits, 1 files traced, 3 blobs read, "
+    # the two parent-side versions; the snapshot version is not read
+    assert summary == ["trace: 3 chain commits, 1 files traced, 2 blobs read, "
                        "1 historical versions failed to extract"]
     assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
     _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
     assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
+
+
+def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path, monkeypatch, caplog):
+    repo = init_repo(tmp_path, "added-once")
+    commit_files(repo, "c01", "root", {"src/A.java": "class A {\n  int a() { return 1; }\n}\n"})
+    snapshot = commit_files(repo, "c02", "add B", {"src/B.java": "class B {\n  int b() { return 2; }\n}\n"})
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    Path(config.out).mkdir()
+    git = GitRepo(str(repo))
+    methods = Path(config.out) / "methods.ndjson"
+    run_stage("extract", config, {}, git, snapshot)
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr("methodlens.gitrepo.subprocess.run",
+                        lambda args, *rest, **kw: calls.append(args[3]) or real_run(args, *rest, **kw))
+    with caplog.at_level(logging.INFO, logger="methodlens"):
+        run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
+    assert calls == ["log"]
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
+    assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
+                       "0 historical versions failed to extract"]
+    _, records = read_ndjson(Path(config.out) / "histories.ndjson")
+    assert [(r["identity"]["signature"], r["revisions"]) for r in records] == [("A#a()", []), ("B#b()", [])]
 
 
 def test_extract_counts_the_snapshot_file_that_fails_to_extract(tmp_path, caplog):
