@@ -217,7 +217,12 @@ class LogisticModel:
 
 
 def train_logistic(rows: list[FeatureRow], config: LogisticConfig = LogisticConfig()) -> LogisticModel:
-    """Full-batch gradient descent on L2-regularized log-loss, zero init."""
+    """Full-batch gradient descent on L2-regularized log-loss, zero init.
+
+    Each step is the plain `np.mean`/`np.clip` step in the same operation
+    order (`tests/oracles.py` keeps it): a mean is `np.add.reduce` followed
+    by the division by n, and the clip is maximum then minimum, so the
+    weights, bias and losses are bit-identical to it."""
     X_raw, y01 = _matrix(rows)
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
@@ -225,22 +230,29 @@ def train_logistic(rows: list[FeatureRow], config: LogisticConfig = LogisticConf
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
+    loss_l2 = config.l2 / (2.0 * n)
+    grad_l2 = config.l2 / n
+    rate = config.learning_rate
+    tol = config.tol
+    weighted = np.empty_like(X)
+    add, exp, logaddexp = np.add.reduce, np.exp, np.logaddexp
+    maximum, minimum, multiply = np.maximum, np.minimum, np.multiply
     losses: list[float] = []
     for _ in range(config.max_iter):
-        z = X @ w + b
-        yz = y * z
-        loss = float(np.mean(np.logaddexp(0.0, -yz)) + config.l2 / (2.0 * n) * float(w @ w))
+        yz = y * (X @ w + b)
+        loss = float(add(logaddexp(0.0, -yz)) / n + loss_l2 * float(w @ w))
         if not math.isfinite(loss):
             raise NonFiniteLoss("logistic training diverged")
-        if losses and abs(losses[-1] - loss) < config.tol:
+        if losses and abs(losses[-1] - loss) < tol:
             losses.append(loss)
             break
         losses.append(loss)
-        sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))  # sigma(-y*z)
-        grad_w = -(X * (y * sig)[:, None]).mean(axis=0) + (config.l2 / n) * w
-        grad_b = float(-(y * sig).mean())
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
+        ys = y * (1.0 / (1.0 + exp(minimum(maximum(yz, -500.0), 500.0))))  # y * sigma(-y*z)
+        multiply(X, ys[:, None], out=weighted)
+        grad_w = -(add(weighted, axis=0) / n) + grad_l2 * w
+        grad_b = float(-(add(ys) / n))
+        w = w - rate * grad_w
+        b = b - rate * grad_b
     return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)
 
 
@@ -269,46 +281,44 @@ def _best_split(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf: int):
 
     Thresholds sit at midpoints of consecutive distinct values; ties resolve
     to the lowest feature index, then the lowest threshold (feature_indices
-    must be iterated in ascending order).
+    must be in ascending order).  All features are searched in one pass: row
+    k of each column scores the split after sorted position k, with the same
+    elementwise arithmetic as a search of one feature at a time
+    (`tests/oracles.py` keeps that loop), so gains and thresholds are equal
+    to its bits.
     """
     n = len(y)
     total_pos = int(y.sum())
     parent = _gini(total_pos, n)
-    best = None
-    for f in feature_indices:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        distinct = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position k
-        if distinct.size == 0:
-            continue
-        cum_pos = np.cumsum(sy)
-        left_n = distinct + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_pos = cum_pos[distinct]
-        right_pos = total_pos - left_pos
-        lp = left_pos / left_n
-        rp = right_pos / right_n
-        gini_left = 1.0 - lp * lp - (1.0 - lp) * (1.0 - lp)
-        gini_right = 1.0 - rp * rp - (1.0 - rp) * (1.0 - rp)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        gains = parent - weighted
-        gains = np.where(valid, gains, -np.inf)
-        k = int(np.argmax(gains))  # first maximum -> lowest threshold
-        gain = float(gains[k])
-        if not math.isfinite(gain):
-            continue
-        # zero-gain splits are still taken (both children shrink, recursion
-        # terminates at pure or indistinguishable nodes); XOR-like patterns
-        # need them to reach pure leaves
-        if best is None or gain > best[0]:
-            threshold = float((sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0)
-            best = (gain, int(f), threshold)
-    return best
+    columns = np.arange(len(feature_indices))
+    values = X[:, feature_indices]
+    order = values.argsort(axis=0, kind="stable")
+    sv = values[order, columns]
+    distinct = sv[1:] > sv[:-1]
+    left_pos = y[order].cumsum(axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    right_pos = total_pos - left_pos
+    lp = left_pos / left_n
+    rp = right_pos / right_n
+    lq = 1.0 - lp
+    rq = 1.0 - rp
+    gini_left = 1.0 - lp * lp - lq * lq
+    gini_right = 1.0 - rp * rp - rq * rq
+    weighted = (left_n * gini_left + right_n * gini_right) / n
+    gains = np.where(distinct & valid, parent - weighted, -np.inf)
+    at = gains.argmax(axis=0)  # first maximum -> lowest threshold
+    column_best = gains[at, columns]
+    j = int(column_best.argmax())  # first maximum -> lowest feature
+    gain = float(column_best[j])
+    # zero-gain splits are still taken (both children shrink, recursion
+    # terminates at pure or indistinguishable nodes); XOR-like patterns
+    # need them to reach pure leaves
+    if not math.isfinite(gain):
+        return None
+    k = at[j]
+    return gain, int(feature_indices[j]), float((sv[k, j] + sv[k + 1, j]) / 2.0)
 
 
 @dataclass
@@ -341,6 +351,27 @@ class TreeModel:
             out[i] = node.prediction
         return out
 
+    def truncated(self, config: TreeConfig) -> "TreeModel":
+        """The tree `train_tree` grows under `config` on this tree's rows, cut
+        from this one: a node at depth `config.max_depth` becomes a leaf of
+        the majority prediction it already stores.  Exact for a depth this
+        tree reaches or passes, at the same minimum leaf size."""
+        grown = self.config.max_depth
+        cuttable = grown is None or (config.max_depth is not None and config.max_depth <= grown)
+        if config.min_samples_leaf != self.config.min_samples_leaf or not cuttable:
+            raise ValueError(f"{config} cannot be cut from a tree grown under {self.config}")
+        if config.max_depth is None:
+            return replace(self, config=config)
+        return TreeModel(root=_cut(self.root, config.max_depth), scaler=self.scaler,
+                         config=config, depth=min(self.depth, config.max_depth))
+
+
+def _cut(node: _Node, depth: int) -> _Node:
+    if node.is_leaf or depth == 0:
+        return _Node(prediction=node.prediction)
+    return _Node(node.prediction, node.feature, node.threshold,
+                 _cut(node.left, depth - 1), _cut(node.right, depth - 1))
+
 
 def _majority(y: np.ndarray) -> int:
     pos = int(y.sum())
@@ -356,9 +387,9 @@ def _grow_tree(X, y, config: TreeConfig, depth: int, rng, features_per_split) ->
         return node, depth
     n_features = X.shape[1]
     if features_per_split is not None and rng is not None and features_per_split < n_features:
-        chosen = sorted(int(i) for i in rng.choice(n_features, size=features_per_split, replace=False))
+        chosen = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
     else:
-        chosen = range(n_features)
+        chosen = np.arange(n_features)
     found = _best_split(X, y, chosen, config.min_samples_leaf)
     if found is None:
         return node, depth
@@ -414,6 +445,15 @@ class ForestModel:
                 votes[i] += node.prediction
         # strict majority for 'ugly'; ties go to 'good'
         return (votes * 2 > len(self.roots)).astype(int)
+
+    def prefix(self, config: ForestConfig) -> "ForestModel":
+        """The forest `train_forest` grows under `config` on this forest's
+        rows: its first `config.trees` trees, because tree i is grown from
+        the i-th child that `SeedSequence.spawn` hands out, whatever the
+        number of children asked for."""
+        if config.trees > self.config.trees or replace(config, trees=self.config.trees) != self.config:
+            raise ValueError(f"{config} is not a prefix of a forest grown under {self.config}")
+        return ForestModel(roots=self.roots[:config.trees], scaler=self.scaler, config=config)
 
 
 def train_forest(rows: list[FeatureRow], config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -522,6 +562,23 @@ def _with_seed(config, seed: int):
     return replace(config, seed=seed) if isinstance(config, ForestConfig) else config
 
 
+# models of a whole grid read off one model of its first, widest config
+_READ_OFF = {"tree": TreeModel.truncated, "forest": ForestModel.prefix}
+
+
+def _grid_models(name: str, rows: list[FeatureRow], seed: int) -> list[tuple]:
+    """(config, model) for each config of the classifier's grid, in grid
+    order.  Logistic regression trains each config; the tree and forest
+    grids are read off one trained model, which gives the models training
+    each config would."""
+    trainer, grid = _TRAINERS[name]
+    read_off = _READ_OFF.get(name)
+    if read_off is None:
+        return [(config, trainer(rows, _with_seed(config, seed))) for config in grid]
+    widest = trainer(rows, _with_seed(grid[0], seed))
+    return [(grid[0], widest)] + [(config, read_off(widest, _with_seed(config, seed))) for config in grid[1:]]
+
+
 def run_approach1(
     methods: list[LabeledMethod],
     seed: int,
@@ -537,10 +594,8 @@ def run_approach1(
     train_os = oversample(train_rows, seed)
     results = {}
     for name in classifiers:
-        trainer, grid = _TRAINERS[name]
         best = None
-        for config in grid:
-            model = trainer(train_os, _with_seed(config, seed))
+        for config, model in _grid_models(name, train_os, seed):
             if val_rows:
                 score = evaluate(model, val_rows, classifier=name).perClass[POSITIVE_LABEL].fMeasure
             else:

@@ -552,8 +552,12 @@ def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str],
 def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
              dataset_path: Path | None = None, histories_path: Path | None = None) -> None:
     methods = _load_dataset(out, dataset_path)
-    _, history_records = read_ndjson(histories_path or out / "histories.ndjson")
+    histories_path = histories_path or out / "histories.ndjson"
+    _, history_records = read_ndjson(histories_path)
     history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
+    missing = next((m.identity.as_str() for m in methods if m.identity.as_str() not in history_by_key), None)
+    if missing is not None:
+        raise ValueError(f"{histories_path} has no history for {missing}")
     table = correlation_table(methods, indicator=config.indicator)
     ranking = composite_scores(methods, signs_from_table(table))
     good, ugly = select_surprising(
@@ -563,7 +567,7 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
     def export(selected):
         for m in selected:
             key = m.identity.as_str()
-            h = history_by_key.get(key, {})
+            h = history_by_key[key]
             intro = h.get("introduction", {})
             yield {
                 "identity": identity_record(m.identity),
@@ -739,7 +743,8 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
               snapshot: str, digests: dict[str, str] | None = None, **extra) -> list[Path]:
     """Run one stage on the given input files into `config.out` and return
     the paths it wrote.  The digests are computed from the table unless the
-    caller already has them; `extra` goes to the runner as it is."""
+    caller already has them; `extra` goes to the runner as it is.  A runner
+    that fails raises StageError."""
     stage = STAGES[name]
     out = Path(config.out)
     if digests is None:
@@ -747,7 +752,10 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     leading = (config, repo, snapshot, out, digests) if stage.reads_repo else (config, out, digests)
     # methods.ndjson is passed as methods_path, and so on
     paths = {f"{artifact.split('.')[0]}_path": path for artifact, path in inputs.items()}
-    globals()[f"run_{name}"](*leading, **paths, **extra)
+    try:
+        globals()[f"run_{name}"](*leading, **paths, **extra)
+    except Exception as err:  # noqa: BLE001 - stage boundary
+        raise StageError(name, err) from err
     written = [BUG_OUTPUTS[d] for d in extra["datasets"]] if "datasets" in extra else stage.outputs
     return [out / artifact for artifact in written]
 
@@ -787,9 +795,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             continue
         try:
             run_stage(name, config, inputs, repo, snapshot, digests)
-        except Exception as err:  # noqa: BLE001 - stage boundary
+        except StageError:
             _write_json(manifest_path, manifest)
-            raise StageError(name, err) from err
+            raise
         manifest["stages"][name] = {"digest": digest, "outputs": list(stage.outputs)}
         status[name] = "ran"
         rewritten.update(stage.outputs)

@@ -13,6 +13,7 @@ import re
 import numpy as np
 
 from methodlens.java_extract import KEYWORDS, WORD_LITERALS, LexicalError
+from methodlens.ml import LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss, _gini, _matrix
 
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
@@ -171,3 +172,77 @@ def tokenize_reference(source: str) -> list[tuple[str, str, int, int]]:
             col += len(text)
         pos = m.end()
     return tokens
+
+
+def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf: int):
+    """(gain, feature, threshold) of the best Gini split, or None, searching
+    one feature at a time.
+
+    Thresholds sit at midpoints of consecutive distinct values; ties resolve
+    to the lowest feature index, then the lowest threshold (feature_indices
+    must be iterated in ascending order).
+    """
+    n = len(y)
+    total_pos = int(y.sum())
+    parent = _gini(total_pos, n)
+    best = None
+    for f in feature_indices:
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = y[order]
+        distinct = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position k
+        if distinct.size == 0:
+            continue
+        cum_pos = np.cumsum(sy)
+        left_n = distinct + 1
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        left_pos = cum_pos[distinct]
+        right_pos = total_pos - left_pos
+        lp = left_pos / left_n
+        rp = right_pos / right_n
+        gini_left = 1.0 - lp * lp - (1.0 - lp) * (1.0 - lp)
+        gini_right = 1.0 - rp * rp - (1.0 - rp) * (1.0 - rp)
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        gains = parent - weighted
+        gains = np.where(valid, gains, -np.inf)
+        k = int(np.argmax(gains))  # first maximum -> lowest threshold
+        gain = float(gains[k])
+        if not math.isfinite(gain):
+            continue
+        if best is None or gain > best[0]:
+            threshold = float((sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0)
+            best = (gain, int(f), threshold)
+    return best
+
+
+def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
+    """Full-batch gradient descent on L2-regularized log-loss, zero init,
+    written with `np.mean` and `np.clip`."""
+    X_raw, y01 = _matrix(rows)
+    scaler = MinMaxScaler.fit(X_raw)
+    X = scaler.transform(X_raw)
+    y = np.where(y01 == 1, 1.0, -1.0)
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    losses: list[float] = []
+    for _ in range(config.max_iter):
+        z = X @ w + b
+        yz = y * z
+        loss = float(np.mean(np.logaddexp(0.0, -yz)) + config.l2 / (2.0 * n) * float(w @ w))
+        if not math.isfinite(loss):
+            raise NonFiniteLoss("logistic training diverged")
+        if losses and abs(losses[-1] - loss) < config.tol:
+            losses.append(loss)
+            break
+        losses.append(loss)
+        sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))  # sigma(-y*z)
+        grad_w = -(X * (y * sig)[:, None]).mean(axis=0) + (config.l2 / n) * w
+        grad_b = float(-(y * sig).mean())
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from methodlens import ml
 from methodlens.ml import (
     EmptyTestSet,
     FeatureRow,
@@ -26,6 +28,7 @@ from methodlens.ml import (
 )
 from methodlens.metrics import METRIC_NAMES
 
+from oracles import best_split_reference, train_logistic_reference
 from synth import labeled, metric_vector, separable_corpus
 
 
@@ -363,3 +366,130 @@ def test_approach2_composes_like_manual_splits():
         model = train_tree(oversample(train_rows, seed=i), TreeConfig())
         manual = evaluate(model, test_rows, classifier="tree", undefined_as=float("nan"))
         assert manual.confusion == outcome["projects"][held]["tree"].confusion
+
+
+# --- exactness: the kernels against their reference loops, the grids read off one model
+
+def _noisy_rows(n, seed, ties=False, project="p0"):
+    """Rows whose label depends on two features plus noise, so trees grow deep."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, len(METRIC_NAMES)))
+    if ties:
+        X = np.round(X)
+    X[:, 5] = 2.0  # a constant column
+    ugly = X[:, 0] + X[:, 1] + rng.normal(scale=0.9, size=n) > 0.6
+    return [FeatureRow(project, f"{project}:m{i:04d}", tuple(float(v) for v in X[i]),
+                       "ugly" if ugly[i] else "good") for i in range(n)]
+
+
+def test_best_split_equals_the_per_feature_reference():
+    rng = np.random.default_rng(11)
+    found = 0
+    for case in range(150):
+        n = int(rng.integers(2, 121))
+        X = rng.normal(size=(n, 6))
+        if case % 2 == 0:
+            X = np.round(X * 2) / 2  # heavy ties
+        X[:, case % 6] = 0.25  # a constant column
+        if case % 25 == 0:
+            X[:] = 1.0  # nothing to split on
+        y = (rng.random(n) < 0.4).astype(int)
+        feats = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
+        for min_leaf in (1, 3):
+            expected = best_split_reference(X, y, feats, min_leaf)
+            assert ml._best_split(X, y, feats, min_leaf) == expected, (case, min_leaf)
+            found += expected is not None
+    assert 0 < found < 300
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_train_logistic_equals_the_mean_and_clip_reference(case):
+    n = (2, 7, 31, 120, 64, 15, 90, 3)[case]
+    rows = _noisy_rows(n, seed=case, ties=case % 2 == 0)
+    config = LogisticConfig(l2=(1.0, 0.1, 10.0)[case % 3], max_iter=5000 if case < 2 else 600)
+    got = train_logistic(rows, config)
+    expected = train_logistic_reference(rows, config)
+    assert got.weights.tobytes() == expected.weights.tobytes()
+    assert got.bias.hex() == expected.bias.hex()
+    assert [v.hex() for v in got.loss_history] == [v.hex() for v in expected.loss_history]
+
+
+def _exact_shape(node):
+    if node.is_leaf:
+        return ("leaf", node.prediction, node.feature, node.threshold.hex())
+    return ("split", node.prediction, node.feature, node.threshold.hex(),
+            _exact_shape(node.left), _exact_shape(node.right))
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_forest_of_fifty_is_the_first_fifty_trees_of_a_hundred(seed):
+    rows = _noisy_rows(60, seed=seed, ties=True)
+    hundred = train_forest(rows, ForestConfig(trees=100, seed=seed))
+    fifty = train_forest(rows, ForestConfig(trees=50, seed=seed))
+    expected = [_exact_shape(root) for root in fifty.roots]
+    assert [_exact_shape(root) for root in hundred.roots[:50]] == expected
+    prefix = hundred.prefix(ForestConfig(trees=50, seed=seed))
+    assert [_exact_shape(root) for root in prefix.roots] == expected
+    assert prefix.config == fifty.config and prefix.scaler == fifty.scaler
+
+
+def test_depth_bounded_tree_is_the_unbounded_tree_cut():
+    rows = _noisy_rows(150, seed=4, ties=True)
+    unbounded = train_tree(rows)
+    assert unbounded.depth > 8
+    for depth in (4, 8):
+        config = TreeConfig(max_depth=depth)
+        bounded = train_tree(rows, config)
+        cut = unbounded.truncated(config)
+        assert _exact_shape(cut.root) == _exact_shape(bounded.root)
+        assert (cut.depth, cut.config, cut.scaler) == (bounded.depth, bounded.config, bounded.scaler)
+    assert _exact_shape(unbounded.truncated(TreeConfig()).root) == _exact_shape(unbounded.root)
+
+
+def test_a_config_that_cannot_be_read_off_is_rejected():
+    rows = _noisy_rows(40, seed=2)
+    with pytest.raises(ValueError):
+        train_tree(rows, TreeConfig(max_depth=4)).truncated(TreeConfig(max_depth=8))
+    with pytest.raises(ValueError):
+        train_tree(rows).truncated(TreeConfig(max_depth=4, min_samples_leaf=2))
+    with pytest.raises(ValueError):
+        train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=6, seed=1))
+    with pytest.raises(ValueError):
+        train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=3, seed=2))
+
+
+def test_approach1_trains_each_tree_grid_once_and_tunes_as_training_every_config(monkeypatch):
+    methods = [
+        labeled(i, project=f"proj{p}", label=row.label,
+                metrics=metric_vector(size=row.features[0], mccabe=row.features[1],
+                                      readability=row.features[2]))
+        for p in range(5)
+        for i, row in enumerate(_noisy_rows(40, seed=p, ties=True), start=100 * p)
+    ]
+    seed = 5
+    calls = Counter()
+
+    def counting(name, trainer):
+        def train(rows, config):
+            calls[name] += 1
+            return trainer(rows, config)
+        return train
+
+    trainers = dict(ml._TRAINERS)
+    for name, (trainer, grid) in trainers.items():
+        monkeypatch.setitem(ml._TRAINERS, name, (counting(name, trainer), grid))
+    outcome = run_approach1(methods, seed=seed)
+    assert calls == {"logistic": 3, "tree": 1, "forest": 1}
+
+    rows = build_feature_rows(methods)
+    plan = outcome["plan"]
+    train_os = oversample([r for r in rows if r.projectId in plan.trainProjects], seed)
+    val_rows = [r for r in rows if r.projectId in plan.validationProjects]
+    test_rows = [r for r in rows if r.projectId in plan.testProjects]
+    for name, (trainer, grid) in trainers.items():
+        models = [trainer(train_os, ml._with_seed(config, seed)) for config in grid]
+        scores = [evaluate(m, val_rows).perClass["ugly"].fMeasure for m in models]
+        best = scores.index(max(scores))
+        entry = outcome["results"][name]
+        assert (entry["validationF"], entry["config"]) == (scores[best], grid[best].describe())
+        assert entry["report"].confusion == evaluate(models[best], test_rows).confusion

@@ -195,6 +195,20 @@ def test_cli_curves_and_rank_and_train(cli_artifacts, tmp_path):
     assert report["status"] == "not-trainable"  # single-project corpus
 
 
+def test_cli_rank_fails_when_the_histories_miss_a_ranked_method(cli_artifacts, tmp_path, capsys):
+    _, out = cli_artifacts
+    histories = tmp_path / "histories.ndjson"
+    write_ndjson(histories, "trace", {}, [])
+    first = read_ndjson(out / "dataset.ndjson")[1][0]["identity"]
+    code = main(["rank", "--labeled", str(out / "dataset.ndjson"), "--histories", str(histories),
+                 "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "stage 'rank' failed" in err and str(histories) in err
+    assert pipeline.identity_from_record(first).as_str() in err
+    assert not (tmp_path / "surprisingly_good.ndjson").exists()
+
+
 def test_subcommands_write_the_pipeline_bytes(fixture_repo, tmp_path):
     repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
     staged, piped = tmp_path / "staged", tmp_path / "piped"
