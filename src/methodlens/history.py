@@ -13,6 +13,7 @@ from .java_extract import (
     ExtractionError,
     LexicalError,
     MethodDeclaration,
+    Token,
     body_open_index,
     normalize_source,
     extract_methods,
@@ -259,8 +260,9 @@ class TraceSession:
     the caller (the extract stage's records), so the snapshot itself is
     never read.  Methods are traced one file at a time: the first lookup in
     a file reads, in one batch, every parent-side version on its rename
-    chain, and moving to another file drops them, so texts and extractions
-    (keyed by blob id) never hold more than one file's history."""
+    chain, and moving to another file drops them, so texts, extractions
+    (keyed by blob id) and the lexer memo (keyed by line text, shared by
+    the file's versions) never hold more than one file's history."""
 
     def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
         self.repo = repo
@@ -279,9 +281,17 @@ class TraceSession:
         self._blob_ids: dict[tuple[str, str], str] = {}
         self._texts: dict[str, str | None] = {}
         self._extracted: dict[str, list[MethodDeclaration] | None] = {}
+        self._memo: dict[str, list[Token]] = {}
+        self._closed_memo_lines = 0
         self.files_traced = 0
         self.blobs_read = 0
         self.failures = 0
+        self.version_lines = 0
+
+    @property
+    def lines_lexed_alone(self) -> int:
+        """Distinct lines lexed on their own, summed over the traced files."""
+        return self._closed_memo_lines + len(self._memo)
 
     def steps(self, path: str) -> list[tuple[int, Change]]:
         """(chain index, change) at every commit that changed the snapshot
@@ -317,20 +327,25 @@ class TraceSession:
         self._file, self._steps, self._blob_ids = path, steps, blob_ids
         self._texts = self.repo.read_blobs(blob_ids.values())
         self._extracted = {}
+        self._closed_memo_lines += len(self._memo)
+        self._memo = {}
         self.files_traced += 1
         self.blobs_read += len(self._texts)
 
     def methods_at(self, commit_id: str, path: str) -> list[MethodDeclaration] | None:
         """Methods of the parent-side version of `path` at `commit_id` that
         a step of the open file names, or None when that version is not a
-        readable blob or fails to extract.  Each version is extracted once."""
+        readable blob or fails to extract.  Each version is extracted once,
+        and every version of the file is lexed through one memo."""
         blob = self._blob_ids[(commit_id, path)]
         if blob not in self._extracted:
             content = self._texts[blob]
             methods = None
             if content is not None:
+                file = normalize_source(path, content)
+                self.version_lines += file.content.count("\n") + 1
                 try:
-                    methods = extract_methods(normalize_source(path, content))
+                    methods = extract_methods(file, self._memo)
                 except (ExtractionError, LexicalError) as err:
                     log.warning("extraction failed at %s:%s: %s", commit_id[:12], path, err)
                     self.failures += 1

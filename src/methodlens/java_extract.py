@@ -140,30 +140,72 @@ def normalize_source(path: str, raw: str) -> SourceFile:
     return SourceFile(path=path.replace("\\", "/"), content=raw.replace("\r\n", "\n").replace("\r", "\n"))
 
 
-def tokenize(source: str) -> list[Token]:
-    """Lex Java source into a full-fidelity token stream (whitespace dropped)."""
+def tokenize(source: str, memo: dict[str, list[Token]] | None = None) -> list[Token]:
+    """Lex Java source into a full-fidelity token stream (whitespace dropped).
+
+    Lexing goes line by line. Only a block comment, a text block, or a
+    string or char literal continued by a trailing backslash can cross a
+    line end, so a line that holds '/*' or three double quotes, or ends with
+    a backslash, is lexed in the whole source's context, from its start up
+    to the next whitespace run that holds a newline. Every other line is
+    lexed on its own and its tokens are kept in `memo` under the line's
+    text: a caller that lexes many versions of one file passes one memo and
+    lexes each such line once (a hit on another line number is renumbered).
+    """
+    if memo is None:
+        memo = {}
     tokens: list[Token] = []
-    append = tokens.append
+    extend = tokens.extend
     new_token = tuple.__new__  # skips Token.__new__'s Python-level frame
+    lines = source.split("\n")
+    end = len(lines)
     line = 1
-    line_start = 0  # offset of the current line's first character
-    for m in _TOKEN_RE.finditer(source):
+    start = 0  # offset of the line's first character
+    while line <= end:
+        text = lines[line - 1]
+        if "/*" in text or '"""' in text or text.endswith("\\"):
+            line, start = _lex_from(source, start, line, tokens)
+            continue
+        cached = memo.get(text)
+        if cached is None:
+            cached = []
+            _lex_from(text, 0, line, cached)  # a line that fails to lex raises before it is kept
+            memo[text] = cached
+        elif cached and cached[0].line != line:
+            cached = [new_token(Token, (kind, t, line, column, 1)) for kind, t, _, column, _ in cached]
+        extend(cached)
+        start += len(text) + 1
+        line += 1
+    return tokens
+
+
+def _lex_from(source: str, pos: int, line: int, out: list[Token]) -> tuple[int, int]:
+    """Lex `source` from `pos`, the start of line `line`, into `out` up to
+    the first whitespace run that holds a newline; return the line number
+    and offset of the line after that run's last newline (past the end when
+    the source ends first)."""
+    append = out.append
+    new_token = tuple.__new__
+    line_start = pos
+    for m in _TOKEN_RE.finditer(source, pos):
         group = m.lastgroup
         text = m.group()
         kind = _GROUP_KINDS.get(group)
         if kind is None:
-            if group == "ident":
-                kind = "keyword" if text in KEYWORDS else "literal" if text in WORD_LITERALS else "identifier"
-            elif group != "ws":
+            if group == "ws":
+                if "\n" in text:
+                    return line + text.count("\n"), m.start() + text.rfind("\n") + 1
+                continue
+            if group != "ident":
                 raise _lex_error(group, text, line)
+            kind = "keyword" if text in KEYWORDS else "literal" if text in WORD_LITERALS else "identifier"
         start = m.start()
         nl = text.count("\n")
-        if kind is not None:
-            append(new_token(Token, (kind, text, line, start - line_start + 1, nl + 1)))
+        append(new_token(Token, (kind, text, line, start - line_start + 1, nl + 1)))
         if nl:
             line += nl
             line_start = start + text.rfind("\n") + 1
-    return tokens
+    return line + 1, len(source) + 1
 
 
 def signature(decl: MethodDeclaration) -> str:
@@ -340,10 +382,10 @@ def _parse_parameter_types(toks: list[Token], open_idx: int, close_idx: int) -> 
 
 
 class _Extractor:
-    def __init__(self, file: SourceFile):
+    def __init__(self, file: SourceFile, memo: dict[str, list[Token]] | None):
         self.file = file
         self.lines = file.content.split("\n")
-        self.toks = [t for t in tokenize(file.content) if t.kind != "comment"]
+        self.toks = [t for t in tokenize(file.content, memo) if t.kind != "comment"]
         self.found: list[MethodDeclaration] = []
 
     def run(self) -> list[MethodDeclaration]:
@@ -526,10 +568,11 @@ class _Extractor:
         return body_close
 
 
-def extract_methods(file: SourceFile) -> list[MethodDeclaration]:
+def extract_methods(file: SourceFile, memo: dict[str, list[Token]] | None = None) -> list[MethodDeclaration]:
     """All named methods with bodies in named types, in source order.
 
     Constructors, initializer blocks, bodiless signatures, and methods whose
     immediate container is an anonymous class or lambda are excluded.
+    `memo` is handed to `tokenize`.
     """
-    return _Extractor(file).run()
+    return _Extractor(file, memo).run()

@@ -373,15 +373,11 @@ def _cut(node: _Node, depth: int) -> _Node:
                  _cut(node.left, depth - 1), _cut(node.right, depth - 1))
 
 
-def _majority(y: np.ndarray) -> int:
-    pos = int(y.sum())
-    neg = len(y) - pos
-    return 1 if pos > neg else 0  # tie goes to 'good'
-
-
 def _grow_tree(X, y, config: TreeConfig, depth: int, rng, features_per_split) -> tuple[_Node, int]:
-    node = _Node(prediction=_majority(y))
-    if y.size == 0 or y.min() == y.max():
+    n = len(y)
+    pos = int(y.sum())  # labels are 0/1: one sum gives majority, emptiness and purity
+    node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
+    if pos in (0, n):
         return node, depth
     if config.max_depth is not None and depth >= config.max_depth:
         return node, depth

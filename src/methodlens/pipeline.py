@@ -450,8 +450,9 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
     histories = [trace_method(session, decl_from_record(record), record["file"])
                  for record in sorted(records, key=lambda r: r["file"])]
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
-             "%d historical versions failed to extract",
-             len(session.chain), session.files_traced, session.blobs_read, session.failures)
+             "%d historical versions failed to extract, %d version lines, %d lexed alone",
+             len(session.chain), session.files_traced, session.blobs_read, session.failures,
+             session.version_lines, session.lines_lexed_alone)
     histories.sort(key=lambda h: h.identity.key())
     out_records = [history_record(h, compute_indicators(h, cfg)) for h in histories]
     write_ndjson(

@@ -1,8 +1,8 @@
 """How the trace stage reads git and lexes: a bounded number of git
 processes per run, at most one batch per traced file (none for a file with
 no parent-side version), one body-block lex per declaration, and a counted
-summary of what it read and failed to extract; and the same summary of the
-extract stage."""
+summary of what it read, failed to extract and lexed; the line memo that
+lives for one traced file; and the same summary of the extract stage."""
 
 import logging
 import subprocess
@@ -10,7 +10,7 @@ from pathlib import Path
 
 from methodlens import history
 from methodlens.gitrepo import GitRepo
-from methodlens.history import TraceConfig, match_method
+from methodlens.history import TraceConfig, TraceSession, match_method
 from methodlens.java_extract import extract_methods, normalize_source
 from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline, run_stage
 from repo_builder import commit_files, init_repo
@@ -66,9 +66,11 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
         run_stage("extract", config, {}, git, snapshot)
         run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
-    # the two parent-side versions; the snapshot version is not read
+    # the two parent-side versions; the snapshot version is not read. Their
+    # 7 + 6 lines hold 6 distinct ones that lex: c02's first four (its fifth
+    # fails and is not kept), then c01's closing "}" and its empty last line
     assert summary == ["trace: 3 chain commits, 1 files traced, 2 blobs read, "
-                       "1 historical versions failed to extract"]
+                       "1 historical versions failed to extract, 13 version lines, 6 lexed alone"]
     assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
     _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
     assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
@@ -92,7 +94,7 @@ def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path
     assert calls == ["log"]
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
-                       "0 historical versions failed to extract"]
+                       "0 historical versions failed to extract, 0 version lines, 0 lexed alone"]
     _, records = read_ndjson(Path(config.out) / "histories.ndjson")
     assert [(r["identity"]["signature"], r["revisions"]) for r in records] == [("A#a()", []), ("B#b()", [])]
 
@@ -113,3 +115,49 @@ def test_extract_counts_the_snapshot_file_that_fails_to_extract(tmp_path, caplog
     assert summary == ["extract: 3 files read, 3 methods, 1 files failed to extract"]
     _, records = read_ndjson(Path(config.out) / "methods.ndjson")
     assert sorted(r["signature"] for r in records) == ["A#keep(int)", "C#a()", "C#b()"]
+
+
+def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, tmp_path, monkeypatch, caplog):
+    extracted = []
+    real_extract = history.extract_methods
+    monkeypatch.setattr(history, "extract_methods",
+                        lambda file, memo=None: extracted.append((file.content, id(memo))) or real_extract(file, memo))
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    with caplog.at_level(logging.INFO, logger="methodlens"):
+        run_pipeline(config)
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
+    assert summary == ["trace: 11 chain commits, 3 files traced, 10 blobs read, "
+                       "0 historical versions failed to extract, 238 version lines, 59 lexed alone"]
+    # the same counts from the versions trace extracted: every line, and the
+    # distinct lines of each file's versions that no token can cross
+    alone: dict[int, set[str]] = {}
+    for content, memo in extracted:
+        alone.setdefault(memo, set()).update(
+            line for line in content.split("\n") if not ("/*" in line or '"""' in line or line.endswith("\\")))
+    assert sum(content.count("\n") + 1 for content, _ in extracted) == 238
+    assert (len(alone), sum(map(len, alone.values()))) == (3, 59)
+
+
+def _extract_history(session: TraceSession, path: str) -> None:
+    cur_path = path
+    for k, change in session.steps(path):
+        if change.status[0] in ("A", "D"):
+            break
+        cur_path = change.oldPath or cur_path
+        session.methods_at(session.chain[k + 1].id, cur_path)
+
+
+def test_opening_a_file_drops_the_memo_of_the_one_before(fixture_repo):
+    session = TraceSession(GitRepo(str(fixture_repo["repo"])), fixture_repo["snapshot"], TraceConfig())
+    _extract_history(session, "src/Util.java")
+    first = session._memo
+    first_tokens = {id(tokens) for tokens in first.values()}
+    assert "}" in first and session.lines_lexed_alone == len(first)
+    session.steps("src/core/Alpha.java")
+    assert session._memo == {} and session.lines_lexed_alone == len(first)
+    _extract_history(session, "src/core/Alpha.java")
+    second = session._memo
+    # lines the files share ("}", blank lines) are lexed again, not carried over
+    assert "}" in second and not first_tokens & {id(tokens) for tokens in second.values()}
+    assert session.lines_lexed_alone == len(first) + len(second)
