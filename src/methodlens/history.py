@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 from .gitrepo import Change, CommitMeta, GitRepo
 from .java_extract import (
@@ -185,14 +186,17 @@ def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
     return 1.0 - levenshtein(ta, tb) / longest
 
 
-def _body_block_text(decl: MethodDeclaration) -> str:
+def _body_block_text(decl: MethodDeclaration, memo: MutableMapping[str, list[Token]] | None = None) -> str:
     if decl.bodyBlock is None:
-        decl.bodyBlock = _find_body_block(decl)
+        decl.bodyBlock = _find_body_block(decl, memo)
     return decl.bodyBlock
 
 
-def _find_body_block(decl: MethodDeclaration) -> str:
-    toks = [t for t in tokenize(decl.bodyText) if t.kind != "comment"]
+def _find_body_block(decl: MethodDeclaration, memo: MutableMapping[str, list[Token]] | None = None) -> str:
+    """The body text from the method body's opening brace on; `memo` is a
+    `tokenize` line memo, such as the one the declaration's file was lexed
+    through."""
+    toks = [t for t in tokenize(decl.bodyText, memo) if t.kind != "comment"]
     open_idx = body_open_index(toks)
     if open_idx is None:
         return decl.bodyText
@@ -214,12 +218,14 @@ def match_method(
     prev_methods: list[MethodDeclaration],
     target: MethodDeclaration,
     cfg: TraceConfig,
+    memo: MutableMapping[str, list[Token]] | None = None,
 ) -> MethodDeclaration | None:
     """Parent-side counterpart of `target`, or None.
 
     Priority: exact signature; same name with body similarity above the
     threshold; any method with maximal similarity above the threshold.
-    Small methods only ever match same-name candidates.
+    Small methods only ever match same-name candidates. Body blocks are
+    lexed through the `tokenize` line memo `memo`, when given.
     """
     target_sig = signature(target)
     exact = [m for m in prev_methods if signature(m) == target_sig]
@@ -227,13 +233,13 @@ def match_method(
         return min(exact, key=lambda m: m.startLine)
 
     theta = cfg.similarity_threshold
-    target_block = _body_block_text(target)
+    target_block = _body_block_text(target, memo)
 
     def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
         best = None
         best_sim = -1.0
         for m in candidates:
-            block = _body_block_text(m)
+            block = _body_block_text(m, memo)
             longest = max(len(block), len(target_block))
             if longest and 1.0 - abs(len(block) - len(target_block)) / longest < theta:
                 continue  # length gap alone rules it out
@@ -363,8 +369,12 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
     cur_path = path
     pending: list[tuple[CommitMeta, int, int, int]] = []  # newest first
     introduction = chain[-1]
+    steps = session.steps(path)
+    # body blocks lex through the open file's memo; the lines it lacks are
+    # kept in a map of their own, so the memo holds only the versions' lines
+    memo = ChainMap({}, session._memo)
 
-    for k, change in session.steps(path):
+    for k, change in steps:
         child = chain[k]
         kind = change.status[0]
         if kind == "A":
@@ -383,7 +393,7 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path
             continue
-        matched = match_method(prev_methods, cur_decl, session.cfg)
+        matched = match_method(prev_methods, cur_decl, session.cfg, memo)
         if matched is None:
             introduction = child
             break

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -269,59 +268,89 @@ class TreeConfig:
         return {"maxDepth": self.max_depth, "minSamplesLeaf": self.min_samples_leaf}
 
 
-def _gini(pos: float, total: float) -> float:
-    if total <= 0:
-        return 0.0
-    p = pos / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+# Rows one batched split search may hold, which bounds its arrays: a forest
+# grows at most _STEP_ROWS // n of its n-row trees at once, so that a node
+# of each fits.  A single node may still be larger; it is then searched
+# alone.
+_STEP_ROWS = 1024
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf: int):
-    """(gain, feature, threshold) of the best Gini split, or None.
+def _value_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its column: ranks
+    rise exactly where the sorted values rise (the `>` test a one-node
+    search makes), so sorting by rank sorts by value."""
+    columns = np.arange(X.shape[1])
+    order = X.argsort(axis=0, kind="stable")
+    sorted_x = X[order, columns]
+    rises = np.zeros(X.shape, dtype=np.intp)
+    rises[1:] = sorted_x[1:] > sorted_x[:-1]
+    ranks = np.empty_like(rises)
+    ranks[order, columns] = rises.cumsum(axis=0)
+    return ranks
+
+
+def _gini(pos, n):
+    """Gini impurity of `n` rows of which `pos` are positive, elementwise."""
+    p = pos / n
+    q = 1.0 - p
+    return 1.0 - p * p - q * q
+
+
+def _best_splits(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                 sizes: np.ndarray, features: np.ndarray, min_leaf: int):
+    """The best Gini split of each of K nodes, searched in one pass.
+
+    Node i holds `sizes[i]` >= 2 rows, given by their ids into X, its
+    `_value_ranks` and y in `rows`, node after node, and searches the
+    ascending features `features[i]` (a K × m array).  Returns arrays of
+    gain (-inf where the node has no split), feature and threshold.
 
     Thresholds sit at midpoints of consecutive distinct values; ties resolve
-    to the lowest feature index, then the lowest threshold (feature_indices
-    must be in ascending order).  All features are searched in one pass: row
-    k of each column scores the split after sorted position k, with the same
-    elementwise arithmetic as a search of one feature at a time
-    (`tests/oracles.py` keeps that loop), so gains and thresholds are equal
-    to its bits.
+    to the lowest feature, then the lowest threshold.  One stable sort of the
+    key (node, value rank) orders each node's column as a sort of the node's
+    values alone would; integer cumsums minus each node's base give the same
+    label counts, and the Gini expressions are a one-node search's
+    (`tests/oracles.py` keeps that search), so gains and thresholds are
+    equal to its bits.
     """
-    n = len(y)
-    total_pos = int(y.sum())
-    parent = _gini(total_pos, n)
-    columns = np.arange(len(feature_indices))
-    values = X[:, feature_indices]
-    order = values.argsort(axis=0, kind="stable")
-    sv = values[order, columns]
-    distinct = sv[1:] > sv[:-1]
-    left_pos = y[order].cumsum(axis=0)[:-1]
-    left_n = np.arange(1, n)[:, None]
+    K, m = features.shape
+    N = len(rows)
+    columns = np.arange(m)
+    node = np.repeat(np.arange(K), sizes)
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes
+    key = ranks[rows[:, None], features[node]] + (node * len(X))[:, None]
+    order = key.argsort(axis=0, kind="stable")
+    key = key[order, columns]
+    distinct = np.zeros((N, m), dtype=bool)
+    distinct[:-1] = key[1:] > key[:-1]
+    distinct[ends - 1] = False
+    cum = y[rows][order].cumsum(axis=0)
+    base = np.zeros((K, m), dtype=cum.dtype)
+    base[1:] = cum[ends[:-1] - 1]
+    pos = cum[ends - 1, 0] - base[:, 0]
+    left_pos = cum - base[node]
+    n = sizes[node][:, None]
+    left_n = (np.arange(1, N + 1) - starts[node])[:, None]
     right_n = n - left_n
-    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-    right_pos = total_pos - left_pos
-    lp = left_pos / left_n
-    rp = right_pos / right_n
-    lq = 1.0 - lp
-    rq = 1.0 - rp
-    gini_left = 1.0 - lp * lp - lq * lq
-    gini_right = 1.0 - rp * rp - rq * rq
-    weighted = (left_n * gini_left + right_n * gini_right) / n
-    gains = np.where(distinct & valid, parent - weighted, -np.inf)
-    at = gains.argmax(axis=0)  # first maximum -> lowest threshold
-    column_best = gains[at, columns]
-    j = int(column_best.argmax())  # first maximum -> lowest feature
-    gain = float(column_best[j])
-    # zero-gain splits are still taken (both children shrink, recursion
+    right_n[ends - 1] = 1  # no split after a node's last row; keeps the division finite
+    distinct &= (left_n >= min_leaf) & (right_n >= min_leaf)
+    weighted = (left_n * _gini(left_pos, left_n) + right_n * _gini(pos[node][:, None] - left_pos, right_n)) / n
+    gains = np.where(distinct, _gini(pos, sizes)[node][:, None] - weighted, -np.inf)
+    column_best = np.maximum.reduceat(gains, starts, axis=0)
+    best = column_best.argmax(axis=1)  # first maximum -> lowest feature
+    gain = column_best[np.arange(K), best]
+    # zero-gain splits are still taken (both children shrink, growth
     # terminates at pure or indistinguishable nodes); XOR-like patterns
     # need them to reach pure leaves
-    if not math.isfinite(gain):
-        return None
-    k = at[j]
-    return gain, int(feature_indices[j]), float((sv[k, j] + sv[k + 1, j]) / 2.0)
+    hit = gains[np.arange(N), best[node]] == gain[node]
+    k = np.minimum.reduceat(np.where(hit, np.arange(N), N), starts)  # first maximum -> lowest threshold
+    feature = features[np.arange(K), best]
+    threshold = (X[rows[order[k, best]], feature] + X[rows[order[k + 1, best]], feature]) / 2.0
+    return gain, feature, threshold
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     prediction: int = 0
     feature: int = -1
@@ -373,35 +402,93 @@ def _cut(node: _Node, depth: int) -> _Node:
                  _cut(node.left, depth - 1), _cut(node.right, depth - 1))
 
 
-def _grow_tree(X, y, config: TreeConfig, depth: int, rng, features_per_split) -> tuple[_Node, int]:
-    n = len(y)
-    pos = int(y.sum())  # labels are 0/1: one sum gives majority, emptiness and purity
-    node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
-    if pos in (0, n):
-        return node, depth
-    if config.max_depth is not None and depth >= config.max_depth:
-        return node, depth
+@dataclass(slots=True)
+class _Growing:
+    """A tree being grown: the depth reached so far, and the (node, rows,
+    label sum, depth) of each node still to split, the next preorder one on
+    top."""
+    depth: int = 0
+    stack: list = field(default_factory=list)
+
+
+def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_per_split=None) -> list[tuple[_Node, int]]:
+    """(root, depth) of the CART tree grown on X[rows], y[rows] for each
+    (rows, rng) of `samples`, each with len(X) rows.  A node that is neither
+    pure nor at the maximum depth draws `features_per_split` features from
+    its tree's `rng`, then takes its best split, if it has one.
+
+    The trees grow in lockstep, at most _STEP_ROWS // len(X) at once, so
+    that one node of each fits in a step of _STEP_ROWS rows.  A step takes
+    each open tree's next node in preorder, draws its features, searches all
+    the nodes taken in one `_best_splits` call and splits them.  So each
+    generator makes the draws of a depth-first recursion, in its order
+    (`tests/oracles.py` keeps that recursion).  A tree that draws nothing
+    gives up as many of its open nodes as the step's rows allow.
+    """
+    max_depth = config.max_depth
     n_features = X.shape[1]
-    if features_per_split is not None and rng is not None and features_per_split < n_features:
-        chosen = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
-    else:
-        chosen = np.arange(n_features)
-    found = _best_split(X, y, chosen, config.min_samples_leaf)
-    if found is None:
-        return node, depth
-    _, f, threshold = found
-    mask = X[:, f] <= threshold
-    node.feature = f
-    node.threshold = threshold
-    node.left, dl = _grow_tree(X[mask], y[mask], config, depth + 1, rng, features_per_split)
-    node.right, dr = _grow_tree(X[~mask], y[~mask], config, depth + 1, rng, features_per_split)
-    return node, max(dl, dr)
+    draws = features_per_split is not None and features_per_split < n_features
+    every_feature = np.arange(n_features)
+    width = max(1, _STEP_ROWS // len(X))
+    ranks = _value_ranks(X)
+
+    def plant(tree: _Growing, rows: np.ndarray, pos: int, depth: int) -> _Node:
+        n = len(rows)
+        node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
+        if depth > tree.depth:
+            tree.depth = depth
+        if 0 < pos < n and (max_depth is None or depth < max_depth):
+            tree.stack.append((node, rows, pos, depth))
+        return node
+
+    grown, growing = [], []  # growing: (tree, generator), so that a grown tree drops its generator
+    samples = iter(samples)
+    while True:
+        growing = [(tree, rng) for tree, rng in growing if tree.stack]
+        while len(growing) < width and (sample := next(samples, None)) is not None:
+            rows, rng = sample
+            tree = _Growing()
+            grown.append((plant(tree, rows, int(y[rows].sum()), 0), tree))
+            if tree.stack:
+                growing.append((tree, rng))
+        if not growing:
+            return [(root, tree.depth) for root, tree in grown]
+        taken, features, budget = [], [], _STEP_ROWS
+        for tree, rng in growing:
+            while tree.stack and (not taken or len(tree.stack[-1][1]) <= budget):
+                taken.append((tree, *tree.stack.pop()))
+                budget -= len(taken[-1][2])
+                if draws:
+                    chosen = rng.choice(n_features, size=features_per_split, replace=False)
+                    chosen.sort()
+                    features.append(chosen)
+                    break
+                features.append(every_feature)
+        sizes = np.array([len(item[2]) for item in taken])
+        rows = np.concatenate([item[2] for item in taken])
+        gain, feature, threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features),
+                                                config.min_samples_leaf)
+        go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+        go_right = ~go_left
+        starts = np.cumsum(sizes) - sizes
+        left_pos = np.add.reduceat(y[rows] * go_left, starts).tolist()
+        bounds = np.append(starts, len(rows)).tolist()
+        for i, ((tree, node, node_rows, pos, depth), g, f, t) in enumerate(
+                zip(taken, gain.tolist(), feature.tolist(), threshold.tolist())):
+            if g == -math.inf:
+                continue
+            node.feature = f
+            node.threshold = t
+            a, b = bounds[i], bounds[i + 1]
+            # the right child first, so that the left one is next in preorder
+            node.right = plant(tree, node_rows[go_right[a:b]], pos - left_pos[i], depth + 1)
+            node.left = plant(tree, node_rows[go_left[a:b]], left_pos[i], depth + 1)
 
 
 def train_tree(rows: list[FeatureRow], config: TreeConfig = TreeConfig()) -> TreeModel:
     X_raw, y = _matrix(rows)
     scaler = MinMaxScaler.fit(X_raw)
-    root, depth = _grow_tree(scaler.transform(X_raw), y, config, 0, None, None)
+    [(root, depth)] = _grow(scaler.transform(X_raw), y, config, [(np.arange(len(rows)), None)])
     return TreeModel(root=root, scaler=scaler, config=config, depth=depth)
 
 
@@ -460,17 +547,14 @@ def train_forest(rows: list[FeatureRow], config: ForestConfig = ForestConfig()) 
     X = scaler.transform(X_raw)
     n = len(rows)
     tree_cfg = TreeConfig(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
-    roots = []
-    for child_seq in np.random.SeedSequence(config.seed).spawn(config.trees):
-        rng = np.random.default_rng(child_seq)
-        if config.bootstrap:
-            idx = rng.integers(0, n, n)
-            Xb, yb = X[idx], y[idx]
-        else:
-            Xb, yb = X, y
-        root, _ = _grow_tree(Xb, yb, tree_cfg, 0, rng, config.features_per_split)
-        roots.append(root)
-    return ForestModel(roots=roots, scaler=scaler, config=config)
+
+    def samples():
+        for child_seq in np.random.SeedSequence(config.seed).spawn(config.trees):
+            rng = np.random.default_rng(child_seq)
+            yield (rng.integers(0, n, n) if config.bootstrap else np.arange(n)), rng
+
+    grown = _grow(X, y, tree_cfg, samples(), config.features_per_split)
+    return ForestModel(roots=[root for root, _ in grown], scaler=scaler, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -621,13 +705,17 @@ def run_approach2(
     per_project: dict[str, dict] = {}
     for i, plan in enumerate(plans):
         held_out = plan.testProjects[0]
-        train_rows = _rows_for(rows, plan.trainProjects)
         test_rows = _rows_for(rows, plan.testProjects)
+        try:
+            train_os = oversample(_rows_for(rows, plan.trainProjects), seed + i)
+        except SingleClass as err:
+            train_os, failure = None, err
         entry: dict = {}
         for name in classifiers:
             trainer, grid = _TRAINERS[name]
             try:
-                train_os = oversample(train_rows, seed + i)
+                if train_os is None:
+                    raise failure  # every classifier of the fold fails as oversampling did
                 model = trainer(train_os, _with_seed(grid[0], seed + i))
                 report = evaluate(
                     model, test_rows, classifier=name, undefined_as=float("nan")

@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from methodlens.java_extract import KEYWORDS, WORD_LITERALS, LexicalError
-from methodlens.ml import LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss, _gini, _matrix
+from methodlens.ml import LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss, TreeConfig, _matrix, _Node
 
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
@@ -174,6 +174,13 @@ def tokenize_reference(source: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+def _gini(pos: float, total: float) -> float:
+    if total <= 0:
+        return 0.0
+    p = pos / total
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
 def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf: int):
     """(gain, feature, threshold) of the best Gini split, or None, searching
     one feature at a time.
@@ -217,6 +224,35 @@ def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf
             threshold = float((sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0)
             best = (gain, int(f), threshold)
     return best
+
+
+def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_split) -> tuple[_Node, int]:
+    """(root, depth) of the CART tree on X, y, grown by depth-first
+    recursion, one node and one `best_split_reference` at a time; a node
+    that is neither pure nor at the maximum depth draws its features from
+    `rng` before it is searched."""
+    n = len(y)
+    pos = int(y.sum())
+    node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
+    if pos in (0, n):
+        return node, depth
+    if config.max_depth is not None and depth >= config.max_depth:
+        return node, depth
+    n_features = X.shape[1]
+    if features_per_split is not None and rng is not None and features_per_split < n_features:
+        chosen = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+    else:
+        chosen = np.arange(n_features)
+    found = best_split_reference(X, y, chosen, config.min_samples_leaf)
+    if found is None:
+        return node, depth
+    _, f, threshold = found
+    mask = X[:, f] <= threshold
+    node.feature = f
+    node.threshold = threshold
+    node.left, dl = grow_tree_reference(X[mask], y[mask], config, depth + 1, rng, features_per_split)
+    node.right, dr = grow_tree_reference(X[~mask], y[~mask], config, depth + 1, rng, features_per_split)
+    return node, max(dl, dr)
 
 
 def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) -> LogisticModel:

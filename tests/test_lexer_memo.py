@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from methodlens import java_extract
+from methodlens import history, java_extract
 from methodlens.gitrepo import GitRepo
-from methodlens.java_extract import LexicalError, tokenize
+from methodlens.java_extract import ExtractionError, LexicalError, extract_methods, normalize_source, tokenize
 from methodlens.pipeline import PipelineConfig, run_stage
 from oracles import tokenize_reference
 from repo_builder import build_layout_repo, commit_files, init_repo
@@ -93,6 +93,55 @@ def test_trace_lexes_every_version_as_the_reference_does(name, versions, errors,
     run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, ledger["snapshot"])
     # the versions trace extracted, in trace order, each file's through one memo
     assert (len(outcomes), sum(outcomes), len({id(memo) for memo in memos})) == (versions, errors, files)
+
+
+# --- body blocks lexed through the file's memo ------------------------------
+
+@pytest.mark.parametrize("name, compared", [("fixture", 53), ("layout", 15), ("small", 12)])
+def test_every_body_block_is_the_same_through_its_files_memo(name, compared, request):
+    """Each declaration of every version on the chain: its body block lexed
+    alone, and lexed through the memo its file's versions are lexed through
+    (newest first, as trace walks them)."""
+    ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_repo",
+                                      "small": "small_history"}[name])
+    git = GitRepo(str(ledger["repo"]))
+    chain, _ = git.first_parent_history(ledger["snapshot"])
+    versions: dict[str, dict[str, None]] = {}  # path -> its blob ids, newest first
+    for commit in chain:
+        for path, blob in git.ls_tree(commit.id).items():
+            versions.setdefault(path, {})[blob] = None
+    texts = git.read_blobs(blob for blobs in versions.values() for blob in blobs)
+    seen = 0
+    for path, blobs in versions.items():
+        memo = {}
+        for blob in blobs:
+            try:
+                declarations = extract_methods(normalize_source(path, texts[blob]), memo)
+            except (ExtractionError, LexicalError):
+                continue
+            for decl in declarations:
+                assert history._find_body_block(decl, memo) == history._find_body_block(decl), (path, decl.name)
+                seen += 1
+    assert seen == compared
+
+
+def test_trace_lexes_body_blocks_through_the_open_files_memo(fixture_repo, tmp_path, monkeypatch):
+    find = history._find_body_block
+    hits = []
+
+    def checked(decl, memo=None):
+        alone = find(decl)
+        assert find(decl, memo) == alone
+        hits.append(sum(line in memo for line in decl.bodyText.split("\n")))
+        return alone
+
+    monkeypatch.setattr(history, "_find_body_block", checked)
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"], out=str(tmp_path),
+                            project="p")
+    git = GitRepo(config.repo)
+    run_stage("extract", config, {}, git, fixture_repo["snapshot"])
+    run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, fixture_repo["snapshot"])
+    assert hits and all(hits)  # every body block lexed, each through a memo that knew some of its lines
 
 
 # --- seeded edit sequences -------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 from methodlens import ml
 from methodlens.ml import (
+    CLASSIFIER_NAMES,
     EmptyTestSet,
     FeatureRow,
     ForestConfig,
@@ -28,7 +30,7 @@ from methodlens.ml import (
 )
 from methodlens.metrics import METRIC_NAMES
 
-from oracles import best_split_reference, train_logistic_reference
+from oracles import best_split_reference, grow_tree_reference, train_logistic_reference
 from synth import labeled, metric_vector, separable_corpus
 
 
@@ -355,6 +357,22 @@ def test_approach2_heldout_without_ugly_flags_nan_recall():
     assert "recall_ugly_undefined" in report.perClass["ugly"].flags
 
 
+def test_approach2_oversamples_each_fold_once_and_fails_every_classifier_of_a_one_class_fold(monkeypatch, caplog):
+    methods = separable_corpus(projects=3, per_project=25, seed=6)
+    # only proj0 keeps ugly rows, so the fold that holds it out trains on one class
+    methods = [m for m in methods if m.identity.project == "proj0" or m.label != "ugly"]
+    seeds = []
+    real = ml.oversample
+    monkeypatch.setattr(ml, "oversample", lambda rows, seed: seeds.append(seed) or real(rows, seed))
+    with caplog.at_level(logging.WARNING, logger="methodlens.ml"):
+        outcome = run_approach2(methods, seed=3)
+    assert seeds == [3, 4, 5]
+    assert outcome["projects"]["proj0"] == {"logistic": None, "tree": None, "forest": None}
+    assert all(report is not None for held in ("proj1", "proj2") for report in outcome["projects"][held].values())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"project proj0: {name} failed: oversampling needs both classes present" for name in CLASSIFIER_NAMES]
+
+
 def test_approach2_composes_like_manual_splits():
     methods = separable_corpus(projects=3, per_project=25, seed=9)
     outcome = run_approach2(methods, classifiers=("tree",), seed=0)
@@ -382,24 +400,42 @@ def _noisy_rows(n, seed, ties=False, project="p0"):
                        "ugly" if ugly[i] else "good") for i in range(n)]
 
 
+def _found(gain, feature, threshold):
+    return None if gain == -math.inf else (gain.hex(), feature, threshold.hex())
+
+
 def test_best_split_equals_the_per_feature_reference():
+    """Each node of a batched search finds the split a search of that node
+    alone finds, feature by feature."""
     rng = np.random.default_rng(11)
-    found = 0
-    for case in range(150):
-        n = int(rng.integers(2, 121))
+    found = searched = 0
+    for case in range(60):
+        # the last cases search many nodes of a large X
+        wide = case >= 56
+        n = 1700 if wide else int(rng.integers(2, 121))
         X = rng.normal(size=(n, 6))
         if case % 2 == 0:
             X = np.round(X * 2) / 2  # heavy ties
         X[:, case % 6] = 0.25  # a constant column
-        if case % 25 == 0:
-            X[:] = 1.0  # nothing to split on
         y = (rng.random(n) < 0.4).astype(int)
-        feats = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
+        nodes = []
+        for _ in range(45 if wide else int(rng.integers(1, 7))):
+            size = int(rng.integers(2, 40 if wide else n + 2))
+            # sampled with repeats, as a bootstrap is, or one row repeated:
+            # nothing to split on
+            nodes.append(np.full(size, rng.integers(n)) if rng.random() < 0.1 else rng.integers(0, n, size))
+        m = int(rng.integers(1, 7))
+        features = np.array([np.sort(rng.choice(6, size=m, replace=False)) for _ in nodes])
+        rows, sizes = np.concatenate(nodes), np.array([len(node) for node in nodes])
         for min_leaf in (1, 3):
-            expected = best_split_reference(X, y, feats, min_leaf)
-            assert ml._best_split(X, y, feats, min_leaf) == expected, (case, min_leaf)
-            found += expected is not None
-    assert 0 < found < 300
+            gain, feature, threshold = ml._best_splits(X, ml._value_ranks(X), y, rows, sizes, features, min_leaf)
+            for i, node in enumerate(nodes):
+                expected = best_split_reference(X[node], y[node], features[i], min_leaf)
+                got = _found(float(gain[i]), int(feature[i]), float(threshold[i]))
+                assert got == (expected and _found(*expected)), (case, i, min_leaf)
+                found += expected is not None
+                searched += 1
+    assert 0 < found < searched
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -456,6 +492,85 @@ def test_a_config_that_cannot_be_read_off_is_rejected():
         train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=6, seed=1))
     with pytest.raises(ValueError):
         train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=3, seed=2))
+
+
+# --- the lockstep grower against the depth-first recursion, node for node
+
+def _tough_rows(n, seed):
+    """`_noisy_rows` with heavy ties and a constant column, whose last third
+    repeats the features of the first rows, every other one relabelled, so
+    that some nodes have nothing to split on."""
+    rows = _noisy_rows(n, seed=seed, ties=True)
+    for i in range(n // 3):
+        label = rows[i].label if i % 2 else {"good": "ugly", "ugly": "good"}[rows[i].label]
+        rows[n - 1 - i] = dataclasses.replace(rows[n - 1 - i], features=rows[i].features, label=label)
+    return rows
+
+
+def _reference_forest(rows, config):
+    X_raw, y = ml._matrix(rows)
+    X = ml.MinMaxScaler.fit(X_raw).transform(X_raw)
+    tree_config = TreeConfig(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
+    roots = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.trees):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, len(y), len(y)) if config.bootstrap else np.arange(len(y))
+        roots.append(grow_tree_reference(X[idx], y[idx], tree_config, 0, rng, config.features_per_split)[0])
+    return roots
+
+
+def _assert_grown_as_the_recursion(rows, max_depth, min_leaf, forests):
+    config = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    X_raw, y = ml._matrix(rows)
+    root, depth = grow_tree_reference(ml.MinMaxScaler.fit(X_raw).transform(X_raw), y, config, 0, None, None)
+    tree = train_tree(rows, config)
+    assert (_exact_shape(tree.root), tree.depth) == (_exact_shape(root), depth)
+    for forest_config in forests:
+        forest = train_forest(rows, forest_config)
+        expected = [_exact_shape(root) for root in _reference_forest(rows, forest_config)]
+        assert [_exact_shape(root) for root in forest.roots] == expected, forest_config
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 150])
+def test_lockstep_trees_and_forests_equal_the_recursion_node_for_node(n, max_depth):
+    rows = _tough_rows(n, seed=n)
+    for min_leaf in (1, 3):
+        _assert_grown_as_the_recursion(rows, max_depth, min_leaf, [
+            ForestConfig(trees=3, features_per_split=features, seed=n + k, bootstrap=bootstrap,
+                         max_depth=max_depth, min_samples_leaf=min_leaf)
+            for k, features in enumerate((None, 1, 4, 17)) for bootstrap in (True, False)])
+
+
+def test_a_root_larger_than_a_step_grows_as_the_recursion_grows_it():
+    rows = _tough_rows(ml._STEP_ROWS + 76, seed=5)
+    _assert_grown_as_the_recursion(rows, None, 1, [ForestConfig(trees=2, seed=3),
+                                                   ForestConfig(trees=1, features_per_split=None, seed=4)])
+
+
+def test_no_batched_search_holds_more_than_the_step_rows_unless_it_is_one_node(monkeypatch):
+    calls = []
+    search = ml._best_splits
+
+    def recording(X, ranks, y, rows, sizes, *rest):
+        calls.append((len(rows), len(sizes)))
+        return search(X, ranks, y, rows, sizes, *rest)
+
+    monkeypatch.setattr(ml, "_best_splits", recording)
+    drawing = {}
+    for n in (60, 150, ml._STEP_ROWS + 76):
+        rows = _tough_rows(n, seed=n)
+        train_tree(rows)
+        train_forest(rows, ForestConfig(trees=10, features_per_split=None, seed=2))
+        start = len(calls)
+        train_forest(rows, ForestConfig(trees=30, seed=1))
+        drawing[n] = max(nodes for _, nodes in calls[start:])
+    assert all(searched <= ml._STEP_ROWS or nodes == 1 for searched, nodes in calls)
+    assert any(searched > ml._STEP_ROWS for searched, _ in calls)  # the large roots, alone
+    assert max(nodes for _, nodes in calls) > 20  # the nodes of many trees, or of one tree's level
+    # a tree that draws features gives one node to a search, and at most
+    # _STEP_ROWS // n trees grow at once
+    assert drawing == {n: max(1, ml._STEP_ROWS // n) for n in drawing}
 
 
 def test_approach1_trains_each_tree_grid_once_and_tunes_as_training_every_config(monkeypatch):

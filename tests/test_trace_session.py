@@ -46,7 +46,7 @@ def test_match_method_lexes_each_declaration_once(monkeypatch):
     target = extract_methods(normalize_source("A.java", source.replace("m3(", "renamed(")))[3]
     lexed = []
     real_tokenize = history.tokenize
-    monkeypatch.setattr(history, "tokenize", lambda text: lexed.append(text) or real_tokenize(text))
+    monkeypatch.setattr(history, "tokenize", lambda text, memo=None: lexed.append(text) or real_tokenize(text, memo))
     for _ in range(2):
         assert match_method(prev, target, TraceConfig()).name == "m3"
     assert len(lexed) == len(set(lexed)) <= len(prev) + 1
