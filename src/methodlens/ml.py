@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -206,7 +208,7 @@ class LogisticModel:
     bias: float
     scaler: MinMaxScaler
     config: LogisticConfig
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: array = field(default_factory=lambda: array("d"))  # the loss of each step, as float64
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return self.scaler.transform(X) @ self.weights + self.bias
@@ -215,44 +217,138 @@ class LogisticModel:
         return (self.decision(X) > 0).astype(int)
 
 
-def train_logistic(rows: list[FeatureRow], config: LogisticConfig = LogisticConfig()) -> LogisticModel:
-    """Full-batch gradient descent on L2-regularized log-loss, zero init.
+def _stack(fits, W: np.ndarray):
+    """The arrays of a lockstep descent of `fits`, (X, y, config) of each in
+    ascending row count, whose weights are the rows of W.
 
-    Each step is the plain `np.mean`/`np.clip` step in the same operation
-    order (`tests/oracles.py` keeps it): a mean is `np.add.reduce` followed
-    by the division by n, and the clip is maximum then minimum, so the
-    weights, bias and losses are bit-identical to it."""
-    X_raw, y01 = _matrix(rows)
-    scaler = MinMaxScaler.fit(X_raw)
-    X = scaler.transform(X_raw)
-    y = np.where(y01 == 1, 1.0, -1.0)
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    loss_l2 = config.l2 / (2.0 * n)
-    grad_l2 = config.l2 / n
-    rate = config.learning_rate
-    tol = config.tol
-    weighted = np.empty_like(X)
-    add, exp, logaddexp = np.add.reduce, np.exp, np.logaddexp
-    maximum, minimum, multiply = np.maximum, np.minimum, np.multiply
-    losses: list[float] = []
-    for _ in range(config.max_iter):
-        yz = y * (X @ w + b)
-        loss = float(add(logaddexp(0.0, -yz)) / n + loss_l2 * float(w @ w))
-        if not math.isfinite(loss):
-            raise NonFiniteLoss("logistic training diverged")
-        if losses and abs(losses[-1] - loss) < tol:
-            losses.append(loss)
-            break
-        losses.append(loss)
-        ys = y * (1.0 / (1.0 + exp(minimum(maximum(yz, -500.0), 500.0))))  # y * sigma(-y*z)
-        multiply(X, ys[:, None], out=weighted)
-        grad_w = -(add(weighted, axis=0) / n) + grad_l2 * w
-        grad_b = float(-(add(ys) / n))
-        w = w - rate * grad_w
-        b = b - rate * grad_b
-    return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)
+    Fit i's rows are X[i, :n_i] and its labels Y[i, :n_i].  Its pad rows are
+    -0.0 with label +1, so a pad row's term of the weight gradient, -0.0
+    times a positive y * sigma, is -0.0.  The gradient's sum over rows adds
+    row after row, so the pad terms come after the fit's own rows, and
+    adding -0.0 leaves a sum's bits as they are.  A step writes each fit's
+    log-loss terms and y * sigma(-y*z) into terms_ys[0] and terms_ys[1].
+    The fits of one row count m are a slice a:b of the stack.  They share
+    one stacked `matmul` of X[a:b, :m] and W[a:b] into z[a:b, :m], a BLAS
+    gemv per entry as `X @ w` is for one fit, and a span (:, a:b, :m) of
+    terms_ys, or `...` when they are the whole stack, whose `add.reduce`
+    over rows gives each fit's two 1-D pairwise sums.  n, l2 / n and the
+    learning rate are repeated along each fit's weights, so that the
+    update's operations take arrays of one shape."""
+    k, d = W.shape
+    n = [len(y) for _, y, _ in fits]
+    X = np.full((k, n[-1], d), -0.0)
+    Y = np.ones((k, n[-1]))
+    for i, (X_i, y, _) in enumerate(fits):
+        X[i, :n[i]] = X_i
+        Y[i, :n[i]] = y
+    z = np.zeros((k, n[-1], 1))
+    products, spans = [], []
+    a = 0
+    for b in range(1, k + 1):
+        if b == k or n[b] != n[a]:
+            products.append((X[a:b, :n[a]], W[a:b, :, None], z[a:b, :n[a]]))
+            spans.append(... if b - a == k else (slice(None), slice(a, b), slice(0, n[a])))
+            a = b
+    columns = (n, [config.l2 / m for (_, _, config), m in zip(fits, n)], [config.learning_rate for _, _, config in fits])
+    n_w, grad_l2, rate_w = (np.repeat(np.array(column, dtype=float)[:, None], d, axis=1) for column in columns)
+    return X, Y, z[:, :, 0], np.empty((2, k, n[-1])), products, spans, n_w, grad_l2, rate_w
+
+
+def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[LogisticModel | NonFiniteLoss]:
+    """One model per `(rows, config)` of `fits`, in order: full-batch
+    gradient descent on L2-regularized log-loss from zero weights.  A fit
+    whose loss turns non-finite gets the `NonFiniteLoss` it stopped with in
+    place of a model.
+
+    The fits descend in lockstep (`_stack`): each step makes one set of
+    numpy calls for all the fits still descending.  A fit leaves at the step
+    where it would stop alone: at `tol` convergence with its weights before
+    the step, at `max_iter`, or on a non-finite loss.  Each fit's step is the
+    plain `np.mean`/`np.clip` step in the same operation order
+    (`tests/oracles.py` keeps it): a mean is `np.add.reduce` followed by the
+    division by n, the clip is maximum then minimum, and the loss and bias
+    are Python floats.  Two rewrites are exact: a label is +1 or -1, so
+    `y * (1 / q)` is `y / q`, and `-a + b` is `b - a`.  So every fit's
+    weights, bias and losses are bit-identical to the one-fit step's."""
+    prepared, scalers = [], []
+    for rows, config in fits:
+        X_raw, y01 = _matrix(rows)
+        scalers.append(MinMaxScaler.fit(X_raw))
+        prepared.append((scalers[-1].transform(X_raw), np.where(y01 == 1, 1.0, -1.0), config))
+    results: list = [None] * len(prepared)
+    histories = [array("d") for _ in prepared]
+    steps = [0] * len(prepared)
+    live = sorted(range(len(prepared)), key=lambda j: len(prepared[j][1]))  # fit ids, in stack order
+    W = np.zeros((len(live), prepared[0][0].shape[1])) if live else None
+    biases = [0.0] * len(live)
+    add, exp, logaddexp, matmul = np.add.reduce, np.exp, np.logaddexp, np.matmul
+    divide, maximum, minimum, multiply = np.divide, np.maximum, np.minimum, np.multiply
+    step, ys = 0, None
+    while live:
+        # stack the fits still descending.  ys is None when a step starts; when fits
+        # leave in mid-step, ys and stepped hold the others' y * sigma(-y*z) and
+        # biases after the step, which their update still needs
+        X, Y, z, terms_ys, products, spans, n_w, grad_l2, rate_w = _stack([prepared[j] for j in live], W)
+        configs = [prepared[j][2] for j in live]
+        per_fit = [(len(prepared[j][1]), config.l2 / (2.0 * len(prepared[j][1])), config.learning_rate, histories[j],
+                    config.tol) for j, config in zip(live, configs)]
+        stop = min(config.max_iter for config in configs)
+        w_row, w_col = W[:, None, :], W[:, :, None]
+        weighted = np.empty_like(X)
+        terms, ys_rows = terms_ys
+        leaving = []
+        while True:
+            if ys is None:
+                if step == stop:
+                    leaving = [i for i, config in enumerate(configs) if config.max_iter == step]
+                    for i in leaving:
+                        steps[live[i]] = step
+                    break
+                for X_m, w_m, z_m in products:
+                    matmul(X_m, w_m, out=z_m)
+                yz = Y * (z + np.array(biases)[:, None])
+                logaddexp(0.0, -yz, out=terms)
+                ys = divide(Y, 1.0 + exp(minimum(maximum(yz, -500.0), 500.0)), out=ys_rows)
+                loss_sums, ys_sums = [], []
+                for span in spans:
+                    loss_sums_m, ys_sums_m = add(terms_ys[span], axis=2).tolist()
+                    loss_sums += loss_sums_m
+                    ys_sums += ys_sums_m
+                ww = matmul(w_row, w_col).ravel().tolist()
+                stepped = []  # each fit's bias after this step
+                for i, (s, s_ys, b, q, (m, l2, rate, history, tol)) in enumerate(
+                        zip(loss_sums, ys_sums, biases, ww, per_fit)):
+                    loss = s / m + l2 * q
+                    stepped.append(b - rate * -(s_ys / m))
+                    if not math.isfinite(loss):
+                        results[live[i]] = NonFiniteLoss("logistic training diverged")
+                    elif history and abs(history[-1] - loss) < tol:
+                        history.append(loss)
+                    else:
+                        history.append(loss)
+                        continue
+                    leaving.append(i)
+                    steps[live[i]] = step + 1
+                if leaving:
+                    break
+            W -= rate_w * (grad_l2 * W - add(multiply(X, ys[:, :, None], out=weighted), axis=1) / n_w)
+            biases = stepped
+            step += 1
+            ys = None
+        for i in leaving:
+            if results[live[i]] is None:
+                results[live[i]] = LogisticModel(weights=W[i].copy(), bias=biases[i], scaler=scalers[live[i]],
+                                                 config=configs[i], loss_history=histories[live[i]])
+        keep = [i for i in range(len(live)) if i not in leaving]
+        live, W, biases = [live[i] for i in keep], W[keep], [biases[i] for i in keep]
+        if ys is not None and live:
+            ys, stepped = ys[keep, :len(prepared[live[-1]][1])], [stepped[i] for i in keep]
+    row_counts = len({len(y) for _, y, _ in prepared})
+    diverged = sum(isinstance(result, NonFiniteLoss) for result in results)
+    log.info("logistic: %d fit%s, %d row-count group%s, steps %s%s", len(results), "" if len(results) == 1 else "s",
+             row_counts, "" if row_counts == 1 else "s", "/".join(map(str, steps)),
+             f", {diverged} diverged" if diverged else "")
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +459,61 @@ class _Node:
         return self.left is None
 
 
+@dataclass(frozen=True)
+class _FlatTrees:
+    """Trees as arrays, each tree in preorder after the one before: node i
+    sends a row x to left[i] if x[feature[i]] <= threshold[i], else to
+    right[i], and predicts prediction[i].  A leaf is its own left and right
+    child.  `roots` holds each tree's first node, and `depth` the depth of
+    the deepest leaf."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prediction: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def of(cls, roots: list[_Node]) -> "_FlatTrees":
+        feature, threshold, left, right, prediction = array("q"), array("d"), array("q"), array("q"), array("q")
+        starts, depth = [], 0
+        for root in roots:
+            starts.append(len(prediction))
+            stack = [(root, -1, 0)]  # (node, its parent if it is a right child, its depth)
+            while stack:
+                node, parent, level = stack.pop()
+                i = len(prediction)
+                if parent >= 0:
+                    right[parent] = i
+                prediction.append(node.prediction)
+                if node.left is None:
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(i)
+                    right.append(i)
+                    if level > depth:
+                        depth = level
+                else:
+                    feature.append(node.feature)
+                    threshold.append(node.threshold)
+                    left.append(i + 1)
+                    right.append(-1)
+                    stack.append((node.right, i, level + 1))
+                    stack.append((node.left, -1, level + 1))
+        return cls(np.array(feature), np.array(threshold), np.array(left), np.array(right), np.array(prediction),
+                   np.array(starts, dtype=np.intp), depth)
+
+    def leaves(self, Xs: np.ndarray) -> np.ndarray:
+        """The leaf each row of Xs reaches in each tree, a rows × trees array:
+        all rows move down one level of all trees per step."""
+        node = np.broadcast_to(self.roots, (len(Xs), len(self.roots)))
+        rows = np.arange(len(Xs))[:, None]
+        for _ in range(self.depth):
+            node = np.where(Xs[rows, self.feature[node]] <= self.threshold[node], self.left[node], self.right[node])
+        return node
+
+
 @dataclass
 class TreeModel:
     root: _Node
@@ -370,15 +521,13 @@ class TreeModel:
     config: TreeConfig
     depth: int
 
+    @cached_property
+    def _flat(self) -> "_FlatTrees":
+        return _FlatTrees.of([self.root])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        Xs = self.scaler.transform(X)
-        out = np.empty(len(Xs), dtype=int)
-        for i, x in enumerate(Xs):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        flat = self._flat
+        return flat.prediction[flat.leaves(self.scaler.transform(X))[:, 0]]
 
     def truncated(self, config: TreeConfig) -> "TreeModel":
         """The tree `train_tree` grows under `config` on this tree's rows, cut
@@ -517,15 +666,13 @@ class ForestModel:
     scaler: MinMaxScaler
     config: ForestConfig
 
+    @cached_property
+    def _flat(self) -> "_FlatTrees":
+        return _FlatTrees.of(self.roots)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        Xs = self.scaler.transform(X)
-        votes = np.zeros(len(Xs), dtype=int)
-        for root in self.roots:
-            for i, x in enumerate(Xs):
-                node = root
-                while not node.is_leaf:
-                    node = node.left if x[node.feature] <= node.threshold else node.right
-                votes[i] += node.prediction
+        flat = self._flat
+        votes = flat.prediction[flat.leaves(self.scaler.transform(X))].sum(axis=1)
         # strict majority for 'ugly'; ties go to 'good'
         return (votes * 2 > len(self.roots)).astype(int)
 
@@ -648,13 +795,17 @@ _READ_OFF = {"tree": TreeModel.truncated, "forest": ForestModel.prefix}
 
 def _grid_models(name: str, rows: list[FeatureRow], seed: int) -> list[tuple]:
     """(config, model) for each config of the classifier's grid, in grid
-    order.  Logistic regression trains each config; the tree and forest
-    grids are read off one trained model, which gives the models training
-    each config would."""
+    order.  Logistic regression trains every config in one lockstep call;
+    the tree and forest grids are read off one trained model, which gives
+    the models training each config would."""
     trainer, grid = _TRAINERS[name]
     read_off = _READ_OFF.get(name)
     if read_off is None:
-        return [(config, trainer(rows, _with_seed(config, seed))) for config in grid]
+        models = trainer([(rows, config) for config in grid])
+        for model in models:
+            if isinstance(model, NonFiniteLoss):
+                raise model
+        return list(zip(grid, models))
     widest = trainer(rows, _with_seed(grid[0], seed))
     return [(grid[0], widest)] + [(config, read_off(widest, _with_seed(config, seed))) for config in grid[1:]]
 
@@ -702,21 +853,30 @@ def run_approach2(
     plot-ready per-project precision/recall points."""
     rows = build_feature_rows(methods)
     plans = leave_one_out_plans({r.projectId for r in rows})
-    per_project: dict[str, dict] = {}
+    folds = []  # (held-out project, test rows, oversampled training rows or the SingleClass it failed with)
     for i, plan in enumerate(plans):
-        held_out = plan.testProjects[0]
-        test_rows = _rows_for(rows, plan.testProjects)
         try:
             train_os = oversample(_rows_for(rows, plan.trainProjects), seed + i)
         except SingleClass as err:
-            train_os, failure = None, err
+            train_os = err
+        folds.append((plan.testProjects[0], _rows_for(rows, plan.testProjects), train_os))
+    # logistic regression trains every fold that oversampled in one lockstep call
+    logistic = {}
+    if "logistic" in classifiers:
+        trainer, grid = _TRAINERS["logistic"]
+        trained = [i for i, (_, _, train_os) in enumerate(folds) if not isinstance(train_os, SingleClass)]
+        logistic = dict(zip(trained, trainer([(folds[i][2], grid[0]) for i in trained])))
+    per_project: dict[str, dict] = {}
+    for i, (held_out, test_rows, train_os) in enumerate(folds):
         entry: dict = {}
         for name in classifiers:
             trainer, grid = _TRAINERS[name]
             try:
-                if train_os is None:
-                    raise failure  # every classifier of the fold fails as oversampling did
-                model = trainer(train_os, _with_seed(grid[0], seed + i))
+                if isinstance(train_os, SingleClass):
+                    raise train_os  # every classifier of the fold fails as oversampling did
+                model = logistic[i] if name == "logistic" else trainer(train_os, _with_seed(grid[0], seed + i))
+                if isinstance(model, NonFiniteLoss):
+                    raise model
                 report = evaluate(
                     model, test_rows, classifier=name, undefined_as=float("nan")
                 )

@@ -282,3 +282,26 @@ def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) ->
         w = w - config.learning_rate * grad_w
         b = b - config.learning_rate * grad_b
     return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)
+
+
+def _leaf_prediction(root: _Node, x) -> int:
+    node = root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.prediction
+
+
+def predict_tree_reference(model, X) -> np.ndarray:
+    """A `TreeModel`'s predictions, walking the tree once per row."""
+    return np.array([_leaf_prediction(model.root, x) for x in model.scaler.transform(X)], dtype=int)
+
+
+def predict_forest_reference(model, X) -> np.ndarray:
+    """A `ForestModel`'s predictions, walking every tree once per row: a
+    strict majority of the trees' votes for 'ugly', ties to 'good'."""
+    Xs = model.scaler.transform(X)
+    votes = np.zeros(len(Xs), dtype=int)
+    for root in model.roots:
+        for i, x in enumerate(Xs):
+            votes[i] += _leaf_prediction(root, x)
+    return (votes * 2 > len(model.roots)).astype(int)

@@ -29,7 +29,7 @@ from methodlens.history import (
 from methodlens.java_extract import extract_methods, normalize_source
 from methodlens.labeling import BugRuleConfig, bug_counts, label_methods, pareto_curve
 from methodlens.metrics import compute_metric_vector
-from methodlens.ml import run_approach1, train_logistic
+from methodlens.ml import LogisticConfig, run_approach1, train_logistic
 from methodlens.pipeline import (
     PipelineConfig,
     digest_file,
@@ -276,7 +276,7 @@ def test_criterion_7_ml(tmp_path):
 
     # no test leakage through the scaler
     rows = __import__("methodlens.ml", fromlist=["build_feature_rows"]).build_feature_rows(methods)
-    model = train_logistic(rows)
+    [model] = train_logistic([(rows, LogisticConfig())])
     import numpy as np
 
     from methodlens.metrics import METRIC_NAMES

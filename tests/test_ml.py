@@ -30,7 +30,13 @@ from methodlens.ml import (
 )
 from methodlens.metrics import METRIC_NAMES
 
-from oracles import best_split_reference, grow_tree_reference, train_logistic_reference
+from oracles import (
+    best_split_reference,
+    grow_tree_reference,
+    predict_forest_reference,
+    predict_tree_reference,
+    train_logistic_reference,
+)
 from synth import labeled, metric_vector, separable_corpus
 
 
@@ -177,7 +183,7 @@ def _separable_points(n=60):
 
 def test_logistic_separable_training_accuracy():
     rows = two_feature_rows(_separable_points())
-    model = train_logistic(rows)
+    [model] = train_logistic([(rows, LogisticConfig())])
     X = np.array([r.features for r in rows])
     y = np.array([1 if r.label == "ugly" else 0 for r in rows])
     accuracy = float((model.predict(X) == y).mean())
@@ -186,14 +192,14 @@ def test_logistic_separable_training_accuracy():
 
 def test_logistic_identical_features_predicts_majority():
     rows = [row(i, "good") for i in range(8)] + [row(i + 8, "ugly") for i in range(2)]
-    model = train_logistic(rows)
+    [model] = train_logistic([(rows, LogisticConfig())])
     X = np.array([rows[0].features])
     assert model.predict(X)[0] == 0  # majority class 'good'
 
 
 def test_logistic_loss_nonincreasing():
     rows = two_feature_rows(_separable_points(40))
-    model = train_logistic(rows, LogisticConfig(learning_rate=0.05, max_iter=500))
+    [model] = train_logistic([(rows, LogisticConfig(learning_rate=0.05, max_iter=500))])
     losses = model.loss_history
     assert len(losses) > 2
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -305,7 +311,7 @@ def test_evaluate_empty_test_set():
 
 def test_scaler_fit_on_training_rows_only():
     rows = two_feature_rows(_separable_points(30))
-    model = train_logistic(rows)
+    [model] = train_logistic([(rows, LogisticConfig())])
     size_idx = METRIC_NAMES.index("size")
     outlier = np.zeros((1, len(METRIC_NAMES)))
     outlier[0, size_idx] = 10_000.0  # far outside the training range
@@ -386,6 +392,101 @@ def test_approach2_composes_like_manual_splits():
         assert manual.confusion == outcome["projects"][held]["tree"].confusion
 
 
+def _with_nan_size(methods, project, index=3):
+    """`methods` with a NaN size in the index-th method of `project`."""
+    at = [i for i, m in enumerate(methods) if m.identity.project == project][index]
+    m = methods[at]
+    return methods[:at] + [dataclasses.replace(m, metrics=dataclasses.replace(m.metrics, size=math.nan))] + methods[at + 1:]
+
+
+def test_approach2_fails_exactly_the_logistic_folds_that_train_on_a_nan_feature(caplog):
+    methods = _with_nan_size(separable_corpus(projects=4, per_project=30, seed=5), "proj2")
+    with np.errstate(invalid="ignore"), caplog.at_level(logging.WARNING, logger="methodlens.ml"):
+        outcome = run_approach2(methods, classifiers=("logistic",), seed=2)
+    failed = ["proj0", "proj1", "proj3"]
+    assert [held for held, entry in outcome["projects"].items() if entry["logistic"] is None] == failed
+    assert [r.getMessage() for r in caplog.records] == [
+        f"project {held}: logistic failed: logistic training diverged" for held in failed]
+    rows = build_feature_rows(methods)
+    alone = train_logistic_reference(oversample([r for r in rows if r.projectId != "proj2"], seed=2 + 2),
+                                     LogisticConfig())
+    expected = evaluate(alone, [r for r in rows if r.projectId == "proj2"], undefined_as=float("nan"))
+    assert outcome["projects"]["proj2"]["logistic"].confusion == expected.confusion
+
+
+def test_approach1_still_raises_when_a_grid_fit_diverges(monkeypatch):
+    methods = separable_corpus(projects=5, per_project=30, seed=8)
+    monkeypatch.setitem(ml._TRAINERS, "logistic",
+                        (train_logistic, (LogisticConfig(), LogisticConfig(learning_rate=1e306))))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ml.NonFiniteLoss):
+        run_approach1(methods, seed=4, classifiers=("logistic",))
+
+
+def test_each_logistic_call_logs_its_fits_row_count_groups_and_steps(caplog):
+    methods = separable_corpus(projects=5, per_project=30, seed=8)
+    with caplog.at_level(logging.INFO, logger="methodlens.ml"):
+        run_approach1(methods, seed=4, classifiers=("logistic",))
+        run_approach2(methods, classifiers=("logistic",), seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "logistic: 3 fits, 1 row-count group, steps 5000/5000/1075",
+        "logistic: 5 fits, 5 row-count groups, steps 5000/5000/5000/5000/5000",
+    ]
+
+
+def _noisy_methods(projects, per_project):
+    """A corpus of `_noisy_rows` methods, whose trees grow deep."""
+    return [
+        labeled(i, project=f"proj{p}", label=row.label,
+                metrics=metric_vector(size=row.features[0], mccabe=row.features[1],
+                                      readability=row.features[2], halsteadLength=row.features[3]))
+        for p in range(projects)
+        for i, row in enumerate(_noisy_rows(per_project, seed=p, ties=p % 2 == 0), start=100 * p)
+    ]
+
+
+def _at_thresholds(model, Xs, limit=300):
+    """Scaled rows of Xs, each with one feature set to a split threshold of
+    the model's trees, so that the `<=` test of that node is an equality."""
+    stack = [model.root] if isinstance(model, ml.TreeModel) else list(model.roots)
+    rows = []
+    while stack and len(rows) < limit:
+        node = stack.pop()
+        if not node.is_leaf:
+            row = Xs[len(rows) % len(Xs)].copy()
+            row[node.feature] = node.threshold
+            rows.append(row)
+            stack += [node.left, node.right]
+    return np.array(rows)
+
+
+def test_tree_and_forest_predictions_equal_the_per_row_walk(monkeypatch):
+    """Every tree and forest approaches 1 and 2 evaluate predicts, on the
+    rows it is evaluated on, on every row (some with a NaN feature) and on
+    rows that sit on its split thresholds, what walking each tree once per
+    row predicts."""
+    methods = _noisy_methods(projects=4, per_project=40)
+    evaluated = []
+    real = ml.evaluate
+    monkeypatch.setattr(ml, "evaluate", lambda model, rows, **kw: evaluated.append((model, rows)) or real(model, rows, **kw))
+    run_approach1(methods, seed=5, classifiers=("tree", "forest"))
+    run_approach2(methods, classifiers=("tree", "forest"), seed=5)
+    every_row, _ = ml._matrix(build_feature_rows(methods))
+    with_nan = every_row.copy()
+    with_nan[::7, 0] = math.nan
+    unscaled = ml.MinMaxScaler(mins=(0.0,) * len(METRIC_NAMES), spans=(1.0,) * len(METRIC_NAMES))
+    kinds = Counter()
+    for model, rows in evaluated:
+        reference = predict_forest_reference if isinstance(model, ml.ForestModel) else predict_tree_reference
+        for X in (ml._matrix(rows)[0], every_row, with_nan):
+            assert np.array_equal(model.predict(X), reference(model, X))
+        on_splits = dataclasses.replace(model, scaler=unscaled)
+        X = _at_thresholds(model, model.scaler.transform(every_row))
+        assert np.array_equal(on_splits.predict(X), reference(on_splits, X))
+        kinds[type(model).__name__] += 1
+    # approach 1: each grid on validation, the best on test; approach 2: one per fold
+    assert kinds == {"TreeModel": 3 + 1 + 4, "ForestModel": 2 + 1 + 4}
+
+
 # --- exactness: the kernels against their reference loops, the grids read off one model
 
 def _noisy_rows(n, seed, ties=False, project="p0"):
@@ -443,11 +544,75 @@ def test_train_logistic_equals_the_mean_and_clip_reference(case):
     n = (2, 7, 31, 120, 64, 15, 90, 3)[case]
     rows = _noisy_rows(n, seed=case, ties=case % 2 == 0)
     config = LogisticConfig(l2=(1.0, 0.1, 10.0)[case % 3], max_iter=5000 if case < 2 else 600)
-    got = train_logistic(rows, config)
+    [got] = train_logistic([(rows, config)])
     expected = train_logistic_reference(rows, config)
     assert got.weights.tobytes() == expected.weights.tobytes()
     assert got.bias.hex() == expected.bias.hex()
     assert [v.hex() for v in got.loss_history] == [v.hex() for v in expected.loss_history]
+
+
+def _assert_as_the_reference(model, rows, config):
+    expected = train_logistic_reference(rows, config)
+    assert model.config == config
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.bias.hex() == expected.bias.hex()
+    assert [v.hex() for v in model.loss_history] == [v.hex() for v in expected.loss_history]
+
+
+# (row count, config) of each fit of one lockstep call
+_BATCHES = {
+    "the grid, one row count": [(64, config) for config in ml.LOGISTIC_GRID],
+    "every row count differs": [
+        (130, LogisticConfig(l2=0.1, max_iter=400, tol=0.0)),
+        (2, LogisticConfig(l2=1.0, tol=1e-6)),
+        (64, LogisticConfig(l2=10.0, learning_rate=0.5, max_iter=3000, tol=1e-7)),
+        (3, LogisticConfig(l2=0.1, max_iter=0)),
+    ],
+    "row counts repeat": [
+        (3, LogisticConfig(tol=1e-4)),
+        (64, LogisticConfig(l2=0.1, max_iter=900)),
+        (3, LogisticConfig(l2=10.0, max_iter=50)),
+        (64, LogisticConfig(tol=1e-5)),
+    ],
+}  # a batch of one: test_train_logistic_equals_the_mean_and_clip_reference
+
+
+@pytest.mark.parametrize("batch", list(_BATCHES))
+def test_lockstep_fits_equal_the_one_fit_reference(batch):
+    """Each fit of one call is bit-identical to training it alone with the
+    mean-and-clip step; the rows carry a constant column, which scales to
+    0.0."""
+    fits = [(_noisy_rows(n, seed=k, ties=k % 2 == 0), config) for k, (n, config) in enumerate(_BATCHES[batch])]
+    models = train_logistic(fits)
+    assert len(models) == len(fits)
+    for model, (rows, config) in zip(models, fits):
+        _assert_as_the_reference(model, rows, config)
+    steps = [len(model.loss_history) for model in models]
+    if batch == "every row count differs":
+        # fits leave at different steps, one at max_iter and one before its first
+        assert len(set(steps)) == len(steps) and steps[0] == 400 and steps[3] == 0
+
+
+def test_a_diverging_fit_leaves_the_lockstep_alone(caplog):
+    rows = _noisy_rows(40, seed=1)
+    nan_rows = _noisy_rows(50, seed=2)
+    nan_rows[3] = dataclasses.replace(nan_rows[3], features=(math.nan,) + nan_rows[3].features[1:])
+    fits = [
+        (rows, LogisticConfig(max_iter=600)),
+        (nan_rows, LogisticConfig()),  # a NaN feature: fails at its first step
+        (_noisy_rows(64, seed=3), LogisticConfig(learning_rate=1e306)),  # diverges after a step
+        (rows, LogisticConfig(l2=0.1, max_iter=300)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"), caplog.at_level(logging.INFO, logger="methodlens.ml"):
+        first, failed, diverged, last = train_logistic(fits)
+        for rows_, config in fits[1:3]:
+            with pytest.raises(ml.NonFiniteLoss):
+                train_logistic_reference(rows_, config)
+    assert isinstance(failed, ml.NonFiniteLoss) and isinstance(diverged, ml.NonFiniteLoss)
+    _assert_as_the_reference(first, *fits[0])
+    _assert_as_the_reference(last, *fits[3])
+    assert [r.getMessage() for r in caplog.records] == [
+        "logistic: 4 fits, 3 row-count groups, steps 600/1/2/300, 2 diverged"]
 
 
 def _exact_shape(node):
@@ -585,16 +750,19 @@ def test_approach1_trains_each_tree_grid_once_and_tunes_as_training_every_config
     calls = Counter()
 
     def counting(name, trainer):
-        def train(rows, config):
+        def train(*args):
             calls[name] += 1
-            return trainer(rows, config)
+            return trainer(*args)
         return train
 
     trainers = dict(ml._TRAINERS)
     for name, (trainer, grid) in trainers.items():
         monkeypatch.setitem(ml._TRAINERS, name, (counting(name, trainer), grid))
     outcome = run_approach1(methods, seed=seed)
-    assert calls == {"logistic": 3, "tree": 1, "forest": 1}
+    assert calls == {"logistic": 1, "tree": 1, "forest": 1}
+
+    def train_alone(name, trainer, rows, config):
+        return trainer([(rows, config)])[0] if name == "logistic" else trainer(rows, config)
 
     rows = build_feature_rows(methods)
     plan = outcome["plan"]
@@ -602,7 +770,7 @@ def test_approach1_trains_each_tree_grid_once_and_tunes_as_training_every_config
     val_rows = [r for r in rows if r.projectId in plan.validationProjects]
     test_rows = [r for r in rows if r.projectId in plan.testProjects]
     for name, (trainer, grid) in trainers.items():
-        models = [trainer(train_os, ml._with_seed(config, seed)) for config in grid]
+        models = [train_alone(name, trainer, train_os, ml._with_seed(config, seed)) for config in grid]
         scores = [evaluate(m, val_rows).perClass["ugly"].fMeasure for m in models]
         best = scores.index(max(scores))
         entry = outcome["results"][name]
