@@ -74,10 +74,6 @@ class MethodHistory:
     introductionDecl: MethodDeclaration  # the method as first committed
     revisions: list[Revision]  # oldest -> newest
 
-    @property
-    def introductionBody(self) -> str:
-        return self.introductionDecl.bodyText
-
 
 @dataclass(frozen=True)
 class ChangeIndicators:

@@ -227,6 +227,18 @@ def match_forward(toks: list[Token], i: int, open_txt: str, close_txt: str) -> i
     return len(toks) - 1
 
 
+def skip_annotation(toks: list[Token], i: int) -> int:
+    """Index past the annotation whose '@' is toks[i]: its dotted name and
+    its argument group, if any."""
+    i += 1
+    n = len(toks)
+    while i < n and (toks[i].kind == "identifier" or toks[i].text == "."):
+        i += 1
+    if i < n and toks[i].text == "(":
+        i = match_forward(toks, i, "(", ")") + 1
+    return i
+
+
 def body_open_index(toks: list[Token]) -> int | None:
     """Index of the '{' that opens the method body in a declaration's
     comment-free tokens (annotation argument groups in the header are
@@ -236,11 +248,7 @@ def body_open_index(toks: list[Token]) -> int | None:
     while i < n:
         t = toks[i]
         if t.text == "@":
-            i += 1
-            while i < n and (toks[i].kind == "identifier" or toks[i].text == "."):
-                i += 1
-            if i < n and toks[i].text == "(":
-                i = match_forward(toks, i, "(", ")") + 1
+            i = skip_annotation(toks, i)
             continue
         if t.text == "{":
             return i
@@ -267,7 +275,7 @@ def _skip_parens(toks: list[Token], i: int) -> int:
     raise ExtractionError("unbalanced parentheses", toks[-1].line if toks else 1)
 
 
-def _skip_angles(toks: list[Token], i: int) -> int | None:
+def skip_angles(toks: list[Token], i: int) -> int | None:
     """Index past a balanced <...> group starting at toks[i] == '<'.
 
     Returns None when the group never balances before ';' or '{' (the '<'
@@ -316,7 +324,7 @@ def _erase_param(toks: list[Token]) -> str | None:
             i += 1
             continue
         if t.text == "<":
-            end = _skip_angles(toks, i)
+            end = skip_angles(toks, i)
             if end is None:
                 i += 1
             else:
@@ -450,7 +458,7 @@ class _Extractor:
                 i = j
                 continue
             if txt == "<":
-                past = _skip_angles(toks, i)
+                past = skip_angles(toks, i)
                 if past is not None:
                     i = past
                     continue

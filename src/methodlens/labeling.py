@@ -30,7 +30,6 @@ class BugRuleConfig:
         "error", "bug", "mistake", "incorrect", "fault", "defect", "flaw", "misfeature",
     )
     highPrecisionFixWords: tuple[str, ...] = ("fix", "address", "resolve")
-    singleMethodOnly: bool = True
 
     def __post_init__(self):
         for name in ("highRecallKeywords", "highPrecisionBugWords", "highPrecisionFixWords"):
@@ -128,9 +127,11 @@ def classify_commit_high_recall(message: str, cfg: BugRuleConfig | None = None) 
 def classify_commit_high_precision(
     message: str, methods_touched: int, cfg: BugRuleConfig | None = None
 ) -> bool:
-    cfg = cfg or BugRuleConfig()
-    if cfg.singleMethodOnly and methods_touched != 1:
+    """A bug word and a fix word, in a commit that revises exactly one
+    traced method."""
+    if methods_touched != 1:
         return False
+    cfg = cfg or BugRuleConfig()
     tokens = _word_tokens(message)
     return _stem_hit(tokens, cfg.highPrecisionBugWords) and _stem_hit(tokens, cfg.highPrecisionFixWords)
 

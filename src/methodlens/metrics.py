@@ -17,6 +17,8 @@ from .java_extract import (
     Token,
     body_open_index,
     match_forward,
+    skip_angles,
+    skip_annotation,
     tokenize,
 )
 
@@ -633,11 +635,7 @@ def _count_local_declarators(body: list[Token]) -> int:
                 statement_start = False
                 continue
         if statement_start and txt == "@":
-            i += 1  # annotation on a local declaration
-            while i < n and (body[i].kind == "identifier" or body[i].text == "."):
-                i += 1
-            if i < n and body[i].text == "(":
-                i = match_forward(body, i, "(", ")") + 1
+            i = skip_annotation(body, i)  # annotation on a local declaration
             continue
         statement_start = False
         prev_keyword = None
@@ -662,26 +660,9 @@ def _try_parse_declaration(body: list[Token], i: int, n: int) -> tuple[int, int]
     else:
         return i, 0
     if j < n and body[j].text == "<":
-        depth = 0
-        k = j
-        while k < n:
-            txt = body[k].text
-            if txt == "<":
-                depth += 1
-            elif txt == ">":
-                depth -= 1
-            elif txt == ">>":
-                depth -= 2
-            elif txt == ">>>":
-                depth -= 3
-            elif txt in (";", "{", "}"):
-                return i, 0
-            if depth <= 0:
-                break
-            k += 1
-        if k >= n:
+        j = skip_angles(body, j)
+        if j is None:
             return i, 0
-        j = k + 1
     while j + 1 < n and body[j].text == "[" and body[j + 1].text == "]":
         j += 2
     if j >= n or body[j].kind != "identifier":

@@ -103,9 +103,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def project_split(projects, seed: int, ratios=(0.7, 0.1, 0.2)) -> SplitPlan:
-    """Seeded project-level shuffle into train/validation/test; every set is
-    non-empty."""
+SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train, validation, test
+
+
+def project_split(projects, seed: int) -> SplitPlan:
+    """Seeded project-level shuffle into train/validation/test by
+    `SPLIT_RATIOS`; every set is non-empty."""
     projects = sorted(set(projects))
     if len(projects) < 3:
         raise TooFewProjects(f"need at least 3 projects, got {len(projects)}")
@@ -113,8 +116,8 @@ def project_split(projects, seed: int, ratios=(0.7, 0.1, 0.2)) -> SplitPlan:
     order = list(rng.permutation(len(projects)))
     shuffled = [projects[i] for i in order]
     n = len(projects)
-    n_test = max(1, _round_half_up(ratios[2] * n))
-    n_val = max(1, _round_half_up(ratios[1] * n))
+    n_test = max(1, _round_half_up(SPLIT_RATIOS[2] * n))
+    n_val = max(1, _round_half_up(SPLIT_RATIOS[1] * n))
     if n_test + n_val >= n:
         raise TooFewProjects("split leaves no training projects")
     test = tuple(sorted(shuffled[:n_test]))
@@ -190,16 +193,24 @@ def _matrix(rows: list[FeatureRow]) -> tuple[np.ndarray, np.ndarray]:
 # logistic regression
 
 
+# The values the grids do not tune, fixed: the descent's step size, step cap
+# and convergence tolerance, a tree's minimum leaf size, and a forest's
+# features per split, floor(sqrt(17)) = 4 as in Breiman (2001); a forest
+# always bootstraps and grows its trees to full depth.  `describe()` still
+# records them.
+LEARNING_RATE = 0.1
+MAX_ITER = 5000
+TOL = 1e-8
+MIN_SAMPLES_LEAF = 1
+FEATURES_PER_SPLIT = int(math.sqrt(len(FEATURE_ORDER)))
+
+
 @dataclass(frozen=True)
 class LogisticConfig:
     l2: float = 1.0
-    learning_rate: float = 0.1
-    max_iter: int = 5000
-    tol: float = 1e-8
 
     def describe(self) -> dict:
-        return {"l2": self.l2, "learningRate": self.learning_rate,
-                "maxIter": self.max_iter, "tol": self.tol}
+        return {"l2": self.l2, "learningRate": LEARNING_RATE, "maxIter": MAX_ITER, "tol": TOL}
 
 
 @dataclass
@@ -231,9 +242,9 @@ def _stack(fits, W: np.ndarray):
     one stacked `matmul` of X[a:b, :m] and W[a:b] into z[a:b, :m], a BLAS
     gemv per entry as `X @ w` is for one fit, and a span (:, a:b, :m) of
     terms_ys, or `...` when they are the whole stack, whose `add.reduce`
-    over rows gives each fit's two 1-D pairwise sums.  n, l2 / n and the
-    learning rate are repeated along each fit's weights, so that the
-    update's operations take arrays of one shape."""
+    over rows gives each fit's two 1-D pairwise sums.  n and l2 / n are
+    repeated along each fit's weights, so that the update's operations take
+    arrays of one shape."""
     k, d = W.shape
     n = [len(y) for _, y, _ in fits]
     X = np.full((k, n[-1], d), -0.0)
@@ -249,9 +260,9 @@ def _stack(fits, W: np.ndarray):
             products.append((X[a:b, :n[a]], W[a:b, :, None], z[a:b, :n[a]]))
             spans.append(... if b - a == k else (slice(None), slice(a, b), slice(0, n[a])))
             a = b
-    columns = (n, [config.l2 / m for (_, _, config), m in zip(fits, n)], [config.learning_rate for _, _, config in fits])
-    n_w, grad_l2, rate_w = (np.repeat(np.array(column, dtype=float)[:, None], d, axis=1) for column in columns)
-    return X, Y, z[:, :, 0], np.empty((2, k, n[-1])), products, spans, n_w, grad_l2, rate_w
+    columns = (n, [config.l2 / m for (_, _, config), m in zip(fits, n)])
+    n_w, grad_l2 = (np.repeat(np.array(column, dtype=float)[:, None], d, axis=1) for column in columns)
+    return X, Y, z[:, :, 0], np.empty((2, k, n[-1])), products, spans, n_w, grad_l2
 
 
 def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[LogisticModel | NonFiniteLoss]:
@@ -262,14 +273,18 @@ def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[
 
     The fits descend in lockstep (`_stack`): each step makes one set of
     numpy calls for all the fits still descending.  A fit leaves at the step
-    where it would stop alone: at `tol` convergence with its weights before
-    the step, at `max_iter`, or on a non-finite loss.  Each fit's step is the
-    plain `np.mean`/`np.clip` step in the same operation order
-    (`tests/oracles.py` keeps it): a mean is `np.add.reduce` followed by the
-    division by n, the clip is maximum then minimum, and the loss and bias
-    are Python floats.  Two rewrites are exact: a label is +1 or -1, so
-    `y * (1 / q)` is `y / q`, and `-a + b` is `b - a`.  So every fit's
-    weights, bias and losses are bit-identical to the one-fit step's."""
+    where it would stop alone: at `TOL` convergence with its weights before
+    the step, on a non-finite loss, or at `MAX_ITER`.  A fit that leaves
+    records its result at once; the step's update still runs over the whole
+    stack, which is rebuilt without it before the next step (every
+    operation is per stack row, so the others' bits do not depend on it).
+    Each fit's step is the plain `np.mean`/`np.clip` step in the same
+    operation order (`tests/oracles.py` keeps it): a mean is `np.add.reduce`
+    followed by the division by n, the clip is maximum then minimum, and the
+    loss and bias are Python floats.  Two rewrites are exact: a label is +1
+    or -1, so `y * (1 / q)` is `y / q`, and `-a + b` is `b - a`.  So every
+    fit's weights, bias and losses are bit-identical to the one-fit
+    step's."""
     prepared, scalers = [], []
     for rows, config in fits:
         X_raw, y01 = _matrix(rows)
@@ -283,66 +298,55 @@ def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[
     biases = [0.0] * len(live)
     add, exp, logaddexp, matmul = np.add.reduce, np.exp, np.logaddexp, np.matmul
     divide, maximum, minimum, multiply = np.divide, np.maximum, np.minimum, np.multiply
-    step, ys = 0, None
-    while live:
-        # stack the fits still descending.  ys is None when a step starts; when fits
-        # leave in mid-step, ys and stepped hold the others' y * sigma(-y*z) and
-        # biases after the step, which their update still needs
-        X, Y, z, terms_ys, products, spans, n_w, grad_l2, rate_w = _stack([prepared[j] for j in live], W)
-        configs = [prepared[j][2] for j in live]
-        per_fit = [(len(prepared[j][1]), config.l2 / (2.0 * len(prepared[j][1])), config.learning_rate, histories[j],
-                    config.tol) for j, config in zip(live, configs)]
-        stop = min(config.max_iter for config in configs)
+
+    def model(i: int, bias: float) -> LogisticModel:  # stack row i's fit, at its weights now
+        j = live[i]
+        return LogisticModel(weights=W[i].copy(), bias=bias, scaler=scalers[j], config=prepared[j][2],
+                             loss_history=histories[j])
+
+    step = 0
+    while live and step < MAX_ITER:
+        X, Y, z, terms_ys, products, spans, n_w, grad_l2 = _stack([prepared[j] for j in live], W)
+        per_fit = [(len(prepared[j][1]), prepared[j][2].l2 / (2.0 * len(prepared[j][1])), histories[j])
+                   for j in live]
         w_row, w_col = W[:, None, :], W[:, :, None]
         weighted = np.empty_like(X)
         terms, ys_rows = terms_ys
         leaving = []
-        while True:
-            if ys is None:
-                if step == stop:
-                    leaving = [i for i, config in enumerate(configs) if config.max_iter == step]
-                    for i in leaving:
-                        steps[live[i]] = step
-                    break
-                for X_m, w_m, z_m in products:
-                    matmul(X_m, w_m, out=z_m)
-                yz = Y * (z + np.array(biases)[:, None])
-                logaddexp(0.0, -yz, out=terms)
-                ys = divide(Y, 1.0 + exp(minimum(maximum(yz, -500.0), 500.0)), out=ys_rows)
-                loss_sums, ys_sums = [], []
-                for span in spans:
-                    loss_sums_m, ys_sums_m = add(terms_ys[span], axis=2).tolist()
-                    loss_sums += loss_sums_m
-                    ys_sums += ys_sums_m
-                ww = matmul(w_row, w_col).ravel().tolist()
-                stepped = []  # each fit's bias after this step
-                for i, (s, s_ys, b, q, (m, l2, rate, history, tol)) in enumerate(
-                        zip(loss_sums, ys_sums, biases, ww, per_fit)):
-                    loss = s / m + l2 * q
-                    stepped.append(b - rate * -(s_ys / m))
-                    if not math.isfinite(loss):
-                        results[live[i]] = NonFiniteLoss("logistic training diverged")
-                    elif history and abs(history[-1] - loss) < tol:
-                        history.append(loss)
-                    else:
-                        history.append(loss)
-                        continue
-                    leaving.append(i)
-                    steps[live[i]] = step + 1
-                if leaving:
-                    break
-            W -= rate_w * (grad_l2 * W - add(multiply(X, ys[:, :, None], out=weighted), axis=1) / n_w)
+        while not leaving and step < MAX_ITER:
+            for X_m, w_m, z_m in products:
+                matmul(X_m, w_m, out=z_m)
+            yz = Y * (z + np.array(biases)[:, None])
+            logaddexp(0.0, -yz, out=terms)
+            ys = divide(Y, 1.0 + exp(minimum(maximum(yz, -500.0), 500.0)), out=ys_rows)
+            loss_sums, ys_sums = [], []
+            for span in spans:
+                loss_sums_m, ys_sums_m = add(terms_ys[span], axis=2).tolist()
+                loss_sums += loss_sums_m
+                ys_sums += ys_sums_m
+            ww = matmul(w_row, w_col).ravel().tolist()
+            stepped = []  # each fit's bias after this step
+            for i, (s, s_ys, b, q, (m, l2, history)) in enumerate(zip(loss_sums, ys_sums, biases, ww, per_fit)):
+                loss = s / m + l2 * q
+                stepped.append(b - LEARNING_RATE * -(s_ys / m))
+                if not math.isfinite(loss):
+                    results[live[i]] = NonFiniteLoss("logistic training diverged")
+                elif history and abs(history[-1] - loss) < TOL:
+                    history.append(loss)
+                    results[live[i]] = model(i, b)
+                else:
+                    history.append(loss)
+                    continue
+                leaving.append(i)
+                steps[live[i]] = step + 1
+            W -= LEARNING_RATE * (grad_l2 * W - add(multiply(X, ys[:, :, None], out=weighted), axis=1) / n_w)
             biases = stepped
             step += 1
-            ys = None
-        for i in leaving:
-            if results[live[i]] is None:
-                results[live[i]] = LogisticModel(weights=W[i].copy(), bias=biases[i], scaler=scalers[live[i]],
-                                                 config=configs[i], loss_history=histories[live[i]])
         keep = [i for i in range(len(live)) if i not in leaving]
         live, W, biases = [live[i] for i in keep], W[keep], [biases[i] for i in keep]
-        if ys is not None and live:
-            ys, stepped = ys[keep, :len(prepared[live[-1]][1])], [stepped[i] for i in keep]
+    for i, j in enumerate(live):  # the fits still descending after MAX_ITER steps
+        steps[j] = MAX_ITER
+        results[j] = model(i, biases[i])
     row_counts = len({len(y) for _, y, _ in prepared})
     diverged = sum(isinstance(result, NonFiniteLoss) for result in results)
     log.info("logistic: %d fit%s, %d row-count group%s, steps %s%s", len(results), "" if len(results) == 1 else "s",
@@ -358,10 +362,9 @@ def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int | None = None
-    min_samples_leaf: int = 1
 
     def describe(self) -> dict:
-        return {"maxDepth": self.max_depth, "minSamplesLeaf": self.min_samples_leaf}
+        return {"maxDepth": self.max_depth, "minSamplesLeaf": MIN_SAMPLES_LEAF}
 
 
 # Rows one batched split search may hold, which bounds its arrays: a forest
@@ -393,7 +396,7 @@ def _gini(pos, n):
 
 
 def _best_splits(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                 sizes: np.ndarray, features: np.ndarray, min_leaf: int):
+                 sizes: np.ndarray, features: np.ndarray):
     """The best Gini split of each of K nodes, searched in one pass.
 
     Node i holds `sizes[i]` >= 2 rows, given by their ids into X, its
@@ -430,7 +433,6 @@ def _best_splits(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, rows: np.ndarr
     left_n = (np.arange(1, N + 1) - starts[node])[:, None]
     right_n = n - left_n
     right_n[ends - 1] = 1  # no split after a node's last row; keeps the division finite
-    distinct &= (left_n >= min_leaf) & (right_n >= min_leaf)
     weighted = (left_n * _gini(left_pos, left_n) + right_n * _gini(pos[node][:, None] - left_pos, right_n)) / n
     gains = np.where(distinct, _gini(pos, sizes)[node][:, None] - weighted, -np.inf)
     column_best = np.maximum.reduceat(gains, starts, axis=0)
@@ -533,10 +535,9 @@ class TreeModel:
         """The tree `train_tree` grows under `config` on this tree's rows, cut
         from this one: a node at depth `config.max_depth` becomes a leaf of
         the majority prediction it already stores.  Exact for a depth this
-        tree reaches or passes, at the same minimum leaf size."""
+        tree reaches or passes."""
         grown = self.config.max_depth
-        cuttable = grown is None or (config.max_depth is not None and config.max_depth <= grown)
-        if config.min_samples_leaf != self.config.min_samples_leaf or not cuttable:
+        if grown is not None and (config.max_depth is None or config.max_depth > grown):
             raise ValueError(f"{config} cannot be cut from a tree grown under {self.config}")
         if config.max_depth is None:
             return replace(self, config=config)
@@ -615,8 +616,7 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
                 features.append(every_feature)
         sizes = np.array([len(item[2]) for item in taken])
         rows = np.concatenate([item[2] for item in taken])
-        gain, feature, threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features),
-                                                config.min_samples_leaf)
+        gain, feature, threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features))
         go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
         go_right = ~go_left
         starts = np.cumsum(sizes) - sizes
@@ -648,16 +648,11 @@ def train_tree(rows: list[FeatureRow], config: TreeConfig = TreeConfig()) -> Tre
 @dataclass(frozen=True)
 class ForestConfig:
     trees: int = 100
-    features_per_split: int | None = int(math.sqrt(len(FEATURE_ORDER)))  # floor(sqrt(17)) = 4
     seed: int = 0
-    bootstrap: bool = True
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
 
     def describe(self) -> dict:
-        return {"trees": self.trees, "featuresPerSplit": self.features_per_split,
-                "seed": self.seed, "bootstrap": self.bootstrap,
-                "maxDepth": self.max_depth, "minSamplesLeaf": self.min_samples_leaf}
+        return {"trees": self.trees, "featuresPerSplit": FEATURES_PER_SPLIT, "seed": self.seed,
+                "bootstrap": True, "maxDepth": None, "minSamplesLeaf": MIN_SAMPLES_LEAF}
 
 
 @dataclass
@@ -681,26 +676,26 @@ class ForestModel:
         rows: its first `config.trees` trees, because tree i is grown from
         the i-th child that `SeedSequence.spawn` hands out, whatever the
         number of children asked for."""
-        if config.trees > self.config.trees or replace(config, trees=self.config.trees) != self.config:
+        if config.trees > self.config.trees or config.seed != self.config.seed:
             raise ValueError(f"{config} is not a prefix of a forest grown under {self.config}")
         return ForestModel(roots=self.roots[:config.trees], scaler=self.scaler, config=config)
 
 
 def train_forest(rows: list[FeatureRow], config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bagged CART trees with per-split feature subsampling; all randomness
-    derives from per-tree seeds spawned from the root seed."""
+    """Bagged CART trees grown to full depth, each split searching
+    `FEATURES_PER_SPLIT` features drawn at random; all randomness derives
+    from per-tree seeds spawned from the root seed."""
     X_raw, y = _matrix(rows)
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
     n = len(rows)
-    tree_cfg = TreeConfig(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
 
     def samples():
         for child_seq in np.random.SeedSequence(config.seed).spawn(config.trees):
             rng = np.random.default_rng(child_seq)
-            yield (rng.integers(0, n, n) if config.bootstrap else np.arange(n)), rng
+            yield rng.integers(0, n, n), rng
 
-    grown = _grow(X, y, tree_cfg, samples(), config.features_per_split)
+    grown = _grow(X, y, TreeConfig(), samples(), FEATURES_PER_SPLIT)
     return ForestModel(roots=[root for root, _ in grown], scaler=scaler, config=config)
 
 
@@ -718,19 +713,18 @@ def _safe_ratio(num: int, den: int, flag: str, flags: list[str], undefined_as: f
 def evaluate(
     model,
     rows: list[FeatureRow],
-    positive: str = POSITIVE_LABEL,
     classifier: str = "",
     undefined_as: float = 0.0,
 ) -> EvaluationReport:
     """Precision/recall/F for both class orientations plus the confusion
-    matrix.  Zero-denominator scores become `undefined_as` and are flagged."""
+    matrix with respect to 'ugly'.  Zero-denominator scores become
+    `undefined_as` and are flagged."""
     if not rows:
         raise EmptyTestSet("no test rows")
     X, y = _matrix(rows)
     predicted = model.predict(X)
-    pos = 1 if positive == POSITIVE_LABEL else 0
-    actual_pos = y == pos
-    pred_pos = predicted == pos
+    actual_pos = y == 1
+    pred_pos = predicted == 1
     tp = int(np.sum(actual_pos & pred_pos))
     fp = int(np.sum(~actual_pos & pred_pos))
     fn = int(np.sum(actual_pos & ~pred_pos))
@@ -751,14 +745,12 @@ def evaluate(
         return ClassMetrics(precision=precision, recall=recall, fMeasure=f_measure, flags=tuple(flags))
 
     per_class = {
-        POSITIVE_LABEL if pos == 1 else NEGATIVE_LABEL: class_metrics(tp, fp, fn, positive),
-        NEGATIVE_LABEL if pos == 1 else POSITIVE_LABEL: class_metrics(
-            tn, fn, fp, NEGATIVE_LABEL if pos == 1 else POSITIVE_LABEL
-        ),
+        POSITIVE_LABEL: class_metrics(tp, fp, fn, POSITIVE_LABEL),
+        NEGATIVE_LABEL: class_metrics(tn, fn, fp, NEGATIVE_LABEL),
     }
     return EvaluationReport(
         classifier=classifier,
-        positiveClass=positive,
+        positiveClass=POSITIVE_LABEL,
         perClass=per_class,
         confusion={"tp": tp, "fp": fp, "fn": fn, "tn": tn},
     )

@@ -590,25 +590,6 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
     write_ndjson(out / "surprisingly_ugly.ndjson", "rank", digests, export(ugly))
 
 
-def _class_metrics_dict(cm) -> dict:
-    return {
-        "precision": cm.precision,
-        "recall": cm.recall,
-        "fMeasure": cm.fMeasure,
-        "flags": list(cm.flags),
-    }
-
-
-def _report_dict(report) -> dict:
-    return {
-        "classifier": report.classifier,
-        "positiveClass": report.positiveClass,
-        "perClass": {label: _class_metrics_dict(cm) for label, cm in report.perClass.items()},
-        "confusion": report.confusion,
-        "seed": report.seed,
-    }
-
-
 def run_train(config: PipelineConfig, out: Path, digests: dict[str, str],
               dataset_path: Path | None = None, classifiers=None) -> None:
     methods = _load_dataset(out, dataset_path)
@@ -646,7 +627,7 @@ def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, c
                 name: {
                     "config": entry["config"],
                     "validationF": entry["validationF"],
-                    "report": _report_dict(entry["report"]),
+                    "report": asdict(entry["report"]),
                 }
                 for name, entry in outcome["results"].items()
             },
@@ -659,7 +640,7 @@ def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, c
             "seed": config.seed,
             "projects": {
                 project: {
-                    name: (_report_dict(report) if report is not None else None)
+                    name: (asdict(report) if report is not None else None)
                     for name, report in entry.items()
                 }
                 for project, entry in outcome["projects"].items()

@@ -13,7 +13,8 @@ import re
 import numpy as np
 
 from methodlens.java_extract import KEYWORDS, WORD_LITERALS, LexicalError
-from methodlens.ml import LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss, TreeConfig, _matrix, _Node
+from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
+                           TreeConfig, _matrix, _Node)
 
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
@@ -181,7 +182,7 @@ def _gini(pos: float, total: float) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf: int):
+def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices):
     """(gain, feature, threshold) of the best Gini split, or None, searching
     one feature at a time.
 
@@ -204,9 +205,6 @@ def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf
         cum_pos = np.cumsum(sy)
         left_n = distinct + 1
         right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
         left_pos = cum_pos[distinct]
         right_pos = total_pos - left_pos
         lp = left_pos / left_n
@@ -215,7 +213,6 @@ def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices, min_leaf
         gini_right = 1.0 - rp * rp - (1.0 - rp) * (1.0 - rp)
         weighted = (left_n * gini_left + right_n * gini_right) / n
         gains = parent - weighted
-        gains = np.where(valid, gains, -np.inf)
         k = int(np.argmax(gains))  # first maximum -> lowest threshold
         gain = float(gains[k])
         if not math.isfinite(gain):
@@ -243,7 +240,7 @@ def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_
         chosen = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
     else:
         chosen = np.arange(n_features)
-    found = best_split_reference(X, y, chosen, config.min_samples_leaf)
+    found = best_split_reference(X, y, chosen)
     if found is None:
         return node, depth
     _, f, threshold = found
@@ -257,7 +254,8 @@ def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_
 
 def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
     """Full-batch gradient descent on L2-regularized log-loss, zero init,
-    written with `np.mean` and `np.clip`."""
+    written with `np.mean` and `np.clip`, at the step size, step cap and
+    tolerance of `methodlens.ml`."""
     X_raw, y01 = _matrix(rows)
     scaler = MinMaxScaler.fit(X_raw)
     X = scaler.transform(X_raw)
@@ -266,21 +264,21 @@ def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) ->
     w = np.zeros(d)
     b = 0.0
     losses: list[float] = []
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         z = X @ w + b
         yz = y * z
         loss = float(np.mean(np.logaddexp(0.0, -yz)) + config.l2 / (2.0 * n) * float(w @ w))
         if not math.isfinite(loss):
             raise NonFiniteLoss("logistic training diverged")
-        if losses and abs(losses[-1] - loss) < config.tol:
+        if losses and abs(losses[-1] - loss) < TOL:
             losses.append(loss)
             break
         losses.append(loss)
         sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))  # sigma(-y*z)
         grad_w = -(X * (y * sig)[:, None]).mean(axis=0) + (config.l2 / n) * w
         grad_b = float(-(y * sig).mean())
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
+        w = w - LEARNING_RATE * grad_w
+        b = b - LEARNING_RATE * grad_b
     return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)
 
 

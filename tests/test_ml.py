@@ -199,7 +199,7 @@ def test_logistic_identical_features_predicts_majority():
 
 def test_logistic_loss_nonincreasing():
     rows = two_feature_rows(_separable_points(40))
-    [model] = train_logistic([(rows, LogisticConfig(learning_rate=0.05, max_iter=500))])
+    [model] = train_logistic([(rows, LogisticConfig())])
     losses = model.loss_history
     assert len(losses) > 2
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -238,14 +238,6 @@ def test_tree_deterministic_structure():
 
 
 # --- random forest ---------------------------------------------------------------
-
-def test_forest_degenerate_config_equals_cart():
-    rows = two_feature_rows(_separable_points(40))
-    forest = train_forest(rows, ForestConfig(trees=1, bootstrap=False, features_per_split=None, seed=3))
-    tree = train_tree(rows)
-    X = np.array([r.features for r in rows])
-    assert (forest.predict(X) == tree.predict(X)).all()
-
 
 def test_forest_same_seed_same_votes():
     rows = two_feature_rows(_separable_points(50))
@@ -291,15 +283,6 @@ def test_evaluate_confusion_formulas():
     assert ugly.fMeasure == pytest.approx(0.8, abs=1e-12)
     good = report.perClass["good"]
     assert (good.precision, good.recall) == (0.8, 0.8)
-
-
-def test_evaluate_swapped_positive_class_consistent():
-    rows = [row(i, "ugly") for i in range(6)] + [row(i + 6, "good") for i in range(4)]
-    predictions = [1] * 5 + [0] * 5
-    as_ugly = evaluate(FixedModel(predictions), rows, positive="ugly")
-    as_good = evaluate(FixedModel(predictions), rows, positive="good")
-    assert as_ugly.perClass["good"] == as_good.perClass["good"]
-    assert as_ugly.perClass["ugly"] == as_good.perClass["ugly"]
 
 
 def test_evaluate_empty_test_set():
@@ -414,11 +397,11 @@ def test_approach2_fails_exactly_the_logistic_folds_that_train_on_a_nan_feature(
     assert outcome["projects"]["proj2"]["logistic"].confusion == expected.confusion
 
 
-def test_approach1_still_raises_when_a_grid_fit_diverges(monkeypatch):
+def test_approach1_still_raises_when_a_grid_fit_diverges():
     methods = separable_corpus(projects=5, per_project=30, seed=8)
-    monkeypatch.setitem(ml._TRAINERS, "logistic",
-                        (train_logistic, (LogisticConfig(), LogisticConfig(learning_rate=1e306))))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ml.NonFiniteLoss):
+    for project in sorted({m.identity.project for m in methods}):
+        methods = _with_nan_size(methods, project)  # so the training projects hold a NaN feature
+    with np.errstate(invalid="ignore"), pytest.raises(ml.NonFiniteLoss):
         run_approach1(methods, seed=4, classifiers=("logistic",))
 
 
@@ -528,14 +511,13 @@ def test_best_split_equals_the_per_feature_reference():
         m = int(rng.integers(1, 7))
         features = np.array([np.sort(rng.choice(6, size=m, replace=False)) for _ in nodes])
         rows, sizes = np.concatenate(nodes), np.array([len(node) for node in nodes])
-        for min_leaf in (1, 3):
-            gain, feature, threshold = ml._best_splits(X, ml._value_ranks(X), y, rows, sizes, features, min_leaf)
-            for i, node in enumerate(nodes):
-                expected = best_split_reference(X[node], y[node], features[i], min_leaf)
-                got = _found(float(gain[i]), int(feature[i]), float(threshold[i]))
-                assert got == (expected and _found(*expected)), (case, i, min_leaf)
-                found += expected is not None
-                searched += 1
+        gain, feature, threshold = ml._best_splits(X, ml._value_ranks(X), y, rows, sizes, features)
+        for i, node in enumerate(nodes):
+            expected = best_split_reference(X[node], y[node], features[i])
+            got = _found(float(gain[i]), int(feature[i]), float(threshold[i]))
+            assert got == (expected and _found(*expected)), (case, i)
+            found += expected is not None
+            searched += 1
     assert 0 < found < searched
 
 
@@ -543,7 +525,7 @@ def test_best_split_equals_the_per_feature_reference():
 def test_train_logistic_equals_the_mean_and_clip_reference(case):
     n = (2, 7, 31, 120, 64, 15, 90, 3)[case]
     rows = _noisy_rows(n, seed=case, ties=case % 2 == 0)
-    config = LogisticConfig(l2=(1.0, 0.1, 10.0)[case % 3], max_iter=5000 if case < 2 else 600)
+    config = LogisticConfig(l2=(1.0, 0.1, 10.0)[case % 3])
     [got] = train_logistic([(rows, config)])
     expected = train_logistic_reference(rows, config)
     assert got.weights.tobytes() == expected.weights.tobytes()
@@ -563,16 +545,16 @@ def _assert_as_the_reference(model, rows, config):
 _BATCHES = {
     "the grid, one row count": [(64, config) for config in ml.LOGISTIC_GRID],
     "every row count differs": [
-        (130, LogisticConfig(l2=0.1, max_iter=400, tol=0.0)),
-        (2, LogisticConfig(l2=1.0, tol=1e-6)),
-        (64, LogisticConfig(l2=10.0, learning_rate=0.5, max_iter=3000, tol=1e-7)),
-        (3, LogisticConfig(l2=0.1, max_iter=0)),
+        (130, LogisticConfig(l2=0.1)),
+        (2, LogisticConfig(l2=1.0)),
+        (64, LogisticConfig(l2=10.0)),
+        (3, LogisticConfig(l2=0.1)),
     ],
     "row counts repeat": [
-        (3, LogisticConfig(tol=1e-4)),
-        (64, LogisticConfig(l2=0.1, max_iter=900)),
-        (3, LogisticConfig(l2=10.0, max_iter=50)),
-        (64, LogisticConfig(tol=1e-5)),
+        (3, LogisticConfig()),
+        (64, LogisticConfig(l2=0.1)),
+        (3, LogisticConfig(l2=10.0)),
+        (64, LogisticConfig()),
     ],
 }  # a batch of one: test_train_logistic_equals_the_mean_and_clip_reference
 
@@ -589,8 +571,8 @@ def test_lockstep_fits_equal_the_one_fit_reference(batch):
         _assert_as_the_reference(model, rows, config)
     steps = [len(model.loss_history) for model in models]
     if batch == "every row count differs":
-        # fits leave at different steps, one at max_iter and one before its first
-        assert len(set(steps)) == len(steps) and steps[0] == 400 and steps[3] == 0
+        # fits leave at different steps, one at MAX_ITER
+        assert len(set(steps)) == len(steps) and steps[0] == ml.MAX_ITER
 
 
 def test_a_diverging_fit_leaves_the_lockstep_alone(caplog):
@@ -598,21 +580,20 @@ def test_a_diverging_fit_leaves_the_lockstep_alone(caplog):
     nan_rows = _noisy_rows(50, seed=2)
     nan_rows[3] = dataclasses.replace(nan_rows[3], features=(math.nan,) + nan_rows[3].features[1:])
     fits = [
-        (rows, LogisticConfig(max_iter=600)),
+        (rows, LogisticConfig()),
         (nan_rows, LogisticConfig()),  # a NaN feature: fails at its first step
-        (_noisy_rows(64, seed=3), LogisticConfig(learning_rate=1e306)),  # diverges after a step
-        (rows, LogisticConfig(l2=0.1, max_iter=300)),
+        (_noisy_rows(3, seed=3), LogisticConfig(l2=10.0)),
+        (rows, LogisticConfig(l2=10.0)),
     ]
-    with np.errstate(over="ignore", invalid="ignore"), caplog.at_level(logging.INFO, logger="methodlens.ml"):
-        first, failed, diverged, last = train_logistic(fits)
-        for rows_, config in fits[1:3]:
-            with pytest.raises(ml.NonFiniteLoss):
-                train_logistic_reference(rows_, config)
-    assert isinstance(failed, ml.NonFiniteLoss) and isinstance(diverged, ml.NonFiniteLoss)
-    _assert_as_the_reference(first, *fits[0])
-    _assert_as_the_reference(last, *fits[3])
+    with np.errstate(invalid="ignore"), caplog.at_level(logging.INFO, logger="methodlens.ml"):
+        first, failed, small, last = train_logistic(fits)
+        with pytest.raises(ml.NonFiniteLoss):
+            train_logistic_reference(*fits[1])
+    assert isinstance(failed, ml.NonFiniteLoss)
+    for model, fit in zip((first, small, last), (fits[0], fits[2], fits[3])):
+        _assert_as_the_reference(model, *fit)
     assert [r.getMessage() for r in caplog.records] == [
-        "logistic: 4 fits, 3 row-count groups, steps 600/1/2/300, 2 diverged"]
+        "logistic: 4 fits, 3 row-count groups, steps 5000/1/330/1202, 1 diverged"]
 
 
 def _exact_shape(node):
@@ -652,8 +633,6 @@ def test_a_config_that_cannot_be_read_off_is_rejected():
     with pytest.raises(ValueError):
         train_tree(rows, TreeConfig(max_depth=4)).truncated(TreeConfig(max_depth=8))
     with pytest.raises(ValueError):
-        train_tree(rows).truncated(TreeConfig(max_depth=4, min_samples_leaf=2))
-    with pytest.raises(ValueError):
         train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=6, seed=1))
     with pytest.raises(ValueError):
         train_forest(rows, ForestConfig(trees=5, seed=1)).prefix(ForestConfig(trees=3, seed=2))
@@ -672,45 +651,53 @@ def _tough_rows(n, seed):
     return rows
 
 
-def _reference_forest(rows, config):
+def _scaled(rows):
     X_raw, y = ml._matrix(rows)
-    X = ml.MinMaxScaler.fit(X_raw).transform(X_raw)
-    tree_config = TreeConfig(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
-    roots = []
-    for child in np.random.SeedSequence(config.seed).spawn(config.trees):
+    return ml.MinMaxScaler.fit(X_raw).transform(X_raw), y
+
+
+def _samples(n, trees, seed, bootstrap):
+    """(rows, generator) of each of `trees` trees of n rows: a bootstrap
+    sample, drawn as `train_forest` draws it, or every row once."""
+    for child in np.random.SeedSequence(seed).spawn(trees):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, len(y), len(y)) if config.bootstrap else np.arange(len(y))
-        roots.append(grow_tree_reference(X[idx], y[idx], tree_config, 0, rng, config.features_per_split)[0])
-    return roots
+        yield (rng.integers(0, n, n) if bootstrap else np.arange(n)), rng
 
 
-def _assert_grown_as_the_recursion(rows, max_depth, min_leaf, forests):
-    config = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
-    X_raw, y = ml._matrix(rows)
-    root, depth = grow_tree_reference(ml.MinMaxScaler.fit(X_raw).transform(X_raw), y, config, 0, None, None)
+def _assert_grown_as_the_recursion(rows, max_depth, growths, forest=None):
+    """`train_tree`, `ml._grow` on the samples of each (trees, seed,
+    features per split, bootstrap) of `growths`, and `train_forest` under
+    `forest` grow the (root, depth) of the depth-first recursion."""
+    X, y = _scaled(rows)
+    config = TreeConfig(max_depth=max_depth)
+
+    def recursion(samples, features_per_split):
+        return [(_exact_shape(root), depth) for root, depth in (
+            grow_tree_reference(X[idx], y[idx], config, 0, rng, features_per_split) for idx, rng in samples)]
+
     tree = train_tree(rows, config)
-    assert (_exact_shape(tree.root), tree.depth) == (_exact_shape(root), depth)
-    for forest_config in forests:
-        forest = train_forest(rows, forest_config)
-        expected = [_exact_shape(root) for root in _reference_forest(rows, forest_config)]
-        assert [_exact_shape(root) for root in forest.roots] == expected, forest_config
+    assert [(_exact_shape(tree.root), tree.depth)] == recursion([(np.arange(len(y)), None)], None)
+    for trees, seed, features, bootstrap in growths:
+        grown = ml._grow(X, y, config, _samples(len(y), trees, seed, bootstrap), features)
+        expected = recursion(_samples(len(y), trees, seed, bootstrap), features)
+        assert [(_exact_shape(root), depth) for root, depth in grown] == expected, (trees, seed, features, bootstrap)
+    if forest is not None:
+        expected = recursion(_samples(len(y), forest.trees, forest.seed, True), ml.FEATURES_PER_SPLIT)
+        assert [_exact_shape(root) for root in train_forest(rows, forest).roots] == [shape for shape, _ in expected]
 
 
 @pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 60, 150])
 def test_lockstep_trees_and_forests_equal_the_recursion_node_for_node(n, max_depth):
-    rows = _tough_rows(n, seed=n)
-    for min_leaf in (1, 3):
-        _assert_grown_as_the_recursion(rows, max_depth, min_leaf, [
-            ForestConfig(trees=3, features_per_split=features, seed=n + k, bootstrap=bootstrap,
-                         max_depth=max_depth, min_samples_leaf=min_leaf)
-            for k, features in enumerate((None, 1, 4, 17)) for bootstrap in (True, False)])
+    growths = [(3, n + k, features, bootstrap)
+               for k, features in enumerate((None, 1, 4, 17)) for bootstrap in (True, False)]
+    _assert_grown_as_the_recursion(_tough_rows(n, seed=n), max_depth, growths,
+                                   ForestConfig(trees=3, seed=n) if max_depth is None else None)
 
 
 def test_a_root_larger_than_a_step_grows_as_the_recursion_grows_it():
     rows = _tough_rows(ml._STEP_ROWS + 76, seed=5)
-    _assert_grown_as_the_recursion(rows, None, 1, [ForestConfig(trees=2, seed=3),
-                                                   ForestConfig(trees=1, features_per_split=None, seed=4)])
+    _assert_grown_as_the_recursion(rows, None, [(1, 4, None, True)], ForestConfig(trees=2, seed=3))
 
 
 def test_no_batched_search_holds_more_than_the_step_rows_unless_it_is_one_node(monkeypatch):
@@ -726,7 +713,7 @@ def test_no_batched_search_holds_more_than_the_step_rows_unless_it_is_one_node(m
     for n in (60, 150, ml._STEP_ROWS + 76):
         rows = _tough_rows(n, seed=n)
         train_tree(rows)
-        train_forest(rows, ForestConfig(trees=10, features_per_split=None, seed=2))
+        ml._grow(*_scaled(rows), TreeConfig(), _samples(n, 10, 2, True), None)
         start = len(calls)
         train_forest(rows, ForestConfig(trees=30, seed=1))
         drawing[n] = max(nodes for _, nodes in calls[start:])

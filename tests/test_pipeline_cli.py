@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from methodlens import pipeline
+from methodlens import ml, pipeline
 from methodlens.cli import main
 from methodlens.pipeline import (
     ConfigError,
@@ -482,3 +482,27 @@ def test_emit_plot_data_missing_stage_raises(tmp_path):
 
     with pytest.raises(MissingStage):
         emit_plot_data(tmp_path)
+
+
+def test_grid_configs_and_report_json_record_every_fixed_hyperparameter(trainable_dataset, tmp_path):
+    """The values no grid tunes are constants of `methodlens.ml`, and each
+    config's description, so approach 1's `report.json`, still records them."""
+    from methodlens import ml
+
+    logistic = {"learningRate": 0.1, "maxIter": 5000, "tol": 1e-8}
+    tree = {"minSamplesLeaf": 1}
+    forest = {"featuresPerSplit": 4, "bootstrap": True, "maxDepth": None, "minSamplesLeaf": 1}
+    assert [config.describe() for config in ml.LOGISTIC_GRID] == [
+        {"l2": 1.0, **logistic}, {"l2": 0.1, **logistic}, {"l2": 10.0, **logistic}]
+    assert [config.describe() for config in ml.TREE_GRID] == [
+        {"maxDepth": None, **tree}, {"maxDepth": 8, **tree}, {"maxDepth": 4, **tree}]
+    assert [config.describe() for config in ml.FOREST_GRID] == [
+        {"trees": 100, "seed": 0, **forest}, {"trees": 50, "seed": 0, **forest}]
+    assert main(["train", "--dataset", str(trainable_dataset), "--approach", "1", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {name: entry["config"] for name, entry in report["classifiers"].items()} == {
+        "logistic": {"l2": 1.0, **logistic},
+        "tree": {"maxDepth": 4, **tree},
+        "forest": {"trees": 100, "seed": 0, **forest},
+    }
