@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .gitrepo import RepoAccessError, UnknownCommit
@@ -77,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", parents=[common], help="trace per-method change histories")
     p.add_argument("--methods", required=True)
-    p.add_argument("--window-years", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.set_defaults(func=cmd_trace)
 
@@ -136,7 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> PipelineConfig:
+    """The config file's values with the flags' on top, range-checked by
+    `PipelineConfig` as the file's values are."""
     config = validate_config(args.config) if args.config else PipelineConfig()
+    indicator = getattr(args, "indicator", None)
     overrides = {
         "repo": getattr(args, "repo", None),
         "commit": getattr(args, "commit", None),
@@ -149,14 +152,9 @@ def load_config(args) -> PipelineConfig:
         "approach": getattr(args, "approach", None),
         "top_n": getattr(args, "top", None),
         "per_project_cap": getattr(args, "per_project", None),
+        "indicator": INDICATOR_ALIASES[indicator] if indicator is not None else None,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    indicator = getattr(args, "indicator", None)
-    if indicator is not None:
-        config.indicator = INDICATOR_ALIASES[indicator]
-    return config
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _require(config: PipelineConfig, *fields) -> None:

@@ -30,17 +30,10 @@ DAYS_PER_YEAR = 365.25
 @dataclass(frozen=True)
 class TraceConfig:
     similarity_threshold: float = 0.75
-    window_years: float = 5.0
 
     def __post_init__(self):
         if not (0.0 < self.similarity_threshold <= 1.0):
             raise ValueError("similarity_threshold must be in (0, 1]")
-        if self.window_years <= 0:
-            raise ValueError("window_years must be positive")
-
-    @property
-    def window_days(self) -> float:
-        return DAYS_PER_YEAR * self.window_years
 
 
 @dataclass(frozen=True)
@@ -424,10 +417,9 @@ def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> M
     )
 
 
-def compute_indicators(history: MethodHistory, cfg: TraceConfig) -> ChangeIndicators:
+def compute_indicators(history: MethodHistory, window_days: float) -> ChangeIndicators:
     """Indicator sums over revisions inside the age window (inclusive bound)."""
-    limit = cfg.window_days
-    inside = [r for r in history.revisions if r.daysSinceIntroduction <= limit]
+    inside = [r for r in history.revisions if r.daysSinceIntroduction <= window_days]
     return ChangeIndicators(
         revisions=len(inside),
         diffSize=sum(r.linesAdded + r.linesDeleted for r in inside),
@@ -437,11 +429,10 @@ def compute_indicators(history: MethodHistory, cfg: TraceConfig) -> ChangeIndica
 
 
 def filter_by_age(
-    histories: list[MethodHistory], snapshot_time: int, cfg: TraceConfig
+    histories: list[MethodHistory], snapshot_time: int, window_days: float
 ) -> list[MethodHistory]:
-    """Keep methods at least window_years old at the snapshot (closed bound)."""
-    limit = cfg.window_days
+    """Keep methods at least window_days old at the snapshot (closed bound)."""
     return [
         h for h in histories
-        if (snapshot_time - h.introduction.authorTime) / 86400.0 >= limit
+        if (snapshot_time - h.introduction.authorTime) / 86400.0 >= window_days
     ]

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .history import ChangeIndicators, INDICATOR_NAMES, MethodHistory, MethodIdentity, TraceConfig
+from .history import ChangeIndicators, INDICATOR_NAMES, MethodHistory, MethodIdentity
 from .metrics import MetricVector
 
 LABELS = ("good", "bad", "ugly")
@@ -149,7 +149,7 @@ def methods_touched_per_commit(histories: list[MethodHistory]) -> dict[str, int]
 def bug_counts(
     histories: list[MethodHistory],
     cfg: BugRuleConfig,
-    trace_cfg: TraceConfig,
+    window_days: float,
 ) -> dict[str, tuple[int, int]]:
     """Per-method (highRecall, highPrecision) counts over in-window revisions."""
     touched = methods_touched_per_commit(histories)
@@ -158,7 +158,7 @@ def bug_counts(
         high_recall = 0
         high_precision = 0
         for r in h.revisions:
-            if r.daysSinceIntroduction > trace_cfg.window_days:
+            if r.daysSinceIntroduction > window_days:
                 continue
             if classify_commit_high_recall(r.commit.message, cfg):
                 high_recall += 1

@@ -19,6 +19,7 @@ from typing import Callable
 
 from .gitrepo import CommitMeta, GitRepo
 from .history import (
+    DAYS_PER_YEAR,
     ChangeIndicators,
     INDICATOR_NAMES,
     MethodHistory,
@@ -96,17 +97,22 @@ class PipelineConfig:
     high_precision_fix_words: tuple[str, ...] = BugRuleConfig().highPrecisionFixWords
 
     def __post_init__(self):
+        """The one range check, for config-file values and flags alike."""
+        if not self.window_years > 0:
+            raise ConfigError("window_years must be positive")
+        for key in ("ugly_fraction", "theta"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1]")
         if self.jobs != 1:
             raise ConfigError(JOBS_ERROR)
+        if self.approach not in (1, 2):
+            raise ConfigError("approach must be 1 or 2")
+        for key in ("top_n", "per_project_cap"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
 
     def project_name(self) -> str:
         return self.project or Path(self.repo).resolve().name or "project"
-
-    def trace_config(self) -> TraceConfig:
-        return TraceConfig(
-            similarity_threshold=self.theta,
-            window_years=self.window_years,
-        )
 
     def bug_rules(self) -> BugRuleConfig:
         return BugRuleConfig(
@@ -132,64 +138,52 @@ _INT_KEYS = {"seed", "jobs", "approach", "top_n", "per_project_cap"}
 _STR_KEYS = {"repo", "commit", "out", "files", "project"}
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    def fail(message):
-        raise ConfigError(f"line {line_no}: {message}")
-
+def _parse_value(key: str, raw: str):
+    """The typed value of a config-file entry; ranges are checked by
+    `PipelineConfig` itself."""
     if key in _WORD_LIST_KEYS:
         words = tuple(w.strip() for w in raw.split(",") if w.strip())
         if not words:
-            fail(f"{key} must be a non-empty comma-separated list")
+            raise ConfigError(f"{key} must be a non-empty comma-separated list")
         return words
     if key in _FLOAT_KEYS:
         try:
-            value = float(raw)
+            return float(raw)
         except ValueError:
-            fail(f"{key} expects a number, got {raw!r}")
-        if key == "window_years" and value <= 0:
-            fail("window_years must be positive")
-        if key in ("ugly_fraction", "theta") and not (0.0 < value <= 1.0):
-            fail(f"{key} must lie in (0, 1]")
-        return value
+            raise ConfigError(f"{key} expects a number, got {raw!r}")
     if key in _INT_KEYS:
         try:
-            value = int(raw)
+            return int(raw)
         except ValueError:
-            fail(f"{key} expects an integer, got {raw!r}")
-        if key == "jobs" and value != 1:
-            fail(JOBS_ERROR)
-        if key == "approach" and value not in (1, 2):
-            fail("approach must be 1 or 2")
-        if key in ("top_n", "per_project_cap") and value < 1:
-            fail(f"{key} must be >= 1")
-        return value
+            raise ConfigError(f"{key} expects an integer, got {raw!r}")
     if key == "indicator":
         name = INDICATOR_ALIASES.get(raw, raw)
         if name not in INDICATOR_ALIASES.values():
-            fail(f"unknown indicator {raw!r}")
+            raise ConfigError(f"unknown indicator {raw!r}")
         return name
     if key in _STR_KEYS:
         return raw
-    fail(f"unknown key {key!r}")
+    raise ConfigError(f"unknown key {key!r}")
 
 
 def validate_config(path: str | Path) -> PipelineConfig:
-    """Parse a key = value config file; unknown keys and bad types are errors,
-    absent keys keep module defaults."""
+    """Parse a key = value config file; unknown keys, bad types and
+    out-of-range values are errors naming their line, absent keys keep
+    module defaults."""
     config = PipelineConfig()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if not hasattr(config, key):
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        setattr(config, key, _parse_value(key, raw, line_no))
+        try:
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {line!r}")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            config = replace(config, **{key: _parse_value(key, raw.strip())})
+        except ConfigError as err:
+            raise ConfigError(f"line {line_no}: {err}") from None
     return config
 
 
@@ -338,7 +332,7 @@ def indicators_from_record(record: dict) -> ChangeIndicators:
     return ChangeIndicators(**record)
 
 
-def history_record(h: MethodHistory, indicators: ChangeIndicators) -> dict:
+def history_record(h: MethodHistory) -> dict:
     return {
         "identity": identity_record(h.identity),
         "introduction": {
@@ -359,13 +353,14 @@ def history_record(h: MethodHistory, indicators: ChangeIndicators) -> dict:
             }
             for r in h.revisions
         ],
-        "indicators": indicators_record(indicators),
     }
 
 
-def history_from_record(record: dict) -> tuple[MethodHistory, ChangeIndicators]:
+def history_from_record(record: dict) -> MethodHistory:
+    """The history of a `histories.ndjson` record; an `indicators` field,
+    which older files hold, is not read."""
     intro = record["introduction"]
-    history = MethodHistory(
+    return MethodHistory(
         identity=identity_from_record(record["identity"]),
         introduction=CommitMeta(
             id=intro["commit"], firstParentId=None,
@@ -385,7 +380,6 @@ def history_from_record(record: dict) -> tuple[MethodHistory, ChangeIndicators]:
             for r in record["revisions"]
         ],
     )
-    return history, indicators_from_record(record["indicators"])
 
 
 def labeled_record(m: LabeledMethod, intro_time: int, age_days: float) -> dict:
@@ -443,9 +437,9 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str],
               methods_path: Path | None = None) -> None:
-    _, records = read_ndjson(methods_path or out / "methods.ndjson")
-    cfg = config.trace_config()
-    session = TraceSession(repo, snapshot, cfg, project=config.project_name())
+    header, records = read_ndjson(methods_path or out / "methods.ndjson")
+    cfg = TraceConfig(similarity_threshold=config.theta)
+    session = TraceSession(repo, snapshot, cfg, project=header["project"])
     # one file at a time, so the session reads each file's history once
     histories = [trace_method(session, decl_from_record(record), record["file"])
                  for record in sorted(records, key=lambda r: r["file"])]
@@ -454,13 +448,11 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
              len(session.chain), session.files_traced, session.blobs_read, session.failures,
              session.version_lines, session.lines_lexed_alone)
     histories.sort(key=lambda h: h.identity.key())
-    out_records = [history_record(h, compute_indicators(h, cfg)) for h in histories]
     write_ndjson(
-        out / "histories.ndjson", "trace", digests, out_records,
+        out / "histories.ndjson", "trace", digests, [history_record(h) for h in histories],
         extra_header={
             "snapshot": session.snapshot.id,
             "snapshotTime": session.snapshot.authorTime,
-            "windowYears": cfg.window_years,
             "theta": cfg.similarity_threshold,
         },
     )
@@ -470,12 +462,10 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
               histories_path: Path | None = None) -> None:
     header, records = read_ndjson(histories_path or out / "histories.ndjson")
     snapshot_time = header["snapshotTime"]
-    cfg = config.trace_config()
-    pairs = [history_from_record(r) for r in records]
-    histories = [h for h, _ in pairs]
-    indicators_by_key = {h.identity.as_str(): ind for h, ind in pairs}
-    eligible = filter_by_age(histories, snapshot_time, cfg)
-    bug_by_key = bug_counts(histories, config.bug_rules(), cfg)
+    window_days = DAYS_PER_YEAR * config.window_years
+    histories = [history_from_record(r) for r in records]
+    eligible = filter_by_age(histories, snapshot_time, window_days)
+    bug_by_key = bug_counts(histories, config.bug_rules(), window_days)
     methods = []
     for h in eligible:
         key = h.identity.as_str()
@@ -483,7 +473,7 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
         methods.append(LabeledMethod(
             identity=h.identity,
             metrics=compute_metric_vector(h.introductionDecl),
-            indicators=indicators_by_key[key],
+            indicators=compute_indicators(h, window_days),
             label="",  # set below, once every eligible method is known
             bugCountHighRecall=bugs[0],
             bugCountHighPrecision=bugs[1],
@@ -681,7 +671,7 @@ def _indicator_params(config: PipelineConfig) -> dict:
 STAGES = {stage.name: stage for stage in (
     Stage("extract", (), lambda c: {"files": c.files, "project": c.project_name()},
           ("methods.ndjson",), reads_repo=True),
-    Stage("trace", ("methods.ndjson",), lambda c: {"theta": c.theta, "windowYears": c.window_years},
+    Stage("trace", ("methods.ndjson",), lambda c: {"theta": c.theta},
           ("histories.ndjson",), reads_repo=True),
     Stage("label", ("histories.ndjson",), lambda c: {
         "indicator": c.indicator,

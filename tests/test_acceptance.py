@@ -20,6 +20,7 @@ import pytest
 
 from methodlens.gitrepo import GitRepo
 from methodlens.history import (
+    DAYS_PER_YEAR,
     TraceConfig,
     TraceSession,
     compute_indicators,
@@ -239,12 +240,12 @@ def test_criterion_6_fixture_repo(tmp_path):
         want = [(r["commit"], r["added"], r["deleted"], r["edit"])
                 for r in expected["revisions"]]
         assert got == want, sig
-        indicators = compute_indicators(history, cfg)
+        indicators = compute_indicators(history, 5.0 * DAYS_PER_YEAR)
         assert indicators.revisions == expected["window"]["revisions"], sig
         assert indicators.diffSize == expected["window"]["diffSize"], sig
         assert indicators.additionOnly == expected["window"]["additionOnly"], sig
         assert indicators.editDistance == expected["window"]["editDistance"], sig
-    counts = bug_counts(list(histories.values()), BugRuleConfig(), cfg)
+    counts = bug_counts(list(histories.values()), BugRuleConfig(), 5.0 * DAYS_PER_YEAR)
     by_sig = {sig: counts[h.identity.as_str()] for sig, h in histories.items()}
     for sig, expected in ledger["methods"].items():
         assert by_sig[sig] == tuple(expected["bugs"]), sig

@@ -4,12 +4,14 @@ output and the full pipeline must match the construction ledger exactly."""
 import json
 import math
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from methodlens.gitrepo import GitRepo, UnknownCommit
 from methodlens.history import (
+    DAYS_PER_YEAR,
     TraceConfig,
     TraceSession,
     compute_indicators,
@@ -18,20 +20,19 @@ from methodlens.history import (
 )
 from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
-from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline
+from methodlens.pipeline import STAGES, PipelineConfig, read_ndjson, run_pipeline
 
 @pytest.fixture(scope="session")
 def traced(fixture_repo):
     ledger = fixture_repo
     repo = GitRepo(str(ledger["repo"]))
-    cfg = TraceConfig()
-    session = TraceSession(repo, ledger["snapshot"], cfg, project="fixture")
+    session = TraceSession(repo, ledger["snapshot"], TraceConfig(), project="fixture")
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
         for decl in extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path))):
             h = trace_method(session, decl, path)
             histories[h.identity.signature] = h
-    return ledger, cfg, histories
+    return ledger, 5.0 * DAYS_PER_YEAR, histories
 
 
 def test_commit_topology(fixture_repo):
@@ -79,9 +80,9 @@ def test_revisions_match_ledger_exactly(traced):
 
 
 def test_window_indicators_match_ledger(traced):
-    ledger, cfg, histories = traced
+    ledger, window_days, histories = traced
     for sig, expected in ledger["methods"].items():
-        ind = compute_indicators(histories[sig], cfg)
+        ind = compute_indicators(histories[sig], window_days)
         want = expected["window"]
         assert ind.revisions == want["revisions"], sig
         assert ind.diffSize == want["diffSize"], sig
@@ -90,15 +91,15 @@ def test_window_indicators_match_ledger(traced):
 
 
 def test_age_filter_matches_ledger(traced):
-    ledger, cfg, histories = traced
-    kept = filter_by_age(list(histories.values()), ledger["snapshot_time"], cfg)
+    ledger, window_days, histories = traced
+    kept = filter_by_age(list(histories.values()), ledger["snapshot_time"], window_days)
     assert sorted(h.identity.signature for h in kept) == ledger["eligible"]
     assert "Util#youngster()" not in {h.identity.signature for h in kept}
 
 
 def test_bug_counts_match_ledger(traced):
-    ledger, cfg, histories = traced
-    counts = bug_counts(list(histories.values()), BugRuleConfig(), cfg)
+    ledger, window_days, histories = traced
+    counts = bug_counts(list(histories.values()), BugRuleConfig(), window_days)
     by_sig = {sig: counts[h.identity.as_str()] for sig, h in histories.items()}
     for sig, expected in ledger["methods"].items():
         assert by_sig[sig] == tuple(expected["bugs"]), sig
@@ -202,6 +203,28 @@ def test_pipeline_reruns_the_dependents_of_a_deleted_artifact(pipeline_run):
     assert status["extract"] == "skipped"
     assert all(state == "ran" for stage, state in status.items() if stage != "extract")
     assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
+def test_pipeline_reruns_only_the_stages_a_change_reaches(fixture_repo, tmp_path):
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path / "rerun"), project="fixture", seed=7)
+    run_pipeline(config)
+    out = Path(config.out)
+    stages = list(STAGES)
+    from_label = {stage: "skipped" if stage in ("extract", "trace") else "ran" for stage in stages}
+    five_years = (out / "dataset.ndjson").read_bytes()
+
+    window = replace(config, window_years=3.0)
+    assert run_pipeline(window) == from_label
+    assert (out / "dataset.ndjson").read_bytes() != five_years
+    clean = tmp_path / "clean"
+    run_pipeline(replace(window, out=str(clean)))
+    assert [name for name in ARTIFACTS if (out / name).read_bytes() != (clean / name).read_bytes()] == []
+
+    indicator = replace(window, indicator="revisions")
+    assert run_pipeline(indicator) == from_label
+    theta = replace(indicator, theta=0.8)
+    assert run_pipeline(theta) == {stage: "skipped" if stage == "extract" else "ran" for stage in stages}
 
 
 def test_pipeline_deterministic_artifacts(pipeline_run, tmp_path_factory):

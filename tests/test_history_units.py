@@ -4,6 +4,7 @@ import pytest
 
 from methodlens.gitrepo import CommitMeta
 from methodlens.history import (
+    DAYS_PER_YEAR,
     ChangeIndicators,
     MethodHistory,
     MethodIdentity,
@@ -17,6 +18,7 @@ from methodlens.history import (
 from methodlens.java_extract import extract_methods, normalize_source
 
 DAY = 86400
+FIVE_YEARS = 5.0 * DAYS_PER_YEAR
 
 def _dummy_decl():
     from methodlens.java_extract import MethodDeclaration
@@ -59,8 +61,6 @@ def history_with(revision_days, intro_time=0):
 def test_trace_config_validation():
     with pytest.raises(ValueError):
         TraceConfig(similarity_threshold=0.0)
-    with pytest.raises(ValueError):
-        TraceConfig(window_years=0.0)
 
 
 BIG_BODY = """\
@@ -120,40 +120,36 @@ def test_match_below_threshold_returns_none():
 
 
 def test_indicators_empty():
-    cfg = TraceConfig()
-    assert compute_indicators(history_with([]), cfg) == ChangeIndicators(0, 0, 0, 0)
+    assert compute_indicators(history_with([]), FIVE_YEARS) == ChangeIndicators(0, 0, 0, 0)
 
 
 def test_indicators_window_excludes_late_revision():
-    cfg = TraceConfig(window_years=5.0)
     h = history_with([100, 2000])
-    ind = compute_indicators(h, cfg)
+    ind = compute_indicators(h, FIVE_YEARS)
     assert ind.revisions == 1  # day 2000 lies past 1826.25
     assert ind == ChangeIndicators(1, 3, 2, 30)
 
 
 def test_indicators_sum_inside_window():
-    cfg = TraceConfig()
     h = history_with([10, 20])
-    assert compute_indicators(h, cfg) == ChangeIndicators(2, 6, 4, 60)
+    assert compute_indicators(h, FIVE_YEARS) == ChangeIndicators(2, 6, 4, 60)
 
 
 def test_indicator_window_monotone_vs_unbounded():
     h = history_with([100, 1000, 1900, 2500])
-    five = compute_indicators(h, TraceConfig(window_years=5.0))
-    unbounded = compute_indicators(h, TraceConfig(window_years=1000.0))
+    five = compute_indicators(h, FIVE_YEARS)
+    unbounded = compute_indicators(h, 1000.0 * DAYS_PER_YEAR)
     for name in ("revisions", "diffSize", "additionOnly", "editDistance"):
         assert five.value(name) <= unbounded.value(name)
 
 
 def test_filter_by_age_boundaries():
-    cfg = TraceConfig(window_years=5.0)
     six_years = history_with([], intro_time=0)
     four_years = history_with([], intro_time=0)
     exactly_five = history_with([], intro_time=0)
     snapshot_six = int(6 * 365.25 * DAY)
     snapshot_four = int(4 * 365.25 * DAY)
     snapshot_five = int(5 * 365.25 * DAY)
-    assert filter_by_age([six_years], snapshot_six, cfg) == [six_years]
-    assert filter_by_age([four_years], snapshot_four, cfg) == []
-    assert filter_by_age([exactly_five], snapshot_five, cfg) == [exactly_five]
+    assert filter_by_age([six_years], snapshot_six, FIVE_YEARS) == [six_years]
+    assert filter_by_age([four_years], snapshot_four, FIVE_YEARS) == []
+    assert filter_by_age([exactly_five], snapshot_five, FIVE_YEARS) == [exactly_five]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from methodlens.gitrepo import CommitMeta
-from methodlens.history import MethodHistory, MethodIdentity, Revision, TraceConfig
+from methodlens.history import DAYS_PER_YEAR, MethodHistory, MethodIdentity, Revision
 from methodlens.labeling import (
     BugRuleConfig,
     EmptyProject,
@@ -19,6 +19,7 @@ from methodlens.labeling import (
 from synth import indicators, labeled, sample
 
 CFG = BugRuleConfig()
+FIVE_YEARS = 5.0 * DAYS_PER_YEAR
 
 def _dummy_decl():
     from methodlens.java_extract import MethodDeclaration
@@ -218,7 +219,7 @@ def _history(ident_idx, rev_specs):
 
 
 def test_bug_counts_no_revisions():
-    counts = bug_counts([_history(0, [])], CFG, TraceConfig())
+    counts = bug_counts([_history(0, [])], CFG, FIVE_YEARS)
     assert list(counts.values()) == [(0, 0)]
 
 
@@ -228,18 +229,18 @@ def test_bug_counts_tangled_commit_diverges():
         _history(1, [("c9", "fix overflow bug in edge cases", 10)]),
         _history(2, [("c9", "fix overflow bug in edge cases", 10)]),
     ]
-    counts = bug_counts(tangled, CFG, TraceConfig())
+    counts = bug_counts(tangled, CFG, FIVE_YEARS)
     assert all(v == (1, 0) for v in counts.values())
 
 
 def test_bug_counts_single_method_fix():
-    counts = bug_counts([_history(0, [("c6", "fix bug", 10)])], CFG, TraceConfig())
+    counts = bug_counts([_history(0, [("c6", "fix bug", 10)])], CFG, FIVE_YEARS)
     assert list(counts.values()) == [(1, 1)]
 
 
 def test_bug_counts_window_limited():
     h = _history(0, [("late", "fix bug", 2200)])
-    counts = bug_counts([h], CFG, TraceConfig(window_years=5.0))
+    counts = bug_counts([h], CFG, FIVE_YEARS)
     assert list(counts.values()) == [(0, 0)]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from methodlens import ml, pipeline
 from methodlens.cli import main
+from methodlens.history import DAYS_PER_YEAR, compute_indicators
 from methodlens.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -83,6 +84,33 @@ def test_jobs_other_than_one_is_a_config_error(tmp_path):
         main(["pipeline", "--jobs", "2"])
 
 
+# (key, file value, subcommand argv with the same value as a flag)
+OUT_OF_RANGE = [
+    ("window_years", "0", ["pipeline", "--window-years", "0"]),
+    ("window_years", "-2", ["pipeline", "--window-years", "-2"]),
+    ("theta", "3", ["pipeline", "--theta", "3"]),
+    ("theta", "0", ["pipeline", "--theta", "0"]),
+    ("ugly_fraction", "1.5", ["label", "--histories", "h.ndjson", "--ugly-fraction", "1.5"]),
+    ("top_n", "0", ["rank", "--labeled", "d.ndjson", "--histories", "h.ndjson", "--top", "0"]),
+    ("per_project_cap", "-3", ["rank", "--labeled", "d.ndjson", "--histories", "h.ndjson",
+                               "--per-project", "-3"]),
+]
+
+
+@pytest.mark.parametrize("key, value, argv", OUT_OF_RANGE)
+def test_flags_get_the_range_check_of_config_values(fixture_repo, tmp_path, capsys, key, value, argv):
+    with pytest.raises(ConfigError) as err:
+        validate_config(write_config(tmp_path, f"{key} = {value}"))
+    assert str(err.value).startswith("line 1: ")
+    message = str(err.value)[len("line 1: "):]
+    out = tmp_path / "out"
+    code = main([*argv, "--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_round_trips_losslessly(tmp_path):
     config = PipelineConfig(repo="/x", commit="abc", window_years=3.5, seed=11,
                             indicator="diffSize", high_recall_keywords=("boom", "oops"))
@@ -99,8 +127,7 @@ def cli_artifacts(fixture_repo, tmp_path_factory):
     sha = fixture_repo["snapshot"]
     assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(out)]) == 0
     assert main(["trace", "--repo", repo, "--commit", sha, "--out", str(out),
-                 "--methods", str(out / "methods.ndjson"),
-                 "--window-years", "5", "--theta", "0.75"]) == 0
+                 "--methods", str(out / "methods.ndjson"), "--theta", "0.75"]) == 0
     assert main(["label", "--histories", str(out / "histories.ndjson"),
                  "--indicator", "edit-distance", "--ugly-fraction", "0.2",
                  "--out", str(out)]) == 0
@@ -147,8 +174,9 @@ def test_cli_histories_schema(cli_artifacts):
     header, records = read_ndjson(out / "histories.ndjson")
     assert header["stage"] == "trace"
     assert header["snapshotTime"] > 0
+    assert "windowYears" not in header
     for record in records:
-        assert set(record) == {"identity", "introduction", "revisions", "indicators"}
+        assert set(record) == {"identity", "introduction", "revisions"}
         for revision in record["revisions"]:
             assert set(revision) >= {"commit", "time", "added", "deleted",
                                      "editDistance", "message"}
@@ -397,6 +425,46 @@ def test_cli_trace_commit_must_be_the_extracted_snapshot(fixture_repo, tmp_path)
     assert not (tmp_path / "histories.ndjson").exists()
     assert main(trace + ["--commit", sha]) == 0
     assert read_ndjson(tmp_path / "histories.ndjson")[0]["snapshot"] == sha
+
+
+def test_trace_has_no_window_flag(fixture_repo, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],
+              "--methods", str(tmp_path / "methods.ndjson"), "--window-years", "5",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: methodlens") and "unrecognized arguments: --window-years 5" in err
+
+
+def test_trace_takes_the_project_from_the_methods_header(fixture_repo, tmp_path):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    config = write_config(tmp_path, "project = alpha\n")
+    assert main(["extract", "--repo", repo, "--commit", sha, "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(tmp_path / "methods.ndjson"),
+                 "--out", str(tmp_path)]) == 0
+    _, records = read_ndjson(tmp_path / "histories.ndjson")
+    assert records and {r["identity"]["project"] for r in records} == {"alpha"}
+
+
+def test_label_indicators_follow_the_label_window(fixture_repo, tmp_path):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
+    assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(tmp_path / "methods.ndjson"),
+                 "--out", str(tmp_path)]) == 0
+    config = write_config(tmp_path, "window_years = 3\n")
+    assert main(["label", "--histories", str(tmp_path / "histories.ndjson"), "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    _, histories = read_ndjson(tmp_path / "histories.ndjson")
+    by_key = {pipeline.identity_from_record(r["identity"]).as_str(): pipeline.history_from_record(r)
+              for r in histories}
+    _, records = read_ndjson(tmp_path / "dataset.ndjson")
+    assert records
+    three_years = 3 * DAYS_PER_YEAR
+    for record in records:
+        history = by_key[pipeline.identity_from_record(record["identity"]).as_str()]
+        assert record["indicators"] == pipeline.indicators_record(compute_indicators(history, three_years))
 
 
 def test_common_flags_before_the_subcommand_are_rejected(fixture_repo, tmp_path, capsys):
