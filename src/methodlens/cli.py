@@ -165,11 +165,19 @@ def _require(config: PipelineConfig, *fields) -> None:
 
 def _run_stage(args, stage: str, inputs: dict[str, str], **extra) -> list[Path]:
     """Run one stage on the input files named by the flags, with the
-    snapshot of --repo/--commit, and print the paths it wrote."""
+    snapshot of --repo/--commit, and print the paths it wrote.  A stage that
+    reads the repository must read it at the snapshot its inputs were
+    written at."""
     config = load_config(args)
-    if STAGES[stage].reads_repo:
+    reads_repo = STAGES[stage].reads_repo
+    if reads_repo:
         _require(config, "repo", "commit")
     repo, snapshot = open_snapshot(config)
+    for path in inputs.values() if reads_repo else ():
+        written_at = read_ndjson(Path(path))[0].get("snapshot")
+        if written_at != snapshot:
+            raise ConfigError(f"--commit resolves to {snapshot}, but {path} was written at {written_at}; "
+                              f"run {stage} at the snapshot its input was written at")
     Path(config.out).mkdir(parents=True, exist_ok=True)
     written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
                         repo, snapshot, **extra)
@@ -206,13 +214,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = load_config(args)
-    _require(config, "repo", "commit")
-    _, snapshot = open_snapshot(config)
-    header, _ = read_ndjson(Path(args.methods))
-    if header.get("snapshot") != snapshot:
-        raise ConfigError(f"--commit resolves to {snapshot}, but {args.methods} was extracted "
-                          f"at {header.get('snapshot')}; trace at the snapshot it was extracted at")
     _run_stage(args, "trace", {"methods.ndjson": args.methods})
     return EXIT_OK
 

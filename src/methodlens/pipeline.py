@@ -17,6 +17,7 @@ from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable
 
+from . import __version__
 from .gitrepo import CommitMeta, GitRepo
 from .history import (
     DAYS_PER_YEAR,
@@ -46,7 +47,9 @@ from .stats import composite_scores, correlation_table, select_surprising, signs
 
 log = logging.getLogger("methodlens.pipeline")
 
-TOOL_VERSION = "0.1.0"
+# digested into every stage's params, so output directories written by
+# another version run each stage once again
+TOOL_VERSION = __version__
 SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
@@ -110,6 +113,11 @@ class PipelineConfig:
         for key in ("top_n", "per_project_cap"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        for key in _WORD_LIST_KEYS:
+            words = getattr(self, key)
+            # commit messages are matched lowercased
+            if not words or any(w != w.lower() for w in words):
+                raise ConfigError(f"{key} must be a non-empty lowercase list")
 
     def project_name(self) -> str:
         return self.project or Path(self.repo).resolve().name or "project"
@@ -132,7 +140,7 @@ class PipelineConfig:
         return "\n".join(lines) + "\n"
 
 
-_WORD_LIST_KEYS = {"high_recall_keywords", "high_precision_bug_words", "high_precision_fix_words"}
+_WORD_LIST_KEYS = ("high_recall_keywords", "high_precision_bug_words", "high_precision_fix_words")
 _FLOAT_KEYS = {"window_years", "ugly_fraction", "theta"}
 _INT_KEYS = {"seed", "jobs", "approach", "top_n", "per_project_cap"}
 _STR_KEYS = {"repo", "commit", "out", "files", "project"}
@@ -332,7 +340,9 @@ def indicators_from_record(record: dict) -> ChangeIndicators:
     return ChangeIndicators(**record)
 
 
-def history_record(h: MethodHistory) -> dict:
+def history_record(h: MethodHistory, metrics: MetricVector) -> dict:
+    """The record of a history and the inception metrics of its
+    introduction declaration."""
     return {
         "identity": identity_record(h.identity),
         "introduction": {
@@ -340,6 +350,7 @@ def history_record(h: MethodHistory) -> dict:
             "time": h.introduction.authorTime,
             "path": h.introductionPath,
             "method": method_record(h.introductionPath, h.introductionDecl),
+            "metrics": metrics.as_dict(),
         },
         "revisions": [
             {
@@ -358,7 +369,7 @@ def history_record(h: MethodHistory) -> dict:
 
 def history_from_record(record: dict) -> MethodHistory:
     """The history of a `histories.ndjson` record; an `indicators` field,
-    which older files hold, is not read."""
+    which older files hold, is not read, and neither are the metrics."""
     intro = record["introduction"]
     return MethodHistory(
         identity=identity_from_record(record["identity"]),
@@ -380,6 +391,16 @@ def history_from_record(record: dict) -> MethodHistory:
             for r in record["revisions"]
         ],
     )
+
+
+def inception_metrics_from_record(record: dict, path: Path) -> MetricVector:
+    """The introduction's metric vector that trace stored in a
+    `histories.ndjson` record of the file at `path`."""
+    metrics = record["introduction"].get("metrics")
+    if metrics is None:
+        raise ValueError(f"{path} holds no introduction metrics, as files written before "
+                         f"methodlens 0.2.0 do; run trace again to write them")
+    return MetricVector(**metrics)
 
 
 def labeled_record(m: LabeledMethod, intro_time: int, age_days: float) -> dict:
@@ -448,8 +469,11 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
              len(session.chain), session.files_traced, session.blobs_read, session.failures,
              session.version_lines, session.lines_lexed_alone)
     histories.sort(key=lambda h: h.identity.key())
+    # the inception metrics depend on the introduction alone, so label reads
+    # them instead of measuring again on every rerun
+    records = [history_record(h, compute_metric_vector(h.introductionDecl)) for h in histories]
     write_ndjson(
-        out / "histories.ndjson", "trace", digests, [history_record(h) for h in histories],
+        out / "histories.ndjson", "trace", digests, records,
         extra_header={
             "snapshot": session.snapshot.id,
             "snapshotTime": session.snapshot.authorTime,
@@ -460,10 +484,13 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
 
 def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
               histories_path: Path | None = None) -> None:
-    header, records = read_ndjson(histories_path or out / "histories.ndjson")
+    histories_path = histories_path or out / "histories.ndjson"
+    header, records = read_ndjson(histories_path)
     snapshot_time = header["snapshotTime"]
     window_days = DAYS_PER_YEAR * config.window_years
     histories = [history_from_record(r) for r in records]
+    metrics_by_key = {h.identity.as_str(): inception_metrics_from_record(r, histories_path)
+                      for h, r in zip(histories, records)}
     eligible = filter_by_age(histories, snapshot_time, window_days)
     bug_by_key = bug_counts(histories, config.bug_rules(), window_days)
     methods = []
@@ -472,7 +499,7 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
         bugs = bug_by_key[key]
         methods.append(LabeledMethod(
             identity=h.identity,
-            metrics=compute_metric_vector(h.introductionDecl),
+            metrics=metrics_by_key[key],
             indicators=compute_indicators(h, window_days),
             label="",  # set below, once every eligible method is known
             bugCountHighRecall=bugs[0],
@@ -740,13 +767,14 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     repo = GitRepo(config.repo)
     snapshot = repo.resolve_commit(config.commit)
     manifest_path = out / "manifest.json"
-    manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": {}}
+    stages = {}
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            manifest.setdefault("stages", {})
+            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
         except json.JSONDecodeError:
-            manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": {}}
+            pass
+    # the stage digests carry over; the version fields are this run's
+    manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": stages}
 
     status: dict[str, str] = {}
     rewritten: set[str] = set()

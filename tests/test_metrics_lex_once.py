@@ -1,5 +1,6 @@
-"""Each declaration is lexed once for all 17 metrics, and the public
-per-metric functions, which lex on their own, agree with the vector."""
+"""Each declaration is lexed once for all 17 metrics, the pipeline lexes
+each introduction once, in trace, and the public per-metric functions,
+which lex on their own, agree with the vector."""
 
 import pytest
 
@@ -30,17 +31,21 @@ def test_metric_vector_lexes_the_declaration_once(lexed):
         assert lexed == [decl.bodyText]
 
 
-def test_label_lexes_each_eligible_method_once(fixture_repo, tmp_path, lexed):
+def test_trace_lexes_each_introduction_once_and_label_lexes_none(fixture_repo, tmp_path, lexed):
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path), project="fixture", seed=7)
     git = GitRepo(config.repo)
     run_stage("extract", config, {}, git, config.commit)
+    lexed.clear()
     run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, config.commit)
+    _, histories = read_ndjson(tmp_path / "histories.ndjson")
+    assert len(histories) == 11  # the young method too
+    assert sorted(lexed) == sorted(h["introduction"]["method"]["body"] for h in histories)
     lexed.clear()
     run_stage("label", config, {"histories.ndjson": tmp_path / "histories.ndjson"}, None, config.commit)
     _, records = read_ndjson(tmp_path / "dataset.ndjson")
     assert 0 < len(records) < 11  # some methods are too young to be labelled
-    assert len(lexed) == len(records)
+    assert lexed == []
 
 
 @pytest.mark.parametrize("decl", DECLS, ids=lambda d: f"{d.containerChain[-1]}.{d.name}")

@@ -111,6 +111,20 @@ def test_flags_get_the_range_check_of_config_values(fixture_repo, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["high_recall_keywords", "high_precision_bug_words",
+                                 "high_precision_fix_words"])
+def test_an_uppercase_bug_word_is_a_config_error(fixture_repo, tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be a non-empty lowercase list$"):
+        PipelineConfig(**{key: ("fix", "Bug")})
+    config = write_config(tmp_path, f"{key} = Fix, Bug\n")
+    out = tmp_path / "out"
+    code = main(["pipeline", "--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],
+                 "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: line 1: {key} must be a non-empty lowercase list\n"
+    assert not (out / "methods.ndjson").exists()
+
+
 def test_config_round_trips_losslessly(tmp_path):
     config = PipelineConfig(repo="/x", commit="abc", window_years=3.5, seed=11,
                             indicator="diffSize", high_recall_keywords=("boom", "oops"))

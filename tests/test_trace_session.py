@@ -9,6 +9,7 @@ import subprocess
 from pathlib import Path
 
 from methodlens import history
+from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
 from methodlens.history import TraceConfig, TraceSession, match_method
 from methodlens.java_extract import extract_methods, normalize_source
@@ -36,6 +37,25 @@ def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_pat
     assert calls.count("ls-tree") == 1  # extract's; trace never lists the snapshot
     assert calls.count("log") == 1 and calls.count("cat-file") == traced_files + 1
     assert "diff-tree" not in calls
+
+
+def test_the_trace_subcommand_opens_the_repository_once(fixture_repo, tmp_path, monkeypatch):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
+    methods = tmp_path / "methods.ndjson"
+    git = GitRepo(repo)
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr("methodlens.gitrepo.subprocess.run",
+                        lambda args, *rest, **kw: calls.append(args[3]) or real_run(args, *rest, **kw))
+    config = PipelineConfig(repo=repo, commit=sha, out=str(tmp_path / "stage"))
+    Path(config.out).mkdir()
+    run_stage("trace", config, {"methods.ndjson": methods}, git, sha)
+    stage_calls, calls[:] = list(calls), []
+    assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(methods),
+                 "--out", str(tmp_path)]) == 0
+    # --git-dir and the snapshot, once each, then the stage's own processes
+    assert calls == ["rev-parse", "rev-parse", *stage_calls]
 
 
 def test_match_method_lexes_each_declaration_once(monkeypatch):
