@@ -255,7 +255,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = load_config(args)
+    load_config(args)  # validates --config
     written = emit_plot_data(args.artifacts)
     for path in written:
         print(f"wrote {path}")

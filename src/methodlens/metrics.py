@@ -1,5 +1,9 @@
 """The 17 method-level code metrics, computed from a method's declaration text.
 
+`compute_metric_vector` lexes the declaration once and hands the tokens, or
+the body slice of them, to the private function behind each metric; the
+formula functions that need no tokens stay public.
+
 Every convention that is not forced by the metric's usual definition
 (Halstead operator/operand classification, the predicate set, tab width,
 readability model weights, ...) is frozen in docs/metric_ledger.md so the
@@ -9,7 +13,7 @@ golden fixtures stay stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .java_extract import (
     MethodDeclaration,
@@ -21,15 +25,6 @@ from .java_extract import (
     skip_annotation,
     tokenize,
 )
-
-METRIC_NAMES = [
-    "size", "mccabe", "nvar", "ncomp", "indentStd", "maxBlockDepth", "fanout",
-    "halsteadLength", "maintainabilityIndex", "readability", "simpleReadability",
-    "parameters", "variables", "commentRatio", "getterSetter", "isPublic", "isStatic",
-]
-
-# Binary flags carry too little spread to contribute to composite scores.
-NUMERIC_METRIC_NAMES = METRIC_NAMES[:14]
 
 TAB_WIDTH = 4
 
@@ -100,6 +95,12 @@ class MetricVector:
         return [float(getattr(self, name)) for name in METRIC_NAMES]
 
 
+METRIC_NAMES = [f.name for f in fields(MetricVector)]
+
+# Binary flags carry too little spread to contribute to composite scores.
+NUMERIC_METRIC_NAMES = METRIC_NAMES[:14]
+
+
 # ---------------------------------------------------------------------------
 # token helpers
 
@@ -107,14 +108,6 @@ class MetricVector:
 def _logistic(z: float) -> float:
     z = max(-30.0, min(30.0, z))  # keep the result strictly inside (0, 1)
     return 1.0 / (1.0 + math.exp(-z))
-
-
-def _declaration_tokens(decl: MethodDeclaration) -> list[Token]:
-    return tokenize(decl.bodyText)
-
-
-def _body_tokens(decl: MethodDeclaration) -> list[Token]:
-    return _body_slice(_declaration_tokens(decl))
 
 
 def _body_slice(toks: list[Token]) -> list[Token]:
@@ -232,18 +225,10 @@ def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
 
 # ---------------------------------------------------------------------------
 # individual metrics
-#
-# Each public compute_* lexes the declaration it is given; compute_metric_vector
-# lexes once and hands the tokens, or the body slice of them, to the private
-# function behind each metric.
-
-
-def compute_size(decl: MethodDeclaration) -> int:
-    """Lines in the declaration span carrying at least one non-comment token."""
-    return _size(_declaration_tokens(decl))
 
 
 def _size(toks: list[Token]) -> int:
+    """Lines in the declaration span carrying at least one non-comment token."""
     marked: set[int] = set()
     for t in toks:
         if t.kind != "comment":
@@ -259,17 +244,13 @@ def _comment_line_count(toks: list[Token]) -> int:
     return len(marked)
 
 
-def compute_mccabe(decl: MethodDeclaration) -> int:
+def _mccabe(body: list[Token]) -> int:
     """1 + #predicates.
 
     Predicates: if, for, while (a do-while is counted once, through its
     closing while), case labels, catch clauses, ternary '?', and every
     '&&'/'||'.  'default' labels do not count.
     """
-    return _mccabe(_body_tokens(decl))
-
-
-def _mccabe(body: list[Token]) -> int:
     count = 0
     for i, t in enumerate(body):
         if t.kind == "keyword" and t.text in ("if", "for", "while", "case", "catch"):
@@ -281,13 +262,9 @@ def _mccabe(body: list[Token]) -> int:
     return 1 + count
 
 
-def compute_mcclure(decl: MethodDeclaration) -> tuple[int, int]:
+def _mcclure(body: list[Token]) -> tuple[int, int]:
     """(nvar, ncomp): distinct identifiers and comparison operators inside
     decision expressions."""
-    return _mcclure(_body_tokens(decl))
-
-
-def _mcclure(body: list[Token]) -> tuple[int, int]:
     names: set[str] = set()
     comparisons = 0
     for expr in _predicate_expressions(body):
@@ -324,16 +301,9 @@ def compute_indent_std(decl: MethodDeclaration) -> float:
     return math.sqrt(var)
 
 
-_CONTROL_KEYWORDS = ("if", "for", "while", "do", "switch", "try", "synchronized")
-
-
-def compute_max_block_depth(decl: MethodDeclaration) -> int:
+def _max_block_depth(body: list[Token]) -> int:
     """Deepest nesting of control-structure blocks; the method body itself is
     depth 0 and braceless single-statement bodies count as blocks."""
-    return _max_block_depth(_body_tokens(decl))
-
-
-def _max_block_depth(body: list[Token]) -> int:
     if len(body) < 2:
         return 0
     return _scan_statements(body, 1, len(body) - 1, 0)
@@ -460,28 +430,18 @@ def _scan_embedded(toks: list[Token], i: int, end: int, depth: int) -> tuple[int
     return j, max(depth + 1, inner)
 
 
-def compute_fanout(decl: MethodDeclaration) -> int:
-    """Distinct invoked method simple names in the body."""
-    body = _body_tokens(decl)
-    return _fanout(body, _invocation_indices(body))
-
-
 def _fanout(body: list[Token], calls: set[int]) -> int:
+    """Distinct invoked method simple names in the body."""
     return len({body[i].text for i in calls})
 
 
-def compute_halstead(decl: MethodDeclaration) -> HalsteadCounts:
+def _halstead(body: list[Token], calls: set[int]) -> HalsteadCounts:
     """Operator/operand counts over the body block (outer braces included).
 
     Operands: identifiers and literals.  Operators: keywords, operator
     symbols, one per bracket pair, and one per invocation (the called name
     absorbs its parentheses).  ';', ',' and other separators are ignored.
     """
-    body = _body_tokens(decl)
-    return _halstead(body, _invocation_indices(body))
-
-
-def _halstead(body: list[Token], calls: set[int]) -> HalsteadCounts:
     consumed_parens = {i + 1 for i in calls}
     operators: list[str] = []
     operands: list[str] = []
@@ -533,13 +493,9 @@ def _buse_features(decl: MethodDeclaration, toks: list[Token]) -> dict[str, floa
     }
 
 
-def compute_readability_buse(decl: MethodDeclaration) -> float:
+def _readability_buse(decl: MethodDeclaration, toks: list[Token]) -> float:
     """Surrogate of the learned line-shape readability model: logistic score
     over eight documented features with ledger-fixed weights."""
-    return _readability_buse(decl, _declaration_tokens(decl))
-
-
-def _readability_buse(decl: MethodDeclaration, toks: list[Token]) -> float:
     features = _buse_features(decl, toks)
     z = BUSE_INTERCEPT + sum(w * features[name] for name, w in BUSE_WEIGHTS)
     return _logistic(z)
@@ -698,20 +654,6 @@ def _try_parse_declaration(body: list[Token], i: int, n: int) -> tuple[int, int]
     return name_idx + 1, count
 
 
-def compute_counts(decl: MethodDeclaration) -> tuple[int, int, float]:
-    """(parameters, local-variable declarators, commentRatio)."""
-    toks = _declaration_tokens(decl)
-    return _counts(decl, toks, _body_slice(toks), _size(toks))
-
-
-def _counts(decl: MethodDeclaration, toks: list[Token], body: list[Token], size: int) -> tuple[int, int, float]:
-    return len(decl.parameterTypes), _count_local_declarators(body), _comment_line_count(toks) / size
-
-
-def detect_getter_setter(decl: MethodDeclaration) -> bool:
-    return _getter_setter(decl, _body_tokens(decl))
-
-
 def _getter_setter(decl: MethodDeclaration, body: list[Token]) -> bool:
     inner = body[1:-1] if len(body) >= 2 else []
     if not inner:
@@ -734,14 +676,13 @@ def _getter_setter(decl: MethodDeclaration, body: list[Token]) -> bool:
 def compute_metric_vector(decl: MethodDeclaration) -> MetricVector:
     """All 17 metrics from one lex of the declaration; deterministic for
     identical declaration text."""
-    toks = _declaration_tokens(decl)
+    toks = tokenize(decl.bodyText)
     body = _body_slice(toks)
     calls = _invocation_indices(body)
     size = _size(toks)
     halstead = _halstead(body, calls)
     mccabe = _mccabe(body)
     nvar, ncomp = _mcclure(body)
-    parameters, variables, comment_ratio = _counts(decl, toks, body, size)
     return MetricVector(
         size=size,
         mccabe=mccabe,
@@ -754,9 +695,9 @@ def compute_metric_vector(decl: MethodDeclaration) -> MetricVector:
         maintainabilityIndex=compute_maintainability_index(size, mccabe, halstead),
         readability=_readability_buse(decl, toks),
         simpleReadability=compute_readability_posnett(decl, halstead),
-        parameters=parameters,
-        variables=variables,
-        commentRatio=comment_ratio,
+        parameters=len(decl.parameterTypes),
+        variables=_count_local_declarators(body),
+        commentRatio=_comment_line_count(toks) / size,
         getterSetter=_getter_setter(decl, body),
         isPublic="public" in decl.modifiers,
         isStatic="static" in decl.modifiers,

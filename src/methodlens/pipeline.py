@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable
@@ -106,6 +107,8 @@ class PipelineConfig:
         for key in ("ugly_fraction", "theta"):
             if not 0.0 < getattr(self, key) <= 1.0:
                 raise ConfigError(f"{key} must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.jobs != 1:
             raise ConfigError(JOBS_ERROR)
         if self.approach not in (1, 2):
@@ -247,21 +250,33 @@ def write_ndjson(path: Path, stage: str, input_digests: dict[str, str], records,
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
+@contextmanager
+def _parsing(path: Path):
+    """An input file that does not parse fails the read, naming the file."""
+    try:
+        yield
+    except (ValueError, KeyError) as err:
+        raise StageError("read", ValueError(f"{path} is malformed: {err}")) from err
+
+
 def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
     """First line is the stage header; interior header lines (from
     concatenating per-project files) are skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise StageError("read", ValueError(f"{path} is empty"))
-    header = json.loads(lines[0])
-    records = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        record = json.loads(line)
-        if isinstance(record, dict) and "schemaVersion" in record and "stage" in record:
-            continue
-        records.append(record)
+    with _parsing(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        if not lines:
+            raise StageError("read", ValueError(f"{path} is empty"))
+        header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("its first line is not a JSON object")
+        records = []
+        for line in lines[1:]:
+            if not line:
+                continue
+            record = json.loads(line)
+            if isinstance(record, dict) and "schemaVersion" in record and "stage" in record:
+                continue
+            records.append(record)
     return header, records
 
 
@@ -839,14 +854,17 @@ def ugly_points(report_path: Path) -> list[tuple[str | None, str, float, float]]
     under approach 1."""
     if not report_path.exists():
         raise MissingStage(f"{report_path.name} not found in {report_path.parent}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    if report.get("approach") == 2:
-        reports = [(project, name, rep) for project, entry in sorted(report.get("projects", {}).items())
-                   for name, rep in sorted(entry.items()) if rep is not None]
-    else:
-        reports = [(None, name, entry["report"]) for name, entry in sorted(report.get("classifiers", {}).items())]
-    return [(project, name, rep["perClass"]["ugly"]["precision"], rep["perClass"]["ugly"]["recall"])
-            for project, name, rep in reports]
+    with _parsing(report_path):
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        if not isinstance(report, dict):
+            raise ValueError("it is not a JSON object")
+        if report.get("approach") == 2:
+            reports = [(project, name, rep) for project, entry in sorted(report.get("projects", {}).items())
+                       for name, rep in sorted(entry.items()) if rep is not None]
+        else:
+            reports = [(None, name, entry["report"]) for name, entry in sorted(report.get("classifiers", {}).items())]
+        return [(project, name, rep["perClass"]["ugly"]["precision"], rep["perClass"]["ugly"]["recall"])
+                for project, name, rep in reports]
 
 
 def emit_plot_data(artifacts: str | Path, plots_dir: str | Path | None = None) -> list[Path]:
@@ -865,7 +883,8 @@ def emit_plot_data(artifacts: str | Path, plots_dir: str | Path | None = None) -
         src = artifacts / source
         if not src.exists():
             raise MissingStage(f"{source} not found in {artifacts}")
-        rows = _curve_cdf_rows(src, prefix)
+        with _parsing(src):
+            rows = _curve_cdf_rows(src, prefix)
         path = plots / target
         write_csv(path, ["series", "x", "y"], rows)
         written.append(path)

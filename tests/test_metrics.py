@@ -5,19 +5,10 @@ from methodlens.java_extract import MethodDeclaration, extract_methods, normaliz
 from methodlens.metrics import (
     HalsteadCounts,
     byte_entropy,
-    compute_counts,
-    compute_fanout,
-    compute_halstead,
     compute_indent_std,
-    compute_max_block_depth,
-    compute_mccabe,
-    compute_mcclure,
-    compute_metric_vector,
-    compute_readability_buse,
-    compute_readability_posnett,
-    compute_size,
-    detect_getter_setter,
     compute_maintainability_index,
+    compute_metric_vector,
+    compute_readability_posnett,
 )
 
 
@@ -55,29 +46,29 @@ class A {
 # --- size ---------------------------------------------------------------
 
 def test_size_three_line_getter():
-    assert compute_size(decl_of(GETTER)) == 3
+    assert compute_metric_vector(decl_of(GETTER)).size == 3
 
 
 def test_size_blank_body_lines_not_counted():
     d = decl_of("void m() {\n\n\n}")
-    assert compute_size(d) == 2  # declaration line + closing brace line
+    assert compute_metric_vector(d).size == 2  # declaration line + closing brace line
 
 
 def test_size_ignores_comment_only_lines():
     plain = decl_of("void m() {\n    go();\n}")
     commented = decl_of("void m() {\n    // note\n    go();\n}")
-    assert compute_size(plain) == compute_size(commented) == 3
+    assert compute_metric_vector(plain).size == compute_metric_vector(commented).size == 3
 
 
 # --- mccabe ---------------------------------------------------------------
 
 def test_mccabe_empty_body():
-    assert compute_mccabe(decl_of("void m() { }")) == 1
+    assert compute_metric_vector(decl_of("void m() { }")).mccabe == 1
 
 
 def test_mccabe_if_with_short_circuit():
     d = decl_of("void m() { if (a && b) { go(); } }")
-    assert compute_mccabe(d) == 3
+    assert compute_metric_vector(d).mccabe == 3
 
 
 def test_mccabe_switch_cases_without_default():
@@ -85,39 +76,42 @@ def test_mccabe_switch_cases_without_default():
         "void m() { switch (x) { case 1: a(); break; case 2: b(); break; "
         "case 3: c(); break; default: d(); } }"
     )
-    assert compute_mccabe(d) == 4
+    assert compute_metric_vector(d).mccabe == 4
 
 
 def test_mccabe_do_while_counts_once():
     d = decl_of("void m() { do { a(); } while (x < 3); }")
-    assert compute_mccabe(d) == 2
+    assert compute_metric_vector(d).mccabe == 2
 
 
 def test_mccabe_wildcard_question_mark_not_ternary():
     d = decl_of("void m(java.util.List<?> xs) { int y = a > 0 ? 1 : 2; }")
-    assert compute_mccabe(d) == 2
+    assert compute_metric_vector(d).mccabe == 2
 
 
 # --- mcclure ---------------------------------------------------------------
 
 def test_mcclure_no_conditionals():
-    assert compute_mcclure(decl_of("void m() { go(); }")) == (0, 0)
+    v = compute_metric_vector(decl_of("void m() { go(); }"))
+    assert (v.nvar, v.ncomp) == (0, 0)
 
 
 def test_mcclure_two_vars_two_comparisons():
     d = decl_of("void m() { if (x > 0 && x < n) { go(); } }")
-    assert compute_mcclure(d) == (2, 2)
+    v = compute_metric_vector(d)
+    assert (v.nvar, v.ncomp) == (2, 2)
 
 
 def test_mcclure_flag_only():
     d = decl_of("void m() { while (flag) { spin(); } }")
-    assert compute_mcclure(d) == (1, 0)
+    v = compute_metric_vector(d)
+    assert (v.nvar, v.ncomp) == (1, 0)
 
 
 def test_mcclure_for_condition_clause_only():
     d = decl_of("void m() { for (int i = 0; i < limit; i++) { go(i); } }")
-    nvar, ncomp = compute_mcclure(d)
-    assert (nvar, ncomp) == (2, 1)  # i and limit; the init/update do not count
+    v = compute_metric_vector(d)
+    assert (v.nvar, v.ncomp) == (2, 1)  # i and limit; the init/update do not count
 
 
 # --- indentation ---------------------------------------------------------------
@@ -141,60 +135,68 @@ def test_indent_tabs_equal_four_spaces():
 # --- nesting depth ---------------------------------------------------------------
 
 def test_depth_straight_line():
-    assert compute_max_block_depth(decl_of("void m() { a(); b(); }")) == 0
+    assert compute_metric_vector(decl_of("void m() { a(); b(); }")).maxBlockDepth == 0
 
 
 def test_depth_if_inside_for():
     d = decl_of("void m() { for (int i = 0; i < n; i++) { if (ok(i)) { go(i); } } }")
-    assert compute_max_block_depth(d) == 2
+    assert compute_metric_vector(d).maxBlockDepth == 2
 
 
 def test_depth_try_catch_top_level():
     d = decl_of("void m() { try { a(); } catch (Exception e) { b(); } }")
-    assert compute_max_block_depth(d) == 1
+    assert compute_metric_vector(d).maxBlockDepth == 1
 
 
 def test_depth_braceless_bodies_count():
     d = decl_of("void m() { if (a) if (b) go(); }")
-    assert compute_max_block_depth(d) == 2
+    assert compute_metric_vector(d).maxBlockDepth == 2
 
 
 def test_depth_else_if_chain_stays_level():
     d = decl_of("void m() { if (a) { x(); } else if (b) { y(); } else { z(); } }")
-    assert compute_max_block_depth(d) == 1
+    assert compute_metric_vector(d).maxBlockDepth == 1
 
 
 # --- fanout ---------------------------------------------------------------
 
 def test_fanout_no_calls():
-    assert compute_fanout(decl_of("void m() { int x = 1; }")) == 0
+    assert compute_metric_vector(decl_of("void m() { int x = 1; }")).fanout == 0
 
 
 def test_fanout_distinct_names():
     d = decl_of("void m() { a.foo(); b.foo(); bar(); }")
-    assert compute_fanout(d) == 2
+    assert compute_metric_vector(d).fanout == 2
 
 
 def test_fanout_recursive_self_call():
     d = decl_of("void m() { m(); }")
-    assert compute_fanout(d) == 1
+    assert compute_metric_vector(d).fanout == 1
 
 
 def test_fanout_excludes_constructor_calls():
     d = decl_of("void m() { Foo f = new Foo(); f.run(); new a.b.Bar(); }")
-    assert compute_fanout(d) == 1
+    assert compute_metric_vector(d).fanout == 1
 
 
 # --- halstead ---------------------------------------------------------------
 
+def assert_halstead(d, h):
+    """The vector's Halstead length, and the maintainability index and
+    entropy readability computed from the Halstead counts, are those of h."""
+    v = compute_metric_vector(d)
+    assert v.halsteadLength == h.length
+    assert v.maintainabilityIndex == compute_maintainability_index(v.size, v.mccabe, h)
+    assert v.simpleReadability == compute_readability_posnett(d, h)
+
+
 def test_halstead_bare_return():
-    h = compute_halstead(decl_of("void m() { return; }"))
-    assert (h.N1, h.N2, h.length) == (2, 0, 2)  # 'return' and the body braces
+    # 'return' and the body braces
+    assert_halstead(decl_of("void m() { return; }"), HalsteadCounts(N1=2, N2=0, n1=2, n2=0))
 
 
 def test_halstead_return_operand():
-    h = compute_halstead(decl_of("void m() { return x; }"))
-    assert (h.length, h.n1, h.n2) == (3, 2, 1)
+    assert_halstead(decl_of("void m() { return x; }"), HalsteadCounts(N1=2, N2=1, n1=2, n2=1))
 
 
 def test_halstead_zero_length_volume():
@@ -202,10 +204,8 @@ def test_halstead_zero_length_volume():
 
 
 def test_halstead_invocation_absorbs_parens():
-    h = compute_halstead(decl_of("void m() { go(x); }"))
     # operators: {}, go(); operands: x
-    assert (h.N1, h.N2) == (2, 1)
-    assert h.n1 == 2
+    assert_halstead(decl_of("void m() { go(x); }"), HalsteadCounts(N1=2, N2=1, n1=2, n2=1))
 
 
 # --- maintainability index ---------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_mi_decreases_with_size():
 
 def test_buse_score_in_open_interval():
     for src in (GETTER, "void m() { }", "void m() {\n" + "    x(y, z);\n" * 30 + "}"):
-        score = compute_readability_buse(decl_of(src))
+        score = compute_metric_vector(decl_of(src)).readability
         assert 0.0 < score < 1.0
 
 
@@ -242,7 +242,7 @@ def test_buse_doubling_line_lengths_decreases_score():
     d = decl_of(GETTER)
     padded = "\n".join(line + " " * len(line) for line in d.bodyText.split("\n"))
     d2 = dataclasses.replace(d, bodyText=padded)
-    assert compute_readability_buse(d2) < compute_readability_buse(d)
+    assert compute_metric_vector(d2).readability < compute_metric_vector(d).readability
 
 
 def test_buse_adding_comment_line_does_not_decrease_score():
@@ -250,15 +250,13 @@ def test_buse_adding_comment_line_does_not_decrease_score():
     with_comment = dataclasses.replace(
         d, bodyText=d.bodyText + "\n    // note", endLine=d.endLine + 1
     )
-    assert compute_readability_buse(with_comment) >= compute_readability_buse(d)
+    assert compute_metric_vector(with_comment).readability >= compute_metric_vector(d).readability
 
 
 # --- readability (entropy model) ------------------------------------------
 
 def test_posnett_score_in_open_interval():
-    d = decl_of(GETTER)
-    h = compute_halstead(d)
-    assert 0.0 < compute_readability_posnett(d, h) < 1.0
+    assert 0.0 < compute_metric_vector(decl_of(GETTER)).simpleReadability < 1.0
 
 
 def test_posnett_volume_increase_decreases_score():
@@ -276,18 +274,18 @@ def test_entropy_of_single_character_is_zero():
 
 def test_counts_multi_declarator():
     d = decl_of("void m() { int a, b; use(a, b); }")
-    assert compute_counts(d)[1] == 2
+    assert compute_metric_vector(d).variables == 2
 
 
 def test_counts_comment_ratio():
     d = decl_of("void m() {\n    // one\n    // two\n    init();\n    go();\n}")
-    params, variables, ratio = compute_counts(d)
-    assert compute_size(d) == 4
-    assert ratio == 0.5
+    v = compute_metric_vector(d)
+    assert v.size == 4
+    assert v.commentRatio == 0.5
 
 
 def test_counts_parameterless():
-    assert compute_counts(decl_of("void m() { }"))[0] == 0
+    assert compute_metric_vector(decl_of("void m() { }")).parameters == 0
 
 
 def test_counts_for_init_and_resources_included_catch_excluded():
@@ -298,30 +296,30 @@ def test_counts_for_init_and_resources_included_catch_excluded():
         "    for (String s : items) { }\n"
         "}"
     )
-    assert compute_counts(d)[1] == 4  # i, j, r, s
+    assert compute_metric_vector(d).variables == 4  # i, j, r, s
 
 
 def test_counts_lambda_parameters_excluded():
     d = decl_of("void m() { items.forEach(x -> consume(x)); int kept = 1; }")
-    assert compute_counts(d)[1] == 1
+    assert compute_metric_vector(d).variables == 1
 
 
 # --- getter/setter ---------------------------------------------------------------
 
 def test_getter_detected():
-    assert detect_getter_setter(decl_of("int getX(){ return x; }")) is True
+    assert compute_metric_vector(decl_of("int getX(){ return x; }")).getterSetter is True
 
 
 def test_setter_with_extra_statement_rejected():
-    assert detect_getter_setter(decl_of("void setX(int v){ x = v; log(); }")) is False
+    assert compute_metric_vector(decl_of("void setX(int v){ x = v; log(); }")).getterSetter is False
 
 
 def test_is_prefix_getter_with_comparison():
-    assert detect_getter_setter(decl_of("boolean isEmpty(){ return size == 0; }")) is True
+    assert compute_metric_vector(decl_of("boolean isEmpty(){ return size == 0; }")).getterSetter is True
 
 
 def test_plain_setter_detected():
-    assert detect_getter_setter(decl_of("void setX(int v){ this.x = v; }")) is True
+    assert compute_metric_vector(decl_of("void setX(int v){ this.x = v; }")).getterSetter is True
 
 
 # --- full vector ---------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Each declaration is lexed once for all 17 metrics, the pipeline lexes
-each introduction once, in trace, and the public per-metric functions,
-which lex on their own, agree with the vector."""
+"""Each declaration is lexed once for all 17 metrics, and the pipeline
+lexes each introduction once, in trace."""
 
 import pytest
 
@@ -46,22 +45,3 @@ def test_trace_lexes_each_introduction_once_and_label_lexes_none(fixture_repo, t
     _, records = read_ndjson(tmp_path / "dataset.ndjson")
     assert 0 < len(records) < 11  # some methods are too young to be labelled
     assert lexed == []
-
-
-@pytest.mark.parametrize("decl", DECLS, ids=lambda d: f"{d.containerChain[-1]}.{d.name}")
-def test_each_public_metric_equals_its_field_of_the_vector(decl):
-    vector = compute_metric_vector(decl)
-    size = metrics.compute_size(decl)
-    mccabe = metrics.compute_mccabe(decl)
-    halstead = metrics.compute_halstead(decl)
-    parameters, variables, comment_ratio = metrics.compute_counts(decl)
-    assert (size, mccabe, halstead.length) == (vector.size, vector.mccabe, vector.halsteadLength)
-    assert metrics.compute_mcclure(decl) == (vector.nvar, vector.ncomp)
-    assert metrics.compute_indent_std(decl) == vector.indentStd
-    assert metrics.compute_max_block_depth(decl) == vector.maxBlockDepth
-    assert metrics.compute_fanout(decl) == vector.fanout
-    assert metrics.compute_maintainability_index(size, mccabe, halstead) == vector.maintainabilityIndex
-    assert metrics.compute_readability_buse(decl) == vector.readability
-    assert metrics.compute_readability_posnett(decl, halstead) == vector.simpleReadability
-    assert (parameters, variables, comment_ratio) == (vector.parameters, vector.variables, vector.commentRatio)
-    assert metrics.detect_getter_setter(decl) is vector.getterSetter
