@@ -24,6 +24,7 @@ from .pipeline import (
     MissingStage,
     PipelineConfig,
     StageError,
+    _parsing,
     decl_from_record,
     digest_file,
     emit_plot_data,
@@ -194,7 +195,9 @@ def cmd_metrics(args) -> int:
     config = load_config(args)
     methods_path = Path(args.methods)
     header, records = read_ndjson(methods_path)
-    vectors = [compute_metric_vector(decl_from_record(record)) for record in records]
+    with _parsing(methods_path):
+        decls = [decl_from_record(record) for record in records]
+    vectors = [compute_metric_vector(decl) for decl in decls]
     annotated = [{**record, "metrics": vector.as_dict()} for record, vector in zip(records, vectors)]
     # a file of its own: rewriting methods.ndjson under extract's header would
     # make a later pipeline run skip extract and trace the annotated records

@@ -253,11 +253,9 @@ class TraceSession:
     One `git log` gives the first-parent chain, what changed at each commit
     and the parent-side blob of each change.  The snapshot methods come from
     the caller (the extract stage's records), so the snapshot itself is
-    never read.  Methods are traced one file at a time: the first lookup in
-    a file reads, in one batch, every parent-side version on its rename
-    chain, and moving to another file drops them, so texts, extractions
-    (keyed by blob id) and the lexer memo (keyed by line text, shared by
-    the file's versions) never hold more than one file's history."""
+    never read.  `trace_method` traces one file's methods at a time and
+    keeps that file's texts, extractions and lexer memo to itself; the
+    session only counts what the files read, extracted and lexed."""
 
     def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
         self.repo = repo
@@ -271,150 +269,140 @@ class TraceSession:
         for k, changes in enumerate(self._changes[:-1]):
             for path in changes:
                 self._changed_at.setdefault(path, []).append(k)
-        self._file: str | None = None
-        self._steps: list[tuple[int, Change]] = []
-        self._blob_ids: dict[tuple[str, str], str] = {}
-        self._texts: dict[str, str | None] = {}
-        self._extracted: dict[str, list[MethodDeclaration] | None] = {}
-        self._memo: dict[str, list[Token]] = {}
-        self._closed_memo_lines = 0
         self.files_traced = 0
         self.blobs_read = 0
         self.failures = 0
         self.version_lines = 0
-
-    @property
-    def lines_lexed_alone(self) -> int:
-        """Distinct lines lexed on their own, summed over the traced files."""
-        return self._closed_memo_lines + len(self._memo)
+        # distinct lines lexed on their own, summed over the traced files
+        self.lines_lexed_alone = 0
 
     def steps(self, path: str) -> list[tuple[int, Change]]:
         """(chain index, change) at every commit that changed the snapshot
         file `path`, newest first, following renames to the old path and
-        ending where the file was added or deleted.  Opens the file."""
-        self._open(path)
-        return self._steps
-
-    def _open(self, path: str) -> None:
-        """Make `path` the open file: walk its steps and read every
-        parent-side version on its rename chain in one `cat-file --batch`.
-        A file that no commit changed after its addition has no such
-        version and starts no process."""
-        if path == self._file:
-            return
+        ending where the file was added or deleted."""
         steps = []
-        blob_ids = {}
         cur_path = path
         k = 0
         while True:
             indices = self._changed_at.get(cur_path, ())
             i = bisect_left(indices, k)
             if i == len(indices):
-                break
+                return steps
             k = indices[i]
             change = self._changes[k][cur_path]
             steps.append((k, change))
             if change.status[0] in ("A", "D"):
-                break
+                return steps
             cur_path = change.oldPath or cur_path
             k += 1
-            blob_ids[(self.chain[k].id, cur_path)] = change.oldBlob
-        self._file, self._steps, self._blob_ids = path, steps, blob_ids
-        self._texts = self.repo.read_blobs(blob_ids.values())
-        self._extracted = {}
-        self._closed_memo_lines += len(self._memo)
-        self._memo = {}
-        self.files_traced += 1
-        self.blobs_read += len(self._texts)
 
-    def methods_at(self, commit_id: str, path: str) -> list[MethodDeclaration] | None:
-        """Methods of the parent-side version of `path` at `commit_id` that
-        a step of the open file names, or None when that version is not a
-        readable blob or fails to extract.  Each version is extracted once,
-        and every version of the file is lexed through one memo."""
-        blob = self._blob_ids[(commit_id, path)]
-        if blob not in self._extracted:
-            content = self._texts[blob]
-            methods = None
-            if content is not None:
-                file = normalize_source(path, content)
-                self.version_lines += file.content.count("\n") + 1
-                try:
-                    methods = extract_methods(file, self._memo)
-                except (ExtractionError, LexicalError) as err:
-                    log.warning("extraction failed at %s:%s: %s", commit_id[:12], path, err)
-                    self.failures += 1
-            self._extracted[blob] = methods
-        return self._extracted[blob]
+    def methods_at(self, commit_id: str, path: str, content: str,
+                   memo: dict[str, list[Token]]) -> list[MethodDeclaration] | None:
+        """Methods of `content`, the version of `path` at `commit_id`, lexed
+        through `memo`, or None when it fails to extract."""
+        file = normalize_source(path, content)
+        self.version_lines += file.content.count("\n") + 1
+        try:
+            return extract_methods(file, memo)
+        except (ExtractionError, LexicalError) as err:
+            log.warning("extraction failed at %s:%s: %s", commit_id[:12], path, err)
+            self.failures += 1
+            return None
 
 
-def trace_method(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:
-    """Step back from the snapshot through the first-parent commits that
-    changed the method's file, following file renames and method matches;
-    record a revision whenever the declaration text changed (comment and
-    formatting changes included)."""
+def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration]) -> list[MethodHistory]:
+    """Histories of the snapshot methods `decls` of the file `path`, in
+    `decls` order.  One walk back through the first-parent commits that
+    changed the file, following its renames, matches every method still
+    being traced against each parent-side version and records a revision
+    whenever a declaration's text changed (comment and formatting changes
+    included).  Each version is extracted at most once, through one lexer
+    memo, and the walk stops once every method has reached its introduction."""
     chain = session.chain
-    cur_decl = decl
-    cur_path = path
-    pending: list[tuple[CommitMeta, int, int, int]] = []  # newest first
-    introduction = chain[-1]
     steps = session.steps(path)
-    # body blocks lex through the open file's memo; the lines it lacks are
-    # kept in a map of their own, so the memo holds only the versions' lines
-    memo = ChainMap({}, session._memo)
+    # one batch; a file no commit changed after its addition starts no process
+    texts = session.repo.read_blobs(change.oldBlob for _, change in steps if change.status[0] not in ("A", "D"))
+    session.files_traced += 1
+    session.blobs_read += len(texts)
+    memo: dict[str, list[Token]] = {}
+    # body blocks lex through the versions' memo; the lines it lacks are kept
+    # in a map of their own, so the memo holds only the versions' lines
+    block_memo = ChainMap({}, memo)
+    extracted: dict[str, list[MethodDeclaration] | None] = {}
+    current = list(decls)  # each method's declaration at the step reached
+    pending: list[list[tuple[CommitMeta, int, int, int]]] = [[] for _ in decls]  # newest first
+    introduction = [chain[-1]] * len(decls)
+    intro_path = [path] * len(decls)
+    tracing = list(range(len(decls)))
+    cur_path = path
 
     for k, change in steps:
+        if not tracing:
+            break
         child = chain[k]
         kind = change.status[0]
-        if kind == "A":
-            introduction = child
-            break
-        if kind == "D":
-            log.warning(
-                "method %s tracked into a deleted path %s at %s; treating as introduction",
-                cur_decl.name, cur_path, child.id[:12],
-            )
-            introduction = child
+        if kind in ("A", "D"):
+            for i in tracing:
+                if kind == "D":
+                    log.warning(
+                        "method %s tracked into a deleted path %s at %s; treating as introduction",
+                        current[i].name, cur_path, child.id[:12],
+                    )
+                introduction[i] = child
             break
         parent_path = change.oldPath or cur_path
-        prev_methods = session.methods_at(chain[k + 1].id, parent_path)
+        if change.oldBlob not in extracted:
+            content = texts[change.oldBlob]
+            extracted[change.oldBlob] = (None if content is None else
+                                         session.methods_at(chain[k + 1].id, parent_path, content, memo))
+        prev_methods = extracted[change.oldBlob]
         if prev_methods is None:
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path
             continue
-        matched = match_method(prev_methods, cur_decl, session.cfg, memo)
-        if matched is None:
-            introduction = child
-            break
-        if matched.bodyText != cur_decl.bodyText:
-            added, deleted = line_diff(matched.bodyText, cur_decl.bodyText)
-            distance = levenshtein(matched.bodyText, cur_decl.bodyText)
-            pending.append((child, added, deleted, distance))
-        cur_decl = matched
+        still = []
+        for i in tracing:
+            matched = match_method(prev_methods, current[i], session.cfg, block_memo)
+            if matched is None:
+                introduction[i] = child
+                intro_path[i] = cur_path
+                continue
+            if matched.bodyText != current[i].bodyText:
+                added, deleted = line_diff(matched.bodyText, current[i].bodyText)
+                distance = levenshtein(matched.bodyText, current[i].bodyText)
+                pending[i].append((child, added, deleted, distance))
+            current[i] = matched
+            still.append(i)
+        tracing = still
         cur_path = parent_path
+    for i in tracing:
+        intro_path[i] = cur_path
+    session.lines_lexed_alone += len(memo)
 
-    revisions = [
-        Revision(
-            commit=commit,
-            linesAdded=added,
-            linesDeleted=deleted,
-            editDistance=distance,
-            daysSinceIntroduction=(commit.authorTime - introduction.authorTime) / 86400.0,
+    return [
+        MethodHistory(
+            identity=MethodIdentity(
+                project=session.project,
+                file=path,
+                signature=signature(decl),
+                startLine=decl.startLine,
+            ),
+            introduction=introduction[i],
+            introductionPath=intro_path[i],
+            introductionDecl=current[i],
+            revisions=[
+                Revision(
+                    commit=commit,
+                    linesAdded=added,
+                    linesDeleted=deleted,
+                    editDistance=distance,
+                    daysSinceIntroduction=(commit.authorTime - introduction[i].authorTime) / 86400.0,
+                )
+                for commit, added, deleted, distance in reversed(pending[i])
+            ],
         )
-        for commit, added, deleted, distance in reversed(pending)
+        for i, decl in enumerate(decls)
     ]
-    return MethodHistory(
-        identity=MethodIdentity(
-            project=session.project,
-            file=path,
-            signature=signature(decl),
-            startLine=decl.startLine,
-        ),
-        introduction=introduction,
-        introductionPath=cur_path,
-        introductionDecl=cur_decl,
-        revisions=revisions,
-    )
 
 
 def compute_indicators(history: MethodHistory, window_days: float) -> ChangeIndicators:

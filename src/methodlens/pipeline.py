@@ -255,8 +255,9 @@ def _parsing(path: Path):
     """An input file that does not parse fails the read, naming the file."""
     try:
         yield
-    except (ValueError, KeyError) as err:
-        raise StageError("read", ValueError(f"{path} is malformed: {err}")) from err
+    except (ValueError, KeyError, TypeError) as err:
+        reason = f"missing field {err}" if isinstance(err, KeyError) else err
+        raise StageError("read", ValueError(f"{path} is malformed: {reason}")) from err
 
 
 def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
@@ -473,12 +474,16 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str],
               methods_path: Path | None = None) -> None:
-    header, records = read_ndjson(methods_path or out / "methods.ndjson")
+    methods_path = methods_path or out / "methods.ndjson"
+    header, records = read_ndjson(methods_path)
     cfg = TraceConfig(similarity_threshold=config.theta)
-    session = TraceSession(repo, snapshot, cfg, project=header["project"])
-    # one file at a time, so the session reads each file's history once
-    histories = [trace_method(session, decl_from_record(record), record["file"])
-                 for record in sorted(records, key=lambda r: r["file"])]
+    by_file: dict[str, list[MethodDeclaration]] = {}
+    with _parsing(methods_path):
+        project = header["project"]
+        for record in records:
+            by_file.setdefault(record["file"], []).append(decl_from_record(record))
+    session = TraceSession(repo, snapshot, cfg, project=project)
+    histories = [h for path, decls in by_file.items() for h in trace_method(session, path, decls)]
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
              "%d historical versions failed to extract, %d version lines, %d lexed alone",
              len(session.chain), session.files_traced, session.blobs_read, session.failures,

@@ -12,7 +12,11 @@ import re
 
 import numpy as np
 
-from methodlens.java_extract import KEYWORDS, WORD_LITERALS, LexicalError
+from methodlens.gitrepo import GitRepo
+from methodlens.history import (MethodHistory, MethodIdentity, Revision, TraceSession, levenshtein, line_diff,
+                                match_method)
+from methodlens.java_extract import (KEYWORDS, WORD_LITERALS, ExtractionError, LexicalError, MethodDeclaration,
+                                     extract_methods, normalize_source, signature)
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
                            TreeConfig, _matrix, _Node)
 
@@ -303,3 +307,68 @@ def predict_forest_reference(model, X) -> np.ndarray:
         for i, x in enumerate(Xs):
             votes[i] += _leaf_prediction(root, x)
     return (votes * 2 > len(model.roots)).astype(int)
+
+
+def _version_methods(repo: GitRepo, blob: str, path: str) -> list[MethodDeclaration] | None:
+    """Methods of the version `blob` of `path`, read on its own and extracted
+    without a lexer memo, or None when it is unreadable or fails to extract."""
+    content = repo.read_blobs([blob])[blob]
+    if content is None:
+        return None
+    try:
+        return extract_methods(normalize_source(path, content))
+    except (ExtractionError, LexicalError):
+        return None
+
+
+def trace_method_reference(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:
+    """One method's history by the per-method backward walk that
+    `history.trace_method` replaced: the method alone steps back through the
+    first-parent commits that changed its file, following file renames and
+    method matches, and every parent-side version it reaches is read and
+    extracted afresh."""
+    chain = session.chain
+    cur_decl = decl
+    cur_path = path
+    pending: list[tuple] = []  # newest first
+    introduction = chain[-1]
+    for k, change in session.steps(path):
+        child = chain[k]
+        if change.status[0] in ("A", "D"):
+            introduction = child
+            break
+        parent_path = change.oldPath or cur_path
+        prev_methods = _version_methods(session.repo, change.oldBlob, parent_path)
+        if prev_methods is None:
+            # unreadable or unparseable parent version: skip this commit
+            cur_path = parent_path
+            continue
+        matched = match_method(prev_methods, cur_decl, session.cfg)
+        if matched is None:
+            introduction = child
+            break
+        if matched.bodyText != cur_decl.bodyText:
+            added, deleted = line_diff(matched.bodyText, cur_decl.bodyText)
+            distance = levenshtein(matched.bodyText, cur_decl.bodyText)
+            pending.append((child, added, deleted, distance))
+        cur_decl = matched
+        cur_path = parent_path
+
+    revisions = [
+        Revision(
+            commit=commit,
+            linesAdded=added,
+            linesDeleted=deleted,
+            editDistance=distance,
+            daysSinceIntroduction=(commit.authorTime - introduction.authorTime) / 86400.0,
+        )
+        for commit, added, deleted, distance in reversed(pending)
+    ]
+    return MethodHistory(
+        identity=MethodIdentity(project=session.project, file=path, signature=signature(decl),
+                                startLine=decl.startLine),
+        introduction=introduction,
+        introductionPath=cur_path,
+        introductionDecl=cur_decl,
+        revisions=revisions,
+    )

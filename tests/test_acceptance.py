@@ -228,8 +228,8 @@ def test_criterion_6_fixture_repo(tmp_path):
     assert len(session.chain) == 11
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
-        for decl in extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path))):
-            history = trace_method(session, decl, path)
+        decls = extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path)))
+        for history in trace_method(session, path, decls):
             histories[history.identity.signature] = history
     assert set(histories) == set(ledger["methods"])
     for sig, expected in ledger["methods"].items():

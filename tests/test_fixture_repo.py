@@ -29,8 +29,8 @@ def traced(fixture_repo):
     session = TraceSession(repo, ledger["snapshot"], TraceConfig(), project="fixture")
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
-        for decl in extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path))):
-            h = trace_method(session, decl, path)
+        decls = extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path)))
+        for h in trace_method(session, path, decls):
             histories[h.identity.signature] = h
     return ledger, 5.0 * DAYS_PER_YEAR, histories
 

@@ -513,32 +513,48 @@ def test_cli_exit_code_missing_stage(tmp_path):
     assert code == 4
 
 
-# (subcommand argv, input file under {d} made malformed, its content)
+# a methods.ndjson record without a signature, under a header written at
+# the fixture's snapshot
+UNSIGNED = ('{"project": "p", "snapshot": "SNAPSHOT"}\n'
+            '{"file": "A.java", "name": "m", "startLine": 1, "endLine": 1, "body": "m() {}"}\n')
+ARRAY_RECORD = '{"project": "p", "snapshot": "SNAPSHOT"}\n[1]\n'
+
+# (subcommand argv, input file under {d} made malformed, its content, the
+# reason the error line gives)
 MALFORMED_INPUTS = [
-    pytest.param(["trace", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "not json\n", id="trace"),
-    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "not json\n", id="metrics"),
-    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "[1]\n", id="metrics-array"),
-    pytest.param(["label", "--histories", "{d}/histories.ndjson"], "histories.ndjson", "not json\n", id="label"),
-    pytest.param(["report", "--artifacts", "{d}"], "report.json", "{not json", id="report-json"),
-    pytest.param(["report", "--artifacts", "{d}"], "report.json", "[]", id="report-json-array"),
-    pytest.param(["report", "--artifacts", "{d}"], "pareto.csv", "project,fraction,captured\np,top-5,0.5\n",
+    pytest.param(["trace", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "not json\n", "", id="trace"),
+    pytest.param(["trace", "--methods", "{d}/methods.ndjson"], "methods.ndjson", UNSIGNED,
+                 "missing field 'signature'", id="trace-record"),
+    pytest.param(["trace", "--methods", "{d}/methods.ndjson"], "methods.ndjson", ARRAY_RECORD, "",
+                 id="trace-non-object-record"),
+    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "not json\n", "", id="metrics"),
+    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", "[1]\n", "", id="metrics-array"),
+    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", UNSIGNED,
+                 "missing field 'signature'", id="metrics-record"),
+    pytest.param(["metrics", "--methods", "{d}/methods.ndjson"], "methods.ndjson", ARRAY_RECORD, "",
+                 id="metrics-non-object-record"),
+    pytest.param(["label", "--histories", "{d}/histories.ndjson"], "histories.ndjson", "not json\n", "",
+                 id="label"),
+    pytest.param(["report", "--artifacts", "{d}"], "report.json", "{not json", "", id="report-json"),
+    pytest.param(["report", "--artifacts", "{d}"], "report.json", "[]", "", id="report-json-array"),
+    pytest.param(["report", "--artifacts", "{d}"], "pareto.csv", "project,fraction,captured\np,top-5,0.5\n", "",
                  id="report-csv"),
 ]
 
 
-@pytest.mark.parametrize("argv, broken, content", MALFORMED_INPUTS)
+@pytest.mark.parametrize("argv, broken, content, reason", MALFORMED_INPUTS)
 def test_a_malformed_input_file_is_a_stage_failure_naming_the_file(fixture_repo, tmp_path, capsys,
-                                                                  argv, broken, content):
+                                                                  argv, broken, content, reason):
     for name in ("pareto.csv", "bugs_high_recall.csv", "bugs_high_precision.csv"):
         (tmp_path / name).write_text("project,fraction,captured\np,0.05,0.5\n")
     (tmp_path / "report.json").write_text('{"approach": 1, "classifiers": {}}')
-    (tmp_path / broken).write_text(content)
+    (tmp_path / broken).write_text(content.replace("SNAPSHOT", fixture_repo["snapshot"]))
     code = main([arg.format(d=tmp_path) for arg in argv]
                 + ["--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],
                    "--out", str(tmp_path / "out")])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{tmp_path / broken} is malformed: " in err
+    assert err.startswith("error: ") and f"{tmp_path / broken} is malformed: {reason}" in err
 
 
 def test_git_executable_override(fixture_repo, tmp_path, monkeypatch):

@@ -1,17 +1,19 @@
 """How the trace stage reads git and lexes: a bounded number of git
 processes per run, at most one batch per traced file (none for a file with
-no parent-side version), one body-block lex per declaration, and a counted
-summary of what it read, failed to extract and lexed; the line memo that
-lives for one traced file; and the same summary of the extract stage."""
+no parent-side version), one extraction per parent-side version the file's
+walk reaches and none older, one body-block lex per declaration, and a
+counted summary of what it read, failed to extract and lexed; the line memo
+that lives for one traced file; and the same summary of the extract stage."""
 
 import logging
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 from methodlens import history
 from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
-from methodlens.history import TraceConfig, TraceSession, match_method
+from methodlens.history import TraceConfig, TraceSession, match_method, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
 from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline, run_stage
 from repo_builder import commit_files, init_repo
@@ -159,25 +161,44 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     assert (len(alone), sum(map(len, alone.values()))) == (3, 59)
 
 
-def _extract_history(session: TraceSession, path: str) -> None:
-    cur_path = path
-    for k, change in session.steps(path):
-        if change.status[0] in ("A", "D"):
-            break
-        cur_path = change.oldPath or cur_path
-        session.methods_at(session.chain[k + 1].id, cur_path)
+def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, monkeypatch):
+    git = GitRepo(str(fixture_repo["repo"]))
+    snapshot = fixture_repo["snapshot"]
+    session = TraceSession(git, snapshot, TraceConfig())
+    methods = {path: extract_methods(normalize_source(path, git.file_at(snapshot, path)))
+               for path in git.ls_files(snapshot)}
+    extracted = []
+    real_extract = history.extract_methods
+    monkeypatch.setattr(history, "extract_methods",
+                        lambda file, memo=None: extracted.append(file.content) or real_extract(file, memo))
+    reached = []
+    for path, decls in methods.items():
+        oldest = max(session.chain.index(h.introduction) for h in trace_method(session, path, decls))
+        # the parent-side versions down to the step of the file's last
+        # introduction, and none older
+        blobs = {change.oldBlob for k, change in session.steps(path)
+                 if k <= oldest and change.status[0] not in ("A", "D")}
+        texts = git.read_blobs(blobs)
+        reached += [normalize_source(path, texts[blob]).content for blob in blobs]
+    assert len(extracted) == 10 and Counter(extracted) == Counter(reached)
 
 
-def test_opening_a_file_drops_the_memo_of_the_one_before(fixture_repo):
-    session = TraceSession(GitRepo(str(fixture_repo["repo"])), fixture_repo["snapshot"], TraceConfig())
-    _extract_history(session, "src/Util.java")
-    first = session._memo
-    first_tokens = {id(tokens) for tokens in first.values()}
-    assert "}" in first and session.lines_lexed_alone == len(first)
-    session.steps("src/core/Alpha.java")
-    assert session._memo == {} and session.lines_lexed_alone == len(first)
-    _extract_history(session, "src/core/Alpha.java")
-    second = session._memo
+def test_each_traced_file_lexes_its_versions_through_a_memo_of_its_own(fixture_repo, monkeypatch):
+    git = GitRepo(str(fixture_repo["repo"]))
+    snapshot = fixture_repo["snapshot"]
+    session = TraceSession(git, snapshot, TraceConfig())
+    memos = []
+    real_extract = history.extract_methods
+    monkeypatch.setattr(history, "extract_methods",
+                        lambda file, memo=None: memos.append(memo) or real_extract(file, memo))
+    file_memos = []
+    for path in ("src/Util.java", "src/core/Alpha.java"):
+        memos.clear()
+        trace_method(session, path, extract_methods(normalize_source(path, git.file_at(snapshot, path))))
+        assert memos and all(memo is memos[0] for memo in memos)
+        file_memos.append(memos[0])
+        assert session.lines_lexed_alone == sum(map(len, file_memos))
+    first, second = file_memos
     # lines the files share ("}", blank lines) are lexed again, not carried over
-    assert "}" in second and not first_tokens & {id(tokens) for tokens in second.values()}
-    assert session.lines_lexed_alone == len(first) + len(second)
+    assert "}" in first and "}" in second
+    assert not {id(tokens) for tokens in first.values()} & {id(tokens) for tokens in second.values()}
