@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from collections import ChainMap
 from dataclasses import dataclass
-from typing import MutableMapping, Sequence
+from typing import Sequence
 
 from .gitrepo import Change, CommitMeta, GitRepo
 from .java_extract import (
@@ -15,11 +14,10 @@ from .java_extract import (
     LexicalError,
     MethodDeclaration,
     Token,
-    body_open_index,
+    body_block,
     normalize_source,
     extract_methods,
     signature,
-    tokenize,
 )
 
 log = logging.getLogger("methodlens.history")
@@ -168,31 +166,11 @@ def _lcs_length(xs: list[str], ys: list[str]) -> int:
 def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
     """1 - editDistance/maxLength over the body blocks (braces content),
     so a pure rename of the method name scores 1.0."""
-    ta, tb = _body_block_text(a), _body_block_text(b)
+    ta, tb = body_block(a), body_block(b)
     if not ta and not tb:
         return 1.0
     longest = max(len(ta), len(tb))
     return 1.0 - levenshtein(ta, tb) / longest
-
-
-def _body_block_text(decl: MethodDeclaration, memo: MutableMapping[str, list[Token]] | None = None) -> str:
-    if decl.bodyBlock is None:
-        decl.bodyBlock = _find_body_block(decl, memo)
-    return decl.bodyBlock
-
-
-def _find_body_block(decl: MethodDeclaration, memo: MutableMapping[str, list[Token]] | None = None) -> str:
-    """The body text from the method body's opening brace on; `memo` is a
-    `tokenize` line memo, such as the one the declaration's file was lexed
-    through."""
-    toks = [t for t in tokenize(decl.bodyText, memo) if t.kind != "comment"]
-    open_idx = body_open_index(toks)
-    if open_idx is None:
-        return decl.bodyText
-    brace = toks[open_idx]
-    lines = decl.bodyText.split("\n")
-    offset = sum(len(line) + 1 for line in lines[:brace.line - 1]) + brace.column - 1
-    return decl.bodyText[offset:]
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +185,12 @@ def match_method(
     prev_methods: list[MethodDeclaration],
     target: MethodDeclaration,
     cfg: TraceConfig,
-    memo: MutableMapping[str, list[Token]] | None = None,
 ) -> MethodDeclaration | None:
     """Parent-side counterpart of `target`, or None.
 
     Priority: exact signature; same name with body similarity above the
     threshold; any method with maximal similarity above the threshold.
-    Small methods only ever match same-name candidates. Body blocks are
-    lexed through the `tokenize` line memo `memo`, when given.
+    Small methods only ever match same-name candidates.
     """
     target_sig = signature(target)
     exact = [m for m in prev_methods if signature(m) == target_sig]
@@ -222,13 +198,13 @@ def match_method(
         return min(exact, key=lambda m: m.startLine)
 
     theta = cfg.similarity_threshold
-    target_block = _body_block_text(target, memo)
+    target_block = body_block(target)
 
     def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
         best = None
         best_sim = -1.0
         for m in candidates:
-            block = _body_block_text(m, memo)
+            block = body_block(m)
             longest = max(len(block), len(target_block))
             if longest and 1.0 - abs(len(block) - len(target_block)) / longest < theta:
                 continue  # length gap alone rules it out
@@ -325,9 +301,6 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
     session.files_traced += 1
     session.blobs_read += len(texts)
     memo: dict[str, list[Token]] = {}
-    # body blocks lex through the versions' memo; the lines it lacks are kept
-    # in a map of their own, so the memo holds only the versions' lines
-    block_memo = ChainMap({}, memo)
     extracted: dict[str, list[MethodDeclaration] | None] = {}
     current = list(decls)  # each method's declaration at the step reached
     pending: list[list[tuple[CommitMeta, int, int, int]]] = [[] for _ in decls]  # newest first
@@ -362,7 +335,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
             continue
         still = []
         for i in tracing:
-            matched = match_method(prev_methods, current[i], session.cfg, block_memo)
+            matched = match_method(prev_methods, current[i], session.cfg)
             if matched is None:
                 introduction[i] = child
                 intro_path[i] = cur_path

@@ -130,9 +130,9 @@ class MethodDeclaration:
     startLine: int
     endLine: int
     containerChain: list[str]
-    # bodyText from the opening brace of the body on; history computes it
-    # on first use and keeps it here, so each declaration is lexed for it once
-    bodyBlock: str | None = field(default=None, init=False, repr=False, compare=False)
+    # bodyText from the opening brace of the body on; read it through
+    # `body_block`, which fills it in for a declaration extraction did not make
+    bodyBlock: str | None = field(default=None, repr=False, compare=False)
 
 
 def normalize_source(path: str, raw: str) -> SourceFile:
@@ -239,11 +239,10 @@ def skip_annotation(toks: list[Token], i: int) -> int:
     return i
 
 
-def body_open_index(toks: list[Token]) -> int | None:
+def body_open_index(toks: list[Token], i: int = 0) -> int | None:
     """Index of the '{' that opens the method body in a declaration's
-    comment-free tokens (annotation argument groups in the header are
-    skipped)."""
-    i = 0
+    comment-free tokens, which start at toks[i] (annotation argument groups
+    in the header are skipped)."""
     n = len(toks)
     while i < n:
         t = toks[i]
@@ -254,6 +253,27 @@ def body_open_index(toks: list[Token]) -> int | None:
             return i
         i += 1
     return None
+
+
+def _from_body_open(lines: list[str], toks: list[Token], i: int, end: int) -> str | None:
+    """`lines` up to line `end` (1-based), from the body's opening brace
+    found by `body_open_index(toks, i)` on, or None when it finds none."""
+    open_idx = body_open_index(toks, i)
+    if open_idx is None:
+        return None
+    brace = toks[open_idx]
+    return "\n".join([lines[brace.line - 1][brace.column - 1:], *lines[brace.line:end]])
+
+
+def body_block(decl: MethodDeclaration) -> str:
+    """The declaration's text from its body's opening brace on (all of it
+    when no brace opens a body).  Extraction sets it; a declaration built
+    otherwise, such as from a record, is lexed for it once."""
+    if decl.bodyBlock is None:
+        lines = decl.bodyText.split("\n")
+        toks = [t for t in tokenize(decl.bodyText) if t.kind != "comment"]
+        decl.bodyBlock = _from_body_open(lines, toks, 0, len(lines)) or decl.bodyText
+    return decl.bodyBlock
 
 
 _TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
@@ -530,7 +550,7 @@ class _Extractor:
     def _member_with_body(
         self,
         header: list[Token],
-        header_start: int | None,
+        header_start: int,
         annotations: list[str],
         open_idx: int,
         close_idx: int,
@@ -558,9 +578,14 @@ class _Extractor:
         )
         body_close = self._scan(body_open + 1, end, chain, in_type=False)
         if is_method:
-            start_line = toks[header_start].line if header_start is not None else name_tok.line
+            start_line = toks[header_start].line
             end_line = toks[body_close - 1].line
             body_text = "\n".join(self.lines[start_line - 1:end_line])
+            # the block starts at the first '{' from the first token on the
+            # header's line, as a lex of body_text alone finds it
+            first = header_start
+            while first and toks[first - 1].line == start_line:
+                first -= 1
             self.found.append(
                 MethodDeclaration(
                     name=name_tok.text,
@@ -571,6 +596,7 @@ class _Extractor:
                     startLine=start_line,
                     endLine=end_line,
                     containerChain=list(chain),
+                    bodyBlock=_from_body_open(self.lines, toks, first, end_line),
                 )
             )
         return body_close

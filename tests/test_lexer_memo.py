@@ -2,17 +2,22 @@
 (`oracles.tokenize_reference`): every version of a file, lexed after the
 versions before it through one shared memo, gives the reference's tokens at
 the same lines and columns, or its LexicalError message and line. Covers the
-trace stage's own walk over three repositories and seeded edit sequences."""
+trace stage's own walk over three repositories and seeded edit sequences,
+and the body block extraction takes from a file's tokens against a lex of
+the declaration alone."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from methodlens import history, java_extract
+from methodlens import java_extract
 from methodlens.gitrepo import GitRepo
-from methodlens.java_extract import ExtractionError, LexicalError, extract_methods, normalize_source, tokenize
-from methodlens.pipeline import PipelineConfig, run_stage
+from methodlens.java_extract import (ExtractionError, LexicalError, body_block, extract_methods, normalize_source,
+                                     tokenize)
+from methodlens.pipeline import PipelineConfig, decl_from_record, method_record, read_ndjson, run_stage
+from golden_corpus import corpus_files
 from oracles import tokenize_reference
 from repo_builder import build_layout_repo, commit_files, init_repo
 from test_lexer_oracle import PIECES, RARE, lex
@@ -95,53 +100,100 @@ def test_trace_lexes_every_version_as_the_reference_does(name, versions, errors,
     assert (len(outcomes), sum(outcomes), len({id(memo) for memo in memos})) == (versions, errors, files)
 
 
-# --- body blocks lexed through the file's memo ------------------------------
+# --- body blocks from the file's tokens ------------------------------------
 
-@pytest.mark.parametrize("name, compared", [("fixture", 53), ("layout", 15), ("small", 12)])
-def test_every_body_block_is_the_same_through_its_files_memo(name, compared, request):
-    """Each declaration of every version on the chain: its body block lexed
-    alone, and lexed through the memo its file's versions are lexed through
-    (newest first, as trace walks them)."""
-    ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_repo",
-                                      "small": "small_history"}[name])
-    git = GitRepo(str(ledger["repo"]))
-    chain, _ = git.first_parent_history(ledger["snapshot"])
-    versions: dict[str, dict[str, None]] = {}  # path -> its blob ids, newest first
+def chain_versions(git: GitRepo, snapshot: str) -> dict[str, list[str]]:
+    """path -> the distinct texts it has on the first-parent chain, newest
+    first, as trace meets them."""
+    chain, _ = git.first_parent_history(snapshot)
+    blobs: dict[str, dict[str, None]] = {}
     for commit in chain:
         for path, blob in git.ls_tree(commit.id).items():
-            versions.setdefault(path, {})[blob] = None
-    texts = git.read_blobs(blob for blobs in versions.values() for blob in blobs)
+            blobs.setdefault(path, {})[blob] = None
+    texts = git.read_blobs(blob for ids in blobs.values() for blob in ids)
+    return {path: [normalize_source(path, texts[blob]).content for blob in ids] for path, ids in blobs.items()}
+
+
+def assert_blocks_match_their_records(path: str, declarations) -> int:
+    """Each declaration's body block, as extraction took it from the file's
+    tokens, against the one a lex of its record's body alone finds."""
+    for decl in declarations:
+        assert decl.bodyBlock is not None, (path, decl.name)
+        assert decl.bodyBlock == body_block(decl_from_record(method_record(path, decl))), (path, decl.name)
+    return len(declarations)
+
+
+@pytest.fixture(scope="module")
+def bench_repos(bench_run, tmp_path_factory):
+    """The benchmark's repositories at their tiny shapes, seed 1."""
+    generate = bench_run.generate_repo
+    return {name: generate(bench_run.TINY[name][0], 1, tmp_path_factory.mktemp("bench") / name)
+            for name in ("deep-history", "wide-snapshot")}
+
+
+@pytest.mark.parametrize("name, compared", [("fixture", 53), ("layout", 15), ("small", 12),
+                                            ("deep-history", 100), ("wide-snapshot", 100)])
+def test_every_body_block_is_the_same_through_its_files_memo(name, compared, request):
+    """Each declaration of every version on the chain, its file's versions
+    extracted through one memo, newest first, as trace walks them."""
+    if name in ("deep-history", "wide-snapshot"):
+        generated = request.getfixturevalue("bench_repos")[name]
+        repo, snapshot = generated.path, generated.head
+    else:
+        ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_repo",
+                                          "small": "small_history"}[name])
+        repo, snapshot = ledger["repo"], ledger["snapshot"]
     seen = 0
-    for path, blobs in versions.items():
+    for path, texts in chain_versions(GitRepo(str(repo)), snapshot).items():
         memo = {}
-        for blob in blobs:
+        for text in texts:
             try:
-                declarations = extract_methods(normalize_source(path, texts[blob]), memo)
+                declarations = extract_methods(normalize_source(path, text), memo)
             except (ExtractionError, LexicalError):
                 continue
-            for decl in declarations:
-                assert history._find_body_block(decl, memo) == history._find_body_block(decl), (path, decl.name)
-                seen += 1
+            seen += assert_blocks_match_their_records(path, declarations)
     assert seen == compared
 
 
-def test_trace_lexes_body_blocks_through_the_open_files_memo(fixture_repo, tmp_path, monkeypatch):
-    find = history._find_body_block
-    hits = []
+ONE_LINE_SOURCES = [
+    # a header sharing its line with the class's '{': both lexes take the
+    # block from that earlier brace
+    "class A { int a() { return 1; } }",
+    "class A { int b() { return 29; } }",
+    "class A { int a() { return 1; } int b() { return 2; } }",
+    "class A { int calc(int v) {\n  int a = v * 2;\n  int b = a + v;\n  return b - 1;\n} }",
+    "class A { int other(int v) {\n  return inner(v, v + 1, v + 2) ^ mask ^ seed;\n} }",
+    # braces in an annotation's arguments and in a comment before the body
+    "class A {\n  @Tags({\"a\", \"b\"}) int a() { return 1; }\n}",
+    "class A {\n  /* { */ int a() /* { */ { return 1; }\n  int b() // {\n  { return 2; }\n}",
+]
 
-    def checked(decl, memo=None):
-        alone = find(decl)
-        assert find(decl, memo) == alone
-        hits.append(sum(line in memo for line in decl.bodyText.split("\n")))
-        return alone
 
-    monkeypatch.setattr(history, "_find_body_block", checked)
+def test_every_body_block_of_the_golden_corpus_and_one_line_sources_is_the_same():
+    sources = {**corpus_files(), **{f"One{k}.java": text for k, text in enumerate(ONE_LINE_SOURCES)}}
+    seen = sum(assert_blocks_match_their_records(path, extract_methods(normalize_source(path, text)))
+               for path, text in sources.items())
+    assert seen == 51
+
+
+def test_trace_lexes_whole_versions_and_each_record_body_at_most_once(fixture_repo, tmp_path, monkeypatch):
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"], out=str(tmp_path),
                             project="p")
     git = GitRepo(config.repo)
     run_stage("extract", config, {}, git, fixture_repo["snapshot"])
+    real_tokenize = java_extract.tokenize
+    lexed = []
+    monkeypatch.setattr(java_extract, "tokenize",
+                        lambda source, memo=None: lexed.append(source) or real_tokenize(source, memo))
     run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, fixture_repo["snapshot"])
-    assert hits and all(hits)  # every body block lexed, each through a memo that knew some of its lines
+    versions = {text for texts in chain_versions(git, fixture_repo["snapshot"]).values() for text in texts}
+    _, records = read_ndjson(tmp_path / "methods.ndjson")
+    bodies = {record["body"] for record in records}
+    whole = [text for text in lexed if text in versions]
+    alone = Counter(text for text in lexed if text not in versions)
+    assert len(whole) == 10  # the parent-side versions trace extracts
+    # a snapshot target with no exact match in its first parent-side version
+    assert alone and set(alone) <= bodies and set(alone.values()) == {1}, alone
 
 
 # --- seeded edit sequences -------------------------------------------------

@@ -1,21 +1,23 @@
 """How the trace stage reads git and lexes: a bounded number of git
 processes per run, at most one batch per traced file (none for a file with
 no parent-side version), one extraction per parent-side version the file's
-walk reaches and none older, one body-block lex per declaration, and a
-counted summary of what it read, failed to extract and lexed; the line memo
-that lives for one traced file; and the same summary of the extract stage."""
+walk reaches and none older, no body-block lex for an extracted declaration
+and one for a declaration rebuilt from its record, and a counted summary of
+what it read, failed to extract and lexed; the line memo that lives for one
+traced file; and the same summary of the extract stage."""
 
 import logging
 import subprocess
 from collections import Counter
 from pathlib import Path
 
-from methodlens import history
+from methodlens import history, java_extract
 from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
 from methodlens.history import TraceConfig, TraceSession, match_method, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
-from methodlens.pipeline import PipelineConfig, read_ndjson, run_pipeline, run_stage
+from methodlens.pipeline import (PipelineConfig, decl_from_record, method_record, read_ndjson, run_pipeline,
+                                 run_stage)
 from repo_builder import commit_files, init_repo
 
 
@@ -67,11 +69,16 @@ def test_match_method_lexes_each_declaration_once(monkeypatch):
     prev = extract_methods(normalize_source("A.java", source))
     target = extract_methods(normalize_source("A.java", source.replace("m3(", "renamed(")))[3]
     lexed = []
-    real_tokenize = history.tokenize
-    monkeypatch.setattr(history, "tokenize", lambda text, memo=None: lexed.append(text) or real_tokenize(text, memo))
+    real_tokenize = java_extract.tokenize
+    monkeypatch.setattr(java_extract, "tokenize",
+                        lambda text, memo=None: lexed.append(text) or real_tokenize(text, memo))
     for _ in range(2):
         assert match_method(prev, target, TraceConfig()).name == "m3"
-    assert len(lexed) == len(set(lexed)) <= len(prev) + 1
+    assert lexed == []  # extraction handed every declaration its body block
+    rebuilt = decl_from_record(method_record("A.java", target))
+    for _ in range(2):
+        assert match_method(prev, rebuilt, TraceConfig()).name == "m3"
+    assert lexed == [target.bodyText]
 
 
 def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, caplog):
@@ -143,7 +150,7 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     extracted = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
-                        lambda file, memo=None: extracted.append((file.content, id(memo))) or real_extract(file, memo))
+                        lambda file, memo=None: extracted.append((file.content, memo)) or real_extract(file, memo))
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path), project="fixture", seed=7)
     with caplog.at_level(logging.INFO, logger="methodlens"):
@@ -153,9 +160,9 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
                        "0 historical versions failed to extract, 238 version lines, 59 lexed alone"]
     # the same counts from the versions trace extracted: every line, and the
     # distinct lines of each file's versions that no token can cross
-    alone: dict[int, set[str]] = {}
+    alone: dict[int, set[str]] = {}  # by id of a memo that `extracted` keeps alive
     for content, memo in extracted:
-        alone.setdefault(memo, set()).update(
+        alone.setdefault(id(memo), set()).update(
             line for line in content.split("\n") if not ("/*" in line or '"""' in line or line.endswith("\\")))
     assert sum(content.count("\n") + 1 for content, _ in extracted) == 238
     assert (len(alone), sum(map(len, alone.values()))) == (3, 59)
