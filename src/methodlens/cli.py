@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,14 +175,15 @@ def _run_stage(args, stage: str, inputs: dict[str, str], **extra) -> list[Path]:
     if reads_repo:
         _require(config, "repo", "commit")
     repo, snapshot = open_snapshot(config)
-    for path in inputs.values() if reads_repo else ():
-        written_at = read_ndjson(Path(path))[0].get("snapshot")
-        if written_at != snapshot:
-            raise ConfigError(f"--commit resolves to {snapshot}, but {path} was written at {written_at}; "
-                              f"run {stage} at the snapshot its input was written at")
-    Path(config.out).mkdir(parents=True, exist_ok=True)
-    written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
-                        repo, snapshot, **extra)
+    with repo or nullcontext():
+        for path in inputs.values() if reads_repo else ():
+            written_at = read_ndjson(Path(path))[0].get("snapshot")
+            if written_at != snapshot:
+                raise ConfigError(f"--commit resolves to {snapshot}, but {path} was written at {written_at}; "
+                                  f"run {stage} at the snapshot its input was written at")
+        Path(config.out).mkdir(parents=True, exist_ok=True)
+        written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
+                            repo, snapshot, **extra)
     print("wrote " + " and ".join(str(path) for path in written))
     return written
 

@@ -6,19 +6,30 @@ METHODLENS_GIT environment variable.
 
 The stages read history in bulk: `first_parent_history` is one `git log`
 for the whole first-parent chain and what changed at each commit,
-`ls_tree` one listing of a commit with blob ids, and `read_blobs` one
-`git cat-file --batch` for any number of blobs.  `changes`, `file_at`,
-`first_parent_chain` and `ls_files` answer the same questions one commit
-or one blob at a time.
+`ls_tree` one listing of a commit with blob ids, and `read_blobs` reads
+blobs through one long-lived `git cat-file --batch` child per `GitRepo`,
+started by the first read and stopped by `close()` (or leaving a `with`
+block, or, for a repository dropped unclosed, its finalizer).  So a
+pipeline run starts the same git processes however many files it traces.
+`changes`, `file_at`, `first_parent_chain` and `ls_files` answer the same
+questions one commit or one blob at a time.
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
+import weakref
 from dataclasses import dataclass
 
 GIT_ENV_VAR = "METHODLENS_GIT"
+
+# `read_blobs` writes names to the child in chunks of at most this many
+# bytes (or one longer name) and reads every reply of a chunk before it
+# writes the next.  A chunk fits in any pipe buffer (a page at the least,
+# 64 KiB by default on Linux), so the write completes even while the child
+# waits for its replies to be read, and neither side blocks on a full pipe.
+_BATCH_CHUNK_BYTES = 2048
 
 
 class RepoAccessError(Exception):
@@ -61,21 +72,51 @@ def _commit_meta(record: bytes) -> CommitMeta:
     )
 
 
+def _stop_batch(proc: subprocess.Popen) -> None:
+    """End a `cat-file --batch` child: closing its input ends it, and one
+    that does not exit soon after is killed."""
+    for pipe in (proc.stdin, proc.stdout):
+        try:
+            pipe.close()
+        except OSError:
+            pass  # unwritten names for a child that already exited
+    try:
+        proc.wait(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+
+
 class GitRepo:
     def __init__(self, path: str, git_exe: str | None = None):
         self.path = str(path)
         self.git = git_exe or os.environ.get(GIT_ENV_VAR) or "git"
+        self._batch: subprocess.Popen | None = None
+        self._stop: weakref.finalize | None = None
         try:
             self._run(["rev-parse", "--git-dir"])
         except (OSError, RepoAccessError) as err:
             raise RepoAccessError(f"not a readable git repository: {self.path}: {err}") from err
 
-    def _run(self, args: list[str], check: bool = True, input: bytes | None = None) -> bytes:
+    def __enter__(self) -> GitRepo:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the `git cat-file --batch` child if one runs; a later
+        `read_blobs` starts another."""
+        if self._stop is not None:
+            self._batch = None
+            self._stop()
+            self._stop = None
+
+    def _run(self, args: list[str], check: bool = True) -> bytes:
         try:
             proc = subprocess.run(
                 [self.git, "-C", self.path] + args,
                 capture_output=True,
-                input=input,
             )
         except OSError as err:
             raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
@@ -194,24 +235,59 @@ class GitRepo:
 
     def read_blobs(self, ids) -> dict[str, str | None]:
         """{id: text} for object ids, or any names `git cat-file` accepts,
-        from one `git cat-file --batch`.  Texts are decoded as `file_at`
+        read through this repository's one `git cat-file --batch` child,
+        which the first call starts.  Texts are decoded as `file_at`
         decodes them; a name that is missing or not a blob maps to None, as
-        `file_at` returns None for it."""
-        ids = list(dict.fromkeys(ids))
-        if not ids:
-            return {}
-        out = self._run(["cat-file", "--batch"], input="".join(f"{oid}\n" for oid in ids).encode("utf-8"))
-        # per name "<oid> <type> <size>\n<content>\n", or "<name> missing\n"
+        `file_at` returns None for it.  So does a name the child's line
+        reader would alter, one that holds a newline or ends in a carriage
+        return, without being sent.  A child that cannot be started or
+        exits early raises RepoAccessError."""
         texts: dict[str, str | None] = {}
-        pos = 0
-        for oid in ids:
-            eol = out.index(b"\n", pos)
-            header = out[pos:eol].rsplit(b" ", 2)
-            pos = eol + 1
-            if len(header) < 3 or not header[2].isdigit():
+        chunk: list[str] = []
+        size = 0
+        for oid in dict.fromkeys(ids):
+            if "\n" in oid or oid.endswith("\r"):
                 texts[oid] = None
                 continue
-            size = int(header[2])
-            texts[oid] = out[pos:pos + size].decode("utf-8", "replace") if header[1] == b"blob" else None
-            pos += size + 1
+            line = len(oid.encode("utf-8")) + 1
+            if chunk and size + line > _BATCH_CHUNK_BYTES:
+                self._read_chunk(chunk, texts)
+                chunk, size = [], 0
+            chunk.append(oid)
+            size += line
+        if chunk:
+            self._read_chunk(chunk, texts)
         return texts
+
+    def _read_chunk(self, names: list[str], texts: dict[str, str | None]) -> None:
+        """Send `names` to the child and put each one's reply in `texts`."""
+        if self._batch is None:
+            try:
+                self._batch = subprocess.Popen(
+                    [self.git, "-C", self.path, "cat-file", "--batch"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                )
+            except OSError as err:
+                raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
+            self._stop = weakref.finalize(self, _stop_batch, self._batch)
+        stdin, stdout = self._batch.stdin, self._batch.stdout
+        try:
+            stdin.write("".join(f"{oid}\n" for oid in names).encode("utf-8"))
+            stdin.flush()
+            # per name "<oid> <type> <size>\n<content>\n", or "<name> missing\n"
+            for oid in names:
+                header = stdout.readline()
+                if not header.endswith(b"\n"):
+                    raise EOFError
+                header = header[:-1].rsplit(b" ", 2)
+                if len(header) < 3 or not header[2].isdigit():
+                    texts[oid] = None
+                    continue
+                size = int(header[2])
+                content = stdout.read(size + 1)
+                if len(content) != size + 1:
+                    raise EOFError
+                texts[oid] = content[:size].decode("utf-8", "replace") if header[1] == b"blob" else None
+        except (OSError, EOFError) as err:
+            self.close()
+            raise RepoAccessError(f"git cat-file --batch exited early in {self.path}") from err

@@ -229,9 +229,12 @@ class TraceSession:
     One `git log` gives the first-parent chain, what changed at each commit
     and the parent-side blob of each change.  The snapshot methods come from
     the caller (the extract stage's records), so the snapshot itself is
-    never read.  `trace_method` traces one file's methods at a time and
-    keeps that file's texts, extractions and lexer memo to itself; the
-    session only counts what the files read, extracted and lexed."""
+    never read.  `trace_method` traces one file's methods at a time: it
+    asks the repository's one `cat-file --batch` child (shared with
+    extract in a pipeline run, and stopped when the caller closes the
+    repository) for that file's parent-side blobs alone, and keeps the
+    file's texts, extractions and lexer memo to itself; the session only
+    counts what the files read, extracted and lexed."""
 
     def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
         self.repo = repo
@@ -296,7 +299,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
     memo, and the walk stops once every method has reached its introduction."""
     chain = session.chain
     steps = session.steps(path)
-    # one batch; a file no commit changed after its addition starts no process
+    # one batch; a file no commit changed after its addition reads no blob
     texts = session.repo.read_blobs(change.oldBlob for _, change in steps if change.status[0] not in ("A", "D"))
     session.files_traced += 1
     session.blobs_read += len(texts)

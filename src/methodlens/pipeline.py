@@ -784,8 +784,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     unchanged; returns {stage: "ran" | "skipped"}."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    repo = GitRepo(config.repo)
-    snapshot = repo.resolve_commit(config.commit)
     manifest_path = out / "manifest.json"
     stages = {}
     if manifest_path.exists():
@@ -798,29 +796,32 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
 
     status: dict[str, str] = {}
     rewritten: set[str] = set()
-    for name, stage in STAGES.items():
-        inputs = {artifact: out / artifact for artifact in stage.inputs}
-        digests = stage_digests(stage, config, inputs, snapshot)
-        digest = digest_params(digests)
-        recorded = manifest["stages"].get(name, {})
-        # a stage that reads an artifact rewritten in this run runs again,
-        # even when the rewritten bytes came out the same
-        fresh = (
-            rewritten.isdisjoint(stage.inputs)
-            and recorded.get("digest") == digest
-            and all((out / artifact).exists() for artifact in stage.outputs)
-        )
-        if fresh:
-            status[name] = "skipped"
-            continue
-        try:
-            run_stage(name, config, inputs, repo, snapshot, digests)
-        except StageError:
-            _write_json(manifest_path, manifest)
-            raise
-        manifest["stages"][name] = {"digest": digest, "outputs": list(stage.outputs)}
-        status[name] = "ran"
-        rewritten.update(stage.outputs)
+    # extract and trace share the repository's one `cat-file --batch` child
+    with GitRepo(config.repo) as repo:
+        snapshot = repo.resolve_commit(config.commit)
+        for name, stage in STAGES.items():
+            inputs = {artifact: out / artifact for artifact in stage.inputs}
+            digests = stage_digests(stage, config, inputs, snapshot)
+            digest = digest_params(digests)
+            recorded = manifest["stages"].get(name, {})
+            # a stage that reads an artifact rewritten in this run runs again,
+            # even when the rewritten bytes came out the same
+            fresh = (
+                rewritten.isdisjoint(stage.inputs)
+                and recorded.get("digest") == digest
+                and all((out / artifact).exists() for artifact in stage.outputs)
+            )
+            if fresh:
+                status[name] = "skipped"
+                continue
+            try:
+                run_stage(name, config, inputs, repo, snapshot, digests)
+            except StageError:
+                _write_json(manifest_path, manifest)
+                raise
+            manifest["stages"][name] = {"digest": digest, "outputs": list(stage.outputs)}
+            status[name] = "ran"
+            rewritten.update(stage.outputs)
     _write_json(manifest_path, manifest)
     return status
 

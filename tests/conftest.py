@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +23,28 @@ def bench_run():
     import run
 
     return run
+
+
+class GitChildren(list):
+    """(git subcommand, process) for every process methodlens.gitrepo
+    starts; `subprocess.run` starts its processes through `Popen` too."""
+
+    def names(self) -> list[str]:
+        return [name for name, _ in self]
+
+    def running(self) -> list[str]:
+        return [name for name, proc in self if proc.poll() is None]
+
+
+@pytest.fixture
+def git_children(monkeypatch) -> GitChildren:
+    children = GitChildren()
+    real_popen = subprocess.Popen
+
+    def recording_popen(args, *rest, **kwargs):
+        proc = real_popen(args, *rest, **kwargs)
+        children.append((args[3] if args[1] == "-C" else args[1], proc))
+        return proc
+
+    monkeypatch.setattr("methodlens.gitrepo.subprocess.Popen", recording_popen)
+    return children

@@ -1,65 +1,89 @@
-"""How the trace stage reads git and lexes: a bounded number of git
-processes per run, at most one batch per traced file (none for a file with
-no parent-side version), one extraction per parent-side version the file's
+"""How the trace stage reads git and lexes: the same five git processes
+for any pipeline run, one `cat-file --batch` child shared by extract and
+trace and none left running when a run or a stage subcommand ends, at most
+one batch per traced file (none for a file with no parent-side version),
+one extraction per parent-side version the file's
 walk reaches and none older, no body-block lex for an extracted declaration
 and one for a declaration rebuilt from its record, and a counted summary of
 what it read, failed to extract and lexed; the line memo that lives for one
 traced file; and the same summary of the extract stage."""
 
 import logging
-import subprocess
 from collections import Counter
 from pathlib import Path
 
-from methodlens import history, java_extract
+import pytest
+
+from methodlens import cli, history, java_extract
 from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
 from methodlens.history import TraceConfig, TraceSession, match_method, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
-from methodlens.pipeline import (PipelineConfig, decl_from_record, method_record, read_ndjson, run_pipeline,
-                                 run_stage)
+from methodlens.pipeline import (PipelineConfig, StageError, decl_from_record, method_record, read_ndjson,
+                                 run_pipeline, run_stage)
 from repo_builder import commit_files, init_repo
 
 
-def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_path, monkeypatch):
-    calls = []
-    real_run = subprocess.run
-
-    def counting_run(args, *rest, **kwargs):
-        calls.append(args[3] if args[1] == "-C" else args[1])
-        return real_run(args, *rest, **kwargs)
-
-    monkeypatch.setattr("methodlens.gitrepo.subprocess.run", counting_run)
+def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_path, git_children):
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path), project="fixture", seed=7)
     run_pipeline(config)
     _, records = read_ndjson(tmp_path / "methods.ndjson")
-    traced_files = len({r["file"] for r in records})
-    assert traced_files == 3
-    assert len(calls) <= traced_files + 5, calls
-    assert calls.count("rev-parse") == 2  # --git-dir, then the snapshot once
-    assert calls.count("ls-tree") == 1  # extract's; trace never lists the snapshot
-    assert calls.count("log") == 1 and calls.count("cat-file") == traced_files + 1
-    assert "diff-tree" not in calls
+    assert len({r["file"] for r in records}) == 3
+    # --git-dir, then the snapshot once; extract's listing (trace never lists
+    # the snapshot) and the one cat-file child that reads extract's blobs and
+    # every traced file's; trace's one `git log`
+    assert git_children.names() == ["rev-parse", "rev-parse", "ls-tree", "cat-file", "log"]
+    assert git_children.running() == []
 
 
-def test_the_trace_subcommand_opens_the_repository_once(fixture_repo, tmp_path, monkeypatch):
+def test_a_failing_pipeline_leaves_no_git_process_running(fixture_repo, tmp_path, git_children, monkeypatch):
+    def failing_trace(session, path, decls):
+        raise RuntimeError("trace failed")  # after extract started the cat-file child
+
+    monkeypatch.setattr("methodlens.pipeline.trace_method", failing_trace)
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    with pytest.raises(StageError) as failed:
+        run_pipeline(config)
+    # while the traceback keeps run_pipeline's frame, and so its repository,
+    # alive: the run stopped the child itself
+    assert failed.traceback and git_children.names().count("cat-file") == 1
+    assert git_children.running() == []
+
+
+def test_the_stage_subcommands_leave_no_git_process_running(fixture_repo, tmp_path, git_children, monkeypatch):
+    # keep each opened repository, so that only the subcommand, not its
+    # finalizer, can have stopped the child
+    opened = []
+    real_open = cli.open_snapshot
+    monkeypatch.setattr(cli, "open_snapshot", lambda config: opened.append(real_open(config)) or opened[-1])
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
+    assert ("cat-file" in git_children.names(), git_children.running()) == (True, [])
+    del git_children[:]
+    assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(tmp_path / "methods.ndjson"),
+                 "--out", str(tmp_path)]) == 0
+    assert ("cat-file" in git_children.names(), git_children.running()) == (True, [])
+    assert len(opened) == 2
+
+
+def test_the_trace_subcommand_opens_the_repository_once(fixture_repo, tmp_path, git_children):
     repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
     assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
     methods = tmp_path / "methods.ndjson"
-    git = GitRepo(repo)
-    calls = []
-    real_run = subprocess.run
-    monkeypatch.setattr("methodlens.gitrepo.subprocess.run",
-                        lambda args, *rest, **kw: calls.append(args[3]) or real_run(args, *rest, **kw))
     config = PipelineConfig(repo=repo, commit=sha, out=str(tmp_path / "stage"))
     Path(config.out).mkdir()
-    run_stage("trace", config, {"methods.ndjson": methods}, git, sha)
-    stage_calls, calls[:] = list(calls), []
+    with GitRepo(repo) as git:
+        del git_children[:]
+        run_stage("trace", config, {"methods.ndjson": methods}, git, sha)
+    stage_calls = git_children.names()
+    del git_children[:]
     assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(methods),
                  "--out", str(tmp_path)]) == 0
     # --git-dir and the snapshot, once each, then the stage's own processes
-    assert calls == ["rev-parse", "rev-parse", *stage_calls]
+    assert stage_calls == ["log", "cat-file"]
+    assert git_children.names() == ["rev-parse", "rev-parse", *stage_calls]
 
 
 def test_match_method_lexes_each_declaration_once(monkeypatch):
@@ -105,22 +129,20 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
     assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
 
 
-def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path, monkeypatch, caplog):
+def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path, git_children, caplog):
     repo = init_repo(tmp_path, "added-once")
     commit_files(repo, "c01", "root", {"src/A.java": "class A {\n  int a() { return 1; }\n}\n"})
     snapshot = commit_files(repo, "c02", "add B", {"src/B.java": "class B {\n  int b() { return 2; }\n}\n"})
     config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
     Path(config.out).mkdir()
-    git = GitRepo(str(repo))
     methods = Path(config.out) / "methods.ndjson"
-    run_stage("extract", config, {}, git, snapshot)
-    calls = []
-    real_run = subprocess.run
-    monkeypatch.setattr("methodlens.gitrepo.subprocess.run",
-                        lambda args, *rest, **kw: calls.append(args[3]) or real_run(args, *rest, **kw))
+    with GitRepo(str(repo)) as git:
+        run_stage("extract", config, {}, git, snapshot)
+    git = GitRepo(str(repo))  # with no cat-file child yet, which a blob read would start
+    del git_children[:]
     with caplog.at_level(logging.INFO, logger="methodlens"):
         run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
-    assert calls == ["log"]
+    assert git_children.names() == ["log"]
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
                        "0 historical versions failed to extract, 0 version lines, 0 lexed alone"]
