@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .gitrepo import RepoAccessError, UnknownCommit
@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", parents=[common], help="surprisingly good/ugly candidates")
     p.add_argument("--labeled", required=True)
     p.add_argument("--histories", required=True)
-    p.add_argument("--top", type=int, default=None)
-    p.add_argument("--per-project", type=int, default=None)
+    p.add_argument("--top", type=int, default=None, dest="top_n", metavar="TOP")
+    p.add_argument("--per-project", type=int, default=None, dest="per_project_cap", metavar="PER_PROJECT")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("train", parents=[common], help="train and evaluate classifiers")
@@ -138,24 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> PipelineConfig:
-    """The config file's values with the flags' on top, range-checked by
-    `PipelineConfig` as the file's values are."""
+    """The config file's values with the flags' on top, checked by
+    `PipelineConfig` as the file's values are.  A flag sets the field its
+    destination names."""
     config = validate_config(args.config) if args.config else PipelineConfig()
-    indicator = getattr(args, "indicator", None)
-    overrides = {
-        "repo": getattr(args, "repo", None),
-        "commit": getattr(args, "commit", None),
-        "out": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-        "files": getattr(args, "files", None),
-        "ugly_fraction": getattr(args, "ugly_fraction", None),
-        "theta": getattr(args, "theta", None),
-        "window_years": getattr(args, "window_years", None),
-        "approach": getattr(args, "approach", None),
-        "top_n": getattr(args, "top", None),
-        "per_project_cap": getattr(args, "per_project", None),
-        "indicator": INDICATOR_ALIASES[indicator] if indicator is not None else None,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    if overrides["indicator"] is not None:
+        overrides["indicator"] = INDICATOR_ALIASES[overrides["indicator"]]
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 

@@ -112,7 +112,7 @@ class GitRepo:
             self._stop()
             self._stop = None
 
-    def _run(self, args: list[str], check: bool = True) -> bytes:
+    def _run(self, args: list[str]) -> bytes:
         try:
             proc = subprocess.run(
                 [self.git, "-C", self.path] + args,
@@ -120,7 +120,7 @@ class GitRepo:
             )
         except OSError as err:
             raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
-        if check and proc.returncode != 0:
+        if proc.returncode != 0:
             raise RepoAccessError(
                 f"git {' '.join(args[:2])} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
             )

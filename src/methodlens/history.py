@@ -26,15 +26,6 @@ DAYS_PER_YEAR = 365.25
 
 
 @dataclass(frozen=True)
-class TraceConfig:
-    similarity_threshold: float = 0.75
-
-    def __post_init__(self):
-        if not (0.0 < self.similarity_threshold <= 1.0):
-            raise ValueError("similarity_threshold must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class MethodIdentity:
     project: str
     file: str
@@ -184,12 +175,12 @@ SMALL_METHOD_CHARS = 60
 def match_method(
     prev_methods: list[MethodDeclaration],
     target: MethodDeclaration,
-    cfg: TraceConfig,
+    theta: float,
 ) -> MethodDeclaration | None:
     """Parent-side counterpart of `target`, or None.
 
-    Priority: exact signature; same name with body similarity above the
-    threshold; any method with maximal similarity above the threshold.
+    Priority: exact signature; same name with body similarity of at least
+    `theta`; any method with maximal similarity of at least `theta`.
     Small methods only ever match same-name candidates.
     """
     target_sig = signature(target)
@@ -197,7 +188,6 @@ def match_method(
     if exact:
         return min(exact, key=lambda m: m.startLine)
 
-    theta = cfg.similarity_threshold
     target_block = body_block(target)
 
     def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
@@ -236,9 +226,9 @@ class TraceSession:
     file's texts, extractions and lexer memo to itself; the session only
     counts what the files read, extracted and lexed."""
 
-    def __init__(self, repo: GitRepo, snapshot: str, cfg: TraceConfig, project: str = ""):
+    def __init__(self, repo: GitRepo, snapshot: str, theta: float, project: str = ""):
         self.repo = repo
-        self.cfg = cfg
+        self.theta = theta
         self.project = project or "project"
         self.chain, self._changes = repo.first_parent_history(snapshot)
         self.snapshot = self.chain[0]
@@ -338,7 +328,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
             continue
         still = []
         for i in tracing:
-            matched = match_method(prev_methods, current[i], session.cfg)
+            matched = match_method(prev_methods, current[i], session.theta)
             if matched is None:
                 introduction[i] = child
                 intro_path[i] = cur_path

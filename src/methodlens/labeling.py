@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .history import ChangeIndicators, INDICATOR_NAMES, MethodHistory, MethodIdentity
@@ -23,6 +23,9 @@ class EmptyProject(Exception):
 
 @dataclass(frozen=True)
 class BugRuleConfig:
+    """Stem lists matched against lowercased commit messages; the pipeline
+    configuration checks that they are non-empty and lowercase."""
+
     highRecallKeywords: tuple[str, ...] = (
         "error", "bug", "fix", "issue", "mistake", "incorrect", "fault", "defect", "flaw",
     )
@@ -30,12 +33,6 @@ class BugRuleConfig:
         "error", "bug", "mistake", "incorrect", "fault", "defect", "flaw", "misfeature",
     )
     highPrecisionFixWords: tuple[str, ...] = ("fix", "address", "resolve")
-
-    def __post_init__(self):
-        for name in ("highRecallKeywords", "highPrecisionBugWords", "highPrecisionFixWords"):
-            words = getattr(self, name)
-            if not words or any(w != w.lower() for w in words):
-                raise ValueError(f"{name} must be a non-empty lowercase list")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +27,6 @@ from .history import (
     MethodHistory,
     MethodIdentity,
     Revision,
-    TraceConfig,
     TraceSession,
     compute_indicators,
     filter_by_age,
@@ -74,7 +73,6 @@ INDICATOR_ALIASES = {
     "addition-only": "additionOnly",
     "revisions": "revisions",
 }
-INDICATOR_FLAGS = {v: k for k, v in INDICATOR_ALIASES.items()}
 
 # the `jobs` key is kept so that existing configuration files still parse
 JOBS_ERROR = "jobs must be 1: tracing is single-process"
@@ -101,7 +99,10 @@ class PipelineConfig:
     high_precision_fix_words: tuple[str, ...] = BugRuleConfig().highPrecisionFixWords
 
     def __post_init__(self):
-        """The one range check, for config-file values and flags alike."""
+        """The one check of every value, for config-file values, flags and
+        callers alike."""
+        if self.indicator not in INDICATOR_ALIASES.values():
+            raise ConfigError(f"unknown indicator {self.indicator!r}")
         if not self.window_years > 0:
             raise ConfigError("window_years must be positive")
         for key in ("ugly_fraction", "theta"):
@@ -132,49 +133,34 @@ class PipelineConfig:
             highPrecisionFixWords=self.high_precision_fix_words,
         )
 
-    def to_text(self) -> str:
-        lines = []
-        for key, value in sorted(asdict(self).items()):
-            if isinstance(value, tuple):
-                value = ",".join(value)
-            elif key == "indicator":
-                value = INDICATOR_FLAGS.get(value, value)
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
 
-
-_WORD_LIST_KEYS = ("high_recall_keywords", "high_precision_bug_words", "high_precision_fix_words")
-_FLOAT_KEYS = {"window_years", "ugly_fraction", "theta"}
-_INT_KEYS = {"seed", "jobs", "approach", "top_n", "per_project_cap"}
-_STR_KEYS = {"repo", "commit", "out", "files", "project"}
+# each key's declared type, as written in the class body (annotations are
+# not evaluated in this module)
+_KEY_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_WORD_LIST_KEYS = tuple(key for key, kind in _KEY_TYPES.items() if kind == "tuple[str, ...]")
+_NUMBER_TYPES = {"float": (float, "a number"), "int": (int, "an integer")}
 
 
 def _parse_value(key: str, raw: str):
-    """The typed value of a config-file entry; ranges are checked by
-    `PipelineConfig` itself."""
+    """The typed value of a config-file entry, read by the key's declared
+    type; `PipelineConfig` itself checks the value."""
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown key {key!r}")
     if key in _WORD_LIST_KEYS:
         words = tuple(w.strip() for w in raw.split(",") if w.strip())
         if not words:
             raise ConfigError(f"{key} must be a non-empty comma-separated list")
         return words
-    if key in _FLOAT_KEYS:
+    if kind in _NUMBER_TYPES:
+        convert, expected = _NUMBER_TYPES[kind]
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError:
-            raise ConfigError(f"{key} expects a number, got {raw!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}")
+            raise ConfigError(f"{key} expects {expected}, got {raw!r}")
     if key == "indicator":
-        name = INDICATOR_ALIASES.get(raw, raw)
-        if name not in INDICATOR_ALIASES.values():
-            raise ConfigError(f"unknown indicator {raw!r}")
-        return name
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown key {key!r}")
+        return INDICATOR_ALIASES.get(raw, raw)
+    return raw
 
 
 def validate_config(path: str | Path) -> PipelineConfig:
@@ -416,7 +402,8 @@ def inception_metrics_from_record(record: dict, path: Path) -> MetricVector:
     if metrics is None:
         raise ValueError(f"{path} holds no introduction metrics, as files written before "
                          f"methodlens 0.2.0 do; run trace again to write them")
-    return MetricVector(**metrics)
+    with _parsing(path):
+        return MetricVector(**metrics)
 
 
 def labeled_record(m: LabeledMethod, intro_time: int, age_days: float) -> dict:
@@ -476,13 +463,12 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
               methods_path: Path | None = None) -> None:
     methods_path = methods_path or out / "methods.ndjson"
     header, records = read_ndjson(methods_path)
-    cfg = TraceConfig(similarity_threshold=config.theta)
     by_file: dict[str, list[MethodDeclaration]] = {}
     with _parsing(methods_path):
         project = header["project"]
         for record in records:
             by_file.setdefault(record["file"], []).append(decl_from_record(record))
-    session = TraceSession(repo, snapshot, cfg, project=project)
+    session = TraceSession(repo, snapshot, config.theta, project=project)
     histories = [h for path, decls in by_file.items() for h in trace_method(session, path, decls)]
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
              "%d historical versions failed to extract, %d version lines, %d lexed alone",
@@ -497,7 +483,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
         extra_header={
             "snapshot": session.snapshot.id,
             "snapshotTime": session.snapshot.authorTime,
-            "theta": cfg.similarity_threshold,
+            "theta": config.theta,
         },
     )
 
@@ -506,9 +492,10 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
               histories_path: Path | None = None) -> None:
     histories_path = histories_path or out / "histories.ndjson"
     header, records = read_ndjson(histories_path)
-    snapshot_time = header["snapshotTime"]
+    with _parsing(histories_path):
+        snapshot_time = header["snapshotTime"]
+        histories = [history_from_record(r) for r in records]
     window_days = DAYS_PER_YEAR * config.window_years
-    histories = [history_from_record(r) for r in records]
     metrics_by_key = {h.identity.as_str(): inception_metrics_from_record(r, histories_path)
                       for h, r in zip(histories, records)}
     eligible = filter_by_age(histories, snapshot_time, window_days)
@@ -542,8 +529,10 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
 
 
 def _load_dataset(out: Path, dataset_path: Path | None = None) -> list[LabeledMethod]:
-    _, records = read_ndjson(dataset_path or out / "dataset.ndjson")
-    return [labeled_from_record(r) for r in records]
+    dataset_path = dataset_path or out / "dataset.ndjson"
+    _, records = read_ndjson(dataset_path)
+    with _parsing(dataset_path):
+        return [labeled_from_record(r) for r in records]
 
 
 def _by_project(methods: list[LabeledMethod]) -> dict[str, list[LabeledMethod]]:
@@ -592,7 +581,8 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
     methods = _load_dataset(out, dataset_path)
     histories_path = histories_path or out / "histories.ndjson"
     _, history_records = read_ndjson(histories_path)
-    history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
+    with _parsing(histories_path):
+        history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
     missing = next((m.identity.as_str() for m in methods if m.identity.as_str() not in history_by_key), None)
     if missing is not None:
         raise ValueError(f"{histories_path} has no history for {missing}")
@@ -602,29 +592,31 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
         methods, ranking, top_n=config.top_n, per_project_cap=config.per_project_cap
     )
 
-    def export(selected):
-        for m in selected:
-            key = m.identity.as_str()
-            h = history_by_key[key]
-            intro = h.get("introduction", {})
-            yield {
-                "identity": identity_record(m.identity),
-                "label": m.label,
-                "compositeScore": ranking.scores[key],
-                "rank": ranking.ranks[key],
-                "source": intro.get("method", {}).get("body", ""),
-                "history": {
-                    "introductionCommit": intro.get("commit", ""),
-                    "introductionTime": intro.get("time", 0),
-                    "revisions": [
-                        {"commit": r["commit"], "time": r["time"], "message": r["message"]}
-                        for r in h.get("revisions", [])
-                    ],
-                },
-            }
+    def export(m: LabeledMethod) -> dict:
+        key = m.identity.as_str()
+        h = history_by_key[key]
+        intro = h["introduction"]
+        return {
+            "identity": identity_record(m.identity),
+            "label": m.label,
+            "compositeScore": ranking.scores[key],
+            "rank": ranking.ranks[key],
+            "source": intro["method"]["body"],
+            "history": {
+                "introductionCommit": intro["commit"],
+                "introductionTime": intro["time"],
+                "revisions": [
+                    {"commit": r["commit"], "time": r["time"], "message": r["message"]}
+                    for r in h["revisions"]
+                ],
+            },
+        }
 
-    write_ndjson(out / "surprisingly_good.ndjson", "rank", digests, export(good))
-    write_ndjson(out / "surprisingly_ugly.ndjson", "rank", digests, export(ugly))
+    with _parsing(histories_path):
+        good_records = [export(m) for m in good]
+        ugly_records = [export(m) for m in ugly]
+    write_ndjson(out / "surprisingly_good.ndjson", "rank", digests, good_records)
+    write_ndjson(out / "surprisingly_ugly.ndjson", "rank", digests, ugly_records)
 
 
 def run_train(config: PipelineConfig, out: Path, digests: dict[str, str],

@@ -343,7 +343,7 @@ def trace_method_reference(session: TraceSession, decl: MethodDeclaration, path:
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path
             continue
-        matched = match_method(prev_methods, cur_decl, session.cfg)
+        matched = match_method(prev_methods, cur_decl, session.theta)
         if matched is None:
             introduction = child
             break

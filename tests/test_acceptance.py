@@ -21,7 +21,6 @@ import pytest
 from methodlens.gitrepo import GitRepo
 from methodlens.history import (
     DAYS_PER_YEAR,
-    TraceConfig,
     TraceSession,
     compute_indicators,
     levenshtein,
@@ -48,6 +47,7 @@ from oracles import kendall_tau_b_pairs, levenshtein_full_matrix
 from repo_builder import build_fixture_repo
 from synth import sample, separable_corpus
 
+THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 INT_METRICS = ("size", "mccabe", "nvar", "ncomp", "maxBlockDepth", "fanout",
                "halsteadLength", "parameters", "variables")
 BOOL_METRICS = ("getterSetter", "isPublic", "isStatic")
@@ -223,8 +223,7 @@ def test_criterion_5_pareto():
 def test_criterion_6_fixture_repo(tmp_path):
     ledger = build_fixture_repo(tmp_path)
     repo = GitRepo(str(ledger["repo"]))
-    cfg = TraceConfig()
-    session = TraceSession(repo, ledger["snapshot"], cfg, project="fixture")
+    session = TraceSession(repo, ledger["snapshot"], THETA, project="fixture")
     assert len(session.chain) == 11
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):

@@ -12,7 +12,6 @@ import pytest
 from methodlens.gitrepo import GitRepo, UnknownCommit
 from methodlens.history import (
     DAYS_PER_YEAR,
-    TraceConfig,
     TraceSession,
     compute_indicators,
     filter_by_age,
@@ -22,11 +21,14 @@ from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
 from methodlens.pipeline import STAGES, PipelineConfig, read_ndjson, run_pipeline
 
+THETA = 0.75  # the default matching threshold, PipelineConfig.theta
+
+
 @pytest.fixture(scope="session")
 def traced(fixture_repo):
     ledger = fixture_repo
     repo = GitRepo(str(ledger["repo"]))
-    session = TraceSession(repo, ledger["snapshot"], TraceConfig(), project="fixture")
+    session = TraceSession(repo, ledger["snapshot"], THETA, project="fixture")
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
         decls = extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path)))

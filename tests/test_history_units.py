@@ -1,7 +1,5 @@
 import dataclasses
 
-import pytest
-
 from methodlens.gitrepo import CommitMeta
 from methodlens.history import (
     DAYS_PER_YEAR,
@@ -9,7 +7,6 @@ from methodlens.history import (
     MethodHistory,
     MethodIdentity,
     Revision,
-    TraceConfig,
     body_similarity,
     compute_indicators,
     filter_by_age,
@@ -18,6 +15,7 @@ from methodlens.history import (
 from methodlens.java_extract import extract_methods, normalize_source
 
 DAY = 86400
+THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 FIVE_YEARS = 5.0 * DAYS_PER_YEAR
 
 def _dummy_decl():
@@ -58,11 +56,6 @@ def history_with(revision_days, intro_time=0):
     )
 
 
-def test_trace_config_validation():
-    with pytest.raises(ValueError):
-        TraceConfig(similarity_threshold=0.0)
-
-
 BIG_BODY = """\
 class A {
     int alpha(int value) {
@@ -77,15 +70,13 @@ class A {
 def test_match_exact_signature():
     target = decls_of(BIG_BODY)[0]
     prev = decls_of(BIG_BODY)
-    cfg = TraceConfig()
-    assert match_method(prev, target, cfg).name == "alpha"
+    assert match_method(prev, target, THETA).name == "alpha"
 
 
 def test_match_after_rename_body_unchanged():
     target = decls_of(BIG_BODY.replace("alpha", "beta"))[0]
     prev = decls_of(BIG_BODY)
-    cfg = TraceConfig()
-    matched = match_method(prev, target, cfg)
+    matched = match_method(prev, target, THETA)
     assert matched is not None and matched.name == "alpha"
     assert body_similarity(matched, target) == 1.0
 
@@ -94,16 +85,14 @@ def test_match_rejects_dissimilar_small_methods():
     prev = decls_of("class A { int a() { return 1; } }")
     target = decls_of("class A { int b() { return 29; } }")[0]
     assert len(target.bodyText) < 60
-    cfg = TraceConfig()
-    assert match_method(prev, target, cfg) is None
+    assert match_method(prev, target, THETA) is None
 
 
 def test_match_same_name_different_arity():
     prev = decls_of(BIG_BODY)
     renamed_params = BIG_BODY.replace("int alpha(int value)", "int alpha(int value, int unused)")
     target = decls_of(renamed_params)[0]
-    cfg = TraceConfig()
-    matched = match_method(prev, target, cfg)
+    matched = match_method(prev, target, THETA)
     assert matched is not None and matched.name == "alpha"
 
 
@@ -115,8 +104,7 @@ def test_match_below_threshold_returns_none():
         "class A { int other(int v) {\n  return inner(v, v + 1, v + 2) ^ mask ^ seed;\n} }"
     )[0]
     assert len(target.bodyText) >= 60  # large enough for cross-name matching
-    cfg = TraceConfig(similarity_threshold=0.9)
-    assert match_method(prev, target, cfg) is None
+    assert match_method(prev, target, 0.9) is None
 
 
 def test_indicators_empty():

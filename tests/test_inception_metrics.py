@@ -130,3 +130,16 @@ def test_label_rejects_a_histories_file_without_metrics_by_name(fixture_repo, tm
     assert err.startswith("error: stage 'label' failed: ")
     assert f"{histories} holds no introduction metrics" in err and "run trace again" in err
     assert not (out / "dataset.ndjson").exists()
+
+
+def test_label_names_a_histories_file_whose_metrics_lack_one(fixture_repo, tmp_path, capsys):
+    run_pipeline(fixture_config(fixture_repo, tmp_path))
+    lines = (tmp_path / "histories.ndjson").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    del record["introduction"]["metrics"]["size"]
+    histories = tmp_path / "short.ndjson"
+    histories.write_text("\n".join([lines[0], _json_line(record), *lines[2:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "label"
+    assert main(["label", "--histories", str(histories), "--out", str(out)]) == 4
+    assert f"{histories} is malformed: " in capsys.readouterr().err
+    assert not (out / "dataset.ndjson").exists()

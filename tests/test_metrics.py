@@ -1,6 +1,8 @@
 import dataclasses
 import math
 
+import pytest
+
 from methodlens.java_extract import MethodDeclaration, extract_methods, normalize_source
 from methodlens.metrics import (
     HalsteadCounts,
@@ -302,6 +304,14 @@ def test_counts_for_init_and_resources_included_catch_excluded():
 def test_counts_lambda_parameters_excluded():
     d = decl_of("void m() { items.forEach(x -> consume(x)); int kept = 1; }")
     assert compute_metric_vector(d).variables == 1
+
+
+@pytest.mark.xfail(strict=True, reason="skip_annotation reads the type and the name after an annotation "
+                                       "without arguments as part of its dotted name, so `x` is not counted")
+def test_counts_a_local_annotated_without_arguments():
+    d = decl_of('void m(Object y) { @Nonnull Object x = y; final Object z = y; '
+                '@SuppressWarnings("u") Object w = y; }')
+    assert compute_metric_vector(d).variables == 3  # x, z, w
 
 
 # --- getter/setter ---------------------------------------------------------------

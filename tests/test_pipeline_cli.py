@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from methodlens import ml, pipeline
-from methodlens.cli import main
+from methodlens.cli import build_parser, load_config, main
 from methodlens.history import DAYS_PER_YEAR, compute_indicators
 from methodlens.pipeline import (
     ConfigError,
@@ -127,10 +127,48 @@ def test_an_uppercase_bug_word_is_a_config_error(fixture_repo, tmp_path, capsys,
 
 
 def test_config_round_trips_losslessly(tmp_path):
-    config = PipelineConfig(repo="/x", commit="abc", window_years=3.5, seed=11,
-                            indicator="diffSize", high_recall_keywords=("boom", "oops"))
-    path = write_config(tmp_path, config.to_text())
-    assert validate_config(path) == config
+    """A file that states every key parses to the config it states."""
+    path = write_config(tmp_path, """\
+approach = 1
+commit = abc
+files = *
+high_precision_bug_words = error,bug,mistake,incorrect,fault,defect,flaw,misfeature
+high_precision_fix_words = fix,address,resolve
+high_recall_keywords = boom, oops
+indicator = diff-size
+jobs = 1
+out = artifacts
+per_project_cap = 2
+project =
+repo = /x
+seed = 11
+theta = 0.75
+top_n = 50
+ugly_fraction = 0.2
+window_years = 3.5
+""")
+    assert validate_config(path) == PipelineConfig(repo="/x", commit="abc", window_years=3.5, seed=11,
+                                                   indicator="diffSize", high_recall_keywords=("boom", "oops"))
+
+
+def test_an_unknown_indicator_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="^unknown indicator 'bogus'$"):
+        PipelineConfig(indicator="bogus")
+    with pytest.raises(ConfigError, match="^line 1: unknown indicator 'bogus'$"):
+        validate_config(write_config(tmp_path, "indicator = bogus"))
+
+
+def test_flags_set_the_config_fields_they_name():
+    args = build_parser().parse_args(["rank", "--labeled", "d.ndjson", "--histories", "h.ndjson",
+                                      "--top", "3", "--per-project", "1"])
+    config = load_config(args)
+    assert (config.top_n, config.per_project_cap) == (3, 1)
+    args = build_parser().parse_args(["pipeline", "--repo", "r", "--commit", "c", "--out", "o", "--seed", "4",
+                                      "--files", "*.java", "--indicator", "diff-size", "--ugly-fraction", "0.1",
+                                      "--theta", "0.5", "--window-years", "2", "--approach", "2"])
+    assert load_config(args) == PipelineConfig(repo="r", commit="c", out="o", seed=4, files="*.java",
+                                               indicator="diffSize", ugly_fraction=0.1, theta=0.5,
+                                               window_years=2.0, approach=2)
 
 
 # --- CLI over the fixture repository ----------------------------------------
@@ -249,6 +287,20 @@ def test_cli_rank_fails_when_the_histories_miss_a_ranked_method(cli_artifacts, t
     err = capsys.readouterr().err
     assert "stage 'rank' failed" in err and str(histories) in err
     assert pipeline.identity_from_record(first).as_str() in err
+    assert not (tmp_path / "surprisingly_good.ndjson").exists()
+
+
+def test_cli_rank_fails_when_a_ranked_history_has_no_source(cli_artifacts, tmp_path, capsys):
+    _, out = cli_artifacts
+    header, records = read_ndjson(out / "histories.ndjson")
+    for record in records:
+        del record["introduction"]["method"]
+    histories = tmp_path / "histories.ndjson"
+    write_ndjson(histories, "trace", {}, records, extra_header=header)
+    code = main(["rank", "--labeled", str(out / "dataset.ndjson"), "--histories", str(histories),
+                 "--out", str(tmp_path)])
+    assert code == 4
+    assert f"{histories} is malformed: missing field 'method'" in capsys.readouterr().err
     assert not (tmp_path / "surprisingly_good.ndjson").exists()
 
 
@@ -518,6 +570,11 @@ def test_cli_exit_code_missing_stage(tmp_path):
 UNSIGNED = ('{"project": "p", "snapshot": "SNAPSHOT"}\n'
             '{"file": "A.java", "name": "m", "startLine": 1, "endLine": 1, "body": "m() {}"}\n')
 ARRAY_RECORD = '{"project": "p", "snapshot": "SNAPSHOT"}\n[1]\n'
+IDENTITY = '{"project": "p", "file": "A.java", "signature": "A#m()", "startLine": 1}'
+# a histories.ndjson record without its introduction
+UNINTRODUCED = f'{{"snapshotTime": 0}}\n{{"identity": {IDENTITY}, "revisions": []}}\n'
+# a dataset.ndjson or histories.ndjson record without an identity
+UNIDENTIFIED = '{"snapshotTime": 0}\n{"label": "good", "introduction": {}}\n'
 
 # (subcommand argv, input file under {d} made malformed, its content, the
 # reason the error line gives)
@@ -535,6 +592,14 @@ MALFORMED_INPUTS = [
                  id="metrics-non-object-record"),
     pytest.param(["label", "--histories", "{d}/histories.ndjson"], "histories.ndjson", "not json\n", "",
                  id="label"),
+    pytest.param(["label", "--histories", "{d}/histories.ndjson"], "histories.ndjson", '{"stage": "trace"}\n',
+                 "missing field 'snapshotTime'", id="label-header"),
+    pytest.param(["label", "--histories", "{d}/histories.ndjson"], "histories.ndjson", UNINTRODUCED,
+                 "missing field 'introduction'", id="label-record"),
+    pytest.param(["pareto", "--labeled", "{d}/dataset.ndjson"], "dataset.ndjson", UNIDENTIFIED,
+                 "missing field 'identity'", id="pareto-record"),
+    pytest.param(["rank", "--labeled", "{d}/dataset.ndjson", "--histories", "{d}/histories.ndjson"],
+                 "histories.ndjson", UNIDENTIFIED, "missing field 'identity'", id="rank-record"),
     pytest.param(["report", "--artifacts", "{d}"], "report.json", "{not json", "", id="report-json"),
     pytest.param(["report", "--artifacts", "{d}"], "report.json", "[]", "", id="report-json-array"),
     pytest.param(["report", "--artifacts", "{d}"], "pareto.csv", "project,fraction,captured\np,top-5,0.5\n", "",
@@ -548,6 +613,7 @@ def test_a_malformed_input_file_is_a_stage_failure_naming_the_file(fixture_repo,
     for name in ("pareto.csv", "bugs_high_recall.csv", "bugs_high_precision.csv"):
         (tmp_path / name).write_text("project,fraction,captured\np,0.05,0.5\n")
     (tmp_path / "report.json").write_text('{"approach": 1, "classifiers": {}}')
+    (tmp_path / "dataset.ndjson").write_text('{"stage": "label"}\n')
     (tmp_path / broken).write_text(content.replace("SNAPSHOT", fixture_repo["snapshot"]))
     code = main([arg.format(d=tmp_path) for arg in argv]
                 + ["--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],

@@ -1,4 +1,5 @@
-"""README's stage-by-stage commands parse with the current command line."""
+"""README's stage-by-stage commands parse with the current command line, and
+its configuration block is the default configuration."""
 
 import re
 import shlex
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from methodlens.cli import build_parser
+from methodlens.pipeline import PipelineConfig, validate_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +37,11 @@ def test_readme_stage_command_parses(line, capsys):
         build_parser().parse_args(argv[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_readme_configuration_block_is_the_default_config(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "methodlens.conf"
+    path.write_text(block, encoding="utf-8")
+    assert validate_config(path) == PipelineConfig()

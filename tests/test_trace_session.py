@@ -17,11 +17,13 @@ import pytest
 from methodlens import cli, history, java_extract
 from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
-from methodlens.history import TraceConfig, TraceSession, match_method, trace_method
+from methodlens.history import TraceSession, match_method, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
 from methodlens.pipeline import (PipelineConfig, StageError, decl_from_record, method_record, read_ndjson,
                                  run_pipeline, run_stage)
 from repo_builder import commit_files, init_repo
+
+THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 
 
 def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_path, git_children):
@@ -97,11 +99,11 @@ def test_match_method_lexes_each_declaration_once(monkeypatch):
     monkeypatch.setattr(java_extract, "tokenize",
                         lambda text, memo=None: lexed.append(text) or real_tokenize(text, memo))
     for _ in range(2):
-        assert match_method(prev, target, TraceConfig()).name == "m3"
+        assert match_method(prev, target, THETA).name == "m3"
     assert lexed == []  # extraction handed every declaration its body block
     rebuilt = decl_from_record(method_record("A.java", target))
     for _ in range(2):
-        assert match_method(prev, rebuilt, TraceConfig()).name == "m3"
+        assert match_method(prev, rebuilt, THETA).name == "m3"
     assert lexed == [target.bodyText]
 
 
@@ -193,7 +195,7 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
 def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, monkeypatch):
     git = GitRepo(str(fixture_repo["repo"]))
     snapshot = fixture_repo["snapshot"]
-    session = TraceSession(git, snapshot, TraceConfig())
+    session = TraceSession(git, snapshot, THETA)
     methods = {path: extract_methods(normalize_source(path, git.file_at(snapshot, path)))
                for path in git.ls_files(snapshot)}
     extracted = []
@@ -215,7 +217,7 @@ def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, m
 def test_each_traced_file_lexes_its_versions_through_a_memo_of_its_own(fixture_repo, monkeypatch):
     git = GitRepo(str(fixture_repo["repo"]))
     snapshot = fixture_repo["snapshot"]
-    session = TraceSession(git, snapshot, TraceConfig())
+    session = TraceSession(git, snapshot, THETA)
     memos = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",

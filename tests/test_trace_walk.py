@@ -11,12 +11,13 @@ import pytest
 
 from methodlens import history
 from methodlens.gitrepo import GitRepo
-from methodlens.history import TraceConfig, TraceSession, trace_method
+from methodlens.history import TraceSession, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
 from oracles import trace_method_reference
 from repo_builder import build_layout_repo, commit_files, init_repo
 from test_lexer_memo import build_small_history
 
+THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 FIRST_V1 = "  int first(int v) {\n    int w = v * 3;\n    return w + 1;\n  }\n"
 FIRST_V2 = FIRST_V1.replace("w + 1", "w + 2")
 SECOND_V1 = "  int second(int v) {\n    return v - 4;\n  }\n"
@@ -77,8 +78,8 @@ def test_the_file_walk_gives_the_per_method_walks_histories(name, methods, reque
     ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_history",
                                       "small": "small_history", "walk": "walk_history"}[name])
     git = GitRepo(str(ledger["repo"]))
-    session = TraceSession(git, ledger["snapshot"], TraceConfig(), project="p")
-    reference = TraceSession(git, ledger["snapshot"], TraceConfig(), project="p")
+    session = TraceSession(git, ledger["snapshot"], THETA, project="p")
+    reference = TraceSession(git, ledger["snapshot"], THETA, project="p")
     # each walk gets declarations of its own, as it caches body blocks on them
     alone = snapshot_methods(git, ledger["snapshot"])
     traced = 0
@@ -98,7 +99,7 @@ def test_the_file_walk_gives_the_per_method_walks_histories(name, methods, reque
 
 def test_the_hand_built_history_has_each_event(walk_history):
     git = GitRepo(str(walk_history["repo"]))
-    session = TraceSession(git, walk_history["snapshot"], TraceConfig(), project="p")
+    session = TraceSession(git, walk_history["snapshot"], THETA, project="p")
     shas = walk_history["shas"]
     got = {}
     for path, decls in snapshot_methods(git, walk_history["snapshot"]).items():
@@ -122,7 +123,7 @@ def test_the_walk_extracts_nothing_older_than_the_last_introduction(walk_history
     monkeypatch.setattr(history, "extract_methods",
                         lambda file, memo=None: extracted.append(file.content) or real_extract(file, memo))
     git = GitRepo(str(walk_history["repo"]))
-    session = TraceSession(git, walk_history["snapshot"], TraceConfig(), project="p")
+    session = TraceSession(git, walk_history["snapshot"], THETA, project="p")
     methods = snapshot_methods(git, walk_history["snapshot"])
     [fresh] = trace_method(session, "src/C.java", methods["src/C.java"])
     assert fresh.introduction.id == walk_history["shas"]["c03"]
