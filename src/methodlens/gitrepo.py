@@ -88,9 +88,9 @@ def _stop_batch(proc: subprocess.Popen) -> None:
 
 
 class GitRepo:
-    def __init__(self, path: str, git_exe: str | None = None):
+    def __init__(self, path: str):
         self.path = str(path)
-        self.git = git_exe or os.environ.get(GIT_ENV_VAR) or "git"
+        self.git = os.environ.get(GIT_ENV_VAR) or "git"
         self._batch: subprocess.Popen | None = None
         self._stop: weakref.finalize | None = None
         try:

@@ -352,7 +352,9 @@ def _erase_param(toks: list[Token]) -> str | None:
             continue
         parts.append(t)
         i += 1
-    if not parts:
+    # nothing, or a receiver parameter (`A this`, `Outer Outer.this`), which
+    # is not a formal parameter
+    if not parts or parts[-1].text == "this":
         return None
     # The declared name is the last identifier; trailing [] after it belongs
     # to the type (legacy array syntax).
@@ -363,8 +365,6 @@ def _erase_param(toks: list[Token]) -> str | None:
             break
     if name_idx is None:
         return None
-    if parts[name_idx].text == "this" and name_idx == len(parts) - 1 and name_idx > 0:
-        return None  # receiver parameter
     type_toks = parts[:name_idx] + parts[name_idx + 1:]
     if not type_toks:
         return None

@@ -459,9 +459,8 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
                  extra_header={"snapshot": snapshot, "project": config.project_name()})
 
 
-def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str],
-              methods_path: Path | None = None) -> None:
-    methods_path = methods_path or out / "methods.ndjson"
+def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str], *,
+              methods_path: Path) -> None:
     header, records = read_ndjson(methods_path)
     by_file: dict[str, list[MethodDeclaration]] = {}
     with _parsing(methods_path):
@@ -488,9 +487,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
     )
 
 
-def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
-              histories_path: Path | None = None) -> None:
-    histories_path = histories_path or out / "histories.ndjson"
+def run_label(config: PipelineConfig, out: Path, digests: dict[str, str], *, histories_path: Path) -> None:
     header, records = read_ndjson(histories_path)
     with _parsing(histories_path):
         snapshot_time = header["snapshotTime"]
@@ -528,8 +525,7 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str],
     )
 
 
-def _load_dataset(out: Path, dataset_path: Path | None = None) -> list[LabeledMethod]:
-    dataset_path = dataset_path or out / "dataset.ndjson"
+def _load_dataset(dataset_path: Path) -> list[LabeledMethod]:
     _, records = read_ndjson(dataset_path)
     with _parsing(dataset_path):
         return [labeled_from_record(r) for r in records]
@@ -542,9 +538,8 @@ def _by_project(methods: list[LabeledMethod]) -> dict[str, list[LabeledMethod]]:
     return dict(sorted(grouped.items()))
 
 
-def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str],
-               dataset_path: Path | None = None) -> None:
-    methods = _load_dataset(out, dataset_path)
+def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
+    methods = _load_dataset(dataset_path)
     rows = []
     for project, group in _by_project(methods).items():
         curve = pareto_curve(group, indicator=config.indicator)
@@ -556,9 +551,9 @@ def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str],
 BUG_OUTPUTS = {"highRecall": "bugs_high_recall.csv", "highPrecision": "bugs_high_precision.csv"}
 
 
-def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str],
-             dataset_path: Path | None = None, datasets=("highRecall", "highPrecision")) -> None:
-    methods = _load_dataset(out, dataset_path)
+def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
+             datasets=("highRecall", "highPrecision")) -> None:
+    methods = _load_dataset(dataset_path)
     for dataset in datasets:
         rows = []
         for project, group in _by_project(methods).items():
@@ -568,18 +563,16 @@ def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str],
         write_csv(out / BUG_OUTPUTS[dataset], ["project", "fraction", "captured"], rows)
 
 
-def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str],
-                  dataset_path: Path | None = None) -> None:
-    methods = _load_dataset(out, dataset_path)
+def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
+    methods = _load_dataset(dataset_path)
     table = correlation_table(methods, indicator=config.indicator)
     rows = [(e.metric, _fmt(e.tau), _fmt(e.pValue), e.n) for e in table]
     write_csv(out / "correlations.csv", ["metric", "tau", "p", "n"], rows)
 
 
-def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
-             dataset_path: Path | None = None, histories_path: Path | None = None) -> None:
-    methods = _load_dataset(out, dataset_path)
-    histories_path = histories_path or out / "histories.ndjson"
+def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
+             histories_path: Path) -> None:
+    methods = _load_dataset(dataset_path)
     _, history_records = read_ndjson(histories_path)
     with _parsing(histories_path):
         history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
@@ -619,9 +612,9 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str],
     write_ndjson(out / "surprisingly_ugly.ndjson", "rank", digests, ugly_records)
 
 
-def run_train(config: PipelineConfig, out: Path, digests: dict[str, str],
-              dataset_path: Path | None = None, classifiers=None) -> None:
-    methods = _load_dataset(out, dataset_path)
+def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
+              classifiers=None) -> None:
+    methods = _load_dataset(dataset_path)
     header = stage_header("train", digests)
     from .ml import CLASSIFIER_NAMES, NoUglyRows, SingleClass, TooFewProjects
     chosen = tuple(classifiers) if classifiers else CLASSIFIER_NAMES
@@ -693,8 +686,10 @@ class Stage:
     """A stage reads the artifacts named in `inputs` and writes those named
     in `outputs` into the output directory.  What it writes depends on the
     inputs' bytes, on `params(config)` and on the snapshot.  Its runner is
-    the module function run_<name>, looked up when the stage runs; a stage
-    that reads the repository gets it and the resolved snapshot commit."""
+    the module function run_<name>, looked up when the stage runs, and
+    takes each input's path as a required keyword (`methods.ndjson` as
+    `methods_path`); a stage that reads the repository gets it and the
+    resolved snapshot commit."""
 
     name: str
     inputs: tuple[str, ...]
@@ -771,9 +766,14 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     return [out / artifact for artifact in written]
 
 
+def _output_digests(out: Path, stage: Stage) -> dict[str, str]:
+    return {artifact: digest_file(out / artifact) for artifact in stage.outputs}
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Execute all stages in order, skipping stages whose inputs are
-    unchanged; returns {stage: "ran" | "skipped"}."""
+    unchanged and whose outputs are as they wrote them; returns
+    {stage: "ran" | "skipped"}."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -797,11 +797,13 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             digest = digest_params(digests)
             recorded = manifest["stages"].get(name, {})
             # a stage that reads an artifact rewritten in this run runs again,
-            # even when the rewritten bytes came out the same
+            # even when the rewritten bytes came out the same; so does one
+            # whose outputs were deleted or written over since it ran
             fresh = (
                 rewritten.isdisjoint(stage.inputs)
                 and recorded.get("digest") == digest
                 and all((out / artifact).exists() for artifact in stage.outputs)
+                and recorded.get("outputs") == _output_digests(out, stage)
             )
             if fresh:
                 status[name] = "skipped"
@@ -811,7 +813,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             except StageError:
                 _write_json(manifest_path, manifest)
                 raise
-            manifest["stages"][name] = {"digest": digest, "outputs": list(stage.outputs)}
+            manifest["stages"][name] = {"digest": digest, "outputs": _output_digests(out, stage)}
             status[name] = "ran"
             rewritten.update(stage.outputs)
     _write_json(manifest_path, manifest)

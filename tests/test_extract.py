@@ -174,6 +174,18 @@ class A {
     assert signature(decls[1]) == "A#slice(int[])"
 
 
+def test_receiver_parameter_is_not_in_the_signature():
+    # JLS 8.4: a receiver parameter is not a formal parameter
+    decls = extract_methods(src("class A { void recv(A this, int x) { } void r2(@X A this) { } }"))
+    assert [signature(d) for d in decls] == ["A#recv(int)", "A#r2()"]
+
+
+def test_parameter_annotations_and_final_are_not_in_the_signature():
+    content = ("class A { void params(@Nonnull String s, final @a.b.C(x = 1) java.util.List<String> xs, "
+               "int... more) { } }")
+    assert signature(extract_methods(src(content))[0]) == "A#params(String,java.util.List,int[])"
+
+
 def test_annotations_start_the_declaration():
     content = """\
 class A {

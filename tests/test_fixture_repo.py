@@ -19,7 +19,7 @@ from methodlens.history import (
 )
 from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
-from methodlens.pipeline import STAGES, PipelineConfig, read_ndjson, run_pipeline
+from methodlens.pipeline import STAGES, PipelineConfig, digest_file, read_ndjson, run_pipeline
 
 THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 
@@ -168,8 +168,7 @@ def test_pipeline_runs_all_eight_stages(pipeline_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["stages"]) == 8
     for stage, entry in manifest["stages"].items():
-        for name in entry["outputs"]:
-            assert (out / name).exists(), (stage, name)
+        assert entry["outputs"] == {name: digest_file(out / name) for name in STAGES[stage].outputs}, stage
 
 
 def test_pipeline_dataset_labels_match_ledger(pipeline_run):
@@ -205,6 +204,18 @@ def test_pipeline_reruns_the_dependents_of_a_deleted_artifact(pipeline_run):
     assert status["extract"] == "skipped"
     assert all(state == "ran" for stage, state in status.items() if stage != "extract")
     assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
+def test_pipeline_runs_every_stage_once_under_a_manifest_that_lists_output_names(pipeline_run):
+    _, config, out, _ = pipeline_run
+    before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["stages"].values():
+        entry["outputs"] = sorted(entry["outputs"])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert set(run_pipeline(config).values()) == {"ran"}
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+    assert set(run_pipeline(config).values()) == {"skipped"}
 
 
 def test_pipeline_reruns_only_the_stages_a_change_reaches(fixture_repo, tmp_path):

@@ -116,6 +116,18 @@ def test_mcclure_for_condition_clause_only():
     assert (v.nvar, v.ncomp) == (2, 1)  # i and limit; the init/update do not count
 
 
+@pytest.mark.parametrize("body", ["return (a > (b + 1)) ? a : b;", "return g(a > b ? a : b);"])
+def test_mcclure_ternary_condition_stops_where_its_group_opens(body):
+    v = compute_metric_vector(decl_of(f"int m() {{ {body} }}"))
+    assert (v.mccabe, v.nvar, v.ncomp) == (2, 2, 1)  # a and b, bracketed or not; g is outside the condition
+
+
+def test_mcclure_for_condition_clause_with_nested_groups():
+    d = decl_of("void m() { for (int i = f(a[0]); i < g(a[1], (2)); i++) { } }")
+    v = compute_metric_vector(d)
+    assert (v.nvar, v.ncomp) == (3, 1)  # i, g and a: the middle clause ends at its own semicolon
+
+
 # --- indentation ---------------------------------------------------------------
 
 def test_indent_std_uniform_is_zero():
@@ -158,6 +170,18 @@ def test_depth_braceless_bodies_count():
 def test_depth_else_if_chain_stays_level():
     d = decl_of("void m() { if (a) { x(); } else if (b) { y(); } else { z(); } }")
     assert compute_metric_vector(d).maxBlockDepth == 1
+
+
+@pytest.mark.parametrize("body, depth", [
+    # lambda bodies, anonymous-class bodies and bare blocks are transparent
+    ("xs.forEach(x -> { if (x > 0) { for (;;) { break; } } });", 2),
+    ("Runnable r = new Runnable() { public void run() { while (true) { if (a) { b(); } } } };", 2),
+    ("{ { if (a) { b(); } } }", 1),
+    # a labelled loop counts, and so does its `if`'s braceless body
+    ("outer: for (int i = 0; i < 3; i++) { if (i == 1) continue outer; }", 2),
+])
+def test_depth_counts_control_structures_inside_transparent_blocks(body, depth):
+    assert compute_metric_vector(decl_of(f"void m() {{ {body} }}")).maxBlockDepth == depth
 
 
 # --- fanout ---------------------------------------------------------------

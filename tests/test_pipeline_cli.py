@@ -338,6 +338,23 @@ def test_metrics_between_two_pipeline_runs_changes_no_pipeline_output(fixture_re
     assert [name for name in names if (clean / name).read_bytes() != (rerun / name).read_bytes()] == []
 
 
+def test_pipeline_reruns_a_stage_whose_output_a_subcommand_wrote_over(fixture_repo, tmp_path, capsys):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    clean, rerun = tmp_path / "clean", tmp_path / "rerun"
+    common = ["--repo", repo, "--commit", sha, "--seed", "7"]
+    assert main(["pipeline", *common, "--out", str(clean)]) == 0
+    assert main(["pipeline", *common, "--out", str(rerun)]) == 0
+    assert main(["label", "--histories", str(rerun / "histories.ndjson"), "--indicator", "revisions",
+                 "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert main(["pipeline", *common, "--out", str(rerun)]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == ["extract: skipped", "trace: skipped", "label: ran",
+                                                        "pareto: ran"]
+    names = sorted(path.name for path in clean.iterdir())
+    assert len(names) == 11 and "manifest.json" in names
+    assert [name for name in names if (clean / name).read_bytes() != (rerun / name).read_bytes()] == []
+
+
 @pytest.mark.xfail(strict=True, raises=StageError,
                    reason="bodyText starts at the header's line, inside the comment that "
                           "ends there, so the apostrophe lexes as an unterminated character literal")
