@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[common], help="extract methods at a snapshot")
     p.add_argument("--files", default=None, help="glob filter over repository paths")
-    p.set_defaults(func=cmd_stage, inputs={})
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("metrics", parents=[common],
                        help="write the methods with their metric vectors to metrics.ndjson in --out")
@@ -81,36 +81,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", parents=[common], help="trace per-method change histories")
     p.add_argument("--methods", required=True)
     p.add_argument("--theta", type=float, default=None)
-    p.set_defaults(func=cmd_stage, inputs={"methods.ndjson": "methods"})
+    p.set_defaults(func=cmd_stage, inputs=("methods",))
 
     p = sub.add_parser("label", parents=[common], help="label methods good/bad/ugly")
     p.add_argument("--histories", required=True)
     p.add_argument("--indicator", choices=sorted(INDICATOR_ALIASES), default=None)
     p.add_argument("--ugly-fraction", type=float, default=None)
-    p.set_defaults(func=cmd_stage, inputs={"histories.ndjson": "histories"})
+    p.set_defaults(func=cmd_stage, inputs=("histories",))
 
     p = sub.add_parser("pareto", parents=[common], help="change-concentration curves")
     p.add_argument("--labeled", required=True, help="dataset.ndjson from `label`")
     p.add_argument("--indicator", choices=sorted(INDICATOR_ALIASES), default=None)
-    p.set_defaults(func=cmd_stage, inputs={"dataset.ndjson": "labeled"})
+    p.set_defaults(func=cmd_stage, inputs=("labeled",))
 
     p = sub.add_parser("bugs", parents=[common], help="bug-capture curves")
     p.add_argument("--labeled", required=True, help="dataset.ndjson from `label`")
     p.add_argument("--dataset", choices=["high-recall", "high-precision"], required=True)
     p.add_argument("--indicator", choices=sorted(INDICATOR_ALIASES), default=None)
-    p.set_defaults(func=cmd_bugs, inputs={"dataset.ndjson": "labeled"})
+    p.set_defaults(func=cmd_bugs, inputs=("labeled",))
 
     p = sub.add_parser("correlate", parents=[common], help="metric/indicator correlation table")
     p.add_argument("--labeled", required=True)
     p.add_argument("--indicator", choices=sorted(INDICATOR_ALIASES), default=None)
-    p.set_defaults(func=cmd_stage, inputs={"dataset.ndjson": "labeled"})
+    p.set_defaults(func=cmd_stage, inputs=("labeled",))
 
     p = sub.add_parser("rank", parents=[common], help="surprisingly good/ugly candidates")
     p.add_argument("--labeled", required=True)
     p.add_argument("--histories", required=True)
     p.add_argument("--top", type=int, default=None, dest="top_n", metavar="TOP")
     p.add_argument("--per-project", type=int, default=None, dest="per_project_cap", metavar="PER_PROJECT")
-    p.set_defaults(func=cmd_stage, inputs={"dataset.ndjson": "labeled", "histories.ndjson": "histories"})
+    p.set_defaults(func=cmd_stage, inputs=("labeled", "histories"))
 
     p = sub.add_parser("train", parents=[common], help="train and evaluate classifiers")
     p.add_argument("--approach", type=int, choices=[1, 2], default=None)
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset.ndjson from `label`")
     p.add_argument("--cdf-csv", help="also write (project, classifier, precision, recall) points of the "
                                      "ugly class; project is empty for approach 1's pooled test projects")
-    p.set_defaults(func=cmd_train, inputs={"dataset.ndjson": "dataset"})
+    p.set_defaults(func=cmd_train, inputs=("dataset",))
 
     p = sub.add_parser("report", parents=[common], help="emit plot-ready CDF CSV files")
     p.add_argument("--artifacts", required=True, help="pipeline output directory")
@@ -156,12 +156,13 @@ def _require(config: PipelineConfig, *fields) -> None:
 
 def _run_stage(args, **extra) -> list[Path]:
     """Run the stage the subcommand names on the input files its flags name
-    (`args.inputs` maps each input artifact to the destination of its
-    flag), with the snapshot of --repo/--commit, and print the paths it
-    wrote.  A stage that reads the repository must read it at the snapshot
-    its inputs were written at."""
+    (`args.inputs` holds their flags' destinations in the order of the
+    stage's inputs; a stage without inputs sets none), with the snapshot of
+    --repo/--commit, and print the paths it wrote.  A stage that reads the
+    repository must read it at the snapshot its inputs were written at."""
     stage = args.command
-    inputs = {artifact: getattr(args, dest) for artifact, dest in args.inputs.items()}
+    inputs = {artifact: getattr(args, dest)
+              for artifact, dest in zip(STAGES[stage].inputs, vars(args).get("inputs", ()), strict=True)}
     config = load_config(args)
     reads_repo = STAGES[stage].reads_repo
     if reads_repo:

@@ -4,6 +4,7 @@ along the first-parent chain, and windowed change indicators."""
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,6 +232,12 @@ class TraceSession:
         self.project = project or "project"
         self.chain, self._changes = repo.first_parent_history(snapshot)
         self.snapshot = self.chain[0]
+        # path -> indices of the chain commits that changed it; the root
+        # has no parent to trace into
+        self._changed_at: dict[str, list[int]] = {}
+        for k, changes in enumerate(self._changes[:-1]):
+            for path in changes:
+                self._changed_at.setdefault(path, []).append(k)
         self.files_traced = 0
         self.blobs_read = 0
         self.failures = 0
@@ -241,19 +248,22 @@ class TraceSession:
     def steps(self, path: str) -> list[tuple[int, Change]]:
         """(chain index, change) at every commit that changed the snapshot
         file `path`, newest first, following renames to the old path and
-        ending where the file was added or deleted.  The root has no parent
-        to trace into."""
+        ending where the file was added or deleted."""
         steps = []
         cur_path = path
-        for k, changes in enumerate(self._changes[:-1]):
-            change = changes.get(cur_path)
-            if change is None:
-                continue
+        k = 0
+        while True:
+            indices = self._changed_at.get(cur_path, ())
+            i = bisect_left(indices, k)
+            if i == len(indices):
+                return steps
+            k = indices[i]
+            change = self._changes[k][cur_path]
             steps.append((k, change))
             if change.status[0] in ("A", "D"):
-                break
+                return steps
             cur_path = change.oldPath or cur_path
-        return steps
+            k += 1
 
     def methods_at(self, commit_id: str, path: str, content: str,
                    memo: dict[str, list[Token]]) -> list[MethodDeclaration] | None:

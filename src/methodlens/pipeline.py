@@ -728,9 +728,12 @@ STAGES = {stage.name: stage for stage in (
 )}
 
 
-def stage_digests(stage: Stage, config: PipelineConfig, inputs: dict[str, Path], snapshot: str) -> dict[str, str]:
-    """Digests of everything a stage's output depends on."""
-    digests = {name: digest_file(inputs[name]) for name in stage.inputs}
+def stage_digests(stage: Stage, config: PipelineConfig, input_digests: dict[str, str],
+                  snapshot: str) -> dict[str, str]:
+    """Digests of everything a stage's output depends on: its inputs'
+    sha256, taken from `input_digests` by artifact name, and its
+    parameters."""
+    digests = {name: input_digests[name] for name in stage.inputs}
     digests["params"] = digest_params({"toolVersion": TOOL_VERSION, "snapshot": snapshot, **stage.params(config)})
     return digests
 
@@ -754,7 +757,8 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     stage = STAGES[name]
     out = Path(config.out)
     if digests is None:
-        digests = stage_digests(stage, config, inputs, snapshot)
+        digests = stage_digests(stage, config,
+                                {artifact: digest_file(path) for artifact, path in inputs.items()}, snapshot)
     leading = (config, repo, snapshot, out, digests) if stage.reads_repo else (config, out, digests)
     # methods.ndjson is passed as methods_path, and so on
     paths = {f"{artifact.split('.')[0]}_path": path for artifact, path in inputs.items()}
@@ -766,8 +770,13 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     return [out / artifact for artifact in written]
 
 
-def _output_digests(out: Path, stage: Stage) -> dict[str, str]:
-    return {artifact: digest_file(out / artifact) for artifact in stage.outputs}
+def _output_digests(out: Path, stage: Stage, sha: dict[str, str | None]) -> dict[str, str | None]:
+    """Take the sha256 of each of the stage's outputs as it is now into
+    `sha`, None for a missing one, and return them."""
+    for artifact in stage.outputs:
+        path = out / artifact
+        sha[artifact] = digest_file(path) if path.exists() else None
+    return {artifact: sha[artifact] for artifact in stage.outputs}
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
@@ -788,12 +797,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
 
     status: dict[str, str] = {}
     rewritten: set[str] = set()
+    # artifact -> sha256 of its bytes in `out`, taken when a stage checks or
+    # writes it; a later stage's input digests are read from here
+    sha: dict[str, str | None] = {}
     # extract and trace share the repository's one `cat-file --batch` child
     with GitRepo(config.repo) as repo:
         snapshot = repo.resolve_commit(config.commit)
         for name, stage in STAGES.items():
             inputs = {artifact: out / artifact for artifact in stage.inputs}
-            digests = stage_digests(stage, config, inputs, snapshot)
+            digests = stage_digests(stage, config, sha, snapshot)
             digest = digest_params(digests)
             recorded = manifest["stages"].get(name, {})
             # a stage that reads an artifact rewritten in this run runs again,
@@ -802,8 +814,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             fresh = (
                 rewritten.isdisjoint(stage.inputs)
                 and recorded.get("digest") == digest
-                and all((out / artifact).exists() for artifact in stage.outputs)
-                and recorded.get("outputs") == _output_digests(out, stage)
+                and recorded.get("outputs") == _output_digests(out, stage, sha)
             )
             if fresh:
                 status[name] = "skipped"
@@ -813,7 +824,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             except StageError:
                 _write_json(manifest_path, manifest)
                 raise
-            manifest["stages"][name] = {"digest": digest, "outputs": _output_digests(out, stage)}
+            manifest["stages"][name] = {"digest": digest, "outputs": _output_digests(out, stage, sha)}
             status[name] = "ran"
             rewritten.update(stage.outputs)
     _write_json(manifest_path, manifest)

@@ -19,6 +19,7 @@ from methodlens.history import (
 )
 from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
+from methodlens import pipeline
 from methodlens.pipeline import STAGES, PipelineConfig, digest_file, read_ndjson, run_pipeline
 
 THETA = 0.75  # the default matching threshold, PipelineConfig.theta
@@ -169,6 +170,20 @@ def test_pipeline_runs_all_eight_stages(pipeline_run):
     assert len(manifest["stages"]) == 8
     for stage, entry in manifest["stages"].items():
         assert entry["outputs"] == {name: digest_file(out / name) for name in STAGES[stage].outputs}, stage
+
+
+def test_pipeline_hashes_each_artifact_once_per_run(fixture_repo, tmp_path, monkeypatch):
+    """A stage's input digests are the ones its upstream stage's outputs
+    were hashed to, so neither a cold run nor a rerun hashes a file twice."""
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    hashed = []
+    real = pipeline.digest_file
+    monkeypatch.setattr(pipeline, "digest_file", lambda path: hashed.append(Path(path).name) or real(path))
+    for expected in ("ran", "skipped"):
+        hashed.clear()
+        assert set(run_pipeline(config).values()) == {expected}
+        assert sorted(hashed) == sorted(ARTIFACTS)
 
 
 def test_pipeline_dataset_labels_match_ledger(pipeline_run):
