@@ -15,13 +15,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .gitrepo import RepoAccessError, UnknownCommit
-from .labeling import EmptyProject
 from .metrics import METRIC_NAMES, compute_metric_vector
 from .ml import CLASSIFIER_NAMES
 from .pipeline import (
     ConfigError,
     INDICATOR_ALIASES,
     STAGES,
+    MalformedInput,
     MissingStage,
     PipelineConfig,
     StageError,
@@ -158,22 +158,15 @@ def _run_stage(args, **extra) -> list[Path]:
     """Run the stage the subcommand names on the input files its flags name
     (`args.inputs` holds their flags' destinations in the order of the
     stage's inputs; a stage without inputs sets none), with the snapshot of
-    --repo/--commit, and print the paths it wrote.  A stage that reads the
-    repository must read it at the snapshot its inputs were written at."""
+    --repo/--commit, and print the paths it wrote."""
     stage = args.command
     inputs = {artifact: getattr(args, dest)
               for artifact, dest in zip(STAGES[stage].inputs, vars(args).get("inputs", ()), strict=True)}
     config = load_config(args)
-    reads_repo = STAGES[stage].reads_repo
-    if reads_repo:
+    if STAGES[stage].reads_repo:
         _require(config, "repo", "commit")
     repo, snapshot = open_snapshot(config)
     with repo or nullcontext():
-        for path in inputs.values() if reads_repo else ():
-            written_at = read_ndjson(Path(path))[0].get("snapshot")
-            if written_at != snapshot:
-                raise ConfigError(f"--commit resolves to {snapshot}, but {path} was written at {written_at}; "
-                                  f"run {stage} at the snapshot its input was written at")
         Path(config.out).mkdir(parents=True, exist_ok=True)
         written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
                             repo, snapshot, **extra)
@@ -259,7 +252,7 @@ def main(argv=None) -> int:
     except (RepoAccessError, UnknownCommit) as err:
         print(f"repository error: {err}", file=sys.stderr)
         return EXIT_REPO
-    except (StageError, MissingStage, EmptyProject) as err:
+    except (StageError, MissingStage, MalformedInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_STAGE
     except OSError as err:

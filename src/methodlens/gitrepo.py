@@ -43,7 +43,6 @@ class UnknownCommit(Exception):
 @dataclass(frozen=True)
 class CommitMeta:
     id: str
-    firstParentId: str | None
     authorTime: int  # unix epoch seconds
     message: str
 
@@ -57,19 +56,13 @@ class Change:
     oldBlob: str | None  # the parent-side object id; None for an addition
 
 
-# one log record: hash, parents, author time and raw message, \x01-separated
-_COMMIT_FORMAT = "%H%x01%P%x01%at%x01%B"
+# one log record: hash, author time and raw message, \x01-separated
+_COMMIT_FORMAT = "%H%x01%at%x01%B"
 
 
 def _commit_meta(record: bytes) -> CommitMeta:
-    commit_id, parents, author_time, message = record.decode("utf-8", "replace").split("\x01", 3)
-    parent_ids = parents.split()
-    return CommitMeta(
-        id=commit_id,
-        firstParentId=parent_ids[0] if parent_ids else None,
-        authorTime=int(author_time),
-        message=message,
-    )
+    commit_id, author_time, message = record.decode("utf-8", "replace").split("\x01", 2)
+    return CommitMeta(id=commit_id, authorTime=int(author_time), message=message)
 
 
 def _stop_batch(proc: subprocess.Popen) -> None:

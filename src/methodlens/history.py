@@ -269,10 +269,10 @@ class TraceSession:
                    memo: dict[str, list[Token]]) -> list[MethodDeclaration] | None:
         """Methods of `content`, the version of `path` at `commit_id`, lexed
         through `memo`, or None when it fails to extract."""
-        file = normalize_source(path, content)
-        self.version_lines += file.content.count("\n") + 1
+        text = normalize_source(content)
+        self.version_lines += text.count("\n") + 1
         try:
-            return extract_methods(file, memo)
+            return extract_methods(text, memo)
         except (ExtractionError, LexicalError) as err:
             log.warning("extraction failed at %s:%s: %s", commit_id[:12], path, err)
             self.failures += 1

@@ -114,12 +114,6 @@ class Token(NamedTuple):
     line_count: int  # lines the token spans
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    path: str  # repository-relative, forward slashes
-    content: str  # LF-only, UTF-8
-
-
 @dataclass
 class MethodDeclaration:
     name: str
@@ -135,9 +129,9 @@ class MethodDeclaration:
     bodyBlock: str | None = field(default=None, repr=False, compare=False)
 
 
-def normalize_source(path: str, raw: str) -> SourceFile:
-    """Build a SourceFile with CRLF folded to LF and forward-slash path."""
-    return SourceFile(path=path.replace("\\", "/"), content=raw.replace("\r\n", "\n").replace("\r", "\n"))
+def normalize_source(raw: str) -> str:
+    """The source text with CRLF and CR folded to LF."""
+    return raw.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def tokenize(source: str, memo: dict[str, list[Token]] | None = None) -> list[Token]:
@@ -232,7 +226,9 @@ def skip_annotation(toks: list[Token], i: int) -> int:
     its argument group, if any."""
     i += 1
     n = len(toks)
-    while i < n and (toks[i].kind == "identifier" or toks[i].text == "."):
+    # an identifier is part of the name only after '@' or '.', so that the
+    # type after `@Nonnull` in `@Nonnull Object x` is not
+    while i < n and (toks[i].text == "." or toks[i].kind == "identifier" and toks[i - 1].text in ("@", ".")):
         i += 1
     if i < n and toks[i].text == "(":
         i = match_forward(toks, i, "(", ")") + 1
@@ -329,16 +325,7 @@ def _erase_param(toks: list[Token]) -> str | None:
     while i < n:
         t = toks[i]
         if t.text == "@":
-            i += 1
-            while i < n and toks[i].text == ".":
-                i += 1
-            # annotation name plus optional argument group
-            if i < n and toks[i].kind == "identifier":
-                i += 1
-                while i + 1 < n and toks[i].text == "." and toks[i + 1].kind == "identifier":
-                    i += 2
-            if i < n and toks[i].text == "(":
-                i = _skip_parens(toks, i)
+            i = skip_annotation(toks, i)
             continue
         if t.kind == "keyword" and t.text == "final":
             i += 1
@@ -410,10 +397,9 @@ def _parse_parameter_types(toks: list[Token], open_idx: int, close_idx: int) -> 
 
 
 class _Extractor:
-    def __init__(self, file: SourceFile, memo: dict[str, list[Token]] | None):
-        self.file = file
-        self.lines = file.content.split("\n")
-        self.toks = [t for t in tokenize(file.content, memo) if t.kind != "comment"]
+    def __init__(self, text: str, memo: dict[str, list[Token]] | None):
+        self.lines = text.split("\n")
+        self.toks = [t for t in tokenize(text, memo) if t.kind != "comment"]
         self.found: list[MethodDeclaration] = []
 
     def run(self) -> list[MethodDeclaration]:
@@ -602,11 +588,11 @@ class _Extractor:
         return body_close
 
 
-def extract_methods(file: SourceFile, memo: dict[str, list[Token]] | None = None) -> list[MethodDeclaration]:
+def extract_methods(text: str, memo: dict[str, list[Token]] | None = None) -> list[MethodDeclaration]:
     """All named methods with bodies in named types, in source order.
 
     Constructors, initializer blocks, bodiless signatures, and methods whose
     immediate container is an anonymous class or lambda are excluded.
     `memo` is handed to `tokenize`.
     """
-    return _Extractor(file, memo).run()
+    return _Extractor(text, memo).run()

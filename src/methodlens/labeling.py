@@ -3,16 +3,16 @@ high-recall / high-precision bug-commit rules."""
 
 from __future__ import annotations
 
+import logging
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .history import ChangeIndicators, INDICATOR_NAMES, MethodHistory, MethodIdentity
 from .metrics import MetricVector
 
-LABELS = ("good", "bad", "ugly")
+log = logging.getLogger("methodlens.labeling")
 
 DEFAULT_FRACTIONS = (0.05, 0.10, 0.15, 0.20)
 
@@ -37,7 +37,6 @@ class BugRuleConfig:
 
 @dataclass(frozen=True)
 class ParetoCurve:
-    indicator: str
     fractions: tuple[float, ...]
     captured: tuple[float, ...]
 
@@ -57,16 +56,17 @@ def _fraction_cutoff(fraction: float, n: int) -> int:
     return min(n, math.ceil(fraction * n - 1e-9))
 
 
-def _capture_curve(name: str, values: list, fractions, zero_warning: str) -> ParetoCurve:
+def _capture_curve(values: list, fractions, zero_warning: str) -> ParetoCurve:
     """captured(p): share of sum(values) held by the first ceil(p*n) of the
-    ranked values; all NaN, with `zero_warning`, when the sum is not positive."""
+    ranked values; all NaN, with `zero_warning` logged, when the sum is not
+    positive."""
     total = sum(values)
     if total <= 0:
-        warnings.warn(zero_warning)
-        return ParetoCurve(name, tuple(fractions), tuple(float("nan") for _ in fractions))
+        log.warning(zero_warning)
+        return ParetoCurve(tuple(fractions), tuple(float("nan") for _ in fractions))
     prefix = [0, *accumulate(values)]
     n = len(values)
-    return ParetoCurve(name, tuple(fractions), tuple(prefix[_fraction_cutoff(p, n)] / total for p in fractions))
+    return ParetoCurve(tuple(fractions), tuple(prefix[_fraction_cutoff(p, n)] / total for p in fractions))
 
 
 def label_methods(samples, indicator: str = "editDistance", ugly_fraction: float = 0.2) -> dict[str, str]:
@@ -102,7 +102,7 @@ def pareto_curve(samples, indicator: str = "editDistance", fractions=DEFAULT_FRA
     """captured(p): share of the total indicator mass held by the top
     ceil(p*n) methods ranked by that indicator."""
     values = sorted((s.indicators.value(indicator) for s in samples), reverse=True)
-    return _capture_curve(indicator, values, fractions, f"total {indicator} is zero; Pareto curve undefined")
+    return _capture_curve(values, fractions, f"total {indicator} is zero; Pareto curve undefined")
 
 
 _WORD_SPLIT = re.compile(r"[^a-z0-9]+")
@@ -180,5 +180,4 @@ def bug_capture(
         key=lambda m: (-m.indicators.value(indicator), m.identity.as_str()),
     )
     bugs = [getattr(m, attr) for m in ranked]
-    return _capture_curve(f"bugs-{dataset}", bugs, fractions,
-                          f"total {dataset} bug count is zero; capture curve undefined")
+    return _capture_curve(bugs, fractions, f"total {dataset} bug count is zero; capture curve undefined")

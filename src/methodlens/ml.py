@@ -60,7 +60,6 @@ class SplitPlan:
     trainProjects: tuple[str, ...]
     validationProjects: tuple[str, ...]
     testProjects: tuple[str, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def project_split(projects, seed: int) -> SplitPlan:
     test = tuple(sorted(shuffled[:n_test]))
     validation = tuple(sorted(shuffled[n_test:n_test + n_val]))
     train = tuple(sorted(shuffled[n_test + n_val:]))
-    return SplitPlan(trainProjects=train, validationProjects=validation, testProjects=test, seed=seed)
+    return SplitPlan(trainProjects=train, validationProjects=validation, testProjects=test)
 
 
 def leave_one_out_plans(projects) -> list[SplitPlan]:
@@ -135,7 +134,6 @@ def leave_one_out_plans(projects) -> list[SplitPlan]:
             trainProjects=tuple(p for p in projects if p != held_out),
             validationProjects=(),
             testProjects=(held_out,),
-            seed=0,
         )
         for held_out in projects
     ]
@@ -734,9 +732,7 @@ def evaluate(
         flags: list[str] = []
         precision = _safe_ratio(tp_, tp_ + fp_, f"precision_{label}_undefined", flags, undefined_as)
         recall = _safe_ratio(tp_, tp_ + fn_, f"recall_{label}_undefined", flags, undefined_as)
-        if (isinstance(precision, float) and math.isnan(precision)) or (
-            isinstance(recall, float) and math.isnan(recall)
-        ):
+        if math.isnan(precision) or math.isnan(recall):
             f_measure = float("nan")
         elif precision + recall == 0:
             f_measure = 0.0
@@ -878,4 +874,4 @@ def run_approach2(
                 log.warning("project %s: %s failed: %s", held_out, name, err)
                 entry[name] = None
         per_project[held_out] = entry
-    return {"projects": per_project, "classifiers": list(classifiers)}
+    return {"projects": per_project}

@@ -67,6 +67,10 @@ class MissingStage(Exception):
     pass
 
 
+class MalformedInput(Exception):
+    """An input file that does not parse; the message names the file."""
+
+
 INDICATOR_ALIASES = {
     "edit-distance": "editDistance",
     "diff-size": "diffSize",
@@ -243,7 +247,7 @@ def _parsing(path: Path):
         yield
     except (ValueError, KeyError, TypeError) as err:
         reason = f"missing field {err}" if isinstance(err, KeyError) else err
-        raise StageError("read", ValueError(f"{path} is malformed: {reason}")) from err
+        raise MalformedInput(f"{path} is malformed: {reason}") from err
 
 
 def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
@@ -252,7 +256,7 @@ def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
     with _parsing(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines:
-            raise StageError("read", ValueError(f"{path} is empty"))
+            raise MalformedInput(f"{path} is empty")
         header = json.loads(lines[0])
         if not isinstance(header, dict):
             raise ValueError("its first line is not a JSON object")
@@ -375,16 +379,12 @@ def history_from_record(record: dict) -> MethodHistory:
     intro = record["introduction"]
     return MethodHistory(
         identity=identity_from_record(record["identity"]),
-        introduction=CommitMeta(
-            id=intro["commit"], firstParentId=None,
-            authorTime=intro["time"], message="",
-        ),
+        introduction=CommitMeta(id=intro["commit"], authorTime=intro["time"], message=""),
         introductionPath=intro["path"],
         introductionDecl=decl_from_record(intro["method"]),
         revisions=[
             Revision(
-                commit=CommitMeta(id=r["commit"], firstParentId=None,
-                                  authorTime=r["time"], message=r["message"]),
+                commit=CommitMeta(id=r["commit"], authorTime=r["time"], message=r["message"]),
                 linesAdded=r["added"],
                 linesDeleted=r["deleted"],
                 editDistance=r["editDistance"],
@@ -447,7 +447,7 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
             continue
         files_read += 1
         try:
-            decls = extract_methods(normalize_source(path, content))
+            decls = extract_methods(normalize_source(content))
         except (ExtractionError, LexicalError) as err:
             log.warning("skipping %s: %s", path, err)
             failures += 1
@@ -461,7 +461,13 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str], *,
               methods_path: Path) -> None:
+    """Trace each method of `methods_path`, which extract must have written
+    at `snapshot`."""
     header, records = read_ndjson(methods_path)
+    written_at = header.get("snapshot")
+    if written_at != snapshot:
+        raise ConfigError(f"--commit resolves to {snapshot}, but {methods_path} was written at {written_at}; "
+                          f"run trace at the snapshot its input was written at")
     by_file: dict[str, list[MethodDeclaration]] = {}
     with _parsing(methods_path):
         project = header["project"]
@@ -753,7 +759,8 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     """Run one stage on the given input files into `config.out` and return
     the paths it wrote.  The digests are computed from the table unless the
     caller already has them; `extra` goes to the runner as it is.  A runner
-    that fails raises StageError."""
+    that fails raises StageError, unless it found its inputs at odds with
+    the configuration (trace's snapshot check), which raises ConfigError."""
     stage = STAGES[name]
     out = Path(config.out)
     if digests is None:
@@ -764,6 +771,8 @@ def run_stage(name: str, config: PipelineConfig, inputs: dict[str, Path], repo: 
     paths = {f"{artifact.split('.')[0]}_path": path for artifact, path in inputs.items()}
     try:
         globals()[f"run_{name}"](*leading, **paths, **extra)
+    except ConfigError:
+        raise
     except Exception as err:  # noqa: BLE001 - stage boundary
         raise StageError(name, err) from err
     written = [BUG_OUTPUTS[d] for d in extra["datasets"]] if "datasets" in extra else stage.outputs
@@ -878,10 +887,11 @@ def ugly_points(report_path: Path) -> list[tuple[str | None, str, float, float]]
                 for project, name, rep in reports]
 
 
-def emit_plot_data(artifacts: str | Path, plots_dir: str | Path | None = None) -> list[Path]:
-    """Plot-ready CDF files, columns exactly (series, x, y)."""
+def emit_plot_data(artifacts: str | Path) -> list[Path]:
+    """Plot-ready CDF files, columns exactly (series, x, y), in the
+    `plots` directory of `artifacts`."""
     artifacts = Path(artifacts)
-    plots = Path(plots_dir) if plots_dir else artifacts / "plots"
+    plots = artifacts / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 

@@ -4,12 +4,14 @@ surprisingly good/ugly methods."""
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 from .labeling import LabeledMethod
 from .metrics import METRIC_NAMES, NUMERIC_METRIC_NAMES
+
+log = logging.getLogger("methodlens.stats")
 
 
 @dataclass(frozen=True)
@@ -18,15 +20,12 @@ class CorrelationEntry:
     tau: float
     pValue: float
     n: int
-    degenerate: bool = False
 
 
 @dataclass
 class CompositeRanking:
     scores: dict[str, float]  # identity string -> composite score
     ranks: dict[str, int]  # identity string -> 1-based rank, descending score
-    numericMetricsUsed: list[str]
-    signs: dict[str, int]
 
 
 def _count_inversions(values: list) -> int:
@@ -87,8 +86,7 @@ def kendall_tau_b(x, y) -> tuple[float, float]:
     The concordance count uses merge-sort inversion counting (O(n log n));
     the denominator is one square root of an integer product so perfectly
     concordant/discordant data yields exactly +/-1.  Degenerate input
-    (a constant column) leaves tau undefined: returns (nan, 1.0) with a
-    warning.
+    (a constant column) leaves tau undefined: returns (nan, 1.0).
     """
     x = list(x)
     y = list(y)
@@ -96,7 +94,6 @@ def kendall_tau_b(x, y) -> tuple[float, float]:
     if len(y) != n or n < 2:
         raise ValueError("kendall_tau_b needs two equal-length samples of size >= 2")
     if len(set(x)) <= 1 or len(set(y)) <= 1:
-        warnings.warn("degenerate input: tau undefined for a constant sample")
         return float("nan"), 1.0
 
     order = sorted(range(n), key=lambda i: (x[i], y[i]))
@@ -144,13 +141,8 @@ def correlation_table(
     table = []
     for name in METRIC_NAMES:
         xs = [float(getattr(m.metrics, name)) for m in methods]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tau, p = kendall_tau_b(xs, ys)
-        table.append(
-            CorrelationEntry(metric=name, tau=tau, pValue=p, n=len(methods),
-                             degenerate=math.isnan(tau))
-        )
+        tau, p = kendall_tau_b(xs, ys)
+        table.append(CorrelationEntry(metric=name, tau=tau, pValue=p, n=len(methods)))
     return table
 
 
@@ -181,12 +173,7 @@ def composite_scores(methods: list[LabeledMethod], signs: dict[str, int]) -> Com
             scores[key] = total
     order = sorted(scores, key=lambda k: (-scores[k], k))
     ranks = {key: i + 1 for i, key in enumerate(order)}
-    return CompositeRanking(
-        scores=scores,
-        ranks=ranks,
-        numericMetricsUsed=list(NUMERIC_METRIC_NAMES),
-        signs=dict(signs),
-    )
+    return CompositeRanking(scores=scores, ranks=ranks)
 
 
 def select_surprising(
@@ -221,9 +208,7 @@ def select_surprising(
             per_project[m.identity.project] = used + 1
             taken.append(m)
         if len(taken) < top_n:
-            warnings.warn(
-                f"only {len(taken)} {label} candidates available (requested {top_n})"
-            )
+            log.warning("only %d %s candidates available (requested %d)", len(taken), label, top_n)
         return taken
 
     return pick("good", reverse_score=True), pick("ugly", reverse_score=False)

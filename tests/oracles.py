@@ -316,7 +316,7 @@ def _version_methods(repo: GitRepo, blob: str, path: str) -> list[MethodDeclarat
     if content is None:
         return None
     try:
-        return extract_methods(normalize_source(path, content))
+        return extract_methods(normalize_source(content))
     except (ExtractionError, LexicalError):
         return None
 

@@ -80,7 +80,7 @@ def test_criterion_1_metric_oracles():
     assert len(CORPUS) >= 40
     declarations = {}
     for filename, content in corpus_files().items():
-        for decl in extract_methods(normalize_source(filename, content)):
+        for decl in extract_methods(normalize_source(content)):
             declarations[(filename[:-5], decl.name)] = decl
     assert len(declarations) == len(CORPUS)
     for method in CORPUS:
@@ -227,7 +227,7 @@ def test_criterion_6_fixture_repo(tmp_path):
     assert len(session.chain) == 11
     histories = {}
     for path in repo.ls_files(ledger["snapshot"]):
-        decls = extract_methods(normalize_source(path, repo.file_at(ledger["snapshot"], path)))
+        decls = extract_methods(normalize_source(repo.file_at(ledger["snapshot"], path)))
         for history in trace_method(session, path, decls):
             histories[history.identity.signature] = history
     assert set(histories) == set(ledger["methods"])

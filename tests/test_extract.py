@@ -6,7 +6,6 @@ from methodlens.gitrepo import GitRepo
 from methodlens.java_extract import (
     ExtractionError,
     MethodDeclaration,
-    SourceFile,
     extract_methods,
     normalize_source,
     signature,
@@ -17,12 +16,12 @@ from golden_corpus import corpus_files
 from repo_builder import build_layout_repo
 
 
-def src(content, path="A.java"):
-    return normalize_source(path, content)
+def src(content):
+    return normalize_source(content)
 
 
-def names(file):
-    return [d.name for d in extract_methods(file)]
+def names(text):
+    return [d.name for d in extract_methods(text)]
 
 
 GETTER = """\
@@ -216,18 +215,17 @@ class A {
 
 
 def test_round_trip_body_text():
-    content = GETTER
-    file = src(content)
-    lines = file.content.split("\n")
-    for d in extract_methods(file):
+    text = src(GETTER)
+    lines = text.split("\n")
+    for d in extract_methods(text):
         assert d.bodyText == "\n".join(lines[d.startLine - 1:d.endLine])
         assert d.bodyText.count("\n") + 1 == d.endLine - d.startLine + 1
 
 
 def test_idempotent_reextraction():
-    file = src(GETTER)
-    first = extract_methods(file)
-    second = extract_methods(src(file.content))
+    text = src(GETTER)
+    first = extract_methods(text)
+    second = extract_methods(src(text))
     assert first == second
 
 
@@ -255,9 +253,9 @@ def test_unbalanced_braces_error():
 
 
 def test_crlf_normalization():
-    file = normalize_source("A.java", "class A {\r\n int x() {\r\n  return 1;\r\n }\r\n}\r\n")
-    assert "\r" not in file.content
-    decls = extract_methods(file)
+    text = normalize_source("class A {\r\n int x() {\r\n  return 1;\r\n }\r\n}\r\n")
+    assert "\r" not in text
+    decls = extract_methods(text)
     assert decls[0].name == "x"
 
 
@@ -338,7 +336,7 @@ def test_method_records_rebuild_the_extracted_declarations(name, request, tmp_pa
     """Trace starts from the extract stage's records, so a record read back
     from methods.ndjson must give the declaration extraction found."""
     decls = [(path, decl) for path, text in _snapshot_sources(name, request, tmp_path_factory).items()
-             for decl in extract_methods(normalize_source(path, text))]
+             for decl in extract_methods(normalize_source(text))]
     assert decls
     for path, decl in decls:
         record = json.loads(json.dumps(method_record(path, decl)))

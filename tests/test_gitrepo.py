@@ -59,7 +59,7 @@ def test_layout_history_has_every_kind_of_event(layout_repo):
     assert merge["src/Side.java"].oldBlob is None  # an addition has no parent side
     assert all(c.status == "A" for c in changes[-1].values())  # the root
     assert "src/sp ace é.java" in by_message["main work"]
-    assert chain[1].message.startswith("Merge") and chain[1].firstParentId == chain[2].id
+    assert chain[1].message.startswith("Merge") and repo.resolve_commit(chain[1].id + "^1") == chain[2].id
 
 
 def test_read_blobs_equals_file_at_for_every_old_side_blob(history):

@@ -28,11 +28,11 @@ def _dummy_decl():
 
 
 def decls_of(source):
-    return extract_methods(normalize_source("T.java", source))
+    return extract_methods(normalize_source(source))
 
 
-def commit(cid, t, message="msg", parent=None):
-    return CommitMeta(id=cid, firstParentId=parent, authorTime=t, message=message)
+def commit(cid, t, message="msg"):
+    return CommitMeta(id=cid, authorTime=t, message=message)
 
 
 def history_with(revision_days, intro_time=0):

@@ -90,8 +90,8 @@ def test_stored_metrics_are_those_of_the_introduction_on_the_golden_corpus(tmp_p
     out = tmp_path / "out"
     run_pipeline(PipelineConfig(repo=str(repo), commit=snapshot, out=str(out), project="golden"))
     _, histories = read_ndjson(out / "histories.ndjson")
-    assert len(histories) == sum(len(extract_methods(normalize_source(name, content)))
-                                 for name, content in corpus_files().items())
+    assert len(histories) == sum(len(extract_methods(normalize_source(content)))
+                                 for content in corpus_files().values())
     _assert_stored_metrics_are_the_introductions(out)
 
 

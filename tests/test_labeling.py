@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -148,11 +149,13 @@ def test_pareto_nondecreasing_and_bounded():
     assert curve.captured[-1] == 1.0
 
 
-def test_pareto_zero_total_is_nan_with_warning():
+def test_pareto_zero_total_is_nan_with_warning(caplog):
     samples = [sample(i) for i in range(4)]
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="methodlens.labeling"):
         curve = pareto_curve(samples)
     assert all(math.isnan(c) for c in curve.captured)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "total editDistance is zero; Pareto curve undefined")]
 
 
 # --- commit classification ---------------------------------------------------------------
@@ -198,10 +201,10 @@ def test_misfeature_is_the_documented_exception():
 
 def _history(ident_idx, rev_specs):
     """rev_specs: list of (commit_id, message, day)."""
-    intro = CommitMeta(id="intro", firstParentId=None, authorTime=0, message="init")
+    intro = CommitMeta(id="intro", authorTime=0, message="init")
     revisions = [
         Revision(
-            commit=CommitMeta(id=cid, firstParentId="x", authorTime=int(day * 86400), message=msg),
+            commit=CommitMeta(id=cid, authorTime=int(day * 86400), message=msg),
             linesAdded=1,
             linesDeleted=0,
             editDistance=5,
@@ -265,8 +268,10 @@ def test_bug_capture_all_bugs_on_top_method():
     assert curve.captured[0] == 1.0
 
 
-def test_bug_capture_zero_total_warns_nan():
+def test_bug_capture_zero_total_warns_nan(caplog):
     methods = [labeled(i) for i in range(5)]
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="methodlens.labeling"):
         curve = bug_capture(methods, dataset="highPrecision")
     assert all(math.isnan(c) for c in curve.captured)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "total highPrecision bug count is zero; capture curve undefined")]

@@ -111,7 +111,7 @@ def chain_versions(git: GitRepo, snapshot: str) -> dict[str, list[str]]:
         for path, blob in git.ls_tree(commit.id).items():
             blobs.setdefault(path, {})[blob] = None
     texts = git.read_blobs(blob for ids in blobs.values() for blob in ids)
-    return {path: [normalize_source(path, texts[blob]).content for blob in ids] for path, ids in blobs.items()}
+    return {path: [normalize_source(texts[blob]) for blob in ids] for path, ids in blobs.items()}
 
 
 def assert_blocks_match_their_records(path: str, declarations) -> int:
@@ -148,7 +148,7 @@ def test_every_body_block_is_the_same_through_its_files_memo(name, compared, req
         memo = {}
         for text in texts:
             try:
-                declarations = extract_methods(normalize_source(path, text), memo)
+                declarations = extract_methods(normalize_source(text), memo)
             except (ExtractionError, LexicalError):
                 continue
             seen += assert_blocks_match_their_records(path, declarations)
@@ -171,7 +171,7 @@ ONE_LINE_SOURCES = [
 
 def test_every_body_block_of_the_golden_corpus_and_one_line_sources_is_the_same():
     sources = {**corpus_files(), **{f"One{k}.java": text for k, text in enumerate(ONE_LINE_SOURCES)}}
-    seen = sum(assert_blocks_match_their_records(path, extract_methods(normalize_source(path, text)))
+    seen = sum(assert_blocks_match_their_records(path, extract_methods(normalize_source(text)))
                for path, text in sources.items())
     assert seen == 51
 

@@ -22,7 +22,7 @@ assert set(INT_METRICS) | set(BOOL_METRICS) | set(FLOAT_METRICS) == set(METRIC_N
 def _extracted_declarations():
     out = {}
     for filename, content in corpus_files().items():
-        for decl in extract_methods(normalize_source(filename, content)):
+        for decl in extract_methods(normalize_source(content)):
             out[(filename[:-5], decl.name)] = decl
     return out
 

@@ -11,8 +11,8 @@ from methodlens.pipeline import PipelineConfig, read_ndjson, run_stage
 
 from golden_corpus import corpus_files
 
-DECLS = [decl for name, content in corpus_files().items()
-         for decl in extract_methods(normalize_source(name, content))]
+DECLS = [decl for content in corpus_files().values()
+         for decl in extract_methods(normalize_source(content))]
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,6 +278,18 @@ def test_cli_curves_and_rank_and_train(cli_artifacts, tmp_path):
     assert report["status"] == "not-trainable"  # single-project corpus
 
 
+def test_cli_rank_logs_a_short_candidate_list_as_a_warning_line(cli_artifacts, tmp_path):
+    _, out = cli_artifacts
+    # a process of its own: main's logging setup is what writes the line
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "methodlens.cli", "rank", "--top", "3",
+                           "--labeled", str(out / "dataset.ndjson"), "--histories", str(out / "histories.ndjson"),
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "WARNING methodlens.stats: only 2 good candidates available (requested 3)" in proc.stderr.splitlines()
+    assert "UserWarning" not in proc.stderr
+
+
 def test_cli_rank_fails_when_the_histories_miss_a_ranked_method(cli_artifacts, tmp_path, capsys):
     _, out = cli_artifacts
     histories = tmp_path / "histories.ndjson"
@@ -511,6 +525,24 @@ def test_cli_trace_commit_must_be_the_extracted_snapshot(fixture_repo, tmp_path)
     assert read_ndjson(tmp_path / "histories.ndjson")[0]["snapshot"] == sha
 
 
+def test_cli_trace_reads_its_methods_file_once(fixture_repo, tmp_path, monkeypatch):
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    assert main(["extract", "--repo", repo, "--commit", sha, "--out", str(tmp_path)]) == 0
+    methods = tmp_path / "methods.ndjson"
+    reads = []
+    real_read = pipeline.read_ndjson
+
+    def counting_read(path):
+        reads.append(Path(path))
+        return real_read(path)
+
+    monkeypatch.setattr("methodlens.pipeline.read_ndjson", counting_read)
+    monkeypatch.setattr("methodlens.cli.read_ndjson", counting_read)
+    assert main(["trace", "--repo", repo, "--commit", sha, "--out", str(tmp_path),
+                 "--methods", str(methods)]) == 0
+    assert reads.count(methods) == 1
+
+
 def test_trace_has_no_window_flag(fixture_repo, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--repo", str(fixture_repo["repo"]), "--commit", fixture_repo["snapshot"],
@@ -638,6 +670,17 @@ def test_a_malformed_input_file_is_a_stage_failure_naming_the_file(fixture_repo,
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{tmp_path / broken} is malformed: {reason}" in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["correlate", "--labeled", "{f}"], "error: stage 'correlate' failed: "),
+    (["metrics", "--methods", "{f}"], "error: "),
+], ids=["stage", "metrics"])
+def test_a_malformed_input_is_named_once_in_the_error_line(tmp_path, capsys, argv, prefix):
+    broken = tmp_path / "d.ndjson"
+    broken.write_text("not json\n")
+    assert main([arg.format(f=broken) for arg in argv] + ["--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith(f"{prefix}{broken} is malformed: ")
 
 
 def test_git_executable_override(fixture_repo, tmp_path, monkeypatch):

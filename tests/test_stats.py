@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -75,8 +76,7 @@ def test_tau_and_pvalue_agree_with_scipy():
 
 
 def test_tau_degenerate_input():
-    with pytest.warns(UserWarning):
-        tau, p = kendall_tau_b([1, 1, 1], [1, 2, 3])
+    tau, p = kendall_tau_b([1, 1, 1], [1, 2, 3])
     assert math.isnan(tau) and p == 1.0
 
 
@@ -130,7 +130,7 @@ def test_correlation_table_covers_all_17_metrics():
     methods = _corpus_with_size_tracking_indicator()
     table = correlation_table(methods)
     assert len(table) == 17
-    constant_metrics = {e.metric for e in table if e.degenerate}
+    constant_metrics = {e.metric for e in table if math.isnan(e.tau)}
     # the synthetic corpus holds every other metric constant
     assert "mccabe" in constant_metrics
 
@@ -255,13 +255,17 @@ def test_select_surprising_orders_by_score():
     assert ugly_scores == sorted(ugly_scores)
 
 
-def test_select_surprising_single_project_capped_at_two():
+def test_select_surprising_single_project_capped_at_two(caplog):
     methods = [labeled(i, label="good", metrics=metric_vector(size=i + 1)) for i in range(9)]
     ranking = composite_scores(methods, {n: 1 for n in ranking_names()})
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="methodlens.stats"):
         good, ugly = select_surprising(methods, ranking, top_n=50, per_project_cap=2)
     assert len(good) == 2
     assert ugly == []
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "only 2 good candidates available (requested 50)"),
+        ("WARNING", "only 0 ugly candidates available (requested 50)"),
+    ]
 
 
 def test_select_surprising_deterministic():

@@ -92,8 +92,8 @@ def test_match_method_lexes_each_declaration_once(monkeypatch):
     source = "class A {\n" + "".join(
         f"  int m{i}(int v) {{\n    int a = v * {i};\n    return a + {i * 7} - v;\n  }}\n" for i in range(6)
     ) + "}\n"
-    prev = extract_methods(normalize_source("A.java", source))
-    target = extract_methods(normalize_source("A.java", source.replace("m3(", "renamed(")))[3]
+    prev = extract_methods(normalize_source(source))
+    target = extract_methods(normalize_source(source.replace("m3(", "renamed(")))[3]
     lexed = []
     real_tokenize = java_extract.tokenize
     monkeypatch.setattr(java_extract, "tokenize",
@@ -174,7 +174,7 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     extracted = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
-                        lambda file, memo=None: extracted.append((file.content, memo)) or real_extract(file, memo))
+                        lambda text, memo=None: extracted.append((text, memo)) or real_extract(text, memo))
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path), project="fixture", seed=7)
     with caplog.at_level(logging.INFO, logger="methodlens"):
@@ -196,12 +196,12 @@ def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, m
     git = GitRepo(str(fixture_repo["repo"]))
     snapshot = fixture_repo["snapshot"]
     session = TraceSession(git, snapshot, THETA)
-    methods = {path: extract_methods(normalize_source(path, git.file_at(snapshot, path)))
+    methods = {path: extract_methods(normalize_source(git.file_at(snapshot, path)))
                for path in git.ls_files(snapshot)}
     extracted = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
-                        lambda file, memo=None: extracted.append(file.content) or real_extract(file, memo))
+                        lambda text, memo=None: extracted.append(text) or real_extract(text, memo))
     reached = []
     for path, decls in methods.items():
         oldest = max(session.chain.index(h.introduction) for h in trace_method(session, path, decls))
@@ -210,7 +210,7 @@ def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, m
         blobs = {change.oldBlob for k, change in session.steps(path)
                  if k <= oldest and change.status[0] not in ("A", "D")}
         texts = git.read_blobs(blobs)
-        reached += [normalize_source(path, texts[blob]).content for blob in blobs]
+        reached += [normalize_source(texts[blob]) for blob in blobs]
     assert len(extracted) == 10 and Counter(extracted) == Counter(reached)
 
 
@@ -225,7 +225,7 @@ def test_each_traced_file_lexes_its_versions_through_a_memo_of_its_own(fixture_r
     file_memos = []
     for path in ("src/Util.java", "src/core/Alpha.java"):
         memos.clear()
-        trace_method(session, path, extract_methods(normalize_source(path, git.file_at(snapshot, path))))
+        trace_method(session, path, extract_methods(normalize_source(git.file_at(snapshot, path))))
         assert memos and all(memo is memos[0] for memo in memos)
         file_memos.append(memos[0])
         assert session.lines_lexed_alone == sum(map(len, file_memos))

@@ -69,7 +69,7 @@ def small_history(tmp_path_factory):
 def snapshot_methods(git: GitRepo, snapshot: str) -> dict[str, list]:
     """The snapshot's Java files and their declarations, extracted afresh."""
     texts = git.read_blobs(f"{snapshot}:{path}" for path in git.ls_tree(snapshot) if path.endswith(".java"))
-    return {name.split(":", 1)[1]: extract_methods(normalize_source(name.split(":", 1)[1], text))
+    return {name.split(":", 1)[1]: extract_methods(normalize_source(text))
             for name, text in texts.items()}
 
 
@@ -121,7 +121,7 @@ def test_the_walk_extracts_nothing_older_than_the_last_introduction(walk_history
     extracted = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
-                        lambda file, memo=None: extracted.append(file.content) or real_extract(file, memo))
+                        lambda text, memo=None: extracted.append(text) or real_extract(text, memo))
     git = GitRepo(str(walk_history["repo"]))
     session = TraceSession(git, walk_history["snapshot"], THETA, project="p")
     methods = snapshot_methods(git, walk_history["snapshot"])
