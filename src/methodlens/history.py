@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,17 +99,24 @@ def _position_masks(seq: Sequence) -> dict:
     return masks
 
 
-def levenshtein(a: str, b: str) -> int:
+def levenshtein(a: str, b: str, k: int | None = None) -> int:
     """Minimal character insertions/deletions/substitutions turning a into b.
+    With a bound `k`, that distance when it is at most k and k + 1 otherwise.
 
     Bit-parallel over the shorter string's positions (G. Myers, JACM 1999,
     in H. Hyyrö's edit-distance form, 2003). The DP column over a is kept
     as its vertical steps: bit i of pv/mv is set where row i is one more/one
-    less than row i-1. `score` is the column's last cell.
+    less than row i-1. `score` is the column's last cell; it falls by at
+    most one per character of b left, so the loop stops once score minus
+    the characters left exceeds k (E. Ukkonen, Inf. Control 1985).
     """
     a, b = _strip_common(a, b)
     if len(b) < len(a):
         a, b = b, a
+    if k is None:
+        k = len(b)  # no distance exceeds the longer length
+    elif len(b) - len(a) > k:
+        return k + 1
     m = len(a)
     if not m:
         return len(b)
@@ -116,6 +124,7 @@ def levenshtein(a: str, b: str) -> int:
     full = (1 << m) - 1
     last = 1 << (m - 1)
     pv, mv, score = full, 0, m
+    limit = k + len(b)  # k plus the characters of b left
     for c in b:
         eq = peq.get(c, 0)
         xv = eq | mv
@@ -130,7 +139,20 @@ def levenshtein(a: str, b: str) -> int:
         # ~ sets every bit above m; mv is cut back by xv, pv by the mask
         pv = ((mh << 1) | ~(xv | ph)) & full
         mv = ph & xv
+        limit -= 1
+        if score > limit:
+            return k + 1
     return score
+
+
+def _bag_distance(a: Counter[str], b: Counter[str]) -> int:
+    """max(|a - b|, |b - a|) over two strings' multisets of code points, a
+    lower bound on their edit distance (Bartolini, Ciaccia and Patella,
+    SPIRE 2002). The two differ in size by the strings' length gap, so the
+    larger one is the longer string's."""
+    if a.total() < b.total():
+        a, b = b, a
+    return (a - b).total()
 
 
 def line_diff(a: str, b: str) -> tuple[int, int]:
@@ -154,14 +176,41 @@ def _lcs_length(xs: list[str], ys: list[str]) -> int:
     return len(xs) - v.bit_count()
 
 
-def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
+def _reaches(distance: int, longest: int, theta: float) -> bool:
+    """Whether `distance` over `longest` characters scores at least theta."""
+    return 1.0 - distance / longest >= theta
+
+
+def _max_distance(longest: int, theta: float) -> int:
+    """The largest distance over `longest` characters that scores at least
+    theta (-1 if none does), by the score's own float expression: the
+    estimate from theta is moved until that expression agrees."""
+    d = min(longest, max(0, int((1.0 - theta) * longest)))
+    while d < longest and _reaches(d + 1, longest, theta):
+        d += 1
+    while d >= 0 and not _reaches(d, longest, theta):
+        d -= 1
+    return d
+
+
+def body_similarity(a: MethodDeclaration, b: MethodDeclaration, theta: float | None = None) -> float:
     """1 - editDistance/maxLength over the body blocks (braces content),
-    so a pure rename of the method name scores 1.0."""
+    so a pure rename of the method name scores 1.0. With `theta`, a pair
+    that cannot reach it scores some value below theta, for the edit
+    distance stops once it is too large."""
     ta, tb = body_block(a), body_block(b)
-    if not ta and not tb:
-        return 1.0
     longest = max(len(ta), len(tb))
-    return 1.0 - levenshtein(ta, tb) / longest
+    if not longest:
+        return 1.0
+    k = None if theta is None else _max_distance(longest, theta)
+    return 1.0 - levenshtein(ta, tb, k) / longest
+
+
+def _body_bag(decl: MethodDeclaration) -> Counter[str]:
+    """The code points of the declaration's body block, counted once."""
+    if decl.bodyBag is None:
+        decl.bodyBag = Counter(body_block(decl))
+    return decl.bodyBag
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +221,56 @@ def body_similarity(a: MethodDeclaration, b: MethodDeclaration) -> float:
 SMALL_METHOD_CHARS = 60
 
 
+@dataclass
+class MatchCounts:
+    """Body comparisons `match_method` considered, ruled out by the length
+    or bag bound without an edit distance, and cut off once the distance
+    could no longer reach theta."""
+    considered: int = 0
+    ruled_out: int = 0
+    cut_off: int = 0
+
+
 def match_method(
     prev_methods: list[MethodDeclaration],
     target: MethodDeclaration,
     theta: float,
+    counts: MatchCounts | None = None,
 ) -> MethodDeclaration | None:
     """Parent-side counterpart of `target`, or None.
 
     Priority: exact signature; same name with body similarity of at least
     `theta`; any method with maximal similarity of at least `theta`.
-    Small methods only ever match same-name candidates.
+    Small methods only ever match same-name candidates. Edit distances
+    that cannot reach theta are skipped or stopped, which never changes
+    the candidate chosen.
     """
     target_sig = signature(target)
     exact = [m for m in prev_methods if signature(m) == target_sig]
     if exact:
         return min(exact, key=lambda m: m.startLine)
 
+    if counts is None:
+        counts = MatchCounts()
     target_block = body_block(target)
 
     def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
         best = None
         best_sim = -1.0
         for m in candidates:
+            counts.considered += 1
             block = body_block(m)
             longest = max(len(block), len(target_block))
-            if longest and 1.0 - abs(len(block) - len(target_block)) / longest < theta:
-                continue  # length gap alone rules it out
-            sim = body_similarity(m, target)
-            if sim >= theta and (sim > best_sim or (sim == best_sim and m.startLine < best.startLine)):
+            # the length gap and the bag distance are at most the edit
+            # distance, so a bound below theta rules the candidate out
+            if longest and (not _reaches(abs(len(block) - len(target_block)), longest, theta)
+                            or not _reaches(_bag_distance(_body_bag(m), _body_bag(target)), longest, theta)):
+                counts.ruled_out += 1
+                continue
+            sim = body_similarity(m, target, theta)
+            if sim < theta:
+                counts.cut_off += 1
+            elif sim > best_sim or (sim == best_sim and m.startLine < best.startLine):
                 best, best_sim = m, sim
         return best
 
@@ -224,7 +295,8 @@ class TraceSession:
     extract in a pipeline run, and stopped when the caller closes the
     repository) for that file's parent-side blobs alone, and keeps the
     file's texts, extractions and lexer memo to itself; the session only
-    counts what the files read, extracted and lexed."""
+    counts what the files read, extracted and lexed, and the body
+    comparisons their matching made."""
 
     def __init__(self, repo: GitRepo, snapshot: str, theta: float, project: str = ""):
         self.repo = repo
@@ -244,6 +316,7 @@ class TraceSession:
         self.version_lines = 0
         # distinct lines lexed on their own, summed over the traced files
         self.lines_lexed_alone = 0
+        self.comparisons = MatchCounts()
 
     def steps(self, path: str) -> list[tuple[int, Change]]:
         """(chain index, change) at every commit that changed the snapshot
@@ -328,7 +401,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
             continue
         still = []
         for i in tracing:
-            matched = match_method(prev_methods, current[i], session.theta)
+            matched = match_method(prev_methods, current[i], session.theta, session.comparisons)
             if matched is None:
                 introduction[i] = child
                 intro_path[i] = cur_path

@@ -9,6 +9,7 @@ layers, which work on token streams and verbatim source lines.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -127,6 +128,8 @@ class MethodDeclaration:
     # bodyText from the opening brace of the body on; read it through
     # `body_block`, which fills it in for a declaration extraction did not make
     bodyBlock: str | None = field(default=None, repr=False, compare=False)
+    # bodyBlock's code points as a multiset, filled in by history's matching
+    bodyBag: Counter[str] | None = field(default=None, repr=False, compare=False)
 
 
 def normalize_source(raw: str) -> str:

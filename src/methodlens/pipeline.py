@@ -475,10 +475,13 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
             by_file.setdefault(record["file"], []).append(decl_from_record(record))
     session = TraceSession(repo, snapshot, config.theta, project=project)
     histories = [h for path, decls in by_file.items() for h in trace_method(session, path, decls)]
+    comparisons = session.comparisons
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
-             "%d historical versions failed to extract, %d version lines, %d lexed alone",
+             "%d historical versions failed to extract, %d version lines, %d lexed alone, "
+             "%d body comparisons, %d ruled out by the length or bag bound, %d cut off at theta",
              len(session.chain), session.files_traced, session.blobs_read, session.failures,
-             session.version_lines, session.lines_lexed_alone)
+             session.version_lines, session.lines_lexed_alone,
+             comparisons.considered, comparisons.ruled_out, comparisons.cut_off)
     histories.sort(key=lambda h: h.identity.key())
     # the inception metrics depend on the introduction alone, so label reads
     # them instead of measuring again on every rerun

@@ -13,10 +13,10 @@ import re
 import numpy as np
 
 from methodlens.gitrepo import GitRepo
-from methodlens.history import (MethodHistory, MethodIdentity, Revision, TraceSession, levenshtein, line_diff,
-                                match_method)
+from methodlens.history import (SMALL_METHOD_CHARS, MethodHistory, MethodIdentity, Revision, TraceSession,
+                                body_similarity, levenshtein, line_diff)
 from methodlens.java_extract import (KEYWORDS, WORD_LITERALS, ExtractionError, LexicalError, MethodDeclaration,
-                                     extract_methods, normalize_source, signature)
+                                     body_block, extract_methods, normalize_source, signature)
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
                            TreeConfig, _matrix, _Node)
 
@@ -321,12 +321,50 @@ def _version_methods(repo: GitRepo, blob: str, path: str) -> list[MethodDeclarat
         return None
 
 
+def match_method_reference(
+    prev_methods: list[MethodDeclaration],
+    target: MethodDeclaration,
+    theta: float,
+) -> MethodDeclaration | None:
+    """`history.match_method` before it skipped and stopped the edit
+    distances that cannot reach theta: every candidate past the length gap
+    gets its full edit distance."""
+    target_sig = signature(target)
+    exact = [m for m in prev_methods if signature(m) == target_sig]
+    if exact:
+        return min(exact, key=lambda m: m.startLine)
+
+    target_block = body_block(target)
+
+    def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
+        best = None
+        best_sim = -1.0
+        for m in candidates:
+            block = body_block(m)
+            longest = max(len(block), len(target_block))
+            if longest and 1.0 - abs(len(block) - len(target_block)) / longest < theta:
+                continue  # length gap alone rules it out
+            sim = body_similarity(m, target)
+            if sim >= theta and (sim > best_sim or (sim == best_sim and m.startLine < best.startLine)):
+                best, best_sim = m, sim
+        return best
+
+    same_name = [m for m in prev_methods if m.name == target.name]
+    found = best_of(same_name)
+    if found is not None:
+        return found
+    if len(target.bodyText) < SMALL_METHOD_CHARS:
+        return None
+    others = [m for m in prev_methods if m.name != target.name]
+    return best_of(others)
+
+
 def trace_method_reference(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:
     """One method's history by the per-method backward walk that
     `history.trace_method` replaced: the method alone steps back through the
     first-parent commits that changed its file, following file renames and
-    method matches, and every parent-side version it reaches is read and
-    extracted afresh."""
+    method matches found by `match_method_reference`, and every parent-side
+    version it reaches is read and extracted afresh."""
     chain = session.chain
     cur_decl = decl
     cur_path = path
@@ -343,7 +381,7 @@ def trace_method_reference(session: TraceSession, decl: MethodDeclaration, path:
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path
             continue
-        matched = match_method(prev_methods, cur_decl, session.theta)
+        matched = match_method_reference(prev_methods, cur_decl, session.theta)
         if matched is None:
             introduction = child
             break

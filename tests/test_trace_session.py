@@ -125,7 +125,8 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
     # 7 + 6 lines hold 6 distinct ones that lex: c02's first four (its fifth
     # fails and is not kept), then c01's closing "}" and its empty last line
     assert summary == ["trace: 3 chain commits, 1 files traced, 2 blobs read, "
-                       "1 historical versions failed to extract, 13 version lines, 6 lexed alone"]
+                       "1 historical versions failed to extract, 13 version lines, 6 lexed alone, "
+                       "0 body comparisons, 0 ruled out by the length or bag bound, 0 cut off at theta"]
     assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
     _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
     assert len(record["revisions"]) == 0  # the unreadable parent is skipped, not a revision
@@ -147,7 +148,8 @@ def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path
     assert git_children.names() == ["log"]
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
-                       "0 historical versions failed to extract, 0 version lines, 0 lexed alone"]
+                       "0 historical versions failed to extract, 0 version lines, 0 lexed alone, "
+                       "0 body comparisons, 0 ruled out by the length or bag bound, 0 cut off at theta"]
     _, records = read_ndjson(Path(config.out) / "histories.ndjson")
     assert [(r["identity"]["signature"], r["revisions"]) for r in records] == [("A#a()", []), ("B#b()", [])]
 
@@ -180,8 +182,10 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     with caplog.at_level(logging.INFO, logger="methodlens"):
         run_pipeline(config)
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
+    # of the 8 body comparisons, the bounds rule out 6 and the other 2 reach theta
     assert summary == ["trace: 11 chain commits, 3 files traced, 10 blobs read, "
-                       "0 historical versions failed to extract, 238 version lines, 59 lexed alone"]
+                       "0 historical versions failed to extract, 238 version lines, 59 lexed alone, "
+                       "8 body comparisons, 6 ruled out by the length or bag bound, 0 cut off at theta"]
     # the same counts from the versions trace extracted: every line, and the
     # distinct lines of each file's versions that no token can cross
     alone: dict[int, set[str]] = {}  # by id of a memo that `extracted` keeps alive
