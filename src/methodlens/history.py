@@ -245,8 +245,10 @@ def match_method(
     that cannot reach theta are skipped or stopped, which never changes
     the candidate chosen.
     """
+    # a signature names the method, so the exact matches are same-name ones
+    same_name = [m for m in prev_methods if m.name == target.name]
     target_sig = signature(target)
-    exact = [m for m in prev_methods if signature(m) == target_sig]
+    exact = [m for m in same_name if signature(m) == target_sig]
     if exact:
         return min(exact, key=lambda m: m.startLine)
 
@@ -274,7 +276,6 @@ def match_method(
                 best, best_sim = m, sim
         return best
 
-    same_name = [m for m in prev_methods if m.name == target.name]
     found = best_of(same_name)
     if found is not None:
         return found

@@ -516,7 +516,7 @@ class _Extractor:
                 i = close + 1
                 continue
             if txt == "{":
-                type_name = self._type_decl_name(header, end)
+                type_name = self._type_decl_name(header)
                 if type_name is not None:
                     i = self._scan(i + 1, end, chain + (type_name,), in_type=True)
                 else:
@@ -527,7 +527,7 @@ class _Extractor:
             i += 1
         return i
 
-    def _type_decl_name(self, header: list[Token], end: int) -> str | None:
+    def _type_decl_name(self, header: list[Token]) -> str | None:
         for j, t in enumerate(header):
             if (t.kind == "keyword" and t.text in _TYPE_DECL_KEYWORDS) or (
                 t.kind == "identifier" and t.text == "record" and j + 1 < len(header)
@@ -549,7 +549,7 @@ class _Extractor:
         in_type: bool,
     ) -> int:
         toks = self.toks
-        type_name = self._type_decl_name(header, end)
+        type_name = self._type_decl_name(header)
         if type_name is not None:  # record declaration with component list
             return self._scan(body_open + 1, end, chain + (type_name,), in_type=True)
         name_tok = header[-1] if header and header[-1].kind == "identifier" else None

@@ -59,8 +59,6 @@ class ConfigError(Exception):
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 class MissingStage(Exception):
@@ -792,9 +790,9 @@ def _output_digests(out: Path, stage: Stage, sha: dict[str, str | None]) -> dict
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
-    """Execute all stages in order, skipping stages whose inputs are
-    unchanged and whose outputs are as they wrote them; returns
-    {stage: "ran" | "skipped"}."""
+    """Execute all stages in order, skipping stages whose input bytes and
+    parameters are unchanged and whose outputs are as they wrote them;
+    returns {stage: "ran" | "skipped"}."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -808,7 +806,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": stages}
 
     status: dict[str, str] = {}
-    rewritten: set[str] = set()
     # artifact -> sha256 of its bytes in `out`, taken when a stage checks or
     # writes it; a later stage's input digests are read from here
     sha: dict[str, str | None] = {}
@@ -820,15 +817,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             digests = stage_digests(stage, config, sha, snapshot)
             digest = digest_params(digests)
             recorded = manifest["stages"].get(name, {})
-            # a stage that reads an artifact rewritten in this run runs again,
-            # even when the rewritten bytes came out the same; so does one
-            # whose outputs were deleted or written over since it ran
-            fresh = (
-                rewritten.isdisjoint(stage.inputs)
-                and recorded.get("digest") == digest
-                and recorded.get("outputs") == _output_digests(out, stage, sha)
-            )
-            if fresh:
+            # the digest holds the sha256 of the input bytes, so a stage whose
+            # upstream re-ran but wrote the same bytes is skipped (early
+            # cutoff); one whose outputs were deleted or written over runs
+            if recorded.get("digest") == digest and recorded.get("outputs") == _output_digests(out, stage, sha):
                 status[name] = "skipped"
                 continue
             try:
@@ -838,7 +830,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
                 raise
             manifest["stages"][name] = {"digest": digest, "outputs": _output_digests(out, stage, sha)}
             status[name] = "ran"
-            rewritten.update(stage.outputs)
     _write_json(manifest_path, manifest)
     return status
 

@@ -125,6 +125,40 @@ class Outer {
     assert signature(by_name["deep"]) == "Outer.Inner#deep()"
 
 
+SUPERTYPE_COMMA = ("_Extractor._scan resets the header at every ',' at its level, so the header that "
+                   "reaches '{' is the last supertype alone and names no type")
+
+# a type header naming two supertypes, the same header naming one, a member
+# and the member's signature
+SUPERTYPE_CASES = [
+    ("public class D implements java.io.Serializable, Comparable<D>", "public class D implements Comparable<D>",
+     "public int compareTo(D o) { return 0; }", "D#compareTo(D)"),
+    ("interface I extends X, Y", "interface I extends X", "default int m() { return 0; }", "I#m()"),
+    ("enum E implements X, Y", "enum E implements X", "A; public int m() { return 0; }", "E#m()"),
+    ("sealed class S permits A, B", "sealed class S permits A", "public int m() { return 0; }", "S#m()"),
+]
+
+ONE_SUPERTYPE_CASES = [*SUPERTYPE_CASES, ("", "class D extends B<X, Y>", "int m() { return 0; }", "D#m()")]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUPERTYPE_COMMA)
+@pytest.mark.parametrize("two, one, member, sig", SUPERTYPE_CASES, ids=[case[3] for case in SUPERTYPE_CASES])
+def test_a_type_with_two_supertypes_keeps_its_methods(two, one, member, sig):
+    assert [signature(d) for d in extract_methods(src(f"{two} {{ {member} }}"))] == [sig]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUPERTYPE_COMMA)
+def test_a_type_with_two_supertypes_stays_in_its_nested_types_chain():
+    decls = extract_methods(src("class O implements X, Y { static class In { void deep() { } } }"))
+    assert [d.containerChain for d in decls] == [["O", "In"]]
+
+
+@pytest.mark.parametrize("two, one, member, sig", ONE_SUPERTYPE_CASES, ids=[case[3] for case in ONE_SUPERTYPE_CASES])
+def test_a_type_with_one_supertype_keeps_its_methods(two, one, member, sig):
+    """The control: generic arguments, commas included, are skipped whole."""
+    assert [signature(d) for d in extract_methods(src(f"{one} {{ {member} }}"))] == [sig]
+
+
 def test_enum_members_and_constant_bodies():
     content = """\
 enum E {

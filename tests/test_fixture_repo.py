@@ -4,7 +4,7 @@ output and the full pipeline must match the construction ledger exactly."""
 import json
 import math
 import subprocess
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,8 @@ from methodlens.history import (
 from methodlens.java_extract import extract_methods, normalize_source, signature
 from methodlens.labeling import BugRuleConfig, bug_counts
 from methodlens import pipeline
-from methodlens.pipeline import STAGES, PipelineConfig, digest_file, read_ndjson, run_pipeline
+from methodlens.pipeline import (STAGES, PipelineConfig, digest_file, digest_params, read_ndjson, run_pipeline,
+                                 run_stage, stage_digests)
 
 THETA = 0.75  # the default matching threshold, PipelineConfig.theta
 
@@ -211,14 +212,16 @@ def test_pipeline_stage_isolation(pipeline_run):
     assert (out / "pareto.csv").read_bytes() == before
 
 
-def test_pipeline_reruns_the_dependents_of_a_deleted_artifact(pipeline_run):
+def test_pipeline_regenerates_a_deleted_artifact_and_cuts_off_its_dependents(pipeline_run):
+    """Trace writes the deleted file's bytes again, so the stages that read
+    it have the digests the manifest recorded and are skipped."""
     _, config, out, _ = pipeline_run
-    before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    files = (*ARTIFACTS, "manifest.json")
+    before = {name: (out / name).read_bytes() for name in files}
     (out / "histories.ndjson").unlink()
     status = run_pipeline(config)
-    assert status["extract"] == "skipped"
-    assert all(state == "ran" for stage, state in status.items() if stage != "extract")
-    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+    assert status == {stage: "ran" if stage == "trace" else "skipped" for stage in STAGES}
+    assert {name: (out / name).read_bytes() for name in files} == before
 
 
 def test_pipeline_runs_every_stage_once_under_a_manifest_that_lists_output_names(pipeline_run):
@@ -253,6 +256,81 @@ def test_pipeline_reruns_only_the_stages_a_change_reaches(fixture_repo, tmp_path
     assert run_pipeline(indicator) == from_label
     theta = replace(indicator, theta=0.8)
     assert run_pipeline(theta) == {stage: "skipped" if stage == "extract" else "ran" for stage in stages}
+
+
+# each configuration key at a value other than its default, and the stages
+# whose digest it moves; a key that moves no stage must change no artifact
+DIGESTED_KEYS = {
+    "repo": ("elsewhere", ()),  # `project` is set, so the directory does not name it
+    "commit": ("HEAD~1", ()),  # the snapshot it resolves to is digested
+    "window_years": (3.0, ("label",)),
+    "indicator": ("revisions", ("label", "pareto", "bugs", "correlate", "rank")),
+    "ugly_fraction": (0.3, ("label",)),
+    "theta": (0.8, ("trace",)),
+    "seed": (7, ("train",)),
+    "out": ("elsewhere", ()),
+    "files": ("*.java", ("extract",)),
+    "jobs": (2, ()),
+    "project": ("other", ("extract",)),
+    "approach": (2, ("train",)),
+    "top_n": (3, ("rank",)),
+    "per_project_cap": (1, ("rank",)),
+    "high_recall_keywords": (("fix",), ("label",)),
+    "high_precision_bug_words": (("bug",), ("label",)),
+    "high_precision_fix_words": (("fixed",), ("label",)),
+}
+
+
+def _stage_digests(config, snapshot="s" * 40):
+    inputs = {artifact: "0" * 64 for stage in STAGES.values() for artifact in stage.inputs}
+    return {name: digest_params(stage_digests(stage, config, inputs, snapshot)) for name, stage in STAGES.items()}
+
+
+@pytest.mark.parametrize("key", DIGESTED_KEYS)
+def test_each_configuration_key_moves_the_digests_of_the_stages_that_read_it(key):
+    """A stage is skipped when its digest is as recorded, so a key a stage
+    reads but does not digest would leave a stale artifact."""
+    assert set(DIGESTED_KEYS) == {f.name for f in fields(PipelineConfig)}
+    base = PipelineConfig(project="fixture")
+    value, moved = DIGESTED_KEYS[key]
+    changed = replace(base)
+    setattr(changed, key, value)  # past the value check, which `jobs` = 2 fails
+    before, after = _stage_digests(base), _stage_digests(changed)
+    assert [name for name in STAGES if before[name] != after[name]] == list(moved)
+
+
+def test_the_snapshot_moves_every_digest_and_names_an_unnamed_project():
+    base = PipelineConfig(project="fixture")
+    before = _stage_digests(base)
+    assert all(before[name] != digest for name, digest in _stage_digests(base, "t" * 40).items())
+    unnamed = PipelineConfig(repo="a")
+    moved = _stage_digests(replace(unnamed, repo="b"))
+    assert [name for name, digest in _stage_digests(unnamed).items() if digest != moved[name]] == ["extract"]
+
+
+class _RecordingConfig(PipelineConfig):
+    """A configuration that notes each key read from it once `reads` is set."""
+
+    reads = None
+
+    def __getattribute__(self, key):
+        if key in DIGESTED_KEYS and self.reads is not None:
+            self.reads.add(key)
+        return super().__getattribute__(key)
+
+
+def test_each_stage_reads_exactly_the_keys_that_move_its_digest(fixture_repo, tmp_path):
+    config = _RecordingConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                              out=str(tmp_path), project="fixture", seed=7)
+    digested = {name: {key for key, (_, moved) in DIGESTED_KEYS.items() if name in moved} for name in STAGES}
+    with GitRepo(str(fixture_repo["repo"])) as repo:
+        for name, stage in STAGES.items():
+            inputs = {artifact: tmp_path / artifact for artifact in stage.inputs}
+            digests = stage_digests(stage, config, {artifact: digest_file(path) for artifact, path in inputs.items()},
+                                    fixture_repo["snapshot"])
+            config.reads = set()
+            run_stage(name, config, inputs, repo, fixture_repo["snapshot"], digests)
+            assert config.reads - {"out"} == digested[name], name
 
 
 def test_pipeline_deterministic_artifacts(pipeline_run, tmp_path_factory):

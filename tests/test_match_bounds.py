@@ -11,7 +11,7 @@ import pytest
 
 from methodlens.history import (SMALL_METHOD_CHARS, MatchCounts, _bag_distance, _max_distance, body_similarity,
                                 levenshtein, match_method)
-from methodlens.java_extract import MethodDeclaration
+from methodlens.java_extract import MethodDeclaration, signature
 from oracles import levenshtein_full_matrix, match_method_reference
 
 THETAS = (0.5, 0.75, 0.9, 1.0)
@@ -92,6 +92,7 @@ def test_pruned_matching_picks_what_the_unpruned_matcher_picks():
     rng = random.Random(7)
     counts = MatchCounts()
     outcomes = Counter()
+    two_exact = 0
     for case in range(400):
         small = case % 5 == 0
         base = random_body(rng, 1 if small else rng.randrange(2, 7))
@@ -114,12 +115,15 @@ def test_pruned_matching_picks_what_the_unpruned_matcher_picks():
             else:
                 body = edited(rng, base, rng.randrange(0, max(1, len(base) * 3 // 5)))
                 candidates.append(decl(name, body, start=start, params=params))
+        # cases in which the exact match is the earliest of several by start line
+        two_exact += len({c.startLine for c in candidates if signature(c) == signature(target)}) > 1
         for theta in THETAS:
             want = match_method_reference(candidates, target, theta)
             got = match_method(candidates, target, theta, counts)
             assert got is want, (case, theta)
             outcomes["matched" if want is not None else "none"] += 1
     assert min(outcomes.values()) > 300, outcomes
+    assert two_exact > 0, two_exact
     assert counts.ruled_out > 1000 and counts.cut_off > 100, counts
     assert counts.considered > counts.ruled_out + counts.cut_off
 
