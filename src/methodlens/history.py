@@ -77,16 +77,25 @@ INDICATOR_NAMES = ("revisions", "diffSize", "additionOnly", "editDistance")
 
 
 def _strip_common(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
-    """a and b without their common prefix and suffix."""
-    pre = 0
-    limit = min(len(a), len(b))
-    while pre < limit and a[pre] == b[pre]:
-        pre += 1
-    suf = 0
-    limit -= pre
-    while suf < limit and a[len(a) - 1 - suf] == b[len(b) - 1 - suf]:
-        suf += 1
-    return a[pre:len(a) - suf], b[pre:len(b) - suf]
+    """a and b without their common prefix and suffix, each found by
+    bisection on slice equality, which compares in C."""
+    la, lb = len(a), len(b)
+    lo, hi = 0, min(la, lb)  # the prefix is at least lo and at most hi long
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    pre = lo
+    lo, hi = 0, min(la, lb) - pre
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[la - mid:] == b[lb - mid:]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return a[pre:la - lo], b[pre:lb - lo]
 
 
 def _position_masks(seq: Sequence) -> dict:
@@ -294,10 +303,10 @@ class TraceSession:
     never read.  `trace_method` traces one file's methods at a time: it
     asks the repository's one `cat-file --batch` child (shared with
     extract in a pipeline run, and stopped when the caller closes the
-    repository) for that file's parent-side blobs alone, and keeps the
-    file's texts, extractions and lexer memo to itself; the session only
-    counts what the files read, extracted and lexed, and the body
-    comparisons their matching made."""
+    repository) for that file's parent-side blobs alone, keeps the file's
+    texts and extractions to itself and lexes through one memo for the
+    file; the session only counts what the files read, extracted and
+    lexed, and the body comparisons their matching made."""
 
     def __init__(self, repo: GitRepo, snapshot: str, theta: float, project: str = ""):
         self.repo = repo
@@ -353,21 +362,26 @@ class TraceSession:
             return None
 
 
-def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration]) -> list[MethodHistory]:
+def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration],
+                 memo: dict[str, list[Token]] | None = None) -> list[MethodHistory]:
     """Histories of the snapshot methods `decls` of the file `path`, in
     `decls` order.  One walk back through the first-parent commits that
     changed the file, following its renames, matches every method still
     being traced against each parent-side version and records a revision
     whenever a declaration's text changed (comment and formatting changes
     included).  Each version is extracted at most once, through one lexer
-    memo, and the walk stops once every method has reached its introduction."""
+    memo (`memo`, the file's own, or a fresh one), and the walk stops once
+    every method has reached its introduction.  The lines the memo gains
+    are counted in the session's `lines_lexed_alone`."""
     chain = session.chain
     steps = session.steps(path)
     # one batch; a file no commit changed after its addition reads no blob
     texts = session.repo.read_blobs(change.oldBlob for _, change in steps if change.status[0] not in ("A", "D"))
     session.files_traced += 1
     session.blobs_read += len(texts)
-    memo: dict[str, list[Token]] = {}
+    if memo is None:
+        memo = {}
+    lexed = len(memo)
     extracted: dict[str, list[MethodDeclaration] | None] = {}
     current = list(decls)  # each method's declaration at the step reached
     pending: list[list[tuple[CommitMeta, int, int, int]]] = [[] for _ in decls]  # newest first
@@ -417,7 +431,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
         cur_path = parent_path
     for i in tracing:
         intro_path[i] = cur_path
-    session.lines_lexed_alone += len(memo)
+    session.lines_lexed_alone += len(memo) - lexed
 
     return [
         MethodHistory(

@@ -276,6 +276,9 @@ def body_block(decl: MethodDeclaration) -> str:
 
 
 _TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
+# the tokens `_Extractor._blocks` reads: braces, parentheses, and each word
+# `_type_decl_name` accepts (no other token has these texts)
+_BLOCK_TEXTS = frozenset({"{", "}", "(", ")", "record"}) | _TYPE_DECL_KEYWORDS
 
 
 def _skip_parens(toks: list[Token], i: int) -> int:
@@ -406,25 +409,60 @@ class _Extractor:
         self.found: list[MethodDeclaration] = []
 
     def run(self) -> list[MethodDeclaration]:
-        depth = 0
-        for t in self.toks:
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth < 0:
-                    raise ExtractionError("unbalanced braces", t.line)
-        if depth != 0:
-            raise ExtractionError("unbalanced braces", self.toks[-1].line if self.toks else 1)
+        self.plain = self._blocks()
         self._scan(0, len(self.toks), (), in_type=False)
         # Nested local-class methods are appended before their enclosing
         # method finishes; restore source order.
         self.found.sort(key=lambda d: (d.startLine, -d.endLine))
         return self.found
 
+    def _blocks(self) -> dict[int, int]:
+        """Check that the braces balance, and map the '{' of each plain block
+        to the index of its '}'.
+
+        A block is plain when it and every block inside it hold no token
+        `_type_decl_name` looks for, and its parentheses balance between its
+        braces without closing one opened before it. A plain block scanned
+        outside a type body records nothing, no parenthesis skip leaves it,
+        and none fails, so `_scan` steps over it.
+        """
+        plain: dict[int, int] = {}
+        # one entry per open block: its '{', the paren depth there, and
+        # whether it is still plain
+        open_blocks: list[list] = []
+        parens = 0
+        for i, t in enumerate(self.toks):
+            txt = t.text
+            if txt not in _BLOCK_TEXTS:
+                continue
+            if txt == "(":
+                parens += 1
+            elif txt == ")":
+                parens -= 1
+                if open_blocks and parens < open_blocks[-1][1]:
+                    open_blocks[-1][2] = False
+            elif txt == "{":
+                open_blocks.append([i, parens, True])
+            elif txt == "}":
+                if not open_blocks:
+                    raise ExtractionError("unbalanced braces", t.line)
+                start, depth, is_plain = open_blocks.pop()
+                if is_plain and parens == depth:
+                    plain[start] = i
+                elif open_blocks:
+                    open_blocks[-1][2] = False
+            elif open_blocks:  # a type keyword or `record`
+                open_blocks[-1][2] = False
+        if open_blocks:
+            raise ExtractionError("unbalanced braces", self.toks[-1].line)
+        return plain
+
     def _scan(self, i: int, end: int, chain: tuple[str, ...], in_type: bool) -> int:
         """Scan tokens[i:end] at one nesting level; returns index past the
-        closing '}' (or end)."""
+        closing '}' (or end). Every caller but the first starts just past a
+        '{', and a plain block outside a type body is stepped over."""
+        if not in_type and i - 1 in self.plain:
+            return self.plain[i - 1] + 1
         toks = self.toks
         header: list[Token] = []
         header_start: int | None = None
@@ -597,5 +635,11 @@ def extract_methods(text: str, memo: dict[str, list[Token]] | None = None) -> li
     Constructors, initializer blocks, bodiless signatures, and methods whose
     immediate container is an anonymous class or lambda are excluded.
     `memo` is handed to `tokenize`.
+
+    A block outside a type body (a method or initializer body, a lambda, an
+    anonymous class or an array initializer) is not scanned when neither it
+    nor any block inside it holds `class`, `interface`, `enum` or `record`,
+    and its parentheses balance between its braces without closing one
+    opened before it: such a block can declare nothing.
     """
     return _Extractor(text, memo).run()

@@ -673,10 +673,11 @@ def _getter_setter(decl: MethodDeclaration, body: list[Token]) -> bool:
     return False
 
 
-def compute_metric_vector(decl: MethodDeclaration) -> MetricVector:
-    """All 17 metrics from one lex of the declaration; deterministic for
-    identical declaration text."""
-    toks = tokenize(decl.bodyText)
+def compute_metric_vector(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = None) -> MetricVector:
+    """All 17 metrics from one lex of the declaration, through `memo` when
+    given (`tokenize`'s line memo, which never changes the tokens);
+    deterministic for identical declaration text."""
+    toks = tokenize(decl.bodyText, memo)
     body = _body_slice(toks)
     calls = _invocation_indices(body)
     size = _size(toks)

@@ -32,7 +32,8 @@ from .history import (
     filter_by_age,
     trace_method,
 )
-from .java_extract import ExtractionError, LexicalError, MethodDeclaration, extract_methods, normalize_source, signature
+from .java_extract import (ExtractionError, LexicalError, MethodDeclaration, Token, extract_methods, normalize_source,
+                           signature)
 from .labeling import (
     BugRuleConfig,
     LabeledMethod,
@@ -472,7 +473,16 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
         for record in records:
             by_file.setdefault(record["file"], []).append(decl_from_record(record))
     session = TraceSession(repo, snapshot, config.theta, project=project)
-    histories = [h for path, decls in by_file.items() for h in trace_method(session, path, decls)]
+    measured: list[tuple[MethodHistory, MetricVector]] = []
+    for path, decls in by_file.items():
+        memo: dict[str, list[Token]] = {}  # one file's lines, so memory stays bounded by its history
+        histories = trace_method(session, path, decls, memo)
+        # the inception metrics depend on the introduction alone, so label
+        # reads them instead of measuring again on every rerun; they lex
+        # through the memo that holds the file's versions
+        lexed = len(memo)
+        measured += [(h, compute_metric_vector(h.introductionDecl, memo)) for h in histories]
+        session.lines_lexed_alone += len(memo) - lexed
     comparisons = session.comparisons
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
              "%d historical versions failed to extract, %d version lines, %d lexed alone, "
@@ -480,10 +490,8 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
              len(session.chain), session.files_traced, session.blobs_read, session.failures,
              session.version_lines, session.lines_lexed_alone,
              comparisons.considered, comparisons.ruled_out, comparisons.cut_off)
-    histories.sort(key=lambda h: h.identity.key())
-    # the inception metrics depend on the introduction alone, so label reads
-    # them instead of measuring again on every rerun
-    records = [history_record(h, compute_metric_vector(h.introductionDecl)) for h in histories]
+    measured.sort(key=lambda pair: pair[0].identity.key())
+    records = [history_record(h, vector) for h, vector in measured]
     write_ndjson(
         out / "histories.ndjson", "trace", digests, records,
         extra_header={

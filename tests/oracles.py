@@ -16,7 +16,7 @@ from methodlens.gitrepo import GitRepo
 from methodlens.history import (SMALL_METHOD_CHARS, MethodHistory, MethodIdentity, Revision, TraceSession,
                                 body_similarity, levenshtein, line_diff)
 from methodlens.java_extract import (KEYWORDS, WORD_LITERALS, ExtractionError, LexicalError, MethodDeclaration,
-                                     body_block, extract_methods, normalize_source, signature)
+                                     _Extractor, body_block, extract_methods, normalize_source, signature)
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
                            TreeConfig, _matrix, _Node)
 
@@ -34,6 +34,20 @@ def levenshtein_full_matrix(a: str, b: str) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             dp[i][j] = min(dp[i - 1][j] + 1, dp[i][j - 1] + 1, dp[i - 1][j - 1] + cost)
     return dp[n][m]
+
+
+def strip_common_reference(a, b):
+    """a and b without their common prefix and suffix, compared one element
+    at a time."""
+    pre = 0
+    limit = min(len(a), len(b))
+    while pre < limit and a[pre] == b[pre]:
+        pre += 1
+    suf = 0
+    limit -= pre
+    while suf < limit and a[len(a) - 1 - suf] == b[len(b) - 1 - suf]:
+        suf += 1
+    return a[pre:len(a) - suf], b[pre:len(b) - suf]
 
 
 def lcs_line_diff(a: str, b: str) -> tuple[int, int]:
@@ -307,6 +321,19 @@ def predict_forest_reference(model, X) -> np.ndarray:
         for i, x in enumerate(Xs):
             votes[i] += _leaf_prediction(root, x)
     return (votes * 2 > len(model.roots)).astype(int)
+
+
+class _FullScanExtractor(_Extractor):
+    """Extraction before it stepped over plain blocks: the brace balance is
+    checked as it is, and then every block is scanned."""
+
+    def _blocks(self) -> dict[int, int]:
+        super()._blocks()
+        return {}
+
+
+def extract_methods_full_scan(text: str) -> list[MethodDeclaration]:
+    return _FullScanExtractor(text, None).run()
 
 
 def _version_methods(repo: GitRepo, blob: str, path: str) -> list[MethodDeclaration] | None:

@@ -41,7 +41,7 @@ def measured(monkeypatch):
     """The declarations the pipeline measures, in call order."""
     decls = []
     monkeypatch.setattr(pipeline, "compute_metric_vector",
-                        lambda decl: decls.append(decl) or compute_metric_vector(decl))
+                        lambda decl, memo=None: decls.append(decl) or compute_metric_vector(decl, memo))
     return decls
 
 

@@ -19,7 +19,7 @@ DECLS = [decl for content in corpus_files().values()
 def lexed(monkeypatch):
     texts = []
     real_tokenize = metrics.tokenize
-    monkeypatch.setattr(metrics, "tokenize", lambda text: texts.append(text) or real_tokenize(text))
+    monkeypatch.setattr(metrics, "tokenize", lambda text, memo=None: texts.append(text) or real_tokenize(text, memo))
     return texts
 
 

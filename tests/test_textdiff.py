@@ -1,9 +1,9 @@
 import random
 import string
 
-from methodlens.history import levenshtein, line_diff
+from methodlens.history import _strip_common, levenshtein, line_diff
 
-from oracles import lcs_line_diff, levenshtein_full_matrix
+from oracles import lcs_line_diff, levenshtein_full_matrix, strip_common_reference
 
 
 def test_identity():
@@ -127,3 +127,24 @@ def test_line_diff_matches_lcs_oracle_on_long_repetitive_inputs():
             ta, tb = "\n".join(a), "\n".join(b)
             assert line_diff(ta, tb) == lcs_line_diff(ta, tb), (n, len(b))
             assert line_diff(tb, ta) == lcs_line_diff(tb, ta), (len(b), n)
+
+
+def test_strip_common_matches_the_element_loop_on_strings_and_line_lists():
+    rng = random.Random(23)
+    cases = [("", ""), ("", "ab"), ("ab", ""), ("abc", "abc"), ("ab", "abc"), ("bc", "abc"), ("abc", "ab"),
+             ("aXa", "aYa"), ("aa", "aaa"), ("abab", "ab")]
+    for _ in range(300):
+        a = "".join(rng.choices("ab\n", k=rng.randrange(0, 30)))
+        cut = rng.randrange(0, len(a) + 1)
+        cases += [
+            (a, a),
+            (a, a[:cut]), (a[cut:], a),  # one a prefix or a suffix of the other
+            (a, a[:cut] + rng.choice("abc") + a[cut + 1:]),  # all common but one
+            (a, "".join(rng.choices("ab\n", k=rng.randrange(0, 30)))),
+        ]
+    for a, b in cases:
+        assert _strip_common(a, b) == strip_common_reference(a, b), (a, b)
+        xs, ys = a.split("\n"), b.split("\n")
+        assert _strip_common(xs, ys) == strip_common_reference(xs, ys), (a, b)
+    for xs, ys in [([], []), ([], ["a"]), (["a", "b"], [])]:
+        assert _strip_common(xs, ys) == strip_common_reference(xs, ys) == (xs, ys)

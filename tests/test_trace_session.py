@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from methodlens import cli, history, java_extract
+from methodlens import cli, history, java_extract, pipeline
 from methodlens.cli import main
 from methodlens.gitrepo import GitRepo
 from methodlens.history import TraceSession, match_method, trace_method
@@ -147,8 +147,9 @@ def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path
         run_stage("trace", config, {"methods.ndjson": methods}, git, snapshot)
     assert git_children.names() == ["log"]
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
+    # the 2 lines lexed alone are the one-line introductions, measured through their files' memos
     assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
-                       "0 historical versions failed to extract, 0 version lines, 0 lexed alone, "
+                       "0 historical versions failed to extract, 0 version lines, 2 lexed alone, "
                        "0 body comparisons, 0 ruled out by the length or bag bound, 0 cut off at theta"]
     _, records = read_ndjson(Path(config.out) / "histories.ndjson")
     assert [(r["identity"]["signature"], r["revisions"]) for r in records] == [("A#a()", []), ("B#b()", [])]
@@ -177,6 +178,10 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
                         lambda text, memo=None: extracted.append((text, memo)) or real_extract(text, memo))
+    measured = []
+    real_measure = pipeline.compute_metric_vector
+    monkeypatch.setattr(pipeline, "compute_metric_vector",
+                        lambda decl, memo=None: measured.append((decl.bodyText, memo)) or real_measure(decl, memo))
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path), project="fixture", seed=7)
     with caplog.at_level(logging.INFO, logger="methodlens"):
@@ -184,16 +189,20 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     # of the 8 body comparisons, the bounds rule out 6 and the other 2 reach theta
     assert summary == ["trace: 11 chain commits, 3 files traced, 10 blobs read, "
-                       "0 historical versions failed to extract, 238 version lines, 59 lexed alone, "
+                       "0 historical versions failed to extract, 238 version lines, 61 lexed alone, "
                        "8 body comparisons, 6 ruled out by the length or bag bound, 0 cut off at theta"]
-    # the same counts from the versions trace extracted: every line, and the
-    # distinct lines of each file's versions that no token can cross
+    # the same counts from the versions trace extracted (every line) and from
+    # those versions and the introductions it measured through the file's
+    # memo (the distinct lines that no token can cross)
     alone: dict[int, set[str]] = {}  # by id of a memo that `extracted` keeps alive
-    for content, memo in extracted:
+    for content, memo in extracted + measured:
         alone.setdefault(id(memo), set()).update(
             line for line in content.split("\n") if not ("/*" in line or '"""' in line or line.endswith("\\")))
     assert sum(content.count("\n") + 1 for content, _ in extracted) == 238
-    assert (len(alone), sum(map(len, alone.values()))) == (3, 59)
+    assert len(measured) == 11 and {id(memo) for _, memo in measured} <= {id(memo) for _, memo in extracted}
+    # 2 lines of the introductions are in no extracted version: those of
+    # `youngster`, which the snapshot commit adds
+    assert (len(alone), sum(map(len, alone.values()))) == (3, 61)
 
 
 def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, monkeypatch):
