@@ -15,8 +15,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .gitrepo import RepoAccessError, UnknownCommit
+from .labeling import CLASSIFIER_NAMES
 from .metrics import METRIC_NAMES, compute_metric_vector
-from .ml import CLASSIFIER_NAMES
 from .pipeline import (
     ConfigError,
     INDICATOR_ALIASES,

@@ -16,6 +16,10 @@ log = logging.getLogger("methodlens.labeling")
 
 DEFAULT_FRACTIONS = (0.05, 0.10, 0.15, 0.20)
 
+# the classifiers that train on labeled methods, in report order; declared
+# here rather than in ml so that the CLI can offer them without loading numpy
+CLASSIFIER_NAMES = ("logistic", "tree", "forest")
+
 
 class EmptyProject(Exception):
     pass

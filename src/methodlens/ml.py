@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .labeling import LabeledMethod
+from .labeling import CLASSIFIER_NAMES, LabeledMethod
 from .metrics import METRIC_NAMES
 
 log = logging.getLogger("methodlens.ml")
@@ -754,8 +754,6 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # protocols
-
-CLASSIFIER_NAMES = ("logistic", "tree", "forest")
 
 LOGISTIC_GRID = (LogisticConfig(l2=1.0), LogisticConfig(l2=0.1), LogisticConfig(l2=10.0))
 TREE_GRID = (TreeConfig(max_depth=None), TreeConfig(max_depth=8), TreeConfig(max_depth=4))

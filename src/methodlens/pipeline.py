@@ -43,7 +43,6 @@ from .labeling import (
     pareto_curve,
 )
 from .metrics import MetricVector, compute_metric_vector
-from .ml import run_approach1, run_approach2
 from .stats import composite_scores, correlation_table, select_surprising, signs_from_table
 
 log = logging.getLogger("methodlens.pipeline")
@@ -631,10 +630,12 @@ def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dat
               classifiers=None) -> None:
     methods = _load_dataset(dataset_path)
     header = stage_header("train", digests)
-    from .ml import CLASSIFIER_NAMES, NoUglyRows, SingleClass, TooFewProjects
+    # numpy loads with ml, so only a process that trains pays for it
+    from .ml import CLASSIFIER_NAMES, NoUglyRows, SingleClass, TooFewProjects, run_approach1, run_approach2
     chosen = tuple(classifiers) if classifiers else CLASSIFIER_NAMES
+    run_approach = run_approach1 if config.approach == 1 else run_approach2
     try:
-        _run_train_inner(config, out, header, methods, chosen)
+        outcome = run_approach(methods, seed=config.seed, classifiers=chosen)
     except (TooFewProjects, NoUglyRows, SingleClass) as err:
         # corpora too small to train on still get a well-formed stage output
         log.warning("training not possible: %s", err)
@@ -645,13 +646,14 @@ def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dat
             "status": "not-trainable",
             "reason": str(err),
         }
-        _write_json(out / "report.json", payload)
+    else:
+        payload = _train_payload(config, header, outcome)
+    _write_json(out / "report.json", payload)
 
 
-def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, chosen) -> None:
+def _train_payload(config: PipelineConfig, header: dict, outcome: dict) -> dict:
     if config.approach == 1:
-        outcome = run_approach1(methods, seed=config.seed, classifiers=chosen)
-        payload = {
+        return {
             "stageRecord": header,
             "approach": 1,
             "seed": config.seed,
@@ -669,21 +671,18 @@ def _run_train_inner(config: PipelineConfig, out: Path, header: dict, methods, c
                 for name, entry in outcome["results"].items()
             },
         }
-    else:
-        outcome = run_approach2(methods, seed=config.seed, classifiers=chosen)
-        payload = {
-            "stageRecord": header,
-            "approach": 2,
-            "seed": config.seed,
-            "projects": {
-                project: {
-                    name: (asdict(report) if report is not None else None)
-                    for name, report in entry.items()
-                }
-                for project, entry in outcome["projects"].items()
-            },
-        }
-    _write_json(out / "report.json", payload)
+    return {
+        "stageRecord": header,
+        "approach": 2,
+        "seed": config.seed,
+        "projects": {
+            project: {
+                name: (asdict(report) if report is not None else None)
+                for name, report in entry.items()
+            }
+            for project, entry in outcome["projects"].items()
+        },
+    }
 
 
 def _fmt(value: float) -> str:
