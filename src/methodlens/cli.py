@@ -143,29 +143,20 @@ def load_config(args) -> PipelineConfig:
     destination names."""
     config = validate_config(args.config) if args.config else PipelineConfig()
     overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
-    if overrides["indicator"] is not None:
-        overrides["indicator"] = INDICATOR_ALIASES[overrides["indicator"]]
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
-
-
-def _require(config: PipelineConfig, *fields) -> None:
-    for name in fields:
-        if not getattr(config, name):
-            raise ConfigError(f"--{name} is required (flag or config file)")
 
 
 def _run_stage(args, **extra) -> list[Path]:
     """Run the stage the subcommand names on the input files its flags name
     (`args.inputs` holds their flags' destinations in the order of the
-    stage's inputs; a stage without inputs sets none), with the snapshot of
-    --repo/--commit, and print the paths it wrote."""
+    stage's inputs; a stage without inputs sets none), and print the paths
+    it wrote.  Only a stage that reads the repository opens --repo and
+    resolves --commit; the others ignore both."""
     stage = args.command
     inputs = {artifact: getattr(args, dest)
               for artifact, dest in zip(STAGES[stage].inputs, vars(args).get("inputs", ()), strict=True)}
     config = load_config(args)
-    if STAGES[stage].reads_repo:
-        _require(config, "repo", "commit")
-    repo, snapshot = open_snapshot(config)
+    repo, snapshot = open_snapshot(config) if STAGES[stage].reads_repo else (None, "")
     with repo or nullcontext():
         Path(config.out).mkdir(parents=True, exist_ok=True)
         written = run_stage(stage, config, {name: Path(path) for name, path in inputs.items()},
@@ -229,9 +220,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = load_config(args)
-    _require(config, "repo", "commit")
-    status = run_pipeline(config)
+    status = run_pipeline(load_config(args))
     for stage, state in status.items():
         print(f"{stage}: {state}")
     return EXIT_OK

@@ -227,21 +227,15 @@ def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
 # individual metrics
 
 
-def _size(toks: list[Token]) -> int:
-    """Lines in the declaration span carrying at least one non-comment token."""
-    marked: set[int] = set()
+def _line_counts(toks: list[Token]) -> tuple[int, int]:
+    """(size, comment lines): the lines in the declaration span carrying at
+    least one non-comment token, and those carrying at least one comment
+    token; a line may count in both."""
+    code: set[int] = set()
+    comment: set[int] = set()
     for t in toks:
-        if t.kind != "comment":
-            marked.update(range(t.line, t.line + t.line_count))
-    return len(marked)
-
-
-def _comment_line_count(toks: list[Token]) -> int:
-    marked: set[int] = set()
-    for t in toks:
-        if t.kind == "comment":
-            marked.update(range(t.line, t.line + t.line_count))
-    return len(marked)
+        (comment if t.kind == "comment" else code).update(range(t.line, t.line + t.line_count))
+    return len(code), len(comment)
 
 
 def _mccabe(body: list[Token]) -> int:
@@ -476,7 +470,7 @@ def compute_maintainability_index(size: int, mccabe: int, halstead: HalsteadCoun
     return 171.0 - 5.2 * math.log(max(volume, 1.0)) - 0.23 * mccabe - 16.2 * math.log(size)
 
 
-def _buse_features(decl: MethodDeclaration, toks: list[Token]) -> dict[str, float]:
+def _buse_features(decl: MethodDeclaration, toks: list[Token], comment_lines: int) -> dict[str, float]:
     lines = decl.bodyText.split("\n")
     nlines = len(lines)
     identifiers = [t.text for t in toks if t.kind == "identifier"]
@@ -487,16 +481,16 @@ def _buse_features(decl: MethodDeclaration, toks: list[Token]) -> dict[str, floa
         "avgIdentifierLength": (sum(len(s) for s in identifiers) / len(identifiers)) if identifiers else 0.0,
         "identifiersPerLine": len(identifiers) / nlines,
         "avgIndent": (sum(nonblank_indents) / len(nonblank_indents)) if nonblank_indents else 0.0,
-        "commentLineRatio": _comment_line_count(toks) / nlines,
+        "commentLineRatio": comment_lines / nlines,
         "blankLineRatio": sum(1 for line in lines if not line.strip()) / nlines,
         "parensPerLine": decl.bodyText.count("(") / nlines,
     }
 
 
-def _readability_buse(decl: MethodDeclaration, toks: list[Token]) -> float:
+def _readability_buse(decl: MethodDeclaration, toks: list[Token], comment_lines: int) -> float:
     """Surrogate of the learned line-shape readability model: logistic score
     over eight documented features with ledger-fixed weights."""
-    features = _buse_features(decl, toks)
+    features = _buse_features(decl, toks, comment_lines)
     z = BUSE_INTERCEPT + sum(w * features[name] for name, w in BUSE_WEIGHTS)
     return _logistic(z)
 
@@ -680,7 +674,7 @@ def compute_metric_vector(decl: MethodDeclaration, memo: dict[str, list[Token]] 
     toks = tokenize(decl.bodyText, memo)
     body = _body_slice(toks)
     calls = _invocation_indices(body)
-    size = _size(toks)
+    size, comment_lines = _line_counts(toks)
     halstead = _halstead(body, calls)
     mccabe = _mccabe(body)
     nvar, ncomp = _mcclure(body)
@@ -694,11 +688,11 @@ def compute_metric_vector(decl: MethodDeclaration, memo: dict[str, list[Token]] 
         fanout=_fanout(body, calls),
         halsteadLength=halstead.length,
         maintainabilityIndex=compute_maintainability_index(size, mccabe, halstead),
-        readability=_readability_buse(decl, toks),
+        readability=_readability_buse(decl, toks, comment_lines),
         simpleReadability=compute_readability_posnett(decl, halstead),
         parameters=len(decl.parameterTypes),
         variables=_count_local_declarators(body),
-        commentRatio=_comment_line_count(toks) / size,
+        commentRatio=comment_lines / size,
         getterSetter=_getter_setter(decl, body),
         isPublic="public" in decl.modifiers,
         isStatic="static" in decl.modifiers,

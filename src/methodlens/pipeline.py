@@ -103,6 +103,7 @@ class PipelineConfig:
     def __post_init__(self):
         """The one check of every value, for config-file values, flags and
         callers alike."""
+        self.indicator = INDICATOR_ALIASES.get(self.indicator, self.indicator)
         if self.indicator not in INDICATOR_ALIASES.values():
             raise ConfigError(f"unknown indicator {self.indicator!r}")
         if not self.window_years > 0:
@@ -160,8 +161,6 @@ def _parse_value(key: str, raw: str):
             return convert(raw)
         except ValueError:
             raise ConfigError(f"{key} expects {expected}, got {raw!r}")
-    if key == "indicator":
-        return INDICATOR_ALIASES.get(raw, raw)
     return raw
 
 
@@ -552,14 +551,19 @@ def _by_project(methods: list[LabeledMethod]) -> dict[str, list[LabeledMethod]]:
     return dict(sorted(grouped.items()))
 
 
-def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
-    methods = _load_dataset(dataset_path)
+def _write_curves(path: Path, methods: list[LabeledMethod], curve_of: Callable) -> None:
+    """One (project, fraction, captured) row per point of each project's
+    curve, `curve_of` applied to the project's methods."""
     rows = []
     for project, group in _by_project(methods).items():
-        curve = pareto_curve(group, indicator=config.indicator)
-        for fraction, captured in zip(curve.fractions, curve.captured):
-            rows.append((project, fraction, _fmt(captured)))
-    write_csv(out / "pareto.csv", ["project", "fraction", "captured"], rows)
+        curve = curve_of(group)
+        rows.extend((project, fraction, _fmt(captured)) for fraction, captured in zip(curve.fractions, curve.captured))
+    write_csv(path, ["project", "fraction", "captured"], rows)
+
+
+def run_pareto(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
+    _write_curves(out / "pareto.csv", _load_dataset(dataset_path),
+                  lambda group: pareto_curve(group, indicator=config.indicator))
 
 
 BUG_OUTPUTS = {"highRecall": "bugs_high_recall.csv", "highPrecision": "bugs_high_precision.csv"}
@@ -569,12 +573,8 @@ def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
              datasets=("highRecall", "highPrecision")) -> None:
     methods = _load_dataset(dataset_path)
     for dataset in datasets:
-        rows = []
-        for project, group in _by_project(methods).items():
-            curve = bug_capture(group, indicator=config.indicator, dataset=dataset)
-            for fraction, captured in zip(curve.fractions, curve.captured):
-                rows.append((project, fraction, _fmt(captured)))
-        write_csv(out / BUG_OUTPUTS[dataset], ["project", "fraction", "captured"], rows)
+        _write_curves(out / BUG_OUTPUTS[dataset], methods,
+                      lambda group: bug_capture(group, indicator=config.indicator, dataset=dataset))
 
 
 def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
@@ -629,7 +629,6 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
 def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
               classifiers=None) -> None:
     methods = _load_dataset(dataset_path)
-    header = stage_header("train", digests)
     # numpy loads with ml, so only a process that trains pays for it
     from .ml import CLASSIFIER_NAMES, NoUglyRows, SingleClass, TooFewProjects, run_approach1, run_approach2
     chosen = tuple(classifiers) if classifiers else CLASSIFIER_NAMES
@@ -639,24 +638,16 @@ def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dat
     except (TooFewProjects, NoUglyRows, SingleClass) as err:
         # corpora too small to train on still get a well-formed stage output
         log.warning("training not possible: %s", err)
-        payload = {
-            "stageRecord": header,
-            "approach": config.approach,
-            "seed": config.seed,
-            "status": "not-trainable",
-            "reason": str(err),
-        }
+        payload = {"status": "not-trainable", "reason": str(err)}
     else:
-        payload = _train_payload(config, header, outcome)
-    _write_json(out / "report.json", payload)
+        payload = _train_payload(config.approach, outcome)
+    _write_json(out / "report.json", {"stageRecord": stage_header("train", digests), "approach": config.approach,
+                                      "seed": config.seed, **payload})
 
 
-def _train_payload(config: PipelineConfig, header: dict, outcome: dict) -> dict:
-    if config.approach == 1:
+def _train_payload(approach: int, outcome: dict) -> dict:
+    if approach == 1:
         return {
-            "stageRecord": header,
-            "approach": 1,
-            "seed": config.seed,
             "plan": {
                 "train": list(outcome["plan"].trainProjects),
                 "validation": list(outcome["plan"].validationProjects),
@@ -672,9 +663,6 @@ def _train_payload(config: PipelineConfig, header: dict, outcome: dict) -> dict:
             },
         }
     return {
-        "stageRecord": header,
-        "approach": 2,
-        "seed": config.seed,
         "projects": {
             project: {
                 name: (asdict(report) if report is not None else None)
@@ -699,7 +687,8 @@ def _fmt(value: float) -> str:
 class Stage:
     """A stage reads the artifacts named in `inputs` and writes those named
     in `outputs` into the output directory.  What it writes depends on the
-    inputs' bytes, on `params(config)` and on the snapshot.  Its runner is
+    inputs' bytes, on `params(config)` and, for a stage that reads the
+    repository, on the snapshot; nothing else is digested.  Its runner is
     the module function run_<name>, looked up when the stage runs, and
     takes each input's path as a required keyword (`methods.ndjson` as
     `methods_path`); a stage that reads the repository gets it and the
@@ -745,19 +734,22 @@ STAGES = {stage.name: stage for stage in (
 def stage_digests(stage: Stage, config: PipelineConfig, input_digests: dict[str, str],
                   snapshot: str) -> dict[str, str]:
     """Digests of everything a stage's output depends on: its inputs'
-    sha256, taken from `input_digests` by artifact name, and its
-    parameters."""
+    sha256, taken from `input_digests` by artifact name, its parameters
+    and, for a stage that reads the repository, the snapshot."""
     digests = {name: input_digests[name] for name in stage.inputs}
-    digests["params"] = digest_params({"toolVersion": TOOL_VERSION, "snapshot": snapshot, **stage.params(config)})
+    params = {"toolVersion": TOOL_VERSION, **stage.params(config)}
+    if stage.reads_repo:
+        params["snapshot"] = snapshot
+    digests["params"] = digest_params(params)
     return digests
 
 
-def open_snapshot(config: PipelineConfig) -> tuple[GitRepo | None, str]:
-    """The repository and its resolved snapshot commit when both `repo` and
-    `commit` are configured; otherwise no repository and an empty snapshot,
-    as for a merged multi-project dataset."""
-    if not (config.repo and config.commit):
-        return None, ""
+def open_snapshot(config: PipelineConfig) -> tuple[GitRepo, str]:
+    """The repository `repo` names and the commit `commit` resolves to in
+    it; both keys must be set."""
+    for key in ("repo", "commit"):
+        if not getattr(config, key):
+            raise ConfigError(f"--{key} is required (flag or config file)")
     repo = GitRepo(config.repo)
     return repo, repo.resolve_commit(config.commit)
 
@@ -796,29 +788,38 @@ def _output_digests(out: Path, stage: Stage, sha: dict[str, str | None]) -> dict
     return {artifact: sha[artifact] for artifact in stage.outputs}
 
 
+def _recorded_stages(manifest_path: Path) -> dict[str, dict]:
+    """The stage entries of the manifest at `manifest_path`; a manifest
+    that is missing, does not parse or is not shaped as run_pipeline writes
+    it records none, so every stage runs."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return {}
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(isinstance(entry, dict) for entry in stages.values()):
+        return {}
+    return stages
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Execute all stages in order, skipping stages whose input bytes and
     parameters are unchanged and whose outputs are as they wrote them;
     returns {stage: "ran" | "skipped"}."""
+    repo, snapshot = open_snapshot(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    stages = {}
-    if manifest_path.exists():
-        try:
-            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
-        except json.JSONDecodeError:
-            pass
     # the stage digests carry over; the version fields are this run's
-    manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION, "stages": stages}
+    manifest = {"schemaVersion": SCHEMA_VERSION, "toolVersion": TOOL_VERSION,
+                "stages": _recorded_stages(manifest_path)}
 
     status: dict[str, str] = {}
     # artifact -> sha256 of its bytes in `out`, taken when a stage checks or
     # writes it; a later stage's input digests are read from here
     sha: dict[str, str | None] = {}
     # extract and trace share the repository's one `cat-file --batch` child
-    with GitRepo(config.repo) as repo:
-        snapshot = repo.resolve_commit(config.commit)
+    with repo:
         for name, stage in STAGES.items():
             inputs = {artifact: out / artifact for artifact in stage.inputs}
             digests = stage_digests(stage, config, sha, snapshot)
@@ -896,18 +897,16 @@ def emit_plot_data(artifacts: str | Path) -> list[Path]:
     plots.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    sources = [
-        ("pareto.csv", "pareto", "pareto_cdf.csv"),
-        ("bugs_high_recall.csv", "bugs-high-recall", "bugs_high_recall_cdf.csv"),
-        ("bugs_high_precision.csv", "bugs-high-precision", "bugs_high_precision_cdf.csv"),
-    ]
-    for source, prefix, target in sources:
+    # a curve file's stem names its series and its CDF file: bugs_high_recall.csv
+    # holds bugs-high-recall-top<pct>, written to bugs_high_recall_cdf.csv
+    for source in STAGES["pareto"].outputs + STAGES["bugs"].outputs:
         src = artifacts / source
         if not src.exists():
             raise MissingStage(f"{source} not found in {artifacts}")
+        stem = src.stem
         with _parsing(src):
-            rows = _curve_cdf_rows(src, prefix)
-        path = plots / target
+            rows = _curve_cdf_rows(src, stem.replace("_", "-"))
+        path = plots / f"{stem}_cdf.csv"
         write_csv(path, ["series", "x", "y"], rows)
         written.append(path)
 

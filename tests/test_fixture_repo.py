@@ -236,6 +236,16 @@ def test_pipeline_runs_every_stage_once_under_a_manifest_that_lists_output_names
     assert set(run_pipeline(config).values()) == {"skipped"}
 
 
+@pytest.mark.parametrize("manifest", ["[]", '{"stages": []}', '{"stages": {"extract": 1}}', "{broken"])
+def test_pipeline_runs_every_stage_once_under_a_malformed_manifest(pipeline_run, manifest):
+    _, config, out, _ = pipeline_run
+    files = (*ARTIFACTS, "manifest.json")
+    before = {name: (out / name).read_bytes() for name in files}
+    (out / "manifest.json").write_text(manifest)
+    assert set(run_pipeline(config).values()) == {"ran"}
+    assert {name: (out / name).read_bytes() for name in files} == before
+
+
 def test_pipeline_reruns_only_the_stages_a_change_reaches(fixture_repo, tmp_path):
     config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
                             out=str(tmp_path / "rerun"), project="fixture", seed=7)
@@ -299,10 +309,13 @@ def test_each_configuration_key_moves_the_digests_of_the_stages_that_read_it(key
     assert [name for name in STAGES if before[name] != after[name]] == list(moved)
 
 
-def test_the_snapshot_moves_every_digest_and_names_an_unnamed_project():
+def test_the_snapshot_moves_only_repository_stages_and_names_an_unnamed_project():
+    """Only extract and trace are handed the snapshot, so only their digests
+    hold it; the later stages see it through their inputs' bytes."""
     base = PipelineConfig(project="fixture")
-    before = _stage_digests(base)
-    assert all(before[name] != digest for name, digest in _stage_digests(base, "t" * 40).items())
+    before, after = _stage_digests(base), _stage_digests(base, "t" * 40)
+    assert ([name for name in STAGES if before[name] != after[name]]
+            == [name for name, stage in STAGES.items() if stage.reads_repo] == ["extract", "trace"])
     unnamed = PipelineConfig(repo="a")
     moved = _stage_digests(replace(unnamed, repo="b"))
     assert [name for name, digest in _stage_digests(unnamed).items() if digest != moved[name]] == ["extract"]

@@ -15,6 +15,8 @@ from methodlens import ml, pipeline
 from methodlens.cli import build_parser, load_config, main
 from methodlens.history import DAYS_PER_YEAR, compute_indicators
 from methodlens.pipeline import (
+    INDICATOR_ALIASES,
+    STAGES,
     ConfigError,
     PipelineConfig,
     StageError,
@@ -158,6 +160,14 @@ def test_an_unknown_indicator_is_a_config_error(tmp_path):
         PipelineConfig(indicator="bogus")
     with pytest.raises(ConfigError, match="^line 1: unknown indicator 'bogus'$"):
         validate_config(write_config(tmp_path, "indicator = bogus"))
+
+
+def test_an_indicator_alias_names_its_indicator_in_files_flags_and_calls(tmp_path):
+    for alias, name in INDICATOR_ALIASES.items():
+        assert PipelineConfig(indicator=alias).indicator == name
+        assert validate_config(write_config(tmp_path, f"indicator = {alias}")).indicator == name
+        args = build_parser().parse_args(["pareto", "--labeled", "d.ndjson", "--indicator", alias])
+        assert load_config(args).indicator == name
 
 
 def test_flags_set_the_config_fields_they_name():
@@ -336,6 +346,33 @@ def test_subcommands_write_the_pipeline_bytes(fixture_repo, tmp_path):
     assert main(["pipeline", "--repo", repo, "--commit", sha, "--seed", "7", "--out", str(piped)]) == 0
     names = sorted(path.name for path in piped.iterdir() if path.name != "manifest.json")
     assert len(names) == 10
+    assert [name for name in names if (staged / name).read_bytes() != (piped / name).read_bytes()] == []
+
+
+@pytest.mark.parametrize("repo_flags", [False, True], ids=["without-repo", "git-missing"])
+def test_the_stages_after_trace_open_no_repository_and_write_the_pipeline_bytes(fixture_repo, tmp_path, monkeypatch,
+                                                                                git_children, repo_flags):
+    """Only extract and trace read the repository, so the later subcommands
+    start no git process and ignore --repo/--commit."""
+    repo, sha = str(fixture_repo["repo"]), fixture_repo["snapshot"]
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    assert main(["pipeline", "--repo", repo, "--commit", sha, "--seed", "7", "--out", str(piped)]) == 0
+    histories, dataset = str(piped / "histories.ndjson"), str(staged / "dataset.ndjson")
+    monkeypatch.setenv("METHODLENS_GIT", str(tmp_path / "no-such-git"))
+    del git_children[:]
+    flags = ["--repo", repo, "--commit", sha] if repo_flags else []
+    for argv in (["label", "--histories", histories],
+                 ["pareto", "--labeled", dataset],
+                 ["bugs", "--labeled", dataset, "--dataset", "high-recall"],
+                 ["bugs", "--labeled", dataset, "--dataset", "high-precision"],
+                 ["correlate", "--labeled", dataset],
+                 ["rank", "--labeled", dataset, "--histories", histories],
+                 ["train", "--dataset", dataset]):
+        assert main([*argv, *flags, "--seed", "7", "--out", str(staged)]) == 0
+    assert git_children == []
+    names = sorted(path.name for path in staged.iterdir())
+    assert names == sorted(artifact for stage in STAGES.values() if not stage.reads_repo
+                           for artifact in stage.outputs)
     assert [name for name in names if (staged / name).read_bytes() != (piped / name).read_bytes()] == []
 
 
@@ -599,6 +636,19 @@ def test_cli_exit_code_missing_repo(tmp_path):
     code = main(["extract", "--repo", str(tmp_path / "nope"),
                  "--commit", "abc", "--out", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("missing", ["repo", "commit"])
+@pytest.mark.parametrize("argv", [["extract"], ["trace", "--methods", "methods.ndjson"], ["pipeline"]],
+                         ids=["extract", "trace", "pipeline"])
+def test_the_repository_stages_require_repo_and_commit(fixture_repo, tmp_path, capsys, argv, missing):
+    given = {"repo": str(fixture_repo["repo"]), "commit": fixture_repo["snapshot"]}
+    del given[missing]
+    out = tmp_path / "out"
+    flags = [arg for key, value in given.items() for arg in (f"--{key}", value)]
+    assert main([*argv, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: --{missing} is required (flag or config file)\n"
+    assert not out.exists()
 
 
 def test_cli_exit_code_config_error(fixture_repo, tmp_path):
