@@ -45,7 +45,7 @@ class ParetoCurve:
     captured: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledMethod:
     identity: MethodIdentity
     metrics: MetricVector

@@ -13,6 +13,7 @@ golden fixtures stay stable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from .java_extract import (
@@ -500,9 +501,9 @@ def byte_entropy(text: str) -> float:
     data = text.encode("utf-8")
     if not data:
         return 0.0
-    counts: dict[int, int] = {}
-    for b in data:
-        counts[b] = counts.get(b, 0) + 1
+    # Counter keeps first-seen order, so the sum runs in the order of a
+    # plain counting loop
+    counts = Counter(data)
     total = len(data)
     return -sum((c / total) * math.log2(c / total) for c in counts.values())
 

@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -197,7 +198,11 @@ os.umask(_UMASK)
 def _atomic_write(path: Path, data: bytes) -> None:
     """Replace `path` through a temporary file of its own in the same
     directory, so two writers of one path never share a temporary name; the
-    temporary file is removed if the write or the replace fails."""
+    temporary file is removed if the write or the replace fails.  The run's
+    parses of `path` are dropped."""
+    reads = _RUN_READS.get()
+    if reads is not None:
+        reads.pop(Path(path), None)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
@@ -266,6 +271,35 @@ def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
                 continue
             records.append(record)
     return header, records
+
+
+# the parses of the run_pipeline call in progress, path -> {loader: result};
+# None outside one, so a stage subcommand or a direct runner call parses
+# every time and nothing outlives the call
+_RUN_READS: ContextVar[dict[Path, dict[Callable, object]] | None] = ContextVar("_RUN_READS", default=None)
+
+
+def _read_once(load: Callable, path: Path):
+    """`load(path)`; during a run_pipeline call the first stage to load
+    `path` parses it and the later stages share the result until the run
+    writes `path`.  A load that raises keeps nothing."""
+    reads = _RUN_READS.get()
+    if reads is None:
+        return load(path)
+    loaded = reads.setdefault(Path(path), {})
+    if load not in loaded:
+        loaded[load] = load(path)
+    return loaded[load]
+
+
+@contextmanager
+def _shared_reads():
+    """Share parses among the reads made inside the block, and only there."""
+    token = _RUN_READS.set({})
+    try:
+        yield
+    finally:
+        _RUN_READS.reset(token)
 
 
 def write_csv(path: Path, columns: list[str], rows) -> None:
@@ -501,7 +535,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
 
 
 def run_label(config: PipelineConfig, out: Path, digests: dict[str, str], *, histories_path: Path) -> None:
-    header, records = read_ndjson(histories_path)
+    header, records = _read_once(read_ndjson, histories_path)
     with _parsing(histories_path):
         snapshot_time = header["snapshotTime"]
         histories = [history_from_record(r) for r in records]
@@ -538,10 +572,16 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str], *, his
     )
 
 
-def _load_dataset(dataset_path: Path) -> list[LabeledMethod]:
+def _parse_dataset(dataset_path: Path) -> list[LabeledMethod]:
     _, records = read_ndjson(dataset_path)
     with _parsing(dataset_path):
         return [labeled_from_record(r) for r in records]
+
+
+def _load_dataset(dataset_path: Path) -> list[LabeledMethod]:
+    """The methods of `dataset_path`; the stages of one run share the list,
+    and none of them changes it."""
+    return _read_once(_parse_dataset, dataset_path)
 
 
 def _by_project(methods: list[LabeledMethod]) -> dict[str, list[LabeledMethod]]:
@@ -587,7 +627,7 @@ def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *,
 def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
              histories_path: Path) -> None:
     methods = _load_dataset(dataset_path)
-    _, history_records = read_ndjson(histories_path)
+    _, history_records = _read_once(read_ndjson, histories_path)
     with _parsing(histories_path):
         history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
     missing = next((m.identity.as_str() for m in methods if m.identity.as_str() not in history_by_key), None)
@@ -818,8 +858,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     # artifact -> sha256 of its bytes in `out`, taken when a stage checks or
     # writes it; a later stage's input digests are read from here
     sha: dict[str, str | None] = {}
-    # extract and trace share the repository's one `cat-file --batch` child
-    with repo:
+    # extract and trace share the repository's one `cat-file --batch` child,
+    # and the stages share their parses of each artifact
+    with repo, _shared_reads():
         for name, stage in STAGES.items():
             inputs = {artifact: out / artifact for artifact in stage.inputs}
             digests = stage_digests(stage, config, sha, snapshot)
@@ -893,16 +934,19 @@ def emit_plot_data(artifacts: str | Path) -> list[Path]:
     """Plot-ready CDF files, columns exactly (series, x, y), in the
     `plots` directory of `artifacts`."""
     artifacts = Path(artifacts)
+    curves = STAGES["pareto"].outputs + STAGES["bugs"].outputs
+    # a missing input fails the report before it makes the plots directory
+    missing = next((name for name in curves + STAGES["train"].outputs if not (artifacts / name).exists()), None)
+    if missing is not None:
+        raise MissingStage(f"{missing} not found in {artifacts}")
     plots = artifacts / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     # a curve file's stem names its series and its CDF file: bugs_high_recall.csv
     # holds bugs-high-recall-top<pct>, written to bugs_high_recall_cdf.csv
-    for source in STAGES["pareto"].outputs + STAGES["bugs"].outputs:
+    for source in curves:
         src = artifacts / source
-        if not src.exists():
-            raise MissingStage(f"{source} not found in {artifacts}")
         stem = src.stem
         with _parsing(src):
             rows = _curve_cdf_rows(src, stem.replace("_", "-"))

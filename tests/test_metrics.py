@@ -296,6 +296,21 @@ def test_entropy_of_single_character_is_zero():
     assert byte_entropy("a") == 0.0
 
 
+def test_entropy_is_bit_identical_to_the_counting_loop():
+    """The oracle counts bytes in a dict loop; the sum must run in the same
+    first-seen order, so the results agree to the last bit."""
+    import random
+
+    from oracles import shannon_entropy_bits
+
+    rng = random.Random(11)
+    alphabet = "ab{}();= \n\tx0é€𝔘"
+    texts = ["", "a", "é"] + ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 400)))
+                              for _ in range(200)]
+    for text in texts:
+        assert byte_entropy(text).hex() == shannon_entropy_bits(text.encode("utf-8")).hex(), text
+
+
 # --- parameters / variables / comment ratio -------------------------------
 
 def test_counts_multi_declarator():

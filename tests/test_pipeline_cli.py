@@ -446,14 +446,13 @@ def trainable_dataset(tmp_path_factory):
     are not all 1.0, plus one project without ugly methods, whose held-out
     scores are undefined (nan) under approach 2."""
     import random
+    from dataclasses import replace
 
     from synth import labeled, metric_vector, separable_corpus
 
-    methods = separable_corpus(projects=5, per_project=20, seed=3, bad_share=0.1)
     rng = random.Random(1)
-    for m in methods:
-        if rng.random() < 0.15:
-            m.label = "good" if m.label == "ugly" else "ugly"
+    methods = [replace(m, label="good" if m.label == "ugly" else "ugly") if rng.random() < 0.15 else m
+               for m in separable_corpus(projects=5, per_project=20, seed=3, bad_share=0.1)]
     methods += [labeled(1000 + i, project="quiet", metrics=metric_vector(size=5 + i)) for i in range(10)]
     path = tmp_path_factory.mktemp("trainable") / "dataset.ndjson"
     write_ndjson(path, "label", {}, [labeled_record(m, 0, 2000.0) for m in methods])
@@ -660,10 +659,27 @@ def test_cli_exit_code_config_error(fixture_repo, tmp_path):
     assert code == 2
 
 
-def test_cli_exit_code_missing_stage(tmp_path):
+def test_cli_exit_code_missing_stage(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["report", "--artifacts", str(tmp_path / "empty")])
     assert code == 4
+    assert capsys.readouterr().err == f"error: pareto.csv not found in {tmp_path / 'empty'}\n"
+    assert list((tmp_path / "empty").iterdir()) == []
+
+
+def test_report_on_a_missing_directory_makes_none(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "--artifacts", "typo"]) == 4
+    assert capsys.readouterr().err == "error: pareto.csv not found in typo\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_without_a_train_report_writes_no_plots(tmp_path, capsys):
+    for name in ("pareto.csv", "bugs_high_recall.csv", "bugs_high_precision.csv"):
+        (tmp_path / name).write_text("project,fraction,captured\np,0.05,0.5\n")
+    assert main(["report", "--artifacts", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"error: report.json not found in {tmp_path}\n"
+    assert not (tmp_path / "plots").exists()
 
 
 # a methods.ndjson record without a signature, under a header written at
