@@ -33,6 +33,7 @@ from .pipeline import (
     read_ndjson,
     run_pipeline,
     run_stage,
+    stage_header,
     ugly_points,
     validate_config,
     write_csv,
@@ -183,9 +184,9 @@ def cmd_metrics(args) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.ndjson"
+    own_keys = stage_header("metrics", {})  # extract's extra fields are the rest of its header
     write_ndjson(metrics_path, "metrics", {"methods.ndjson": digest_file(methods_path)}, annotated,
-                 extra_header={k: v for k, v in header.items()
-                               if k not in ("schemaVersion", "stage", "toolVersion", "inputDigests")})
+                 extra_header={k: v for k, v in header.items() if k not in own_keys})
     print(f"wrote {len(annotated)} annotated records to {metrics_path}")
     if args.csv:
         rows = [[repr(float(getattr(v, name))) if isinstance(getattr(v, name), float)

@@ -12,7 +12,6 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -446,124 +445,64 @@ def _best_splits(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, rows: np.ndarr
     return gain, feature, threshold
 
 
-@dataclass(slots=True)
-class _Node:
-    prediction: int = 0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 @dataclass(frozen=True)
-class _FlatTrees:
-    """Trees as arrays, each tree in preorder after the one before: node i
-    sends a row x to left[i] if x[feature[i]] <= threshold[i], else to
-    right[i], and predicts prediction[i].  A leaf is its own left and right
-    child.  `roots` holds each tree's first node, and `depth` the depth of
-    the deepest leaf."""
+class _Trees:
+    """Trees as arrays: node i sends a row x to left[i] if x[feature[i]] <=
+    threshold[i], else to right[i], predicts prediction[i], the majority
+    class of its rows, and sits level[i] below its root.  A leaf is its own
+    left and right child.  `roots` holds each tree's root, and `depths` the
+    level of each tree's deepest leaf."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     prediction: np.ndarray
+    level: np.ndarray
     roots: np.ndarray
-    depth: int
-
-    @classmethod
-    def of(cls, roots: list[_Node]) -> "_FlatTrees":
-        feature, threshold, left, right, prediction = array("q"), array("d"), array("q"), array("q"), array("q")
-        starts, depth = [], 0
-        for root in roots:
-            starts.append(len(prediction))
-            stack = [(root, -1, 0)]  # (node, its parent if it is a right child, its depth)
-            while stack:
-                node, parent, level = stack.pop()
-                i = len(prediction)
-                if parent >= 0:
-                    right[parent] = i
-                prediction.append(node.prediction)
-                if node.left is None:
-                    feature.append(0)
-                    threshold.append(0.0)
-                    left.append(i)
-                    right.append(i)
-                    if level > depth:
-                        depth = level
-                else:
-                    feature.append(node.feature)
-                    threshold.append(node.threshold)
-                    left.append(i + 1)
-                    right.append(-1)
-                    stack.append((node.right, i, level + 1))
-                    stack.append((node.left, -1, level + 1))
-        return cls(np.array(feature), np.array(threshold), np.array(left), np.array(right), np.array(prediction),
-                   np.array(starts, dtype=np.intp), depth)
+    depths: np.ndarray
 
     def leaves(self, Xs: np.ndarray) -> np.ndarray:
         """The leaf each row of Xs reaches in each tree, a rows × trees array:
         all rows move down one level of all trees per step."""
         node = np.broadcast_to(self.roots, (len(Xs), len(self.roots)))
         rows = np.arange(len(Xs))[:, None]
-        for _ in range(self.depth):
+        for _ in range(int(self.depths.max(initial=0))):
             node = np.where(Xs[rows, self.feature[node]] <= self.threshold[node], self.left[node], self.right[node])
         return node
 
 
 @dataclass
 class TreeModel:
-    root: _Node
+    trees: _Trees  # one tree
     scaler: MinMaxScaler
     config: TreeConfig
-    depth: int
-
-    @cached_property
-    def _flat(self) -> "_FlatTrees":
-        return _FlatTrees.of([self.root])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        flat = self._flat
-        return flat.prediction[flat.leaves(self.scaler.transform(X))[:, 0]]
+        return self.trees.prediction[self.trees.leaves(self.scaler.transform(X))[:, 0]]
 
     def truncated(self, config: TreeConfig) -> "TreeModel":
         """The tree `train_tree` grows under `config` on this tree's rows, cut
-        from this one: a node at depth `config.max_depth` becomes a leaf of
-        the majority prediction it already stores.  Exact for a depth this
-        tree reaches or passes."""
+        from this one: every node at depth `config.max_depth` or deeper
+        becomes a leaf of the majority prediction it already stores.  Exact
+        for a depth this tree reaches or passes."""
         grown = self.config.max_depth
         if grown is not None and (config.max_depth is None or config.max_depth > grown):
             raise ValueError(f"{config} cannot be cut from a tree grown under {self.config}")
         if config.max_depth is None:
             return replace(self, config=config)
-        return TreeModel(root=_cut(self.root, config.max_depth), scaler=self.scaler,
-                         config=config, depth=min(self.depth, config.max_depth))
+        trees = self.trees
+        cut = trees.level >= config.max_depth
+        node = np.arange(len(cut))
+        trees = replace(trees, left=np.where(cut, node, trees.left), right=np.where(cut, node, trees.right),
+                        depths=np.minimum(trees.depths, config.max_depth))
+        return TreeModel(trees=trees, scaler=self.scaler, config=config)
 
 
-def _cut(node: _Node, depth: int) -> _Node:
-    if node.is_leaf or depth == 0:
-        return _Node(prediction=node.prediction)
-    return _Node(node.prediction, node.feature, node.threshold,
-                 _cut(node.left, depth - 1), _cut(node.right, depth - 1))
-
-
-@dataclass(slots=True)
-class _Growing:
-    """A tree being grown: the depth reached so far, and the (node, rows,
-    label sum, depth) of each node still to split, the next preorder one on
-    top."""
-    depth: int = 0
-    stack: list = field(default_factory=list)
-
-
-def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_per_split=None) -> list[tuple[_Node, int]]:
-    """(root, depth) of the CART tree grown on X[rows], y[rows] for each
-    (rows, rng) of `samples`, each with len(X) rows.  A node that is neither
-    pure nor at the maximum depth draws `features_per_split` features from
-    its tree's `rng`, then takes its best split, if it has one.
+def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_per_split=None) -> _Trees:
+    """The CART tree grown on X[rows], y[rows] for each (rows, rng) of
+    `samples`, each with len(X) rows.  A node that is neither pure nor at
+    the maximum depth draws `features_per_split` features from its tree's
+    `rng`, then takes its best split, if it has one.
 
     The trees grow in lockstep, at most _STEP_ROWS // len(X) at once, so
     that one node of each fits in a step of _STEP_ROWS rows.  A step takes
@@ -571,7 +510,8 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
     the nodes taken in one `_best_splits` call and splits them.  So each
     generator makes the draws of a depth-first recursion, in its order
     (`tests/oracles.py` keeps that recursion).  A tree that draws nothing
-    gives up as many of its open nodes as the step's rows allow.
+    gives up as many of its open nodes as the step's rows allow.  Each node
+    is written into the arrays as it is planted, a leaf until it splits.
     """
     max_depth = config.max_depth
     n_features = X.shape[1]
@@ -579,32 +519,48 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
     every_feature = np.arange(n_features)
     width = max(1, _STEP_ROWS // len(X))
     ranks = _value_ranks(X)
+    feature, left, right, prediction, level = (array("q") for _ in range(5))
+    threshold = array("d")
+    roots, depths = [], []
+    opened = []  # each tree's (node, rows, label sum, depth) still to split, the next preorder one last
 
-    def plant(tree: _Growing, rows: np.ndarray, pos: int, depth: int) -> _Node:
+    def plant(tree: int, rows: np.ndarray, pos: int, depth: int) -> int:
+        """A new leaf of `tree` on `rows`, `pos` of them positive, opened if
+        it may split."""
+        i = len(prediction)
         n = len(rows)
-        node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
-        if depth > tree.depth:
-            tree.depth = depth
+        prediction.append(1 if pos > n - pos else 0)  # tie goes to 'good'
+        feature.append(0)
+        threshold.append(0.0)
+        left.append(i)
+        right.append(i)
+        level.append(depth)
+        if depth > depths[tree]:
+            depths[tree] = depth
         if 0 < pos < n and (max_depth is None or depth < max_depth):
-            tree.stack.append((node, rows, pos, depth))
-        return node
+            opened[tree].append((i, rows, pos, depth))
+        return i
 
-    grown, growing = [], []  # growing: (tree, generator), so that a grown tree drops its generator
+    growing = []  # (tree, generator), so that a grown tree drops its generator
     samples = iter(samples)
     while True:
-        growing = [(tree, rng) for tree, rng in growing if tree.stack]
+        growing = [(tree, rng) for tree, rng in growing if opened[tree]]
         while len(growing) < width and (sample := next(samples, None)) is not None:
             rows, rng = sample
-            tree = _Growing()
-            grown.append((plant(tree, rows, int(y[rows].sum()), 0), tree))
-            if tree.stack:
+            tree = len(roots)
+            depths.append(0)
+            opened.append([])
+            roots.append(plant(tree, rows, int(y[rows].sum()), 0))
+            if opened[tree]:
                 growing.append((tree, rng))
         if not growing:
-            return [(root, tree.depth) for root, tree in grown]
+            return _Trees(np.array(feature), np.array(threshold), np.array(left), np.array(right),
+                          np.array(prediction), np.array(level), np.array(roots, dtype=np.intp), np.array(depths))
         taken, features, budget = [], [], _STEP_ROWS
         for tree, rng in growing:
-            while tree.stack and (not taken or len(tree.stack[-1][1]) <= budget):
-                taken.append((tree, *tree.stack.pop()))
+            stack = opened[tree]
+            while stack and (not taken or len(stack[-1][1]) <= budget):
+                taken.append((tree, *stack.pop()))
                 budget -= len(taken[-1][2])
                 if draws:
                     chosen = rng.choice(n_features, size=features_per_split, replace=False)
@@ -614,29 +570,29 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
                 features.append(every_feature)
         sizes = np.array([len(item[2]) for item in taken])
         rows = np.concatenate([item[2] for item in taken])
-        gain, feature, threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features))
-        go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+        gain, split_feature, split_threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features))
+        go_left = X[rows, np.repeat(split_feature, sizes)] <= np.repeat(split_threshold, sizes)
         go_right = ~go_left
         starts = np.cumsum(sizes) - sizes
         left_pos = np.add.reduceat(y[rows] * go_left, starts).tolist()
         bounds = np.append(starts, len(rows)).tolist()
         for i, ((tree, node, node_rows, pos, depth), g, f, t) in enumerate(
-                zip(taken, gain.tolist(), feature.tolist(), threshold.tolist())):
+                zip(taken, gain.tolist(), split_feature.tolist(), split_threshold.tolist())):
             if g == -math.inf:
                 continue
-            node.feature = f
-            node.threshold = t
+            feature[node] = f
+            threshold[node] = t
             a, b = bounds[i], bounds[i + 1]
             # the right child first, so that the left one is next in preorder
-            node.right = plant(tree, node_rows[go_right[a:b]], pos - left_pos[i], depth + 1)
-            node.left = plant(tree, node_rows[go_left[a:b]], left_pos[i], depth + 1)
+            right[node] = plant(tree, node_rows[go_right[a:b]], pos - left_pos[i], depth + 1)
+            left[node] = plant(tree, node_rows[go_left[a:b]], left_pos[i], depth + 1)
 
 
 def train_tree(rows: list[FeatureRow], config: TreeConfig = TreeConfig()) -> TreeModel:
     X_raw, y = _matrix(rows)
     scaler = MinMaxScaler.fit(X_raw)
-    [(root, depth)] = _grow(scaler.transform(X_raw), y, config, [(np.arange(len(rows)), None)])
-    return TreeModel(root=root, scaler=scaler, config=config, depth=depth)
+    trees = _grow(scaler.transform(X_raw), y, config, [(np.arange(len(rows)), None)])
+    return TreeModel(trees=trees, scaler=scaler, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -655,19 +611,14 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    roots: list[_Node]
+    trees: _Trees
     scaler: MinMaxScaler
     config: ForestConfig
 
-    @cached_property
-    def _flat(self) -> "_FlatTrees":
-        return _FlatTrees.of(self.roots)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        flat = self._flat
-        votes = flat.prediction[flat.leaves(self.scaler.transform(X))].sum(axis=1)
+        votes = self.trees.prediction[self.trees.leaves(self.scaler.transform(X))].sum(axis=1)
         # strict majority for 'ugly'; ties go to 'good'
-        return (votes * 2 > len(self.roots)).astype(int)
+        return (votes * 2 > len(self.trees.roots)).astype(int)
 
     def prefix(self, config: ForestConfig) -> "ForestModel":
         """The forest `train_forest` grows under `config` on this forest's
@@ -676,7 +627,8 @@ class ForestModel:
         number of children asked for."""
         if config.trees > self.config.trees or config.seed != self.config.seed:
             raise ValueError(f"{config} is not a prefix of a forest grown under {self.config}")
-        return ForestModel(roots=self.roots[:config.trees], scaler=self.scaler, config=config)
+        trees = replace(self.trees, roots=self.trees.roots[:config.trees], depths=self.trees.depths[:config.trees])
+        return ForestModel(trees=trees, scaler=self.scaler, config=config)
 
 
 def train_forest(rows: list[FeatureRow], config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -693,8 +645,7 @@ def train_forest(rows: list[FeatureRow], config: ForestConfig = ForestConfig()) 
             rng = np.random.default_rng(child_seq)
             yield rng.integers(0, n, n), rng
 
-    grown = _grow(X, y, TreeConfig(), samples(), FEATURES_PER_SPLIT)
-    return ForestModel(roots=[root for root, _ in grown], scaler=scaler, config=config)
+    return ForestModel(trees=_grow(X, y, TreeConfig(), samples(), FEATURES_PER_SPLIT), scaler=scaler, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +44,7 @@ from .labeling import (
     pareto_curve,
 )
 from .metrics import MetricVector, compute_metric_vector
-from .stats import composite_scores, correlation_table, select_surprising, signs_from_table
+from .stats import CorrelationEntry, composite_scores, correlation_table, select_surprising, signs_from_table
 
 log = logging.getLogger("methodlens.pipeline")
 
@@ -617,9 +617,21 @@ def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
                       lambda group: bug_capture(group, indicator=config.indicator, dataset=dataset))
 
 
+@dataclass(frozen=True)
+class _Correlations:
+    """`correlation_table` of `methods`, the methods of the dataset it is
+    called with, as a load of that dataset for `_read_once`: the loads of
+    one indicator are one key, so the stages of a run share the table."""
+    indicator: str
+    methods: list[LabeledMethod] = field(compare=False, repr=False)
+
+    def __call__(self, dataset_path: Path) -> list[CorrelationEntry]:
+        return correlation_table(self.methods, indicator=self.indicator)
+
+
 def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
     methods = _load_dataset(dataset_path)
-    table = correlation_table(methods, indicator=config.indicator)
+    table = _read_once(_Correlations(config.indicator, methods), dataset_path)
     rows = [(e.metric, _fmt(e.tau), _fmt(e.pValue), e.n) for e in table]
     write_csv(out / "correlations.csv", ["metric", "tau", "p", "n"], rows)
 
@@ -633,7 +645,7 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
     missing = next((m.identity.as_str() for m in methods if m.identity.as_str() not in history_by_key), None)
     if missing is not None:
         raise ValueError(f"{histories_path} has no history for {missing}")
-    table = correlation_table(methods, indicator=config.indicator)
+    table = _read_once(_Correlations(config.indicator, methods), dataset_path)
     ranking = composite_scores(methods, signs_from_table(table))
     good, ugly = select_surprising(
         methods, ranking, top_n=config.top_n, per_project_cap=config.per_project_cap

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from methodlens.history import (SMALL_METHOD_CHARS, MethodHistory, MethodIdentit
 from methodlens.java_extract import (KEYWORDS, WORD_LITERALS, ExtractionError, LexicalError, MethodDeclaration,
                                      _Extractor, body_block, extract_methods, normalize_source, signature)
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
-                           TreeConfig, _matrix, _Node)
+                           TreeConfig, _matrix)
 
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
@@ -241,14 +242,51 @@ def best_split_reference(X: np.ndarray, y: np.ndarray, feature_indices):
     return best
 
 
-def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_split) -> tuple[_Node, int]:
+@dataclass
+class TreeNode:
+    """A node of a tree as the recursion grows it: a leaf has no children,
+    and keeps the default feature and threshold."""
+    prediction: int = 0
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def grown_trees(trees) -> list[tuple[TreeNode, int]]:
+    """(root, depth) of each tree of the node arrays `trees`, as a
+    `TreeModel` or `ForestModel` holds them, read back into `TreeNode`s: a
+    node that is its own left child is a leaf.  Checks on the way that each
+    node's stored level is its depth and each tree's stored depth is its
+    deepest leaf's."""
+    def read(i: int, depth: int) -> tuple[TreeNode, int]:
+        assert trees.level[i] == depth
+        node = TreeNode(prediction=int(trees.prediction[i]))
+        if trees.left[i] == i:
+            assert trees.right[i] == i
+            return node, depth
+        node.feature, node.threshold = int(trees.feature[i]), float(trees.threshold[i])
+        node.left, dl = read(int(trees.left[i]), depth + 1)
+        node.right, dr = read(int(trees.right[i]), depth + 1)
+        return node, max(dl, dr)
+
+    grown = [read(int(root), 0) for root in trees.roots]
+    assert [depth for _, depth in grown] == trees.depths.tolist()
+    return grown
+
+
+def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_split) -> tuple[TreeNode, int]:
     """(root, depth) of the CART tree on X, y, grown by depth-first
     recursion, one node and one `best_split_reference` at a time; a node
     that is neither pure nor at the maximum depth draws its features from
     `rng` before it is searched."""
     n = len(y)
     pos = int(y.sum())
-    node = _Node(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
+    node = TreeNode(prediction=1 if pos > n - pos else 0)  # tie goes to 'good'
     if pos in (0, n):
         return node, depth
     if config.max_depth is not None and depth >= config.max_depth:
@@ -300,7 +338,7 @@ def train_logistic_reference(rows, config: LogisticConfig = LogisticConfig()) ->
     return LogisticModel(weights=w, bias=b, scaler=scaler, config=config, loss_history=losses)
 
 
-def _leaf_prediction(root: _Node, x) -> int:
+def _leaf_prediction(root: TreeNode, x) -> int:
     node = root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
@@ -309,18 +347,20 @@ def _leaf_prediction(root: _Node, x) -> int:
 
 def predict_tree_reference(model, X) -> np.ndarray:
     """A `TreeModel`'s predictions, walking the tree once per row."""
-    return np.array([_leaf_prediction(model.root, x) for x in model.scaler.transform(X)], dtype=int)
+    [(root, _)] = grown_trees(model.trees)
+    return np.array([_leaf_prediction(root, x) for x in model.scaler.transform(X)], dtype=int)
 
 
 def predict_forest_reference(model, X) -> np.ndarray:
     """A `ForestModel`'s predictions, walking every tree once per row: a
     strict majority of the trees' votes for 'ugly', ties to 'good'."""
     Xs = model.scaler.transform(X)
+    roots = [root for root, _ in grown_trees(model.trees)]
     votes = np.zeros(len(Xs), dtype=int)
-    for root in model.roots:
+    for root in roots:
         for i, x in enumerate(Xs):
             votes[i] += _leaf_prediction(root, x)
-    return (votes * 2 > len(model.roots)).astype(int)
+    return (votes * 2 > len(roots)).astype(int)
 
 
 class _FullScanExtractor(_Extractor):

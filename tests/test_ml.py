@@ -33,6 +33,7 @@ from methodlens.metrics import METRIC_NAMES
 from oracles import (
     best_split_reference,
     grow_tree_reference,
+    grown_trees,
     predict_forest_reference,
     predict_tree_reference,
     train_logistic_reference,
@@ -209,9 +210,9 @@ def test_logistic_loss_nonincreasing():
 
 def test_tree_pure_input_single_leaf():
     rows = [row(i, "good", size=i) for i in range(6)]
-    model = train_tree(rows)
-    assert model.root.is_leaf
-    assert model.depth == 0
+    [(root, depth)] = grown_trees(train_tree(rows).trees)
+    assert root.is_leaf
+    assert depth == 0
 
 
 def test_tree_xor_pattern():
@@ -220,7 +221,8 @@ def test_tree_xor_pattern():
     model = train_tree(rows)
     X = np.array([r.features for r in rows])
     y = np.array([1 if r.label == "ugly" else 0 for r in rows])
-    assert model.depth >= 2
+    [(_, depth)] = grown_trees(model.trees)
+    assert depth >= 2
     assert (model.predict(X) == y).all()
 
 
@@ -234,7 +236,8 @@ def test_tree_deterministic_structure():
     rows = two_feature_rows(_separable_points(30))
     a = train_tree(rows)
     b = train_tree(rows)
-    assert _tree_shape(a.root) == _tree_shape(b.root)
+    [(root_a, _)], [(root_b, _)] = grown_trees(a.trees), grown_trees(b.trees)
+    assert _tree_shape(root_a) == _tree_shape(root_b)
 
 
 # --- random forest ---------------------------------------------------------------
@@ -430,7 +433,7 @@ def _noisy_methods(projects, per_project):
 def _at_thresholds(model, Xs, limit=300):
     """Scaled rows of Xs, each with one feature set to a split threshold of
     the model's trees, so that the `<=` test of that node is an equality."""
-    stack = [model.root] if isinstance(model, ml.TreeModel) else list(model.roots)
+    stack = [root for root, _ in grown_trees(model.trees)]
     rows = []
     while stack and len(rows) < limit:
         node = stack.pop()
@@ -608,24 +611,28 @@ def test_forest_of_fifty_is_the_first_fifty_trees_of_a_hundred(seed):
     rows = _noisy_rows(60, seed=seed, ties=True)
     hundred = train_forest(rows, ForestConfig(trees=100, seed=seed))
     fifty = train_forest(rows, ForestConfig(trees=50, seed=seed))
-    expected = [_exact_shape(root) for root in fifty.roots]
-    assert [_exact_shape(root) for root in hundred.roots[:50]] == expected
+    expected = [_exact_shape(root) for root, _ in grown_trees(fifty.trees)]
+    assert [_exact_shape(root) for root, _ in grown_trees(hundred.trees)[:50]] == expected
     prefix = hundred.prefix(ForestConfig(trees=50, seed=seed))
-    assert [_exact_shape(root) for root in prefix.roots] == expected
+    assert [_exact_shape(root) for root, _ in grown_trees(prefix.trees)] == expected
     assert prefix.config == fifty.config and prefix.scaler == fifty.scaler
 
 
 def test_depth_bounded_tree_is_the_unbounded_tree_cut():
-    rows = _noisy_rows(150, seed=4, ties=True)
-    unbounded = train_tree(rows)
-    assert unbounded.depth > 8
-    for depth in (4, 8):
-        config = TreeConfig(max_depth=depth)
-        bounded = train_tree(rows, config)
-        cut = unbounded.truncated(config)
-        assert _exact_shape(cut.root) == _exact_shape(bounded.root)
-        assert (cut.depth, cut.config, cut.scaler) == (bounded.depth, bounded.config, bounded.scaler)
-    assert _exact_shape(unbounded.truncated(TreeConfig()).root) == _exact_shape(unbounded.root)
+    for rows in (_noisy_rows(150, seed=4, ties=True), _tough_rows(150, seed=4)):
+        unbounded = train_tree(rows)
+        [(root, deepest)] = grown_trees(unbounded.trees)
+        assert deepest > 8
+        for depth in range(deepest + 2):
+            config = TreeConfig(max_depth=depth)
+            bounded = train_tree(rows, config)
+            cut = unbounded.truncated(config)
+            [(cut_root, cut_depth)] = grown_trees(cut.trees)
+            [(bounded_root, bounded_depth)] = grown_trees(bounded.trees)
+            assert _exact_shape(cut_root) == _exact_shape(bounded_root)
+            assert (cut_depth, cut.config, cut.scaler) == (bounded_depth, bounded.config, bounded.scaler)
+        [(kept, _)] = grown_trees(unbounded.truncated(TreeConfig()).trees)
+        assert _exact_shape(kept) == _exact_shape(root)
 
 
 def test_a_config_that_cannot_be_read_off_is_rejected():
@@ -675,15 +682,17 @@ def _assert_grown_as_the_recursion(rows, max_depth, growths, forest=None):
         return [(_exact_shape(root), depth) for root, depth in (
             grow_tree_reference(X[idx], y[idx], config, 0, rng, features_per_split) for idx, rng in samples)]
 
-    tree = train_tree(rows, config)
-    assert [(_exact_shape(tree.root), tree.depth)] == recursion([(np.arange(len(y)), None)], None)
+    def shapes(trees):
+        return [(_exact_shape(root), depth) for root, depth in grown_trees(trees)]
+
+    assert shapes(train_tree(rows, config).trees) == recursion([(np.arange(len(y)), None)], None)
     for trees, seed, features, bootstrap in growths:
         grown = ml._grow(X, y, config, _samples(len(y), trees, seed, bootstrap), features)
         expected = recursion(_samples(len(y), trees, seed, bootstrap), features)
-        assert [(_exact_shape(root), depth) for root, depth in grown] == expected, (trees, seed, features, bootstrap)
+        assert shapes(grown) == expected, (trees, seed, features, bootstrap)
     if forest is not None:
         expected = recursion(_samples(len(y), forest.trees, forest.seed, True), ml.FEATURES_PER_SPLIT)
-        assert [_exact_shape(root) for root in train_forest(rows, forest).roots] == [shape for shape, _ in expected]
+        assert shapes(train_forest(rows, forest).trees) == expected
 
 
 @pytest.mark.parametrize("max_depth", [None, 0, 1, 3])

@@ -105,3 +105,19 @@ def test_subcommands_and_direct_runner_calls_parse_every_time(config, parses, ca
     for _ in range(2):
         pipeline.run_correlate(config, out, {}, dataset_path=Path(dataset))
     assert parses == {"dataset.ndjson": 2}
+
+
+def test_a_run_computes_the_correlation_table_once(config, monkeypatch):
+    tables = []
+    real = pipeline.correlation_table
+    monkeypatch.setattr(pipeline, "correlation_table", lambda *args, **kwargs: tables.append(1) or real(*args, **kwargs))
+    run_pipeline(config)
+    assert len(tables) == 1
+
+    out = Path(config.out)
+    tables.clear()
+    for _ in range(2):
+        pipeline.run_correlate(config, out, {}, dataset_path=out / "dataset.ndjson")
+        pipeline.run_rank(config, out, {}, dataset_path=out / "dataset.ndjson",
+                          histories_path=out / "histories.ndjson")
+    assert len(tables) == 4
