@@ -231,9 +231,12 @@ def _stack(fits, W: np.ndarray):
 
     Fit i's rows are X[i, :n_i] and its labels Y[i, :n_i].  Its pad rows are
     -0.0 with label +1, so a pad row's term of the weight gradient, -0.0
-    times a positive y * sigma, is -0.0.  The gradient's sum over rows adds
-    row after row, so the pad terms come after the fit's own rows, and
-    adding -0.0 leaves a sum's bits as they are.  A step writes each fit's
+    times a positive y * sigma, is -0.0.  The gradient sums over the first
+    axis of Xt, X as a C-contiguous (rows, fits, features) array: that
+    `add.reduce` adds row after row, as the one-fit sum over X's rows does,
+    but each addition spans all fits' weights at once.  So the pad terms
+    come after the fit's own rows, and adding -0.0 leaves a sum's bits as
+    they are.  A step writes each fit's
     log-loss terms and y * sigma(-y*z) into terms_ys[0] and terms_ys[1].
     The fits of one row count m are a slice a:b of the stack.  They share
     one stacked `matmul` of X[a:b, :m] and W[a:b] into z[a:b, :m], a BLAS
@@ -259,7 +262,8 @@ def _stack(fits, W: np.ndarray):
             a = b
     columns = (n, [config.l2 / m for (_, _, config), m in zip(fits, n)])
     n_w, grad_l2 = (np.repeat(np.array(column, dtype=float)[:, None], d, axis=1) for column in columns)
-    return X, Y, z[:, :, 0], np.empty((2, k, n[-1])), products, spans, n_w, grad_l2
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+    return Xt, Y, z[:, :, 0], np.empty((2, k, n[-1])), products, spans, n_w, grad_l2
 
 
 def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[LogisticModel | NonFiniteLoss]:
@@ -303,11 +307,11 @@ def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[
 
     step = 0
     while live and step < MAX_ITER:
-        X, Y, z, terms_ys, products, spans, n_w, grad_l2 = _stack([prepared[j] for j in live], W)
+        Xt, Y, z, terms_ys, products, spans, n_w, grad_l2 = _stack([prepared[j] for j in live], W)
         per_fit = [(len(prepared[j][1]), prepared[j][2].l2 / (2.0 * len(prepared[j][1])), histories[j])
                    for j in live]
         w_row, w_col = W[:, None, :], W[:, :, None]
-        weighted = np.empty_like(X)
+        weighted = np.empty_like(Xt)
         terms, ys_rows = terms_ys
         leaving = []
         while not leaving and step < MAX_ITER:
@@ -336,7 +340,7 @@ def train_logistic(fits: list[tuple[list[FeatureRow], LogisticConfig]]) -> list[
                     continue
                 leaving.append(i)
                 steps[live[i]] = step + 1
-            W -= LEARNING_RATE * (grad_l2 * W - add(multiply(X, ys[:, :, None], out=weighted), axis=1) / n_w)
+            W -= LEARNING_RATE * (grad_l2 * W - add(multiply(Xt, ys.T[:, :, None], out=weighted), axis=0) / n_w)
             biases = stepped
             step += 1
         keep = [i for i in range(len(live)) if i not in leaving]
@@ -365,10 +369,14 @@ class TreeConfig:
 
 
 # Rows one batched split search may hold, which bounds its arrays: a forest
-# grows at most _STEP_ROWS // n of its n-row trees at once, so that a node
-# of each fits.  A single node may still be larger; it is then searched
-# alone.
+# admits a new n-row tree while the next nodes of its growing trees and the
+# new root fit in _STEP_ROWS rows.  An open node holds at least two rows, so
+# at most _STEP_ROWS // 2 trees are open at once, and their rows, at most n
+# ids a tree, stay under about _STEP_ROWS**2 / 8 ids.  A single node may
+# still be larger; it is then searched alone.
 _STEP_ROWS = 1024
+# The words a tree draws from its generator at a time for its feature draws.
+_WORD_BLOCK = 256
 
 
 def _value_ranks(X: np.ndarray) -> np.ndarray:
@@ -498,26 +506,89 @@ class TreeModel:
         return TreeModel(trees=trees, scaler=self.scaler, config=config)
 
 
+class _Words:
+    """A tree's generator as the stream of 32-bit words that
+    `Generator.choice` consumes (its `next_uint32`), drawn ahead by
+    `integers(0, 1 << 32, dtype=np.uint32)`, which hands out the same words
+    in the same order.  Drawing ahead is safe because a tree drops its
+    generator once it is grown."""
+
+    __slots__ = ("rng", "block", "at")
+
+    def __init__(self, rng):
+        self.rng, self.block, self.at = rng, [], 0
+
+    def take(self, k: int) -> list[int]:
+        """The next k words."""
+        if self.at + k > len(self.block):
+            more = self.rng.integers(0, 1 << 32, size=max(k, _WORD_BLOCK), dtype=np.uint32).tolist()
+            self.block, self.at = self.block[self.at:] + more, 0
+        self.at += k
+        return self.block[self.at - k:self.at]
+
+    def bounded(self, high: int) -> int:
+        """numpy's Lemire draw of an integer in [0, high], high >= 1: the
+        high half of word * (high + 1), redrawn while the low half is below
+        2**32 mod (high + 1)."""
+        m = self.take(1)[0] * (high + 1)
+        while m & 0xFFFFFFFF < (1 << 32) % (high + 1):
+            m = self.take(1)[0] * (high + 1)
+        return m >> 32
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """Sorted `rng.choice(n, size, replace=False)`, 0 < size < n, word
+        for word: Floyd's algorithm, then the draws of the shuffle, whose
+        order sorting discards."""
+        chosen = []
+        for j in range(n - size, n):
+            value = self.bounded(j)
+            chosen.append(j if value in chosen else value)
+        for i in range(size - 1, 0, -1):
+            self.bounded(i)
+        return sorted(chosen)
+
+
+def _draw_features(words: list[_Words], n: int, size: int) -> np.ndarray:
+    """`_Words.choice(n, size)` of each of `words`, one row each, computed
+    for all at once: the draw takes one word per Lemire draw, size for
+    Floyd's algorithm and size - 1 for the shuffle, unless a word is
+    rejected; a draw with a rejected word, rare, is redone word by word."""
+    bounds = np.array(list(range(n - size + 1, n + 1)) + list(range(size, 1, -1)), dtype=np.uint64)
+    m = np.array([w.take(len(bounds)) for w in words], dtype=np.uint64) * bounds
+    rejected = ((m & 0xFFFFFFFF) < np.array([(1 << 32) % b for b in bounds.tolist()], dtype=np.uint64)).any(axis=1)
+    values = (m[:, :size] >> 32).astype(np.intp)
+    chosen = np.empty((len(words), size), dtype=np.intp)
+    for k, j in enumerate(range(n - size, n)):
+        chosen[:, k] = np.where((chosen[:, :k] == values[:, k, None]).any(axis=1), j, values[:, k])
+    chosen.sort(axis=1)
+    for i in np.flatnonzero(rejected).tolist():
+        words[i].at -= len(bounds)
+        chosen[i] = words[i].choice(n, size)
+    return chosen
+
+
 def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_per_split=None) -> _Trees:
     """The CART tree grown on X[rows], y[rows] for each (rows, rng) of
     `samples`, each with len(X) rows.  A node that is neither pure nor at
     the maximum depth draws `features_per_split` features from its tree's
     `rng`, then takes its best split, if it has one.
 
-    The trees grow in lockstep, at most _STEP_ROWS // len(X) at once, so
-    that one node of each fits in a step of _STEP_ROWS rows.  A step takes
-    each open tree's next node in preorder, draws its features, searches all
-    the nodes taken in one `_best_splits` call and splits them.  So each
-    generator makes the draws of a depth-first recursion, in its order
-    (`tests/oracles.py` keeps that recursion).  A tree that draws nothing
-    gives up as many of its open nodes as the step's rows allow.  Each node
-    is written into the arrays as it is planted, a leaf until it splits.
+    The trees grow in lockstep.  A new tree is admitted while the next
+    nodes of the growing trees and its root fit in _STEP_ROWS rows (or when
+    none grows).  A step takes each open tree's next node in preorder,
+    draws its features, searches all the nodes taken in one `_best_splits`
+    call and splits them.  So each generator makes the draws of a
+    depth-first recursion, in its order (`tests/oracles.py` keeps that
+    recursion).  The draws of all the step's nodes are computed at once
+    (`_draw_features`), each from its tree's `_Words`.  A tree that draws
+    nothing gives up as many of its open nodes as the step's rows allow.
+    Each node is written into the arrays as it is planted, a leaf until it
+    splits.  Logs one INFO line with the trees, nodes, split searches and
+    the most trees open at once.
     """
     max_depth = config.max_depth
     n_features = X.shape[1]
     draws = features_per_split is not None and features_per_split < n_features
-    every_feature = np.arange(n_features)
-    width = max(1, _STEP_ROWS // len(X))
     ranks = _value_ranks(X)
     feature, left, right, prediction, level = (array("q") for _ in range(5))
     threshold = array("d")
@@ -541,36 +612,44 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
             opened[tree].append((i, rows, pos, depth))
         return i
 
-    growing = []  # (tree, generator), so that a grown tree drops its generator
+    growing = []  # (tree, its _Words or None), so that a grown tree drops its generator
     samples = iter(samples)
+    searches = most_open = 0
     while True:
-        growing = [(tree, rng) for tree, rng in growing if opened[tree]]
-        while len(growing) < width and (sample := next(samples, None)) is not None:
+        growing = [entry for entry in growing if opened[entry[0]]]
+        load = sum(len(opened[tree][-1][1]) for tree, _ in growing)
+        while (not growing or load + len(X) <= _STEP_ROWS) and (sample := next(samples, None)) is not None:
             rows, rng = sample
             tree = len(roots)
             depths.append(0)
             opened.append([])
             roots.append(plant(tree, rows, int(y[rows].sum()), 0))
             if opened[tree]:
-                growing.append((tree, rng))
+                growing.append((tree, _Words(rng) if draws else None))
+                load += len(rows)
         if not growing:
+            log.info("grow: %d tree%s, %d nodes, %d split searches, at most %d open at once", len(roots),
+                     "" if len(roots) == 1 else "s", len(prediction), searches, most_open)
             return _Trees(np.array(feature), np.array(threshold), np.array(left), np.array(right),
                           np.array(prediction), np.array(level), np.array(roots, dtype=np.intp), np.array(depths))
-        taken, features, budget = [], [], _STEP_ROWS
-        for tree, rng in growing:
+        most_open = max(most_open, len(growing))
+        taken, drawing, budget = [], [], _STEP_ROWS
+        for tree, words in growing:
             stack = opened[tree]
             while stack and (not taken or len(stack[-1][1]) <= budget):
                 taken.append((tree, *stack.pop()))
                 budget -= len(taken[-1][2])
-                if draws:
-                    chosen = rng.choice(n_features, size=features_per_split, replace=False)
-                    chosen.sort()
-                    features.append(chosen)
+                if words is not None:
+                    drawing.append(words)
                     break
-                features.append(every_feature)
+        if draws:
+            features = _draw_features(drawing, n_features, features_per_split)
+        else:
+            features = np.broadcast_to(np.arange(n_features), (len(taken), n_features))
         sizes = np.array([len(item[2]) for item in taken])
         rows = np.concatenate([item[2] for item in taken])
-        gain, split_feature, split_threshold = _best_splits(X, ranks, y, rows, sizes, np.array(features))
+        searches += 1
+        gain, split_feature, split_threshold = _best_splits(X, ranks, y, rows, sizes, features)
         go_left = X[rows, np.repeat(split_feature, sizes)] <= np.repeat(split_threshold, sizes)
         go_right = ~go_left
         starts = np.cumsum(sizes) - sizes
