@@ -9,7 +9,8 @@ for the whole first-parent chain and what changed at each commit,
 `ls_tree` one listing of a commit with blob ids, and `read_blobs` reads
 blobs through one long-lived `git cat-file --batch` child per `GitRepo`,
 started by the first read and stopped by `close()` (or leaving a `with`
-block, or, for a repository dropped unclosed, its finalizer).  So a
+block, or, for a repository dropped unclosed, its finalizer).  Opening a
+`GitRepo` starts no process, and `resolve_commit` starts one.  So a
 pipeline run starts the same git processes however many files it traces.
 `changes`, `file_at`, `first_parent_chain` and `ls_files` answer the same
 questions one commit or one blob at a time.
@@ -81,15 +82,17 @@ def _stop_batch(proc: subprocess.Popen) -> None:
 
 
 class GitRepo:
+    """The repository at `path`, read through the git executable.  Opening
+    one starts no process, so nothing checks `path` until the first read:
+    `resolve_commit` tells an unknown commit from a path that is no
+    readable repository.  `processes` counts the git processes started."""
+
     def __init__(self, path: str):
         self.path = str(path)
         self.git = os.environ.get(GIT_ENV_VAR) or "git"
         self._batch: subprocess.Popen | None = None
         self._stop: weakref.finalize | None = None
-        try:
-            self._run(["rev-parse", "--git-dir"])
-        except (OSError, RepoAccessError) as err:
-            raise RepoAccessError(f"not a readable git repository: {self.path}: {err}") from err
+        self.processes = 0
 
     def __enter__(self) -> GitRepo:
         return self
@@ -105,33 +108,43 @@ class GitRepo:
             self._stop()
             self._stop = None
 
-    def _run(self, args: list[str]) -> bytes:
+    def _start(self, args: list[str]) -> subprocess.CompletedProcess:
+        """`git -C <path> <args>`, run to its end."""
+        proc = subprocess.run([self.git, "-C", self.path] + args, capture_output=True)
+        self.processes += 1
+        return proc
+
+    def _run(self, args: list[str], codes: tuple[int, ...] = (0,)) -> subprocess.CompletedProcess:
+        """`_start(args)`; an exit status outside `codes`, or a git that
+        cannot be started, raises RepoAccessError."""
         try:
-            proc = subprocess.run(
-                [self.git, "-C", self.path] + args,
-                capture_output=True,
-            )
+            proc = self._start(args)
         except OSError as err:
             raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
-        if proc.returncode != 0:
+        if proc.returncode not in codes:
             raise RepoAccessError(
                 f"git {' '.join(args[:2])} failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
             )
-        return proc.stdout
+        return proc
 
     def resolve_commit(self, committish: str) -> str:
-        proc = subprocess.run(
-            [self.git, "-C", self.path, "rev-parse", "--verify", committish + "^{commit}"],
-            capture_output=True,
-        )
-        if proc.returncode != 0:
+        """The id of the commit `committish` names, from one `git rev-parse`.
+        Its exit status 1 means the name resolves to no commit
+        (UnknownCommit); any other failure, as for a missing path, a
+        directory that is no repository or a git that cannot be started,
+        raises RepoAccessError."""
+        try:
+            proc = self._run(["rev-parse", "--verify", "--quiet", committish + "^{commit}"], codes=(0, 1))
+        except RepoAccessError as err:
+            raise RepoAccessError(f"not a readable git repository: {self.path}: {err}") from err
+        if proc.returncode == 1:
             raise UnknownCommit(committish)
         return proc.stdout.decode("ascii").strip()
 
     def first_parent_chain(self, snapshot: str) -> list[CommitMeta]:
         """Snapshot followed by its first-parent ancestors, newest first."""
         snapshot = self.resolve_commit(snapshot)
-        out = self._run(["log", "-z", "--first-parent", "--format=" + _COMMIT_FORMAT, snapshot])
+        out = self._run(["log", "-z", "--first-parent", "--format=" + _COMMIT_FORMAT, snapshot]).stdout
         return [_commit_meta(record) for record in out.split(b"\x00") if record.strip()]
 
     def first_parent_history(self, snapshot: str) -> tuple[list[CommitMeta], list[dict[str, Change]]]:
@@ -143,7 +156,7 @@ class GitRepo:
         out = self._run([
             "log", "-z", "--first-parent", "-m", "-M", "--root", "--raw", "--no-abbrev",
             "--format=%x02" + _COMMIT_FORMAT, snapshot, "--",
-        ])
+        ]).stdout
         # NUL-separated fields: "\x02" + a commit record, then one raw entry
         # ":oldmode newmode oldid newid status" per changed path, followed by
         # its path, or by the old and the new path of a rename or copy
@@ -171,10 +184,7 @@ class GitRepo:
     def file_at(self, commit: str, path: str) -> str | None:
         """File content at a commit, line endings as stored, or None when
         absent.  Callers fold line endings with java_extract.normalize_source."""
-        proc = subprocess.run(
-            [self.git, "-C", self.path, "cat-file", "blob", f"{commit}:{path}"],
-            capture_output=True,
-        )
+        proc = self._start(["cat-file", "blob", f"{commit}:{path}"])
         if proc.returncode != 0:
             return None
         return proc.stdout.decode("utf-8", "replace")
@@ -190,7 +200,7 @@ class GitRepo:
             args += ["--root", child]
         else:
             args += [parent, child]
-        fields = self._run(args).split(b"\x00")
+        fields = self._run(args).stdout.split(b"\x00")
         result: dict[str, tuple[str, str | None]] = {}
         i = 0
         while i < len(fields):
@@ -216,7 +226,7 @@ class GitRepo:
     def ls_tree(self, commit: str) -> dict[str, str]:
         """{path: object id} of every .java file under `commit`, in git's
         order."""
-        out = self._run(["ls-tree", "-r", "-z", commit])
+        out = self._run(["ls-tree", "-r", "-z", commit]).stdout
         entries = {}
         for entry in out.split(b"\x00"):
             if entry:
@@ -262,6 +272,7 @@ class GitRepo:
                 )
             except OSError as err:
                 raise RepoAccessError(f"cannot invoke {self.git!r}: {err}") from err
+            self.processes += 1
             self._stop = weakref.finalize(self, _stop_batch, self._batch)
         stdin, stdout = self._batch.stdin, self._batch.stdout
         try:

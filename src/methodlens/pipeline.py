@@ -199,7 +199,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
     """Replace `path` through a temporary file of its own in the same
     directory, so two writers of one path never share a temporary name; the
     temporary file is removed if the write or the replace fails.  The run's
-    parses of `path` are dropped."""
+    parses of `path` are dropped; a stage that writes what a later stage
+    reads hands the run its parse with `_share` once the write is done."""
     reads = _RUN_READS.get()
     if reads is not None:
         reads.pop(Path(path), None)
@@ -231,7 +232,13 @@ def stage_header(stage: str, input_digests: dict[str, str]) -> dict:
     }
 
 
-def write_ndjson(path: Path, stage: str, input_digests: dict[str, str], records, extra_header: dict | None = None) -> None:
+def write_ndjson(path: Path, stage: str, input_digests: dict[str, str], records, extra_header: dict | None = None, *,
+                 shared: bool = False) -> None:
+    """Write the stage header and then one line per record.  With `shared`,
+    the run in progress takes `(header, records)` as its `read_ndjson` of
+    `path`, so that a later stage parses nothing; `records` must then be a
+    list that JSON reads back as it is: str-keyed dicts, lists and no
+    tuples, and no record shaped as a header."""
     header = stage_header(stage, input_digests)
     if extra_header:
         header.update(extra_header)
@@ -240,6 +247,8 @@ def write_ndjson(path: Path, stage: str, input_digests: dict[str, str], records,
     for record in records:
         buf.write(_json_line(record) + "\n")
     _atomic_write(path, buf.getvalue().encode("utf-8"))
+    if shared:
+        _share(path, read_ndjson, (header, records))
 
 
 @contextmanager
@@ -273,16 +282,18 @@ def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
     return header, records
 
 
-# the parses of the run_pipeline call in progress, path -> {loader: result};
-# None outside one, so a stage subcommand or a direct runner call parses
-# every time and nothing outlives the call
+# the parses of the run_pipeline call in progress, and what its stages
+# shared of the files they wrote, path -> {loader: result}; None outside
+# one, so a stage subcommand or a direct runner call parses every time and
+# nothing outlives the call
 _RUN_READS: ContextVar[dict[Path, dict[Callable, object]] | None] = ContextVar("_RUN_READS", default=None)
 
 
 def _read_once(load: Callable, path: Path):
     """`load(path)`; during a run_pipeline call the first stage to load
-    `path` parses it and the later stages share the result until the run
-    writes `path`.  A load that raises keeps nothing."""
+    `path` parses it, unless the stage that wrote it shared the result
+    (`_share`), and the later stages share the result until the run writes
+    `path` again.  A load that raises keeps nothing."""
     reads = _RUN_READS.get()
     if reads is None:
         return load(path)
@@ -290,6 +301,16 @@ def _read_once(load: Callable, path: Path):
     if load not in loaded:
         loaded[load] = load(path)
     return loaded[load]
+
+
+def _share(path: Path, load: Callable, value) -> None:
+    """Make `value` the run's `load(path)`, as if a stage had parsed it.  A
+    stage calls it once it has written `path`, with what `load` parses from
+    those bytes, equal type for type; outside a run_pipeline call it does
+    nothing."""
+    reads = _RUN_READS.get()
+    if reads is not None:
+        reads.setdefault(Path(path), {})[load] = value
 
 
 @contextmanager
@@ -487,14 +508,14 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
     log.info("extract: %d files read, %d methods, %d files failed to extract",
              files_read, len(records), failures)
     write_ndjson(out / "methods.ndjson", "extract", digests, records,
-                 extra_header={"snapshot": snapshot, "project": config.project_name()})
+                 extra_header={"snapshot": snapshot, "project": config.project_name()}, shared=True)
 
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str], *,
               methods_path: Path) -> None:
     """Trace each method of `methods_path`, which extract must have written
     at `snapshot`."""
-    header, records = read_ndjson(methods_path)
+    header, records = _read_once(read_ndjson, methods_path)
     written_at = header.get("snapshot")
     if written_at != snapshot:
         raise ConfigError(f"--commit resolves to {snapshot}, but {methods_path} was written at {written_at}; "
@@ -531,6 +552,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
             "snapshotTime": session.snapshot.authorTime,
             "theta": config.theta,
         },
+        shared=True,
     )
 
 
@@ -557,19 +579,22 @@ def run_label(config: PipelineConfig, out: Path, digests: dict[str, str], *, his
             bugCountHighPrecision=bugs[1],
         ))
     labels = label_methods(methods, indicator=config.indicator, ugly_fraction=config.ugly_fraction)
+    ordered = sorted(zip(eligible, methods), key=lambda pair: pair[1].identity.key())
+    labeled = [replace(m, label=labels[m.identity.as_str()]) for _, m in ordered]
     out_records = [
-        labeled_record(replace(m, label=labels[m.identity.as_str()]), h.introduction.authorTime,
-                       (snapshot_time - h.introduction.authorTime) / 86400.0)
-        for h, m in sorted(zip(eligible, methods), key=lambda pair: pair[1].identity.key())
+        labeled_record(m, h.introduction.authorTime, (snapshot_time - h.introduction.authorTime) / 86400.0)
+        for (h, _), m in zip(ordered, labeled)
     ]
+    dataset_path = out / "dataset.ndjson"
     write_ndjson(
-        out / "dataset.ndjson", "label", digests, out_records,
+        dataset_path, "label", digests, out_records,
         extra_header={
             "indicator": config.indicator,
             "uglyFraction": config.ugly_fraction,
             "snapshotTime": snapshot_time,
         },
     )
+    _share(dataset_path, _parse_dataset, labeled)
 
 
 def _parse_dataset(dataset_path: Path) -> list[LabeledMethod]:
@@ -798,7 +823,9 @@ def stage_digests(stage: Stage, config: PipelineConfig, input_digests: dict[str,
 
 def open_snapshot(config: PipelineConfig) -> tuple[GitRepo, str]:
     """The repository `repo` names and the commit `commit` resolves to in
-    it; both keys must be set."""
+    it; both keys must be set.  It starts one git process, the
+    `rev-parse` of `resolve_commit`, which also finds a `repo` that is no
+    readable repository."""
     for key in ("repo", "commit"):
         if not getattr(config, key):
             raise ConfigError(f"--{key} is required (flag or config file)")
@@ -857,7 +884,8 @@ def _recorded_stages(manifest_path: Path) -> dict[str, dict]:
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Execute all stages in order, skipping stages whose input bytes and
     parameters are unchanged and whose outputs are as they wrote them;
-    returns {stage: "ran" | "skipped"}."""
+    returns {stage: "ran" | "skipped"}, and logs the stages that ran, those
+    skipped and the git processes the run started."""
     repo, snapshot = open_snapshot(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -871,7 +899,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     # writes it; a later stage's input digests are read from here
     sha: dict[str, str | None] = {}
     # extract and trace share the repository's one `cat-file --batch` child,
-    # and the stages share their parses of each artifact
+    # and the stages share the parse of each artifact, which a stage that
+    # writes one hands on
     with repo, _shared_reads():
         for name, stage in STAGES.items():
             inputs = {artifact: out / artifact for artifact in stage.inputs}
@@ -892,6 +921,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             manifest["stages"][name] = {"digest": digest, "outputs": _output_digests(out, stage, sha)}
             status[name] = "ran"
     _write_json(manifest_path, manifest)
+    ran, skipped = ([name for name, state in status.items() if state == wanted] for wanted in ("ran", "skipped"))
+    log.info("pipeline: ran %s; skipped %s; git processes started: %d",
+             ", ".join(ran) or "none", ", ".join(skipped) or "none", repo.processes)
     return status
 
 

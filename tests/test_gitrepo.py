@@ -2,15 +2,19 @@
 readers of GitRepo: one `git log` must report what `changes` reports for
 every first-parent commit, and the one `cat-file --batch` child what
 `file_at` reads, over any number of calls; the child's start, stop and
-failures."""
+failures; and opening a repository, which starts no process, and resolving
+a commit in it, which starts one."""
 
 import gc
+import subprocess
 import threading
 
 import pytest
 
-from methodlens.gitrepo import GitRepo, RepoAccessError
-from repo_builder import build_layout_repo
+from methodlens.cli import main
+from methodlens.gitrepo import GitRepo, RepoAccessError, UnknownCommit
+from methodlens.pipeline import PipelineConfig, open_snapshot
+from repo_builder import build_layout_repo, commit_files, init_repo
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +188,70 @@ def test_a_cat_file_child_that_cannot_start_raises(layout_repo, tmp_path):
     repo.git = str(tmp_path / "no-such-git")
     with pytest.raises(RepoAccessError, match="cannot invoke"):
         repo.read_blobs([layout_repo["snapshot"]])
+
+
+# --- opening a repository and resolving its snapshot ------------------------------
+
+
+@pytest.fixture(scope="module")
+def one_commit(tmp_path_factory):
+    """A one-commit work tree with a subdirectory, and a bare clone of it."""
+    root = tmp_path_factory.mktemp("resolve")
+    repo = init_repo(root, "work")
+    snapshot = commit_files(repo, "c01", "add", {"src/A.java": "class A {\n  int f() { return 1; }\n}\n"})
+    subprocess.run(["git", "clone", "-q", "--bare", str(repo), str(root / "bare.git")], check=True)
+    (root / "plain").mkdir()
+    return {"root": root, "snapshot": snapshot}
+
+
+# (directory under the fixture's root, --commit, the error line's text after
+# "repository error: ", or None for a commit that resolves); "{snapshot}"
+# and "{git}" are filled in, and a line ending in ": " is checked as a prefix,
+# since its rest is git's own message
+RESOLVE_CASES = {
+    "not-a-repository": ("plain", "{snapshot}",
+                         "not a readable git repository: {path}: git rev-parse --verify failed: fatal: "),
+    "missing-path": ("nope", "{snapshot}",
+                     "not a readable git repository: {path}: git rev-parse --verify failed: fatal: "),
+    "bare": ("bare.git", "{snapshot}", None),
+    "work-tree-subdirectory": ("work/src", "{snapshot}", None),
+    "unknown-full-id": ("work", "f" * 40, "f" * 40),
+    "unknown-ref": ("bare.git", "no-such-ref", "no-such-ref"),
+    "missing-git": ("work", "{snapshot}",
+                    "not a readable git repository: {path}: cannot invoke '{git}': "
+                    "[Errno 2] No such file or directory: '{git}'"),
+}
+
+
+@pytest.mark.parametrize("case", list(RESOLVE_CASES))
+def test_opening_starts_no_process_and_resolving_starts_one(one_commit, tmp_path, monkeypatch, capsys,
+                                                             git_children, case):
+    where, commit, error = RESOLVE_CASES[case]
+    path, git = one_commit["root"] / where, tmp_path / "no-such-git"
+    if case == "missing-git":
+        monkeypatch.setenv("METHODLENS_GIT", str(git))
+    commit = commit.format(snapshot=one_commit["snapshot"])
+    repo = GitRepo(str(path))
+    assert (git_children, repo.processes) == ([], 0)
+
+    config = PipelineConfig(repo=str(path), commit=commit, out=str(tmp_path / "out"))
+    if error is None:
+        assert open_snapshot(config)[1] == one_commit["snapshot"]
+    else:
+        raises = UnknownCommit if error == commit else RepoAccessError
+        with pytest.raises(raises):
+            open_snapshot(config)
+    # a missing git starts nothing; any other open starts its one rev-parse
+    assert git_children.names() == ([] if case == "missing-git" else ["rev-parse"])
+
+    del git_children[:]
+    code = main(["extract", "--repo", str(path), "--commit", commit, "--out", config.out])
+    err = capsys.readouterr().err
+    if error is None:
+        assert (code, err) == (0, "")
+        assert git_children.names() == ["rev-parse", "ls-tree", "cat-file"]
+        return
+    line = "repository error: " + error.format(path=path, git=git)
+    assert code == 3 and err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith(line) if line.endswith(": ") else err == line + "\n"
+    assert not (tmp_path / "out").exists()

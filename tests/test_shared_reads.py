@@ -1,7 +1,13 @@
-"""One parse of each artifact per pipeline run: the stages of one
-`run_pipeline` call share their parses, and nothing is shared outside it."""
+"""At most one parse of each artifact per pipeline run, and none of an
+artifact the run wrote: the stages of one `run_pipeline` call share their
+parses, a stage that writes an artifact a later stage reads hands the run
+what a parse of its bytes gives, and nothing is shared outside a run."""
 
+import dataclasses
+import math
+import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,18 +35,106 @@ def config(fixture_repo, tmp_path) -> PipelineConfig:
 
 
 def test_a_run_parses_each_artifact_once(config, parses):
+    """A cold run writes every artifact it reads, so it parses none."""
     assert set(run_pipeline(config).values()) == {"ran"}
-    assert parses == {"methods.ndjson": 1, "histories.ndjson": 1, "dataset.ndjson": 1}
+    assert parses == {}
     assert pipeline._RUN_READS.get() is None
 
 
 def test_each_rerun_parses_again(config, parses):
+    """A rerun parses the one artifact it reads and did not write."""
     run_pipeline(config)
     for indicator in ("revisions", "diffSize"):
         parses.clear()
         status = run_pipeline(replace(config, indicator=indicator))
         assert [stage for stage, state in status.items() if state == "skipped"] == ["extract", "trace"]
-        assert parses == {"histories.ndjson": 1, "dataset.ndjson": 1}
+        assert parses == {"histories.ndjson": 1}
+
+
+@pytest.fixture
+def tables(monkeypatch) -> list[dict]:
+    """The read table of each run_pipeline call, kept after the call ends."""
+    kept = []
+    real = pipeline._shared_reads
+
+    @contextmanager
+    def keeping():
+        with real():
+            kept.append(pipeline._RUN_READS.get())
+            yield
+
+    monkeypatch.setattr(pipeline, "_shared_reads", keeping)
+    return kept
+
+
+_SCALARS = (str, int, bool, type(None))
+
+
+def strictly_equal(a, b) -> bool:
+    """Deep equality that tells a list from a tuple and an int from a float
+    from a bool, and compares floats by their bits, NaN included.  Dicts
+    are compared key by key, not in order: no stage iterates a record's
+    keys, and a parse holds them sorted as they are written."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(strictly_equal, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(strictly_equal(a[key], b[key]) for key in a)
+    if dataclasses.is_dataclass(a):
+        return all(strictly_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    assert isinstance(a, _SCALARS), type(a)
+    return a == b
+
+
+def test_strict_equality_tells_what_plain_equality_does_not():
+    negative_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+    assert strictly_equal({"a": [1, 2.5, math.nan]}, {"a": [1, 2.5, float("nan")]})
+    for a, b in (([1], (1,)), (1, 1.0), (True, 1), (0.0, -0.0), (math.nan, negative_nan),
+                 (labeled(1), replace(labeled(1), bugCountHighRecall=0.0))):
+        assert not strictly_equal(a, b) and not strictly_equal([{"k": a}], [{"k": b}])
+
+
+# what each artifact's load is, for the loads that parse a file
+PARSERS = {"methods.ndjson": "read_ndjson", "histories.ndjson": "read_ndjson", "dataset.ndjson": "_parse_dataset"}
+
+
+def test_what_a_stage_shares_equals_a_parse_of_what_it_wrote(config, tables, parses):
+    # the cold run shares all three artifacts; the rerun parses histories.ndjson
+    # and shares the dataset it wrote
+    for run, (shared, parsed) in enumerate([
+            (["dataset.ndjson", "histories.ndjson", "methods.ndjson"], {}),
+            (["dataset.ndjson", "histories.ndjson"], {"histories.ndjson": 1})]):
+        parses.clear()
+        run_pipeline(replace(config, indicator=("editDistance", "revisions")[run]))
+        assert parses == parsed
+        table = tables[run]
+        assert sorted(path.name for path in table) == shared
+        for path, loads in table.items():
+            load = getattr(pipeline, PARSERS[path.name])
+            # the rest is the correlation table, which parses nothing
+            assert all(isinstance(other, pipeline._Correlations) for other in loads if other is not load)
+            assert strictly_equal(loads[load], load(path)), path.name
+
+
+@pytest.mark.parametrize("artifact", ["methods.ndjson", "histories.ndjson", "dataset.ndjson"])
+def test_a_stage_that_fails_after_its_write_shares_nothing(config, tables, monkeypatch, artifact):
+    real = pipeline._atomic_write
+
+    def write_then_fail(path, data):
+        real(path, data)
+        if path.name == artifact:
+            raise OSError("failed after the write")
+
+    monkeypatch.setattr(pipeline, "_atomic_write", write_then_fail)
+    with pytest.raises(StageError, match="failed after the write$"):
+        run_pipeline(config)
+    [table] = tables
+    written = list(PARSERS)[:list(PARSERS).index(artifact)]
+    assert (Path(config.out) / artifact).exists()
+    assert sorted(path.name for path in table) == sorted(written)
 
 
 def test_a_failed_stage_leaves_no_table_behind(config, parses, monkeypatch):

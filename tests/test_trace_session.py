@@ -1,4 +1,4 @@
-"""How the trace stage reads git and lexes: the same five git processes
+"""How the trace stage reads git and lexes: the same four git processes
 for any pipeline run, one `cat-file --batch` child shared by extract and
 trace and none left running when a run or a stage subcommand ends, at most
 one batch per traced file (none for a file with no parent-side version),
@@ -6,10 +6,12 @@ one extraction per parent-side version the file's
 walk reaches and none older, no body-block lex for an extracted declaration
 and one for a declaration rebuilt from its record, and a counted summary of
 what it read, failed to extract and lexed; the line memo that lives for one
-traced file; and the same summary of the extract stage."""
+traced file; the same summary of the extract stage; and the line a
+pipeline run ends with, which counts the git processes it started."""
 
 import logging
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,11 +34,31 @@ def test_pipeline_git_processes_do_not_grow_with_the_chain(fixture_repo, tmp_pat
     run_pipeline(config)
     _, records = read_ndjson(tmp_path / "methods.ndjson")
     assert len({r["file"] for r in records}) == 3
-    # --git-dir, then the snapshot once; extract's listing (trace never lists
-    # the snapshot) and the one cat-file child that reads extract's blobs and
+    # the snapshot, resolved once; extract's listing (trace never lists the
+    # snapshot) and the one cat-file child that reads extract's blobs and
     # every traced file's; trace's one `git log`
-    assert git_children.names() == ["rev-parse", "rev-parse", "ls-tree", "cat-file", "log"]
+    assert git_children.names() == ["rev-parse", "ls-tree", "cat-file", "log"]
     assert git_children.running() == []
+
+
+def test_a_run_logs_the_stages_it_ran_and_skipped_and_its_git_processes(fixture_repo, tmp_path, caplog):
+    config = PipelineConfig(repo=str(fixture_repo["repo"]), commit=fixture_repo["snapshot"],
+                            out=str(tmp_path), project="fixture", seed=7)
+    with caplog.at_level(logging.INFO, logger="methodlens.pipeline"):
+        run_pipeline(config)
+        run_pipeline(replace(config, indicator="revisions"))
+        run_pipeline(replace(config, indicator="revisions"))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "methodlens.pipeline" and r.getMessage().startswith("pipeline:")]
+    # a rerun resolves the snapshot and starts nothing else
+    assert lines == [
+        "pipeline: ran extract, trace, label, pareto, bugs, correlate, rank, train; skipped none; "
+        "git processes started: 4",
+        "pipeline: ran label, pareto, bugs, correlate, rank, train; skipped extract, trace; "
+        "git processes started: 1",
+        "pipeline: ran none; skipped extract, trace, label, pareto, bugs, correlate, rank, train; "
+        "git processes started: 1",
+    ]
 
 
 def test_a_failing_pipeline_leaves_no_git_process_running(fixture_repo, tmp_path, git_children, monkeypatch):
@@ -83,9 +105,9 @@ def test_the_trace_subcommand_opens_the_repository_once(fixture_repo, tmp_path, 
     del git_children[:]
     assert main(["trace", "--repo", repo, "--commit", sha, "--methods", str(methods),
                  "--out", str(tmp_path)]) == 0
-    # --git-dir and the snapshot, once each, then the stage's own processes
+    # the snapshot, resolved once, then the stage's own processes
     assert stage_calls == ["log", "cat-file"]
-    assert git_children.names() == ["rev-parse", "rev-parse", *stage_calls]
+    assert git_children.names() == ["rev-parse", *stage_calls]
 
 
 def test_match_method_lexes_each_declaration_once(monkeypatch):
