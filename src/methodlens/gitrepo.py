@@ -12,8 +12,9 @@ started by the first read and stopped by `close()` (or leaving a `with`
 block, or, for a repository dropped unclosed, its finalizer).  Opening a
 `GitRepo` starts no process, and `resolve_commit` starts one.  So a
 pipeline run starts the same git processes however many files it traces.
-`changes`, `file_at`, `first_parent_chain` and `ls_files` answer the same
-questions one commit or one blob at a time.
+No stage calls `changes`, `file_at`, `first_parent_chain` or `ls_files`:
+the tests use them as independent references for the bulk readers, and the
+benchmark's tracer patches them by name, so they stay while it does.
 """
 
 from __future__ import annotations
@@ -225,8 +226,9 @@ class GitRepo:
 
     def ls_tree(self, commit: str) -> dict[str, str]:
         """{path: object id} of every .java file under `commit`, in git's
-        order."""
-        out = self._run(["ls-tree", "-r", "-z", commit]).stdout
+        order, with paths from the repository root wherever the repository
+        was opened, as `first_parent_history` gives them."""
+        out = self._run(["ls-tree", "-r", "-z", "--full-tree", commit]).stdout
         entries = {}
         for entry in out.split(b"\x00"):
             if entry:

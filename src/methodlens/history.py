@@ -370,13 +370,16 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
     being traced against each parent-side version and records a revision
     whenever a declaration's text changed (comment and formatting changes
     included).  Each version is extracted at most once, through one lexer
-    memo (`memo`, the file's own, or a fresh one), and the walk stops once
-    every method has reached its introduction.  The lines the memo gains
-    are counted in the session's `lines_lexed_alone`."""
+    memo (`memo`, the file's own, or a fresh one), and its declarations are
+    dropped after the last step that reads it; the walk stops once every
+    method has reached its introduction.  The lines the memo gains are
+    counted in the session's `lines_lexed_alone`."""
     chain = session.chain
     steps = session.steps(path)
     # one batch; a file no commit changed after its addition reads no blob
-    texts = session.repo.read_blobs(change.oldBlob for _, change in steps if change.status[0] not in ("A", "D"))
+    blobs = [change.oldBlob for _, change in steps if change.status[0] not in ("A", "D")]
+    texts = session.repo.read_blobs(blobs)
+    reads_left = Counter(blobs)  # steps still to read each blob
     session.files_traced += 1
     session.blobs_read += len(texts)
     if memo is None:
@@ -405,11 +408,13 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
                 introduction[i] = child
             break
         parent_path = change.oldPath or cur_path
-        if change.oldBlob not in extracted:
-            content = texts[change.oldBlob]
-            extracted[change.oldBlob] = (None if content is None else
-                                         session.methods_at(chain[k + 1].id, parent_path, content, memo))
-        prev_methods = extracted[change.oldBlob]
+        blob = change.oldBlob
+        if blob not in extracted:
+            content = texts.pop(blob)
+            extracted[blob] = (None if content is None else
+                               session.methods_at(chain[k + 1].id, parent_path, content, memo))
+        reads_left[blob] -= 1
+        prev_methods = extracted[blob] if reads_left[blob] else extracted.pop(blob)
         if prev_methods is None:
             # unreadable or unparseable parent version: skip this commit
             cur_path = parent_path

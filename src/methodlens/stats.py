@@ -28,38 +28,22 @@ class CompositeRanking:
     ranks: dict[str, int]  # identity string -> 1-based rank, descending score
 
 
-def _count_inversions(values: list) -> int:
-    """Pairs (i < j) with values[i] > values[j], by merge sort."""
-    vals = list(values)
-    tmp = [None] * len(vals)
-
-    def sort(lo: int, hi: int) -> int:  # [lo, hi)
-        if hi - lo <= 1:
-            return 0
-        mid = (lo + hi) // 2
-        count = sort(lo, mid) + sort(mid, hi)
-        i, j, k = lo, mid, lo
-        while i < mid and j < hi:
-            if vals[j] < vals[i]:
-                tmp[k] = vals[j]
-                j += 1
-                count += mid - i
-            else:
-                tmp[k] = vals[i]
-                i += 1
-            k += 1
-        while i < mid:
-            tmp[k] = vals[i]
-            i += 1
-            k += 1
-        while j < hi:
-            tmp[k] = vals[j]
-            j += 1
-            k += 1
-        vals[lo:hi] = tmp[lo:hi]
-        return count
-
-    return sort(0, len(vals))
+def _count_discordant(ranks: list[int], size: int) -> int:
+    """Pairs (i < j) with ranks[i] > ranks[j], for ranks in 1..size, counted
+    with a Fenwick tree of how many earlier ranks fall at or below each."""
+    tree = [0] * (size + 1)
+    count = 0
+    for seen, rank in enumerate(ranks):
+        i = rank
+        while i:
+            count -= tree[i]
+            i &= i - 1
+        count += seen
+        i = rank
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return count
 
 
 def _tie_stats(sorted_values: list) -> tuple[int, int, int, int]:
@@ -83,10 +67,12 @@ def _tie_stats(sorted_values: list) -> tuple[int, int, int, int]:
 def kendall_tau_b(x, y) -> tuple[float, float]:
     """Tie-corrected tau with a normal-approximation p-value.
 
-    The concordance count uses merge-sort inversion counting (O(n log n));
+    After one sort of the (x, y) pairs, the discordant pairs are the
+    inversions of y, counted over y's ranks with a Fenwick tree (O(n log n));
     the denominator is one square root of an integer product so perfectly
-    concordant/discordant data yields exactly +/-1.  Degenerate input
-    (a constant column) leaves tau undefined: returns (nan, 1.0).
+    concordant/discordant data yields exactly +/-1.  y must hold no NaN.
+    Degenerate input (a constant column) leaves tau undefined: returns
+    (nan, 1.0).
     """
     x = list(x)
     y = list(y)
@@ -96,13 +82,13 @@ def kendall_tau_b(x, y) -> tuple[float, float]:
     if len(set(x)) <= 1 or len(set(y)) <= 1:
         return float("nan"), 1.0
 
-    order = sorted(range(n), key=lambda i: (x[i], y[i]))
-    xs = [x[i] for i in order]
-    ys = [y[i] for i in order]
-    xtie, vt, v1t, v2t = _tie_stats(xs)
-    ytie, vu, v1u, v2u = _tie_stats(sorted(y))
-    ntie, _, _, _ = _tie_stats(list(zip(xs, ys)))
-    discordant = _count_inversions(ys)
+    pairs = sorted(zip(x, y))
+    y_sorted = sorted(y)
+    rank = {v: r for r, v in enumerate(dict.fromkeys(y_sorted), 1)}
+    xtie, vt, v1t, v2t = _tie_stats([a for a, _ in pairs])
+    ytie, vu, v1u, v2u = _tie_stats(y_sorted)
+    ntie, _, _, _ = _tie_stats(pairs)
+    discordant = _count_discordant([rank[b] for _, b in pairs], len(rank))
     total = n * (n - 1) // 2
     con_minus_dis = total - xtie - ytie + ntie - 2 * discordant
     tau = con_minus_dis / math.sqrt((total - xtie) * (total - ytie))

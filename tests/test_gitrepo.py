@@ -2,10 +2,12 @@
 readers of GitRepo: one `git log` must report what `changes` reports for
 every first-parent commit, and the one `cat-file --batch` child what
 `file_at` reads, over any number of calls; the child's start, stop and
-failures; and opening a repository, which starts no process, and resolving
-a commit in it, which starts one."""
+failures; opening a repository, which starts no process, and resolving
+a commit in it, which starts one; and a subdirectory of a work tree, which
+reads the whole tree."""
 
 import gc
+import json
 import subprocess
 import threading
 
@@ -255,3 +257,26 @@ def test_opening_starts_no_process_and_resolving_starts_one(one_commit, tmp_path
     assert code == 3 and err.endswith("\n") and err.count("\n") == 1
     assert err.startswith(line) if line.endswith(": ") else err == line + "\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_subdirectory_of_the_work_tree_reads_the_whole_tree(tmp_path):
+    """`--repo` may name any directory of a work tree: extract lists the
+    whole tree with paths from the repository root, as trace's history
+    names them, so the artifacts are the work tree root's."""
+    repo = init_repo(tmp_path, "w")
+    body = "class A {\n  int f(int v) {\n    return v + 1;\n  }\n}\n"
+    commit_files(repo, "c01", "add", {"sub/A.java": body, "top/B.java": body.replace("A", "B")})
+    snapshot = commit_files(repo, "c02", "edit A", {"sub/A.java": body.replace("v + 1", "v + 2")})
+    config = tmp_path / "methodlens.conf"
+    config.write_text("project = w\n")  # else the project is named after the directory given
+    artifacts = {}
+    for where in ("w", "w/sub"):
+        out = tmp_path / where.replace("/", "-")
+        common = ["--repo", str(tmp_path / where), "--commit", snapshot, "--config", str(config), "--out", str(out)]
+        assert main(["extract", *common]) == 0
+        assert main(["trace", *common, "--methods", str(out / "methods.ndjson")]) == 0
+        artifacts[where] = {name: (out / name).read_bytes() for name in ("methods.ndjson", "histories.ndjson")}
+    assert artifacts["w/sub"] == artifacts["w"]
+    histories = [json.loads(line) for line in artifacts["w"]["histories.ndjson"].splitlines()[1:]]
+    assert sorted((h["identity"]["file"], len(h["revisions"])) for h in histories) == \
+           [("sub/A.java", 1), ("top/B.java", 0)]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from methodlens.stats import (
+    _count_discordant,
     composite_scores,
     correlation_table,
     kendall_tau_b,
@@ -73,6 +74,79 @@ def test_tau_and_pvalue_agree_with_scipy():
         ref_tau, ref_p = scipy_stats.kendalltau(x, y, method="asymptotic", variant="b")
         assert abs(tau - ref_tau) < 1e-12
         assert abs(p - ref_p) < 1e-9
+
+
+def _tau_sample(seed):
+    """n from 2 to 400, heavy or light ties, negative values, ints mixed with
+    equal and unequal floats, and y independent of x or following it."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 5)) if rng.random() < 0.2 else rng.randrange(6, 401)
+    levels = rng.choice((2, 3, 8, n, 10 * n))
+    low = -(levels // 2)
+
+    def draw():
+        v = rng.randrange(low, low + levels)
+        return rng.choice((v, float(v), v + 0.5))
+
+    x = [draw() for _ in range(n)]
+    y = [draw() for _ in range(n)]
+    if rng.random() < 0.5:
+        y = [a + b for a, b in zip(x, y)]
+    return x, y
+
+
+def test_tau_equals_the_pair_oracle_exactly():
+    # both divide the same integer by the root of the same integer product
+    checked = 0
+    for seed in range(60):
+        x, y = _tau_sample(seed)
+        if len(set(x)) > 1 and len(set(y)) > 1:
+            assert kendall_tau_b(x, y)[0] == kendall_tau_b_pairs(x, y), seed
+            checked += 1
+    assert checked > 40
+
+
+def test_the_fenwick_count_is_the_number_of_discordant_pairs():
+    for seed in range(60):
+        x, y = _tau_sample(seed)
+        rank = {v: r for r, v in enumerate(sorted(set(y)), 1)}
+        got = _count_discordant([rank[b] for _, b in sorted(zip(x, y))], len(rank))
+        want = sum((x[i] - x[j]) * (y[i] - y[j]) < 0 for i in range(len(x)) for j in range(i))
+        assert got == want, seed
+
+
+# (tau, p) of _tau_sample(0..19) as float.hex, from the merge-sort count
+# that the Fenwick count replaced
+PINNED_TAU_P = [
+    ("0x1.f49870adf750dp-2", "0x1.9b71f8f79f9d2p-156"),
+    ("0x1.0000000000000p+0", "0x1.44ed0bb7cb20cp-2"),
+    ("-0x1.12aed22dbe8edp-3", "0x1.7ed7320bd6fd4p-2"),
+    ("0x1.092edcb792184p-4", "0x1.582f95d4299d2p-3"),
+    ("0x1.9ab93c789ffc0p-2", "0x1.5056de7628049p-17"),
+    ("0x1.085fcd7f39d04p-1", "0x1.6723fbaf4362fp-153"),
+    ("0x1.3ea7b7680a5a6p-1", "0x1.19d2d4a5a5703p-30"),
+    ("-0x1.0153de0bf68e2p-5", "0x1.5a6e0dd887c56p-1"),
+    ("0x1.0e74bdca6cf24p-1", "0x1.0503d09006329p-71"),
+    ("0x1.18eb2367b53b0p-1", "0x1.cad5f8663c8f6p-90"),
+    ("0x1.fcff134236b60p-2", "0x1.b097026d7e1d7p-93"),
+    ("0x1.c9f08f6c17208p-6", "0x1.e8bc626fbe366p-2"),
+    ("0x1.f0d351c61ca9cp-9", "0x1.d558df15cadd8p-1"),
+    ("0x1.21ba51c11fc52p-1", "0x1.e8e75806490cdp-144"),
+    ("0x1.999999999999ap-3", "0x1.3f97f1a1c5166p-1"),
+    ("0x1.6b0df6b0df6b1p-1", "0x1.3a1445110f1eep-9"),
+    ("0x1.502a464698096p-6", "0x1.4cc19335e05dbp-1"),
+    ("0x1.0315409cb9c2cp-1", "0x1.a62a17440bc00p-63"),
+    ("0x1.c38aa37c3f68dp-1", "0x1.785a3605fe3d3p-5"),
+    ("0x1.294b2924a52f4p-1", "0x1.b7f60dd71a49bp-103"),
+]
+
+
+def test_tau_and_p_keep_their_bits():
+    got = []
+    for seed in range(len(PINNED_TAU_P)):
+        tau, p = kendall_tau_b(*_tau_sample(seed))
+        got.append((tau.hex(), p.hex()))
+    assert got == PINNED_TAU_P
 
 
 def test_tau_degenerate_input():

@@ -3,8 +3,11 @@ per-method walk it replaced (`oracles.trace_method_reference`): every field
 of every history is equal on the fixture, layout and small-history
 repositories and on a hand-built history with a rename, a revert, an
 unparseable parent version, methods of one file introduced at different
-steps and one introduced by the renaming commit."""
+steps and one introduced by the renaming commit; and that the walk keeps a
+version's declarations only until the last step that reads it."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -136,3 +139,45 @@ def test_the_walk_extracts_nothing_older_than_the_last_introduction(walk_history
     assert Counter(extracted) == Counter([_java(cls, *members) for cls, members in [
         ("A", (FIRST_V1, SECOND_V2)), ("A", (FIRST_V1, SECOND_V1, UNLEXABLE)), ("A", (FIRST_V1, SECOND_V1)),
         ("A", (FIRST_V1,)), ("A", (FIRST_V2,))]])
+
+
+def test_a_version_lives_until_the_last_step_that_reads_it(walk_history, monkeypatch):
+    versions = []  # weak references to each extracted version's declarations
+    real_extract = history.extract_methods
+
+    def extract(text, memo=None):
+        decls = real_extract(text, memo)
+        versions.append([weakref.ref(d) for d in decls])
+        return decls
+
+    held = {}  # what the walk's `current` holds, mirrored from the matches
+    steps = []  # per match call: the version matched against, stray versions
+    real_match = history.match_method
+
+    def match(prev_methods, target, *args):
+        gc.collect()
+        [step] = [j for j, refs in enumerate(versions)
+                  if len(refs) == len(prev_methods) and all(r() is d for r, d in zip(refs, prev_methods))]
+        stray = {j for j, refs in enumerate(versions) for r in refs
+                 if j != step and r() is not None and id(r()) not in held}
+        steps.append((step, stray))
+        matched = real_match(prev_methods, target, *args)
+        if matched is not None:
+            del held[id(target)]
+            held[id(matched)] = matched
+        return matched
+
+    monkeypatch.setattr(history, "extract_methods", extract)
+    monkeypatch.setattr(history, "match_method", match)
+    git = GitRepo(str(walk_history["repo"]))
+    session = TraceSession(git, walk_history["snapshot"], THETA, project="p")
+    decls = snapshot_methods(git, walk_history["snapshot"])["src/B.java"]
+    held.update((id(d), d) for d in decls)
+    trace_method(session, "src/B.java", decls)
+    # the versions of A at c06, c04, c01 and c02 (c05's does not lex), one
+    # match call per method still traced; c01's version, the parent side of
+    # c04 and of c02, is not extracted again, so it lives from the one step
+    # to the other, while nothing of a version whose last step is passed
+    # lives but what `current` holds
+    assert len(versions) == 4
+    assert steps == [(0, set())] * 3 + [(1, set())] * 2 + [(2, set())] * 2 + [(3, set()), (2, set())]
