@@ -25,6 +25,46 @@ class EmptyProject(Exception):
     pass
 
 
+class NotTrainable(Exception):
+    """A dataset the classifiers cannot train on; the train stage reports it
+    as "not-trainable"."""
+
+
+class NoUglyRows(NotTrainable):
+    pass
+
+
+class TooFewProjects(NotTrainable):
+    pass
+
+
+def require_ugly(labels) -> None:
+    if "ugly" not in labels:
+        raise NoUglyRows("no ugly-labeled rows; cannot train a classifier")
+
+
+def require_projects(projects, approach: int) -> None:
+    """Raise TooFewProjects unless `projects` can be split as `approach`
+    splits them: into train, validation and test projects (1), or into
+    each held-out project and the rest (2)."""
+    n = len(set(projects))
+    if approach == 1:
+        if n < 3:
+            raise TooFewProjects(f"need at least 3 projects, got {n}")
+    elif n < 2:
+        raise TooFewProjects("leave-one-out needs at least 2 projects")
+
+
+def require_trainable(methods, approach: int) -> None:
+    """Raise what training `methods` under `approach` raises first for want
+    of rows, in the same order: NoUglyRows, then TooFewProjects over the
+    projects of the good and ugly methods.  Needs no numpy, so that a run
+    with nothing to train on does not load it."""
+    rows = [m for m in methods if m.label in ("good", "ugly")]
+    require_ugly({m.label for m in rows})
+    require_projects({m.identity.project for m in rows}, approach)
+
+
 @dataclass(frozen=True)
 class BugRuleConfig:
     """Stem lists matched against lowercased commit messages; the pipeline

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .labeling import CLASSIFIER_NAMES, LabeledMethod
+# the cheap not-trainable checks live in labeling, which loads no numpy; their
+# exceptions stay importable from here
+from .labeling import (CLASSIFIER_NAMES, LabeledMethod, NotTrainable, NoUglyRows, TooFewProjects, require_projects,
+                       require_ugly)
 from .metrics import METRIC_NAMES
 
 log = logging.getLogger("methodlens.ml")
@@ -26,15 +29,7 @@ POSITIVE_LABEL = "ugly"
 NEGATIVE_LABEL = "good"
 
 
-class NoUglyRows(Exception):
-    pass
-
-
-class TooFewProjects(Exception):
-    pass
-
-
-class SingleClass(Exception):
+class SingleClass(NotTrainable):
     pass
 
 
@@ -92,8 +87,7 @@ def build_feature_rows(methods: list[LabeledMethod]) -> list[FeatureRow]:
         if m.label in (POSITIVE_LABEL, NEGATIVE_LABEL)
     ]
     rows.sort(key=lambda r: (r.projectId, r.methodId))
-    if not any(r.label == POSITIVE_LABEL for r in rows):
-        raise NoUglyRows("no ugly-labeled rows; cannot train a classifier")
+    require_ugly({r.label for r in rows})
     return rows
 
 
@@ -106,18 +100,16 @@ SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train, validation, test
 
 def project_split(projects, seed: int) -> SplitPlan:
     """Seeded project-level shuffle into train/validation/test by
-    `SPLIT_RATIOS`; every set is non-empty."""
+    `SPLIT_RATIOS`; every set is non-empty, as for n >= 3 projects
+    max(1, round(0.2n)) + max(1, round(0.1n)) < n."""
     projects = sorted(set(projects))
-    if len(projects) < 3:
-        raise TooFewProjects(f"need at least 3 projects, got {len(projects)}")
+    require_projects(projects, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = list(rng.permutation(len(projects)))
     shuffled = [projects[i] for i in order]
     n = len(projects)
     n_test = max(1, _round_half_up(SPLIT_RATIOS[2] * n))
     n_val = max(1, _round_half_up(SPLIT_RATIOS[1] * n))
-    if n_test + n_val >= n:
-        raise TooFewProjects("split leaves no training projects")
     test = tuple(sorted(shuffled[:n_test]))
     validation = tuple(sorted(shuffled[n_test:n_test + n_val]))
     train = tuple(sorted(shuffled[n_test + n_val:]))
@@ -126,8 +118,7 @@ def project_split(projects, seed: int) -> SplitPlan:
 
 def leave_one_out_plans(projects) -> list[SplitPlan]:
     projects = sorted(set(projects))
-    if len(projects) < 2:
-        raise TooFewProjects("leave-one-out needs at least 2 projects")
+    require_projects(projects, 2)
     return [
         SplitPlan(
             trainProjects=tuple(p for p in projects if p != held_out),
@@ -375,8 +366,6 @@ class TreeConfig:
 # ids a tree, stay under about _STEP_ROWS**2 / 8 ids.  A single node may
 # still be larger; it is then searched alone.
 _STEP_ROWS = 1024
-# The words a tree draws from its generator at a time for its feature draws.
-_WORD_BLOCK = 256
 
 
 def _value_ranks(X: np.ndarray) -> np.ndarray:
@@ -506,72 +495,14 @@ class TreeModel:
         return TreeModel(trees=trees, scaler=self.scaler, config=config)
 
 
-class _Words:
-    """A tree's generator as the stream of 32-bit words that
-    `Generator.choice` consumes (its `next_uint32`), drawn ahead by
-    `integers(0, 1 << 32, dtype=np.uint32)`, which hands out the same words
-    in the same order.  Drawing ahead is safe because a tree drops its
-    generator once it is grown."""
-
-    __slots__ = ("rng", "block", "at")
-
-    def __init__(self, rng):
-        self.rng, self.block, self.at = rng, [], 0
-
-    def take(self, k: int) -> list[int]:
-        """The next k words."""
-        if self.at + k > len(self.block):
-            more = self.rng.integers(0, 1 << 32, size=max(k, _WORD_BLOCK), dtype=np.uint32).tolist()
-            self.block, self.at = self.block[self.at:] + more, 0
-        self.at += k
-        return self.block[self.at - k:self.at]
-
-    def bounded(self, high: int) -> int:
-        """numpy's Lemire draw of an integer in [0, high], high >= 1: the
-        high half of word * (high + 1), redrawn while the low half is below
-        2**32 mod (high + 1)."""
-        m = self.take(1)[0] * (high + 1)
-        while m & 0xFFFFFFFF < (1 << 32) % (high + 1):
-            m = self.take(1)[0] * (high + 1)
-        return m >> 32
-
-    def choice(self, n: int, size: int) -> list[int]:
-        """Sorted `rng.choice(n, size, replace=False)`, 0 < size < n, word
-        for word: Floyd's algorithm, then the draws of the shuffle, whose
-        order sorting discards."""
-        chosen = []
-        for j in range(n - size, n):
-            value = self.bounded(j)
-            chosen.append(j if value in chosen else value)
-        for i in range(size - 1, 0, -1):
-            self.bounded(i)
-        return sorted(chosen)
-
-
-def _draw_features(words: list[_Words], n: int, size: int) -> np.ndarray:
-    """`_Words.choice(n, size)` of each of `words`, one row each, computed
-    for all at once: the draw takes one word per Lemire draw, size for
-    Floyd's algorithm and size - 1 for the shuffle, unless a word is
-    rejected; a draw with a rejected word, rare, is redone word by word."""
-    bounds = np.array(list(range(n - size + 1, n + 1)) + list(range(size, 1, -1)), dtype=np.uint64)
-    m = np.array([w.take(len(bounds)) for w in words], dtype=np.uint64) * bounds
-    rejected = ((m & 0xFFFFFFFF) < np.array([(1 << 32) % b for b in bounds.tolist()], dtype=np.uint64)).any(axis=1)
-    values = (m[:, :size] >> 32).astype(np.intp)
-    chosen = np.empty((len(words), size), dtype=np.intp)
-    for k, j in enumerate(range(n - size, n)):
-        chosen[:, k] = np.where((chosen[:, :k] == values[:, k, None]).any(axis=1), j, values[:, k])
-    chosen.sort(axis=1)
-    for i in np.flatnonzero(rejected).tolist():
-        words[i].at -= len(bounds)
-        chosen[i] = words[i].choice(n, size)
-    return chosen
-
-
 def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_per_split=None) -> _Trees:
     """The CART tree grown on X[rows], y[rows] for each (rows, rng) of
     `samples`, each with len(X) rows.  A node that is neither pure nor at
-    the maximum depth draws `features_per_split` features from its tree's
-    `rng`, then takes its best split, if it has one.
+    the maximum depth draws its features, then takes its best split, if it
+    has one.  With `features_per_split` below the number of features, a
+    node draws `rng.random(n_features)` from its tree's `rng` and searches
+    the indices of the `features_per_split` smallest doubles, in ascending
+    order, ties to the lower index; otherwise it searches every feature.
 
     The trees grow in lockstep.  A new tree is admitted while the next
     nodes of the growing trees and its root fit in _STEP_ROWS rows (or when
@@ -579,9 +510,9 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
     draws its features, searches all the nodes taken in one `_best_splits`
     call and splits them.  So each generator makes the draws of a
     depth-first recursion, in its order (`tests/oracles.py` keeps that
-    recursion).  The draws of all the step's nodes are computed at once
-    (`_draw_features`), each from its tree's `_Words`.  A tree that draws
-    nothing gives up as many of its open nodes as the step's rows allow.
+    recursion), and draws nothing ahead.  One stable `argsort` ranks the
+    draws of all the step's nodes.  A tree that draws nothing gives up as
+    many of its open nodes as the step's rows allow.
     Each node is written into the arrays as it is planted, a leaf until it
     splits.  Logs one INFO line with the trees, nodes, split searches and
     the most trees open at once.
@@ -612,7 +543,7 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
             opened[tree].append((i, rows, pos, depth))
         return i
 
-    growing = []  # (tree, its _Words or None), so that a grown tree drops its generator
+    growing = []  # (tree, its generator if its nodes draw features, else None)
     samples = iter(samples)
     searches = most_open = 0
     while True:
@@ -625,7 +556,7 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
             opened.append([])
             roots.append(plant(tree, rows, int(y[rows].sum()), 0))
             if opened[tree]:
-                growing.append((tree, _Words(rng) if draws else None))
+                growing.append((tree, rng if draws else None))
                 load += len(rows)
         if not growing:
             log.info("grow: %d tree%s, %d nodes, %d split searches, at most %d open at once", len(roots),
@@ -634,16 +565,17 @@ def _grow(X: np.ndarray, y: np.ndarray, config: TreeConfig, samples, features_pe
                           np.array(prediction), np.array(level), np.array(roots, dtype=np.intp), np.array(depths))
         most_open = max(most_open, len(growing))
         taken, drawing, budget = [], [], _STEP_ROWS
-        for tree, words in growing:
+        for tree, rng in growing:
             stack = opened[tree]
             while stack and (not taken or len(stack[-1][1]) <= budget):
                 taken.append((tree, *stack.pop()))
                 budget -= len(taken[-1][2])
-                if words is not None:
-                    drawing.append(words)
+                if rng is not None:
+                    drawing.append(rng.random(n_features))
                     break
         if draws:
-            features = _draw_features(drawing, n_features, features_per_split)
+            ranked = np.array(drawing).argsort(axis=1, kind="stable")
+            features = np.sort(ranked[:, :features_per_split], axis=1)
         else:
             features = np.broadcast_to(np.arange(n_features), (len(taken), n_features))
         sizes = np.array([len(item[2]) for item in taken])
@@ -843,10 +775,7 @@ def run_approach1(
     for name in classifiers:
         best = None
         for config, model in _grid_models(name, train_os, seed):
-            if val_rows:
-                score = evaluate(model, val_rows, classifier=name).perClass[POSITIVE_LABEL].fMeasure
-            else:
-                score = 0.0
+            score = evaluate(model, val_rows, classifier=name).perClass[POSITIVE_LABEL].fMeasure
             if best is None or score > best[0]:
                 best = (score, config, model)
         _, best_config, best_model = best

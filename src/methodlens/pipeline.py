@@ -36,12 +36,15 @@ from .history import (
 from .java_extract import (ExtractionError, LexicalError, MethodDeclaration, Token, extract_methods, normalize_source,
                            signature)
 from .labeling import (
+    CLASSIFIER_NAMES,
     BugRuleConfig,
     LabeledMethod,
+    NotTrainable,
     bug_capture,
     bug_counts,
     label_methods,
     pareto_curve,
+    require_trainable,
 )
 from .metrics import MetricVector, compute_metric_vector
 from .stats import CorrelationEntry, composite_scores, correlation_table, select_surprising, signs_from_table
@@ -706,13 +709,14 @@ def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
 def run_train(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
               classifiers=None) -> None:
     methods = _load_dataset(dataset_path)
-    # numpy loads with ml, so only a process that trains pays for it
-    from .ml import CLASSIFIER_NAMES, NoUglyRows, SingleClass, TooFewProjects, run_approach1, run_approach2
     chosen = tuple(classifiers) if classifiers else CLASSIFIER_NAMES
-    run_approach = run_approach1 if config.approach == 1 else run_approach2
     try:
+        require_trainable(methods, config.approach)
+        # numpy loads with ml, so only a process that trains pays for it
+        from .ml import run_approach1, run_approach2
+        run_approach = run_approach1 if config.approach == 1 else run_approach2
         outcome = run_approach(methods, seed=config.seed, classifiers=chosen)
-    except (TooFewProjects, NoUglyRows, SingleClass) as err:
+    except NotTrainable as err:
         # corpora too small to train on still get a well-formed stage output
         log.warning("training not possible: %s", err)
         payload = {"status": "not-trainable", "reason": str(err)}

@@ -293,7 +293,7 @@ def grow_tree_reference(X, y, config: TreeConfig, depth: int, rng, features_per_
         return node, depth
     n_features = X.shape[1]
     if features_per_split is not None and rng is not None and features_per_split < n_features:
-        chosen = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+        chosen = np.sort(np.argsort(rng.random(n_features), kind="stable")[:features_per_split])
     else:
         chosen = np.arange(n_features)
     found = best_split_reference(X, y, chosen)

@@ -753,82 +753,36 @@ def test_each_grow_logs_its_trees_nodes_and_split_searches(caplog):
         train_forest(rows, ForestConfig(trees=30, seed=1))
     assert [r.getMessage() for r in caplog.records] == [
         "grow: 1 tree, 37 nodes, 9 split searches, at most 1 open at once",
-        "grow: 30 trees, 878 nodes, 26 split searches, at most 30 open at once",
+        "grow: 30 trees, 888 nodes, 25 split searches, at most 30 open at once",
     ]
 
 
-# --- the forest's bulk feature draws against Generator.choice
+# --- the forest's feature draws
 
-_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+def test_a_node_searches_the_features_of_its_four_smallest_uniform_draws(monkeypatch):
+    """The features of the first node of default_rng(0) and default_rng(1):
+    np.sort(np.argsort(rng.random(17), kind="stable")[:4])."""
+    searched = []
+    search = ml._best_splits
 
+    def recording(X, ranks, y, rows, sizes, features):
+        searched.append(features.tolist())
+        return search(X, ranks, y, rows, sizes, features)
 
-def _pcg64_state_with_word(position, word, seed):
-    """A PCG64 state whose stream of 32-bit words holds `word` at
-    `position`: a buffered word first (has_uint32 = 1, uinteger), then the
-    low and the high half of each 64-bit output.  The output that holds the
-    word is made by a state whose top 6 bits are 0, so that XSL-RR does not
-    rotate it; the state is then stepped back to the start."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    other, hi = int(rng.integers(0, 1 << 32)), int(rng.integers(0, 1 << 58))
-    state["has_uint32"], state["uinteger"] = 1, word if position == 0 else other
-    if position > 0:
-        output = word << 32 | other if position % 2 == 0 else other << 32 | word
-        s, inc = hi << 64 | (hi ^ output), state["state"]["inc"]
-        inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
-        for _ in range((position + 1) // 2):
-            s = (s - inc) * inverse % (1 << 128)
-        state["state"]["state"] = s
-    return state
+    monkeypatch.setattr(ml, "_best_splits", recording)
+    X, y = _scaled(_tough_rows(60, seed=60))
+    ml._grow(X, y, TreeConfig(), [(np.arange(60), np.random.default_rng(seed)) for seed in (0, 1)], 4)
+    assert searched[0] == [[2, 3, 11, 13], [2, 9, 14, 16]]
 
 
-def _generator(state):
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
-@pytest.mark.parametrize("pop, size", [(17, 4), (17, 1), (5, 2), (17, 16)])
-def test_bulk_feature_draws_equal_generator_choice_and_consume_its_words(pop, size):
-    for seed in range(4):
-        children = np.random.SeedSequence(seed).spawn(8)
-        reference = [np.random.default_rng(child) for child in children]
-        words = [ml._Words(np.random.default_rng(child)) for child in children]
-        for i in range(0, 8, 2):  # every other generator starts with a buffered word, as after an odd bootstrap
-            for rng in (reference[i], words[i].rng):
-                rng.integers(0, 10, 3)
-        picker = np.random.default_rng(seed)
-        for _ in range(100):  # a draw for the trees a step takes; the blocks run out and refill
-            trees = np.flatnonzero(picker.random(8) < 0.6).tolist()
-            expected = [np.sort(reference[t].choice(pop, size=size, replace=False)) for t in trees]
-            np.testing.assert_array_equal(ml._draw_features([words[t] for t in trees], pop, size),
-                                          np.array(expected).reshape(len(trees), size))
-        for rng, tree_words in zip(reference, words):
-            assert tree_words.take(5) == rng.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist()
-
-
-@pytest.mark.parametrize("position", range(7))
-def test_a_rejected_word_is_redrawn_as_generator_choice_redraws_it(position):
-    """The 7 words of a (17, 4) draw are bounded by 14, 15, 16, 17 (Floyd)
-    and 4, 3, 2 (shuffle).  The word 0 is rejected where 2**32 mod the
-    bound is not 0, so the draw takes an eighth word; a power-of-two bound
-    rejects nothing."""
-    bound = (14, 15, 16, 17, 4, 3, 2)[position]
-    state = _pcg64_state_with_word(position, 0, seed=position)
-    stream = _generator(state).integers(0, 1 << 32, size=30, dtype=np.uint32).tolist()
-    assert stream[position] == 0
-    reference = _generator(state)
-    expected = np.sort(reference.choice(17, size=4, replace=False))
-    after = reference.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist()
-    consumed = 8 if (1 << 32) % bound else 7
-    assert after == stream[consumed:consumed + 5]
-    # among the draws of other trees, which take no rejected word
-    tree_words = ml._Words(_generator(state))
-    seeds = ([position, 0], None, [position, 1], [position, 2])
-    drawn = ml._draw_features([tree_words if s is None else ml._Words(np.random.default_rng(s)) for s in seeds], 17, 4)
-    np.testing.assert_array_equal(drawn, [
-        expected if s is None else np.sort(np.random.default_rng(s).choice(17, size=4, replace=False)) for s in seeds])
-    assert tree_words.take(5) == after
+def test_a_tree_draws_one_row_of_doubles_per_searched_node_and_nothing_ahead():
+    X, y = _scaled(_tough_rows(60, seed=60))
+    for seed in range(3):
+        samples = list(_samples(60, 5, seed, True))
+        ml._grow(X, y, TreeConfig(), samples, ml.FEATURES_PER_SPLIT)
+        for (_, rng), (rows, twin) in zip(samples, _samples(60, 5, seed, True)):
+            grow_tree_reference(X[rows], y[rows], TreeConfig(), 0, twin, ml.FEATURES_PER_SPLIT)
+            assert rng.random() == twin.random()
 
 
 def test_approach1_trains_each_tree_grid_once_and_tunes_as_training_every_config(monkeypatch):
