@@ -314,10 +314,9 @@ class TraceSession:
         self.project = project or "project"
         self.chain, self._changes = repo.first_parent_history(snapshot)
         self.snapshot = self.chain[0]
-        # path -> indices of the chain commits that changed it; the root
-        # has no parent to trace into
+        # path -> indices of the chain commits that changed it
         self._changed_at: dict[str, list[int]] = {}
-        for k, changes in enumerate(self._changes[:-1]):
+        for k, changes in enumerate(self._changes):
             for path in changes:
                 self._changed_at.setdefault(path, []).append(k)
         self.files_traced = 0
@@ -331,7 +330,10 @@ class TraceSession:
     def steps(self, path: str) -> list[tuple[int, Change]]:
         """(chain index, change) at every commit that changed the snapshot
         file `path`, newest first, following renames to the old path and
-        ending where the file was added or deleted."""
+        ending at the commit that added the file; the root adds every file
+        it holds.  Their commits and statuses are those that `git log
+        --first-parent -m --follow -M <snapshot> -- <path>` lists, down to
+        the file's addition."""
         steps = []
         cur_path = path
         k = 0
@@ -343,7 +345,7 @@ class TraceSession:
             k = indices[i]
             change = self._changes[k][cur_path]
             steps.append((k, change))
-            if change.status[0] in ("A", "D"):
+            if change.status[0] == "A":
                 return steps
             cur_path = change.oldPath or cur_path
             k += 1
@@ -369,15 +371,17 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
     changed the file, following its renames, matches every method still
     being traced against each parent-side version and records a revision
     whenever a declaration's text changed (comment and formatting changes
-    included).  Each version is extracted at most once, through one lexer
+    included).  A method's introduction is the first step at which no
+    parent-side method matches it, or else the file's addition, the walk's
+    last step.  Each version is extracted at most once, through one lexer
     memo (`memo`, the file's own, or a fresh one), and its declarations are
     dropped after the last step that reads it; the walk stops once every
     method has reached its introduction.  The lines the memo gains are
     counted in the session's `lines_lexed_alone`."""
     chain = session.chain
     steps = session.steps(path)
-    # one batch; a file no commit changed after its addition reads no blob
-    blobs = [change.oldBlob for _, change in steps if change.status[0] not in ("A", "D")]
+    # one batch; the last step, the file's addition, has no parent side
+    blobs = [change.oldBlob for _, change in steps[:-1]]
     texts = session.repo.read_blobs(blobs)
     reads_left = Counter(blobs)  # steps still to read each blob
     session.files_traced += 1
@@ -388,8 +392,8 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
     extracted: dict[str, list[MethodDeclaration] | None] = {}
     current = list(decls)  # each method's declaration at the step reached
     pending: list[list[tuple[CommitMeta, int, int, int]]] = [[] for _ in decls]  # newest first
-    introduction = [chain[-1]] * len(decls)
-    intro_path = [path] * len(decls)
+    introduction: list[CommitMeta | None] = [None] * len(decls)
+    intro_path: list[str | None] = [None] * len(decls)
     tracing = list(range(len(decls)))
     cur_path = path
 
@@ -397,15 +401,10 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
         if not tracing:
             break
         child = chain[k]
-        kind = change.status[0]
-        if kind in ("A", "D"):
+        if change.status[0] == "A":
             for i in tracing:
-                if kind == "D":
-                    log.warning(
-                        "method %s tracked into a deleted path %s at %s; treating as introduction",
-                        current[i].name, cur_path, child.id[:12],
-                    )
                 introduction[i] = child
+                intro_path[i] = cur_path
             break
         parent_path = change.oldPath or cur_path
         blob = change.oldBlob
@@ -434,8 +433,6 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
             still.append(i)
         tracing = still
         cur_path = parent_path
-    for i in tracing:
-        intro_path[i] = cur_path
     session.lines_lexed_alone += len(memo) - lexed
 
     return [

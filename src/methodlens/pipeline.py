@@ -755,8 +755,6 @@ def _train_payload(approach: int, outcome: dict) -> dict:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return repr(float(value))
 
 

@@ -8,8 +8,11 @@ separate route, not against itself.
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -426,20 +429,51 @@ def match_method_reference(
     return best_of(others)
 
 
+def follow_history(repo: Path, snapshot: str, path: str) -> list[tuple[str, str]]:
+    """(commit id, status letter) of each commit that `git log --first-parent
+    -m --follow -M` lists for the file `path` of `snapshot`, newest first.
+    Git runs without the system's and the user's configuration, so that no
+    `diff.renames` setting changes the listing.  `--follow` does not stop
+    at the commit that added the path: it goes on into the history of any
+    file deleted at that path before."""
+    env = dict(os.environ, GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL="/dev/null")
+    out = subprocess.run(
+        ["git", "-C", str(repo), "log", "--first-parent", "-m", "--follow", "-M", "--name-status", "-z",
+         "--format=%x02%H", snapshot, "--", path],
+        check=True, capture_output=True, env=env,
+    ).stdout
+    # NUL-separated fields: "\x02" + a commit id, then its status and path,
+    # or the status and the old and the new path of a rename or copy
+    listing = []
+    fields = out.split(b"\x00")
+    i = 0
+    while i < len(fields):
+        field = fields[i].lstrip(b"\n")
+        i += 1
+        if field.startswith(b"\x02"):
+            commit = field[1:].decode("ascii")
+        elif field:
+            status = field[:1].decode("ascii")
+            listing.append((commit, status))
+            i += 2 if status in ("R", "C") else 1
+    return listing
+
+
 def trace_method_reference(session: TraceSession, decl: MethodDeclaration, path: str) -> MethodHistory:
     """One method's history by the per-method backward walk that
     `history.trace_method` replaced: the method alone steps back through the
     first-parent commits that changed its file, following file renames and
     method matches found by `match_method_reference`, and every parent-side
-    version it reaches is read and extracted afresh."""
+    version it reaches is read and extracted afresh.  Its introduction is
+    the step at which no parent-side method matches, or else the file's
+    addition, the last step."""
     chain = session.chain
     cur_decl = decl
     cur_path = path
     pending: list[tuple] = []  # newest first
-    introduction = chain[-1]
     for k, change in session.steps(path):
         child = chain[k]
-        if change.status[0] in ("A", "D"):
+        if change.status[0] == "A":
             introduction = child
             break
         parent_path = change.oldPath or cur_path

@@ -186,13 +186,16 @@ class B {
     }
     void m(int x) { }
     void m(long x) { }
+    void m(java.util.Map<String, java.util.List<java.util.Set<Long>>> deep, int b) { }
 }
 """
     decls = extract_methods(src(content))
     sigs = [signature(d) for d in decls]
     assert "B.C#m(java.util.List,int)" in sigs
     assert "B#m(int)" in sigs and "B#m(long)" in sigs
-    assert len(set(sigs)) == 3
+    # `>>>` closes three type argument lists
+    assert "B#m(java.util.Map,int)" in sigs
+    assert len(set(sigs)) == 4
 
 
 def test_varargs_and_arrays_in_signature():
@@ -227,6 +230,9 @@ class A {
     public String toString() {
         return "";
     }
+
+    @java.lang.SuppressWarnings("x")
+    void quiet() { }
 }
 """
     decls = extract_methods(src(content))
@@ -234,6 +240,7 @@ class A {
     assert d.annotations == ["@Override", "@SuppressWarnings"]
     assert d.startLine == 2
     assert d.modifiers == {"public"}
+    assert (decls[1].annotations, decls[1].startLine) == (["@java.lang.SuppressWarnings"], 8)
 
 
 def test_generic_method_declaration():

@@ -179,6 +179,11 @@ def test_depth_else_if_chain_stays_level():
     ("{ { if (a) { b(); } } }", 1),
     # a labelled loop counts, and so does its `if`'s braceless body
     ("outer: for (int i = 0; i < 3; i++) { if (i == 1) continue outer; }", 2),
+    # local class bodies are transparent, at the top and inside an `if`
+    ("class Local { void f() { while (a) { if (b) { c(); } } } }", 2),
+    ("if (a) { class Local { void f() { for (;;) { } } } }", 2),
+    # an empty statement adds no depth, but as a braceless body it is a block
+    ("; while (busy()) ; ;", 1),
 ])
 def test_depth_counts_control_structures_inside_transparent_blocks(body, depth):
     assert compute_metric_vector(decl_of(f"void m() {{ {body} }}")).maxBlockDepth == depth
@@ -316,6 +321,15 @@ def test_entropy_is_bit_identical_to_the_counting_loop():
 def test_counts_multi_declarator():
     d = decl_of("void m() { int a, b; use(a, b); }")
     assert compute_metric_vector(d).variables == 2
+
+
+@pytest.mark.parametrize("body", [
+    "int[] a = {1};",
+    "int b[] = {2};",  # the legacy array declarator
+    "java.util.Map<K, java.util.List<java.util.Set<V>>> c = null;",  # `>>>` closes the type
+])
+def test_counts_array_and_nested_generic_locals(body):
+    assert compute_metric_vector(decl_of(f"void m() {{ {body} }}")).variables == 1
 
 
 def test_counts_comment_ratio():

@@ -1,5 +1,6 @@
-"""README's stage-by-stage commands parse with the current command line, and
-its configuration block is the default configuration."""
+"""README's stage-by-stage commands parse with the current command line, its
+configuration block is the default configuration, and its multi-project
+recipe, concatenated `dataset.ndjson` files, reads as one dataset."""
 
 import re
 import shlex
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from methodlens.cli import build_parser
-from methodlens.pipeline import PipelineConfig, validate_config
+from methodlens.cli import build_parser, main
+from methodlens.pipeline import PipelineConfig, labeled_record, read_ndjson, validate_config, write_ndjson
+from synth import labeled, metric_vector
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +47,25 @@ def test_readme_configuration_block_is_the_default_config(tmp_path):
     path = tmp_path / "methodlens.conf"
     path.write_text(block, encoding="utf-8")
     assert validate_config(path) == PipelineConfig()
+
+
+def test_readme_multi_project_recipe_reads_concatenated_datasets_as_one(tmp_path):
+    assert "then concatenate the\n`dataset.ndjson` files" in README.read_text(encoding="utf-8")
+    parts = []
+    for project, count in (("alpha", 7), ("beta", 5)):
+        methods = [labeled(i, project=project, metrics=metric_vector(size=i + 1), revisions=i % 3)
+                   for i in range(count)]
+        path = tmp_path / f"{project}.ndjson"
+        write_ndjson(path, "label", {}, [labeled_record(m, 0, 2000.0) for m in methods])
+        parts.append(path.read_bytes())
+    merged = tmp_path / "dataset.ndjson"
+    merged.write_bytes(b"".join(parts))
+    header, records = read_ndjson(merged)
+    assert header["stage"] == "label"
+    # the second file's header line is skipped, not read as a record
+    assert len(records) == 12 and not any("schemaVersion" in r for r in records)
+    assert [r["identity"]["project"] for r in records] == ["alpha"] * 7 + ["beta"] * 5
+    assert main(["correlate", "--labeled", str(merged), "--out", str(tmp_path / "out")]) == 0
+    table = (tmp_path / "out" / "correlations.csv").read_text().splitlines()
+    assert table[0] == "metric,tau,p,n" and len(table) == 18
+    assert all(row.endswith(",12") for row in table[1:])

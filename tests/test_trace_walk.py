@@ -1,10 +1,13 @@
 """The file-at-a-time backward walk (`history.trace_method`) against the
 per-method walk it replaced (`oracles.trace_method_reference`): every field
 of every history is equal on the fixture, layout and small-history
-repositories and on a hand-built history with a rename, a revert, an
+repositories, on a hand-built history with a rename, a revert, an
 unparseable parent version, methods of one file introduced at different
-steps and one introduced by the renaming commit; and that the walk keeps a
-version's declarations only until the last step that reads it."""
+steps and one introduced by the renaming commit, and on one with a file
+deleted and added again; that a file's steps are the commits and statuses
+that `git log --follow` lists, down to the file's addition; and that the
+walk keeps a version's declarations only until the last step that reads
+it."""
 
 import gc
 import weakref
@@ -16,7 +19,7 @@ from methodlens import history
 from methodlens.gitrepo import GitRepo
 from methodlens.history import TraceSession, trace_method
 from methodlens.java_extract import extract_methods, normalize_source
-from oracles import trace_method_reference
+from oracles import follow_history, trace_method_reference
 from repo_builder import build_layout_repo, commit_files, init_repo
 from test_lexer_memo import build_small_history
 
@@ -48,6 +51,16 @@ WALK_HISTORY = [
 ]
 
 
+# src/A.java is deleted and later added again with the same method
+READDED_HISTORY = [
+    ("c01", "add A and C", {"src/A.java": _java("A", FIRST_V1), "src/C.java": _java("C", OLD_V1)}),
+    ("c02", "drop A", {"src/A.java": None}),
+    ("c03", "edit old", {"src/C.java": _java("C", OLD_V2)}),
+    ("c04", "add A again", {"src/A.java": _java("A", FIRST_V1)}),
+    ("c05", "edit first", {"src/A.java": _java("A", FIRST_V2)}),
+]
+
+
 def build_walk_history(root) -> dict:
     repo = init_repo(root, "walk-history")
     shas = {tag: commit_files(repo, tag, message, files) for tag, message, files in WALK_HISTORY}
@@ -57,6 +70,13 @@ def build_walk_history(root) -> dict:
 @pytest.fixture(scope="module")
 def walk_history(tmp_path_factory):
     return build_walk_history(tmp_path_factory.mktemp("walk"))
+
+
+@pytest.fixture(scope="module")
+def readded_history(tmp_path_factory):
+    repo = init_repo(tmp_path_factory.mktemp("readded"), "readded-history")
+    shas = {tag: commit_files(repo, tag, message, files) for tag, message, files in READDED_HISTORY}
+    return {"repo": repo, "snapshot": shas["c05"], "shas": shas}
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +96,12 @@ def snapshot_methods(git: GitRepo, snapshot: str) -> dict[str, list]:
             for name, text in texts.items()}
 
 
-@pytest.mark.parametrize("name, methods", [("fixture", 11), ("layout", 7), ("small", 3), ("walk", 4)])
+@pytest.mark.parametrize("name, methods", [("fixture", 11), ("layout", 7), ("small", 3), ("walk", 4),
+                                           ("readded", 2)])
 def test_the_file_walk_gives_the_per_method_walks_histories(name, methods, request):
     ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_history",
-                                      "small": "small_history", "walk": "walk_history"}[name])
+                                      "small": "small_history", "walk": "walk_history",
+                                      "readded": "readded_history"}[name])
     git = GitRepo(str(ledger["repo"]))
     session = TraceSession(git, ledger["snapshot"], THETA, project="p")
     reference = TraceSession(git, ledger["snapshot"], THETA, project="p")
@@ -98,6 +120,44 @@ def test_the_file_walk_gives_the_per_method_walks_histories(name, methods, reque
             assert g == w
         traced += len(got)
     assert traced == methods
+
+
+@pytest.mark.parametrize("name, files, cut", [
+    ("fixture", 3, 0), ("layout", 4, 0), ("readded", 2, 1), ("deep-history", 8, 0), ("deep-history@5", 8, 0),
+    ("wide-snapshot", 6, 0), ("wide-snapshot@5", 6, 0)])
+def test_a_files_steps_are_what_git_log_follow_lists_down_to_its_addition(name, files, cut, request, bench_run,
+                                                                          tmp_path):
+    """Every snapshot file's steps, the root's additions included, against
+    git's own rename-following listing, cut after the file's addition;
+    `cut` counts the files whose listing goes on past it."""
+    if name.startswith(("deep-history", "wide-snapshot")):
+        workload, _, seed = name.partition("@")
+        generated = bench_run.generate_repo(bench_run.WORKLOADS[workload][0], int(seed or 1), tmp_path / "repo")
+        repo, snapshot = generated.path, generated.head
+    else:
+        ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_history",
+                                          "readded": "readded_history"}[name])
+        repo, snapshot = ledger["repo"], ledger["snapshot"]
+    git = GitRepo(str(repo))
+    session = TraceSession(git, snapshot, THETA)
+    paths = git.ls_tree(snapshot)
+    went_on = 0
+    for path in paths:
+        listed = follow_history(repo, snapshot, path)
+        added = [status for _, status in listed].index("A") + 1
+        assert [(session.chain[k].id, change.status[0]) for k, change in session.steps(path)] == listed[:added], path
+        went_on += added < len(listed)
+    assert (len(paths), went_on) == (files, cut)
+
+
+def test_a_file_added_again_starts_its_methods_at_its_new_addition(readded_history):
+    git = GitRepo(str(readded_history["repo"]))
+    session = TraceSession(git, readded_history["snapshot"], THETA, project="p")
+    shas = readded_history["shas"]
+    [first] = trace_method(session, "src/A.java", snapshot_methods(git, readded_history["snapshot"])["src/A.java"])
+    # the deleted file held the same method, but its history is not this one's
+    assert (first.introduction.id, first.introductionPath, [r.commit.id for r in first.revisions]) == \
+           (shas["c04"], "src/A.java", [shas["c05"]])
 
 
 def test_the_hand_built_history_has_each_event(walk_history):
