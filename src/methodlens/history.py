@@ -245,6 +245,7 @@ def match_method(
     target: MethodDeclaration,
     theta: float,
     counts: MatchCounts | None = None,
+    memo: dict[str, list[Token]] | None = None,
 ) -> MethodDeclaration | None:
     """Parent-side counterpart of `target`, or None.
 
@@ -252,7 +253,8 @@ def match_method(
     `theta`; any method with maximal similarity of at least `theta`.
     Small methods only ever match same-name candidates. Edit distances
     that cannot reach theta are skipped or stopped, which never changes
-    the candidate chosen.
+    the candidate chosen. A target with no body block yet (one rebuilt
+    from a record) is lexed for it through `memo`.
     """
     # a signature names the method, so the exact matches are same-name ones
     same_name = [m for m in prev_methods if m.name == target.name]
@@ -263,7 +265,7 @@ def match_method(
 
     if counts is None:
         counts = MatchCounts()
-    target_block = body_block(target)
+    target_block = body_block(target, memo)
 
     def best_of(candidates: list[MethodDeclaration]) -> MethodDeclaration | None:
         best = None
@@ -420,7 +422,7 @@ def trace_method(session: TraceSession, path: str, decls: list[MethodDeclaration
             continue
         still = []
         for i in tracing:
-            matched = match_method(prev_methods, current[i], session.theta, session.comparisons)
+            matched = match_method(prev_methods, current[i], session.theta, session.comparisons, memo)
             if matched is None:
                 introduction[i] = child
                 intro_path[i] = cur_path

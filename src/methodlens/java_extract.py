@@ -57,14 +57,20 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?", ":",
 ]
 
-# One alternation, tried in order at each position.  After each construct
-# that can fail to close comes an alternative that matches only its failure:
-# '/*' with no later '*/', and '"""' with no later '"""' (a text block that
-# does close later but not legally falls through to the string rules).  The
-# final '.' catches every character no token can start with.
+# One match per token: the blanks before it, then one alternation, tried in
+# order.  A whitespace run that holds a newline is matched as `newline`,
+# which ends a lex in context.  After each construct that can fail to close
+# comes an alternative that matches only its failure: '/*' with no later
+# '*/', and '"""' with no later '"""' (a text block that does close later
+# but not legally falls through to the string rules).  The final
+# alternative catches every character no token can start with except a
+# blank, so that blanks at the end of the text match nothing and the search
+# ends there.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n\f]+)
+    [ \t\r\f]*
+    (?:
+      (?P<newline>\n[ \t\r\n\f]*)
     | (?P<linecomment>//[^\n]*)
     | (?P<blockcomment>/\*(?:[^*]|\*(?!/))*\*/)
     | (?P<unclosedcomment>/\*)
@@ -82,7 +88,8 @@ _TOKEN_RE = re.compile(
     | (?P<ident>(?:[^\W\d]|\$)[\w$]*)
     | (?P<sep>\.\.\.|::|[(){}\[\];,.@])
     | (?P<op>%s)
-    | (?P<error>.)
+    | (?P<error>[^ \t\r\f])
+    )
     """ % "|".join(re.escape(op) for op in _OPERATORS),
     re.VERBOSE | re.DOTALL,
 )
@@ -146,8 +153,9 @@ def tokenize(source: str, memo: dict[str, list[Token]] | None = None) -> list[To
     a backslash, is lexed in the whole source's context, from its start up
     to the next whitespace run that holds a newline. Every other line is
     lexed on its own and its tokens are kept in `memo` under the line's
-    text: a caller that lexes many versions of one file passes one memo and
-    lexes each such line once (a hit on another line number is renumbered).
+    text: a caller that lexes many versions of one file, or one file in
+    several stages, passes one memo and lexes each such line once (a hit on
+    another line number is renumbered).
     """
     if memo is None:
         memo = {}
@@ -180,23 +188,22 @@ def _lex_from(source: str, pos: int, line: int, out: list[Token]) -> tuple[int, 
     """Lex `source` from `pos`, the start of line `line`, into `out` up to
     the first whitespace run that holds a newline; return the line number
     and offset of the line after that run's last newline (past the end when
-    the source ends first)."""
+    the source ends first).  Each match of `_TOKEN_RE` is one token with
+    the blanks before it, or the whitespace run that ends the lex."""
     append = out.append
     new_token = tuple.__new__
     line_start = pos
     for m in _TOKEN_RE.finditer(source, pos):
         group = m.lastgroup
-        text = m.group()
+        text = m[group]
+        start = m.start(group)
         kind = _GROUP_KINDS.get(group)
         if kind is None:
-            if group == "ws":
-                if "\n" in text:
-                    return line + text.count("\n"), m.start() + text.rfind("\n") + 1
-                continue
+            if group == "newline":
+                return line + text.count("\n"), start + text.rfind("\n") + 1
             if group != "ident":
                 raise _lex_error(group, text, line)
             kind = "keyword" if text in KEYWORDS else "literal" if text in WORD_LITERALS else "identifier"
-        start = m.start()
         nl = text.count("\n")
         append(new_token(Token, (kind, text, line, start - line_start + 1, nl + 1)))
         if nl:
@@ -264,13 +271,14 @@ def _from_body_open(lines: list[str], toks: list[Token], i: int, end: int) -> st
     return "\n".join([lines[brace.line - 1][brace.column - 1:], *lines[brace.line:end]])
 
 
-def body_block(decl: MethodDeclaration) -> str:
+def body_block(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = None) -> str:
     """The declaration's text from its body's opening brace on (all of it
     when no brace opens a body).  Extraction sets it; a declaration built
-    otherwise, such as from a record, is lexed for it once."""
+    otherwise, such as from a record, is lexed for it once, through `memo`
+    when given."""
     if decl.bodyBlock is None:
         lines = decl.bodyText.split("\n")
-        toks = [t for t in tokenize(decl.bodyText) if t.kind != "comment"]
+        toks = [t for t in tokenize(decl.bodyText, memo) if t.kind != "comment"]
         decl.bodyBlock = _from_body_open(lines, toks, 0, len(lines)) or decl.bodyText
     return decl.bodyBlock
 

@@ -495,29 +495,47 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
              if config.files in ("", "*") or fnmatch.fnmatch(path, config.files)}
     texts = repo.read_blobs(blobs.values())
     records = []
+    # each file's line memo, kept only when a run will hand it on to trace
+    memos: dict[str, dict[str, list[Token]]] = {}
+    handing_on = _RUN_READS.get() is not None
     files_read = failures = 0
     for path, blob in blobs.items():
         content = texts[blob]
         if content is None:
             continue
         files_read += 1
+        memo: dict[str, list[Token]] = {}
         try:
-            decls = extract_methods(normalize_source(content))
+            decls = extract_methods(normalize_source(content), memo)
         except (ExtractionError, LexicalError) as err:
             log.warning("skipping %s: %s", path, err)
             failures += 1
             continue
+        if decls and handing_on:
+            memos[path] = memo
         records.extend(method_record(path, d) for d in decls)
     log.info("extract: %d files read, %d methods, %d files failed to extract",
              files_read, len(records), failures)
-    write_ndjson(out / "methods.ndjson", "extract", digests, records,
+    methods_path = out / "methods.ndjson"
+    write_ndjson(methods_path, "extract", digests, records,
                  extra_header={"snapshot": snapshot, "project": config.project_name()}, shared=True)
+    _share(methods_path, _snapshot_memos, memos)
+
+
+def _snapshot_memos(methods_path: Path) -> dict[str, dict[str, list[Token]]]:
+    """The line memo each snapshot file with methods was extracted through,
+    by path, as a load of `methods_path` for `_read_once`: extract shares
+    them once it has written the file, and trace takes each over for the
+    file's walk.  Loaded otherwise, it parses nothing and gives none."""
+    return {}
 
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str], *,
               methods_path: Path) -> None:
     """Trace each method of `methods_path`, which extract must have written
-    at `snapshot`."""
+    at `snapshot`.  Each file is lexed through one memo: the one extract
+    lexed the file through, when this run's extract wrote `methods_path`,
+    and a fresh one otherwise."""
     header, records = _read_once(read_ndjson, methods_path)
     written_at = header.get("snapshot")
     if written_at != snapshot:
@@ -529,9 +547,14 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
         for record in records:
             by_file.setdefault(record["file"], []).append(decl_from_record(record))
     session = TraceSession(repo, snapshot, config.theta, project=project)
+    memos = _read_once(_snapshot_memos, methods_path)
+    carried = 0  # distinct lines extract lexed alone and handed over
     measured: list[tuple[MethodHistory, MetricVector]] = []
     for path, decls in by_file.items():
-        memo: dict[str, list[Token]] = {}  # one file's lines, so memory stays bounded by its history
+        # one file's lines, so memory stays bounded by its history; the run
+        # lets go of the memo extract handed over as the file's walk starts
+        memo = memos.pop(path, {})
+        carried += len(memo)
         histories = trace_method(session, path, decls, memo)
         # the inception metrics depend on the introduction alone, so label
         # reads them instead of measuring again on every rerun; they lex
@@ -541,10 +564,10 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
         session.lines_lexed_alone += len(memo) - lexed
     comparisons = session.comparisons
     log.info("trace: %d chain commits, %d files traced, %d blobs read, "
-             "%d historical versions failed to extract, %d version lines, %d lexed alone, "
-             "%d body comparisons, %d ruled out by the length or bag bound, %d cut off at theta",
+             "%d historical versions failed to extract, %d version lines, %d carried from extract, "
+             "%d lexed alone, %d body comparisons, %d ruled out by the length or bag bound, %d cut off at theta",
              len(session.chain), session.files_traced, session.blobs_read, session.failures,
-             session.version_lines, session.lines_lexed_alone,
+             session.version_lines, carried, session.lines_lexed_alone,
              comparisons.considered, comparisons.ruled_out, comparisons.cut_off)
     measured.sort(key=lambda pair: pair[0].identity.key())
     records = [history_record(h, vector) for h, vector in measured]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from methodlens import java_extract
+from methodlens import history, java_extract
 from methodlens.gitrepo import GitRepo
 from methodlens.java_extract import (ExtractionError, LexicalError, body_block, extract_methods, normalize_source,
                                      tokenize)
@@ -75,14 +75,25 @@ def test_trace_lexes_every_version_as_the_reference_does(name, versions, errors,
     ledger = request.getfixturevalue({"fixture": "fixture_repo", "layout": "layout_repo",
                                       "small": "small_history"}[name])
     real_tokenize = java_extract.tokenize
-    memos = []
-    outcomes = []
+    # (memo, whether the reference fails) of each lex through a memo: by
+    # extract, by trace's extraction of a version, and by trace otherwise
+    # (the body block of a snapshot method rebuilt from its record)
+    lexed = {"extract": [], "trace": [], "other": []}
+    stage = "extract"
+    real_extract = history.extract_methods
+
+    def extracting(text, memo=None):
+        nonlocal stage
+        stage = "trace"
+        try:
+            return real_extract(text, memo)
+        finally:
+            stage = "other"
 
     def checked(source, memo=None):
         expected = lex(tokenize_reference, source)
         if memo is not None:
-            memos.append(memo)
-            outcomes.append(isinstance(expected, tuple))
+            lexed[stage].append((memo, isinstance(expected, tuple)))
         try:
             tokens = real_tokenize(source, memo)
         except LexicalError as err:
@@ -92,12 +103,21 @@ def test_trace_lexes_every_version_as_the_reference_does(name, versions, errors,
         return tokens
 
     monkeypatch.setattr(java_extract, "tokenize", checked)
+    monkeypatch.setattr(history, "extract_methods", extracting)
     config = PipelineConfig(repo=str(ledger["repo"]), commit=ledger["snapshot"], out=str(tmp_path), project="p")
     git = GitRepo(config.repo)
     run_stage("extract", config, {}, git, ledger["snapshot"])
+    stage = "other"
     run_stage("trace", config, {"methods.ndjson": tmp_path / "methods.ndjson"}, git, ledger["snapshot"])
+    # extract lexes each snapshot file through a memo of its own
+    snapshot_files = [path for path in git.ls_files(ledger["snapshot"]) if path.endswith(".java")]
+    assert [fails for _, fails in lexed["extract"]] == [False] * len(snapshot_files)
+    assert len({id(memo) for memo, _ in lexed["extract"]}) == len(snapshot_files)
     # the versions trace extracted, in trace order, each file's through one memo
-    assert (len(outcomes), sum(outcomes), len({id(memo) for memo in memos})) == (versions, errors, files)
+    outcomes = [fails for _, fails in lexed["trace"]]
+    memos = {id(memo) for memo, _ in lexed["trace"]}
+    assert (len(outcomes), sum(outcomes), len(memos)) == (versions, errors, files)
+    assert {id(memo) for memo, _ in lexed["other"]} <= memos
 
 
 # --- body blocks from the file's tokens ------------------------------------

@@ -55,3 +55,24 @@ def test_multiline_tokens_report_their_line_count_and_the_next_column():
     assert [(t.text, t.line_count) for t in tokenize(source) if t.line_count > 1] == [
         ('"""\n  a\n  """', 3), ("/* b\n c */", 2), ('"d\\\ne"', 2)]
     assert all(t.line_count == t.text.count("\n") + 1 for t in tokenize(source))
+
+
+@pytest.mark.parametrize("source", [
+    "int a;  \t\f",  # blanks at the end of a line
+    "int a; \t\f\nint b;\t \n",
+    "   \t\f ",  # a line of blanks only
+    "a\n \t \nb\n  \n",
+    "a\rb \r c\r",  # a carriage return inside a line
+    "/* x */ \r y\r\n z",
+    "int a =  \x0b 1;",  # an unexpected character after blanks
+    "a\n  \t# b",  # a stray character after blanks, on line 2
+    "a\n/* b */  \f`",
+    # a whitespace run that holds several newlines, in context: the lex
+    # resumes at the start of the line after the last of them
+    "x /* a */  \n\n \t\n  y = 1;\n z",
+    "x /* a */  \n\n \t\n  y = 1;\n\"z",
+    's = """\n  a\n  """;  \t\n\n\f\n    t = "u";',
+    "/* a\n b */ \n \n\t c /* d */ \n\n e",
+])
+def test_blanks_and_newline_runs_lex_as_the_reference_does(source):
+    assert lex(tokenize, source) == lex(tokenize_reference, source)

@@ -6,8 +6,10 @@ one extraction per parent-side version the file's
 walk reaches and none older, no body-block lex for an extracted declaration
 and one for a declaration rebuilt from its record, and a counted summary of
 what it read, failed to extract and lexed; the line memo that lives for one
-traced file; the same summary of the extract stage; and the line a
-pipeline run ends with, which counts the git processes it started."""
+traced file, which in a pipeline run is the one extract lexed the file
+through, so that the run lexes no line of a file twice; the same summary
+of the extract stage; and the line a pipeline run ends with, which counts
+the git processes it started."""
 
 import logging
 from collections import Counter
@@ -147,7 +149,8 @@ def test_trace_counts_the_historical_version_that_fails_to_extract(tmp_path, cap
     # 7 + 6 lines hold 6 distinct ones that lex: c02's first four (its fifth
     # fails and is not kept), then c01's closing "}" and its empty last line
     assert summary == ["trace: 3 chain commits, 1 files traced, 2 blobs read, "
-                       "1 historical versions failed to extract, 13 version lines, 6 lexed alone, "
+                       "1 historical versions failed to extract, 13 version lines, 0 carried from extract, "
+                       "6 lexed alone, "
                        "0 body comparisons, 0 ruled out by the length or bag bound, 0 cut off at theta"]
     assert sum("extraction failed" in r.getMessage() for r in caplog.records) == 1
     _, [record] = read_ndjson(Path(config.out) / "histories.ndjson")
@@ -171,7 +174,8 @@ def test_trace_starts_no_process_for_a_file_with_no_parent_side_version(tmp_path
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     # the 2 lines lexed alone are the one-line introductions, measured through their files' memos
     assert summary == ["trace: 2 chain commits, 2 files traced, 0 blobs read, "
-                       "0 historical versions failed to extract, 0 version lines, 2 lexed alone, "
+                       "0 historical versions failed to extract, 0 version lines, 0 carried from extract, "
+                       "2 lexed alone, "
                        "0 body comparisons, 0 ruled out by the length or bag bound, 0 cut off at theta"]
     _, records = read_ndjson(Path(config.out) / "histories.ndjson")
     assert [(r["identity"]["signature"], r["revisions"]) for r in records] == [("A#a()", []), ("B#b()", [])]
@@ -196,6 +200,10 @@ def test_extract_counts_the_snapshot_file_that_fails_to_extract(tmp_path, caplog
 
 
 def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, tmp_path, monkeypatch, caplog):
+    snapshot = []
+    real_snapshot_extract = pipeline.extract_methods
+    monkeypatch.setattr(pipeline, "extract_methods",
+                        lambda text, memo=None: snapshot.append((text, memo)) or real_snapshot_extract(text, memo))
     extracted = []
     real_extract = history.extract_methods
     monkeypatch.setattr(history, "extract_methods",
@@ -211,20 +219,28 @@ def test_trace_summary_counts_version_lines_and_lines_lexed_alone(fixture_repo, 
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trace:")]
     # of the 8 body comparisons, the bounds rule out 6 and the other 2 reach theta
     assert summary == ["trace: 11 chain commits, 3 files traced, 10 blobs read, "
-                       "0 historical versions failed to extract, 238 version lines, 61 lexed alone, "
-                       "8 body comparisons, 6 ruled out by the length or bag bound, 0 cut off at theta"]
-    # the same counts from the versions trace extracted (every line) and from
-    # those versions and the introductions it measured through the file's
-    # memo (the distinct lines that no token can cross)
-    alone: dict[int, set[str]] = {}  # by id of a memo that `extracted` keeps alive
+                       "0 historical versions failed to extract, 238 version lines, 55 carried from extract, "
+                       "10 lexed alone, 8 body comparisons, 6 ruled out by the length or bag bound, "
+                       "0 cut off at theta"]
+
+    def lexed_alone(content: str) -> set[str]:
+        """The distinct lines of `content` that no token can cross."""
+        return {line for line in content.split("\n") if not ("/*" in line or '"""' in line or line.endswith("\\"))}
+
+    # the same counts from the snapshot files extract lexed, each through
+    # the memo it hands to trace (carried), and from the versions trace
+    # extracted (every line) and those versions and the introductions it
+    # measured through the file's memo (lexed alone, less what was carried);
+    # by id of a memo that `snapshot` keeps alive
+    carried = {id(memo): lexed_alone(content) for content, memo in snapshot}
+    alone: dict[int, set[str]] = {}
     for content, memo in extracted + measured:
-        alone.setdefault(id(memo), set()).update(
-            line for line in content.split("\n") if not ("/*" in line or '"""' in line or line.endswith("\\")))
+        alone.setdefault(id(memo), set()).update(lexed_alone(content))
     assert sum(content.count("\n") + 1 for content, _ in extracted) == 238
     assert len(measured) == 11 and {id(memo) for _, memo in measured} <= {id(memo) for _, memo in extracted}
-    # 2 lines of the introductions are in no extracted version: those of
-    # `youngster`, which the snapshot commit adds
-    assert (len(alone), sum(map(len, alone.values()))) == (3, 61)
+    # each traced file is walked through the memo extract lexed it through
+    assert (len(carried), sum(map(len, carried.values()))) == (3, 55) and set(alone) == set(carried)
+    assert sum(len(lines - carried[key]) for key, lines in alone.items()) == 10
 
 
 def test_trace_extracts_each_parent_side_version_it_reaches_once(fixture_repo, monkeypatch):
@@ -268,3 +284,95 @@ def test_each_traced_file_lexes_its_versions_through_a_memo_of_its_own(fixture_r
     # lines the files share ("}", blank lines) are lexed again, not carried over
     assert "}" in first and "}" in second
     assert not {id(tokens) for tokens in first.values()} & {id(tokens) for tokens in second.values()}
+
+
+def test_trace_takes_over_the_memos_extract_lexed_through_and_the_run_keeps_none(tmp_path, monkeypatch):
+    repo = init_repo(tmp_path, "handed-over")
+    commit_files(repo, "c01", "add", {
+        "src/A.java": "class A {\n  int keep(int v) {\n    return v + 1;\n  }\n}\n",
+        "src/B.java": 'class B {\n  String s = "open;\n  int b() { return 2; }\n}\n',  # fails to extract
+        "src/C.java": "class C {\n  void a() {}\n  void b() {}\n}\n",
+        "src/D.java": "class D {\n  int x;\n}\n",  # no method to trace
+    })
+    # older than the age window at the snapshot, so that label has methods
+    snapshot = commit_files(repo, "c11", "later", {})
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    methods_path = Path(config.out) / "methods.ndjson"
+    held = {}  # stage -> the memos the run's table holds when the stage returns
+
+    def holding(name):
+        real = getattr(pipeline, f"run_{name}")
+
+        def run(*args, **kwargs):
+            real(*args, **kwargs)
+            held[name] = dict(pipeline._RUN_READS.get()[methods_path][pipeline._snapshot_memos])
+
+        monkeypatch.setattr(pipeline, f"run_{name}", run)
+
+    holding("extract")
+    holding("trace")
+    walked = {}  # path -> the memo trace walked the file through
+    real_trace = pipeline.trace_method
+
+    def tracing(session, path, decls, memo=None):
+        walked[path] = memo
+        return real_trace(session, path, decls, memo)
+
+    monkeypatch.setattr(pipeline, "trace_method", tracing)
+    run_pipeline(config)
+    handed = held["extract"]
+    assert sorted(handed) == ["src/A.java", "src/C.java"]
+    assert "    return v + 1;" in handed["src/A.java"]
+    assert all(walked[path] is memo for path, memo in handed.items()) and len(walked) == 2
+    assert held["trace"] == {}
+    assert pipeline._RUN_READS.get() is None
+
+
+def lexes_per_file(config: PipelineConfig, snapshot_texts: dict[str, str], monkeypatch) -> Counter:
+    """(file, line) -> how often a pipeline run lexed that line on its own,
+    for the lines that no token can cross; a line is the file's when
+    extract lexes the file, or trace has walked it last."""
+    current = []
+    real_snapshot_extract = pipeline.extract_methods
+
+    def extracting(text, memo=None):
+        current[:] = [snapshot_texts[text]]
+        return real_snapshot_extract(text, memo)
+
+    real_trace = pipeline.trace_method
+
+    def tracing(session, path, decls, memo=None):
+        current[:] = [path]
+        return real_trace(session, path, decls, memo)
+
+    lexed = Counter()
+    real_lex_from = java_extract._lex_from
+
+    def lex_from(source, pos, line, out):
+        if "\n" not in source and not ("/*" in source or '"""' in source or source.endswith("\\")):
+            lexed[current[0], source] += 1
+        return real_lex_from(source, pos, line, out)
+
+    monkeypatch.setattr(pipeline, "extract_methods", extracting)
+    monkeypatch.setattr(pipeline, "trace_method", tracing)
+    monkeypatch.setattr(java_extract, "_lex_from", lex_from)
+    run_pipeline(config)
+    return lexed
+
+
+@pytest.mark.parametrize("name", ["fixture", "wide-snapshot"])
+def test_a_pipeline_run_lexes_each_line_of_a_file_once(name, request, tmp_path, monkeypatch):
+    if name == "fixture":
+        ledger = request.getfixturevalue("fixture_repo")
+        repo, snapshot = ledger["repo"], ledger["snapshot"]
+    else:
+        bench_run = request.getfixturevalue("bench_run")
+        generated = bench_run.generate_repo(bench_run.TINY[name][0], 1, tmp_path / name)
+        repo, snapshot = generated.path, generated.head
+    git = GitRepo(str(repo))
+    snapshot_texts = {normalize_source(git.file_at(snapshot, path)): path for path in git.ls_files(snapshot)}
+    config = PipelineConfig(repo=str(repo), commit=snapshot, out=str(tmp_path / "out"), project="p")
+    lexed = lexes_per_file(config, snapshot_texts, monkeypatch)
+    # extract's lines and trace's: every file's lines, its historical versions' included
+    assert {path for path, _ in lexed} == set(snapshot_texts.values())
+    assert [key for key, times in lexed.items() if times > 1] == []
