@@ -331,83 +331,55 @@ def skip_angles(toks: list[Token], i: int) -> int | None:
     return None
 
 
-def _erase_param(toks: list[Token]) -> str | None:
-    """Render one formal parameter as an erased type name, or None to skip."""
-    parts: list[Token] = []
-    i = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i]
-        if t.text == "@":
-            i = skip_annotation(toks, i)
-            continue
-        if t.kind == "keyword" and t.text == "final":
-            i += 1
-            continue
-        if t.text == "<":
-            end = skip_angles(toks, i)
-            if end is None:
-                i += 1
-            else:
-                i = end
-            continue
-        parts.append(t)
-        i += 1
+def _erase_param(parts: list[Token]) -> str | None:
+    """Render one formal parameter, its annotations, type arguments and
+    `final` dropped, as an erased type name, or None to skip."""
     # nothing, or a receiver parameter (`A this`, `Outer Outer.this`), which
     # is not a formal parameter
     if not parts or parts[-1].text == "this":
         return None
     # The declared name is the last identifier; trailing [] after it belongs
     # to the type (legacy array syntax).
-    name_idx = None
     for j in range(len(parts) - 1, -1, -1):
         if parts[j].kind == "identifier":
-            name_idx = j
             break
-    if name_idx is None:
+    else:
         return None
-    type_toks = parts[:name_idx] + parts[name_idx + 1:]
+    type_toks = parts[:j] + parts[j + 1:]
     if not type_toks:
         return None
-    rendered = "".join("[]" if t.text == "..." else t.text for t in type_toks)
-    return rendered
+    return "".join("[]" if t.text == "..." else t.text for t in type_toks)
 
 
 def _parse_parameter_types(toks: list[Token], open_idx: int, close_idx: int) -> list[str]:
-    """Erased type names for the parameter list in toks[open_idx+1:close_idx]."""
+    """Erased type names for the parameter list in toks[open_idx+1:close_idx].
+
+    One walk over the list: an annotation and a type argument group are
+    skipped whole, so a ',' or '<' inside either is not read, and a ','
+    outside them ends a parameter.
+    """
     inner = toks[open_idx + 1:close_idx]
-    if not inner:
-        return []
-    groups: list[list[Token]] = [[]]
-    depth_paren = depth_brack = depth_angle = 0
-    for t in inner:
-        txt = t.text
-        if txt == "(":
-            depth_paren += 1
-        elif txt == ")":
-            depth_paren -= 1
-        elif txt == "[":
-            depth_brack += 1
-        elif txt == "]":
-            depth_brack -= 1
-        elif txt == "<":
-            depth_angle += 1
-        elif txt == ">":
-            depth_angle -= 1
-        elif txt == ">>":
-            depth_angle -= 2
-        elif txt == ">>>":
-            depth_angle -= 3
-        if txt == "," and depth_paren == depth_brack == depth_angle == 0:
-            groups.append([])
-        else:
-            groups[-1].append(t)
     types = []
-    for g in groups:
-        erased = _erase_param(g)
-        if erased is not None:
-            types.append(erased)
-    return types
+    parts: list[Token] = []
+    i = 0
+    n = len(inner)
+    while i < n:
+        txt = inner[i].text
+        if txt == "@":
+            i = skip_annotation(inner, i)
+            continue
+        if txt == "<":
+            end = skip_angles(inner, i)
+            i = i + 1 if end is None else end  # a '<' that never closes is dropped
+            continue
+        if txt == ",":
+            types.append(_erase_param(parts))
+            parts = []
+        elif txt != "final":
+            parts.append(inner[i])
+        i += 1
+    types.append(_erase_param(parts))
+    return [t for t in types if t is not None]
 
 
 class _Extractor:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from methodlens.java_extract import (
 )
 from methodlens.pipeline import decl_from_record, method_record
 
+from decl_gen import generate_unit
 from golden_corpus import corpus_files
 from repo_builder import build_layout_repo
 
@@ -203,23 +205,39 @@ def test_varargs_and_arrays_in_signature():
 class A {
     void log(String fmt, Object... args) { }
     int[] slice(int[] data) { return data; }
+    void dims(String @A [] s, int grid @A [][], long @A ... rest) { }
 }
 """
     decls = extract_methods(src(content))
     assert signature(decls[0]) == "A#log(String,Object[])"
     assert signature(decls[1]) == "A#slice(int[])"
+    assert signature(decls[2]) == "A#dims(String[],int[][],long[])"
 
 
 def test_receiver_parameter_is_not_in_the_signature():
     # JLS 8.4: a receiver parameter is not a formal parameter
-    decls = extract_methods(src("class A { void recv(A this, int x) { } void r2(@X A this) { } }"))
-    assert [signature(d) for d in decls] == ["A#recv(int)", "A#r2()"]
+    decls = extract_methods(src("class A { void recv(A this, int x) { } void r2(@X A this) { } "
+                                "class In { void r3(A.@X(k = 1 >> 2) In this, int... xs) { } } }"))
+    assert [signature(d) for d in decls] == ["A#recv(int)", "A#r2()", "A.In#r3(int[])"]
 
 
 def test_parameter_annotations_and_final_are_not_in_the_signature():
     content = ("class A { void params(@Nonnull String s, final @a.b.C(x = 1) java.util.List<String> xs, "
-               "int... more) { } }")
-    assert signature(extract_methods(src(content))[0]) == "A#params(String,java.util.List,int[])"
+               "int... more) { } "
+               "int m(@Size(max = Integer.MAX_VALUE >> 1) int a, @Flag(1 < 2) final int b, int c) { return a; } }")
+    assert [signature(d) for d in extract_methods(src(content))] == [
+        "A#params(String,java.util.List,int[])", "A#m(int,int,int)"]
+
+
+# Parameter lists javac rejects.  A '<' that never closes is dropped, and a
+# ',' outside an annotation or a closed type argument group ends a parameter.
+@pytest.mark.parametrize("params, sig", [
+    ("a < b, c d", "A#m(a,c)"),
+    ("List<String x, int y", "A#m(ListString,int)"),
+    ("Map<K,V>> x, int y", "A#m(Map,int)"),
+])
+def test_a_parameter_list_javac_rejects_keeps_its_commas(params, sig):
+    assert [signature(d) for d in extract_methods(src(f"class A {{ int m({params}) {{ return 0; }} }}"))] == [sig]
 
 
 def test_annotations_start_the_declaration():
@@ -249,10 +267,12 @@ class A {
     public <T> java.util.List<T> wrap(T item) {
         return java.util.List.of(item);
     }
+    <K extends Comparable<? super K>, V extends java.util.Map<K, java.util.List<K>>> void index(K k, V... vs) { }
 }
 """
     decls = extract_methods(src(content))
     assert signature(decls[0]) == "A#wrap(T)"
+    assert signature(decls[1]) == "A#index(K,V[])"
 
 
 def test_round_trip_body_text():
@@ -362,6 +382,8 @@ def _snapshot_sources(name, request, tmp_path_factory) -> dict[str, str]:
         return corpus_files()
     if name == "shapes":
         return {"src/demo/Outer.java": SHAPES}
+    if name == "generated":
+        return {"Unit%d.java" % seed: generate_unit(random.Random(seed), 400).source for seed in (3, 4, 5)}
     if name == "fixture":
         ledger = request.getfixturevalue("fixture_repo")
     else:
@@ -372,7 +394,7 @@ def _snapshot_sources(name, request, tmp_path_factory) -> dict[str, str]:
     return {path: texts[blob] for path, blob in blobs.items()}
 
 
-@pytest.mark.parametrize("name", ["fixture", "layout", "golden", "shapes"])
+@pytest.mark.parametrize("name", ["fixture", "layout", "golden", "shapes", "generated"])
 def test_method_records_rebuild_the_extracted_declarations(name, request, tmp_path_factory):
     """Trace starts from the extract stage's records, so a record read back
     from methods.ndjson must give the declaration extraction found."""

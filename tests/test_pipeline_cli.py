@@ -425,6 +425,26 @@ def test_pipeline_runs_on_a_method_header_after_a_block_comment_on_its_line(tmp_
     assert set(status.values()) == {"ran"}
 
 
+def test_an_operator_in_a_parameter_annotation_keeps_the_next_parameter(tmp_path):
+    """The `>>` in the annotation's argument closes no type argument list, so
+    `b` stays a parameter of its own, and `a` stays out of the signature."""
+    repo = init_repo(tmp_path, "annotated-parameter")
+    source = ("class A {\n"
+              "  int m(@Size(max = Integer.MAX_VALUE >> 1) int a, int b) {\n    return %s;\n  }\n\n"
+              "  int g(int v) {\n    return v;\n  }\n"
+              "}\n")
+    commit_files(repo, "c01", "add", {"src/A.java": source % "a"})
+    snapshot = commit_files(repo, "c11", "edit", {"src/A.java": source % "a + b"})
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(repo=str(repo), commit=snapshot, out=str(out), project="p"))
+    _, methods = read_ndjson(out / "methods.ndjson")
+    _, histories = read_ndjson(out / "histories.ndjson")
+    assert [m["signature"] for m in methods] == ["A#m(int,int)", "A#g(int)"]
+    history = histories[[h["identity"]["signature"] for h in histories].index("A#m(int,int)")]
+    assert history["introduction"]["metrics"]["parameters"] == 2
+    assert len(history["revisions"]) == 1
+
+
 def test_cli_report_emits_series_x_y(cli_artifacts):
     _, out = cli_artifacts
     assert main(["report", "--artifacts", str(out)]) == 0
