@@ -283,10 +283,12 @@ def body_block(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = No
     return decl.bodyBlock
 
 
-_TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
-# the tokens `_Extractor._blocks` reads: braces, parentheses, and each word
-# `_type_decl_name` accepts (no other token has these texts)
-_BLOCK_TEXTS = frozenset({"{", "}", "(", ")", "record"}) | _TYPE_DECL_KEYWORDS
+# the words that begin a type declaration: the identifier after one names
+# the type (`record` is an identifier, the others are keywords)
+_TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
+# the tokens `_Extractor._blocks` reads: braces, parentheses and the type
+# words (no other token has these texts)
+_BLOCK_TEXTS = frozenset({"{", "}", "(", ")"}) | _TYPE_WORDS
 
 
 def _skip_parens(toks: list[Token], i: int) -> int:
@@ -400,8 +402,8 @@ class _Extractor:
         """Check that the braces balance, and map the '{' of each plain block
         to the index of its '}'.
 
-        A block is plain when it and every block inside it hold no token
-        `_type_decl_name` looks for, and its parentheses balance between its
+        A block is plain when it and every block inside it hold no type
+        word (`_TYPE_WORDS`), and its parentheses balance between its
         braces without closing one opened before it. A plain block scanned
         outside a type body records nothing, no parenthesis skip leaves it,
         and none fails, so `_scan` steps over it.
@@ -431,7 +433,7 @@ class _Extractor:
                     plain[start] = i
                 elif open_blocks:
                     open_blocks[-1][2] = False
-            elif open_blocks:  # a type keyword or `record`
+            elif open_blocks:  # a type word
                 open_blocks[-1][2] = False
         if open_blocks:
             raise ExtractionError("unbalanced braces", self.toks[-1].line)
@@ -447,29 +449,29 @@ class _Extractor:
         header: list[Token] = []
         header_start: int | None = None
         annotations: list[str] = []
+        # the identifier after the header's first type word that has one:
+        # the header declares that type, and its ',' separate supertypes
+        type_name: str | None = None
 
         def reset() -> None:
-            nonlocal header, header_start, annotations
+            nonlocal header, header_start, annotations, type_name
             header = []
             header_start = None
             annotations = []
+            type_name = None
 
         while i < end:
             t = toks[i]
             txt = t.text
             if txt == "}":
                 return i + 1
-            if txt in (";", ","):
+            if txt == ";" or (txt == "," and type_name is None):
                 reset()
                 i += 1
                 continue
             if header_start is None:
                 header_start = i
             if txt == "@":
-                if i + 1 < end and toks[i + 1].text == "interface":
-                    header.append(toks[i + 1])  # annotation-type declaration
-                    i += 2
-                    continue
                 j = i + 1
                 name_parts = []
                 while j < end and toks[j].kind == "identifier":
@@ -517,12 +519,15 @@ class _Extractor:
             if txt == "(":
                 close = _skip_parens(toks, i) - 1
                 k = close + 1
-                # optional throws clause
+                # result dimensions (`int g()[]`) and a throws clause, either
+                # perhaps with type annotations
+                while k < end and toks[k].text in ("[", "]", "@"):
+                    k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
                 if k < end and toks[k].text == "throws":
                     k += 1
-                    while k < end and (toks[k].kind == "identifier" or toks[k].text in (".", ",")):
-                        k += 1
-                if k < end and toks[k].text == "{":
+                    while k < end and (toks[k].kind == "identifier" or toks[k].text in (".", ",", "@")):
+                        k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
+                if type_name is None and k < end and toks[k].text == "{":
                     i = self._member_with_body(header, header_start, annotations, i, close, k, end, chain, in_type)
                     reset()
                     continue
@@ -530,29 +535,21 @@ class _Extractor:
                     reset()  # abstract/native signature or enum constant
                     i = k + 1
                     continue
-                header.append(t)  # unrecognized parenthesized header part
+                header.append(t)  # a record's components, or another parenthesized header part
                 i = close + 1
                 continue
             if txt == "{":
-                type_name = self._type_decl_name(header)
                 if type_name is not None:
                     i = self._scan(i + 1, end, chain + (type_name,), in_type=True)
                 else:
                     i = self._scan(i + 1, end, chain, in_type=False)
                 reset()
                 continue
+            if type_name is None and t.kind == "identifier" and header and header[-1].text in _TYPE_WORDS:
+                type_name = txt
             header.append(t)
             i += 1
         return i
-
-    def _type_decl_name(self, header: list[Token]) -> str | None:
-        for j, t in enumerate(header):
-            if (t.kind == "keyword" and t.text in _TYPE_DECL_KEYWORDS) or (
-                t.kind == "identifier" and t.text == "record" and j + 1 < len(header)
-            ):
-                if j + 1 < len(header) and header[j + 1].kind == "identifier":
-                    return header[j + 1].text
-        return None
 
     def _member_with_body(
         self,
@@ -567,9 +564,6 @@ class _Extractor:
         in_type: bool,
     ) -> int:
         toks = self.toks
-        type_name = self._type_decl_name(header)
-        if type_name is not None:  # record declaration with component list
-            return self._scan(body_open + 1, end, chain + (type_name,), in_type=True)
         name_tok = header[-1] if header and header[-1].kind == "identifier" else None
         pre_name = header[:-1] if name_tok is not None else header
         type_toks = [

@@ -7,9 +7,12 @@ et al., "Finding and understanding bugs in C compilers", PLDI 2011;
 McKeeman, "Differential testing for software", 1998).
 
 `generate_unit(rng, methods)` writes one compilation unit that javac 17
-compiles. The unit declares its own annotation types and its methods' type
+compiles. The unit declares its own annotation types, supertypes and type
 parameters, and it names only types of java.lang and java.util, apart from
-java.lang.annotation's `Target` on its one type-use annotation.
+java.lang.annotation's `Target` on its one type-use annotation and
+java.io's `Serializable`. A method's container chain is recorded as each
+type's header is written: the name after its type word, whatever type
+parameters, supertypes or `permits` list follow.
 """
 
 from __future__ import annotations
@@ -28,6 +31,27 @@ ANNOTATION_TYPES = """\
 @interface Chr { char value(); }
 @java.lang.annotation.Target(java.lang.annotation.ElementType.TYPE_USE) @interface TU {}
 """
+
+# the supertypes the unit's types name: its own interfaces, which declare no
+# abstract method, two of java's, and two classes
+SUPERTYPES = """\
+interface S0 {}
+interface S1<T> {}
+interface S2<A, B> {}
+class Base {}
+class Base2<A, B> {}
+"""
+INTERFACES = ["S0", "S1<String>", "S2<String, java.util.List<Integer>>", "java.io.Serializable", "Cloneable"]
+SUPERCLASSES = ["Base", "Base2<Integer, String>"]
+# bounded type parameters of a generic type, over the variable {v} and the
+# first one {w}
+TYPE_BOUNDS = ["{v} extends Number", "{v} extends Comparable<? super {v}>", "{v} extends S2<String, {w}> & S0"]
+RECORD_COMPONENTS = ["", "int c0", "int c0, String c1", "java.util.Map<String, Integer> c0, long... c1"]
+# distinct exception types a throws clause names, some behind a type annotation
+THROWN = ["RuntimeException", "@TU IllegalStateException", "java.lang.@TU Error", "IllegalArgumentException",
+          "java.lang.@TU UnsupportedOperationException"]
+# the kinds of type `generate_unit` nests in `Unit`, in turn
+KINDS = ["class", "interface", "enum", "record", "sealed interface", "@interface"]
 
 # declaration annotations a parameter can carry: per annotation type, its
 # variants and the shape each one covers.  A parameter takes at most one
@@ -170,17 +194,25 @@ class _Writer:
             modifiers.insert(at, "final")
         return " ".join([*modifiers, declarator]), erased
 
-    def method(self, name: str, receiver: str) -> tuple[str, str]:
+    def method(self, name: str, receiver: str, interface: bool = False) -> tuple[str, str]:
         """One method declaration's source and its parameter list as the
         signature shows it; `receiver` is the type of an instance method's
-        receiver parameter, which it may declare."""
+        receiver parameter, which it may declare.  In an interface the
+        method is default, static or private."""
         rng = self.rng
         header = []
         if rng.random() < 0.2:
             header.append(rng.choice(["@Mark", "@Num(max = 1 << 4 >> 2)", "@Deprecated"]))
-        static = rng.random() < 0.3
-        header += [rng.choice(["", "public", "private", "protected"]), "static" if static else "",
-                   rng.choice(["", "", "final", "synchronized"])]
+        if interface:
+            modifiers = rng.choice(["default", "public default", "static", "public static", "private",
+                                    "private static"])
+            self.shapes["interface " + modifiers.split()[-1]] += 1
+            static = modifiers.endswith("static")
+            header.append(modifiers)
+        else:
+            static = rng.random() < 0.3
+            header += [rng.choice(["", "public", "private", "protected"]), "static" if static else "",
+                       rng.choice(["", "", "final", "synchronized"])]
         self.type_vars = []
         if rng.random() < 0.35:
             names = rng.sample(["K", "V", "E", "X"], rng.choice([1, 1, 2]))
@@ -193,6 +225,16 @@ class _Writer:
             header.append("<%s>" % ", ".join(params))
         returns, body = rng.choice([("void", "{ }"), ("int", "{ return 0; }"), ("String", "{ return null; }"),
                                     ("java.util.List<String>", "{ return null; }")])
+        dims = ""
+        if returns != "void" and rng.random() < 0.15:  # result dimensions after the parameter list
+            dims = rng.choice(["[]", "[][]", " @TU []"])
+            self.shapes["@TU result []" if "@" in dims else "result []"] += 1
+            body = "{ return null; }"
+        throws = ""
+        if rng.random() < 0.15:
+            thrown = rng.sample(THROWN, rng.randrange(1, 4))
+            self.shapes["throws @TU" if any("@" in t for t in thrown) else "throws"] += 1
+            throws = " throws " + ", ".join(thrown)
         header += [returns, name]
         count = rng.randrange(5)
         self.shapes["parameters=%d" % count] += 1
@@ -209,25 +251,128 @@ class _Writer:
             text, kept = self.parameter("p%d" % k, k == count - 1)
             sources.append(text)
             erased.append(kept)
-        line = "%s(%s) %s" % (" ".join(part for part in header if part), ", ".join(sources), body)
+        line = "%s(%s)%s%s %s" % (" ".join(part for part in header if part), ", ".join(sources), dims, throws, body)
         return line, ",".join(erased)
+
+    def members(self, lines: list[str], signatures: list[str], indent: str, chain: str, count: int,
+                receivers: list[str], interface: bool = False) -> None:
+        """`count` methods of the type `chain`, one a line, each with its
+        signature."""
+        for _ in range(count):
+            name = "t%d" % len(signatures)
+            line, params = self.method(name, self.rng.choice(receivers), interface)
+            lines.append(indent + line)
+            signatures.append("%s#%s(%s)" % (chain, name, params))
+
+    def _split(self, total: int, parts: int) -> list[int]:
+        cuts = sorted(self.rng.randrange(total + 1) for _ in range(parts - 1))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+    def _type_parameters(self) -> tuple[str, str]:
+        """Perhaps a generic type's parameter list, and its arguments as a
+        receiver names the type."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            return "", ""
+        names = ["P", "Q", "R"][:rng.randrange(1, 4)]
+        self.shapes["type parameters"] += 1
+        params = [rng.choice(TYPE_BOUNDS).format(v=v, w=names[0]) if rng.random() < 0.7 else v for v in names]
+        return "<%s>" % ", ".join(params), "<%s>" % ", ".join(names)
+
+    def _interfaces(self, word: str, count: int) -> str:
+        return " %s %s" % (word, ", ".join(self.rng.sample(INTERFACES, count))) if count else ""
+
+    def type_decl(self, lines: list[str], signatures: list[str], kind: str, name: str, methods: int) -> None:
+        """A type of `kind` named `name`, nested in `Unit`, with `methods`
+        declarations in its body, in the class nested in it and, for a
+        sealed interface, in its permitted classes."""
+        rng = self.rng
+        supers = 0 if kind == "@interface" else rng.randrange(4)
+        self.shapes["supertypes=%d" % supers] += 1
+        params, args = ("", "") if kind in ("enum", "sealed interface", "@interface") else self._type_parameters()
+        first = []  # the body's lines before its methods
+        permitted = []
+        if kind == "class":
+            header = "static class " + name + params
+            if supers and rng.random() < 0.6:
+                self.shapes["class extends"] += 1
+                if supers > 1:
+                    self.shapes["class extends implements"] += 1
+                header += " extends " + rng.choice(SUPERCLASSES)
+                supers -= 1
+            header += self._interfaces("implements", supers)
+            if rng.random() < 0.3:
+                self.shapes["constructor"] += 1
+                first.append("%s() { }" % name)
+        elif kind == "interface":
+            header = "interface %s%s%s" % (name, params, self._interfaces("extends", supers))
+        elif kind == "enum":
+            header = "enum %s%s" % (name, self._interfaces("implements", supers))
+            constants = rng.sample(["A", "B", "C"], rng.randrange(1, 4))
+            if rng.random() < 0.4:  # a constant's body is an anonymous class: its method is no method
+                self.shapes["enum constant body"] += 1
+                constants[-1] += " { int inConstant() { return 1; } }"
+            first.append(", ".join(constants) + ";")
+        elif kind == "record":
+            header = "record %s%s(%s)%s" % (name, params, rng.choice(RECORD_COMPONENTS),
+                                            self._interfaces("implements", supers))
+            if rng.random() < 0.3:
+                self.shapes["compact constructor"] += 1
+                first.append("%s { }" % name)
+        elif kind == "sealed interface":
+            permitted = [name + suffix for suffix in "abc"[:rng.randrange(1, 4)]]
+            self.shapes["permits=%d" % len(permitted)] += 1
+            header = "sealed interface %s%s permits %s" % (name, self._interfaces("extends", supers),
+                                                           ", ".join(permitted))
+        else:
+            header = "@interface " + name
+            first.append("int v() default 0;")
+        if supers:
+            self.shapes["%s with supertypes" % kind] += 1
+        chain = "Unit." + name
+        receivers = [name + args, chain + args]
+        interface = "interface" in kind
+        before, inside, after, *subs = self._split(methods, 3 + len(permitted))
+        if kind == "@interface":  # its methods have no body: all go to the nested class
+            before, inside, after = 0, methods, 0
+        lines.append("    %s {" % header)
+        lines += ["        " + line for line in first]
+        self.members(lines, signatures, " " * 8, chain, before, receivers, interface)
+        if inside or kind == "@interface" or rng.random() < 0.5:
+            self.shapes["class in " + kind] += 1
+            nest = name + "N"
+            lines.append("        static class %s%s {" % (nest, self._interfaces("implements", rng.randrange(3))))
+            self.members(lines, signatures, " " * 12, chain + "." + nest, inside, [nest, chain + "." + nest])
+            lines.append("        }")
+        self.members(lines, signatures, " " * 8, chain, after, receivers, interface)
+        lines.append("    }")
+        for sub, count in zip(permitted, subs):
+            modifier = rng.choice(["final", "non-sealed"])
+            self.shapes[modifier + " permitted class"] += 1
+            lines.append("    static %s class %s implements %s%s {" % (modifier, sub, name,
+                                                                   ", S0" if rng.random() < 0.5 else ""))
+            self.members(lines, signatures, " " * 8, "Unit." + sub, count, [sub, "Unit." + sub])
+            lines.append("    }")
 
 
 def generate_unit(rng: random.Random, methods: int) -> Unit:
-    """A compilation unit whose class `Unit` and inner class `Unit.In` hold
-    `methods` declarations, with the signature of each in source order."""
+    """A compilation unit that holds `methods` declarations, with the
+    signature of each in source order: in its class `Unit`, in `Unit`'s
+    inner class `In`, and in types nested in `Unit` of each kind in `KINDS`
+    in turn, most with a class nested in them."""
     writer = _Writer(rng)
     lines = ["import java.util.*;", "", "class Unit {", "    static class Box<X> {}", ""]
-    signatures = []
-    inner = rng.randrange(methods + 1)
-    for k in range(methods - inner):
-        line, params = writer.method("m%d" % k, "Unit")
-        lines.append("    " + line)
-        signatures.append("Unit#m%d(%s)" % (k, params))
+    signatures: list[str] = []
+    typed = rng.randrange(methods // 4, methods // 2 + 1)
+    writer.members(lines, signatures, " " * 4, "Unit", rng.randrange(methods - typed + 1), ["Unit"])
     lines += ["", "    class In {"]
-    for k in range(inner):
-        line, params = writer.method("n%d" % k, rng.choice(["In", "Unit.In"]))
-        lines.append("        " + line)
-        signatures.append("Unit.In#n%d(%s)" % (k, params))
-    lines += ["    }", "}", "", "class G<X> {", "    class In {}", "}", "", ANNOTATION_TYPES]
+    writer.members(lines, signatures, " " * 8, "Unit.In", methods - typed - len(signatures), ["In", "Unit.In"])
+    lines += ["    }", ""]
+    k = 0
+    while typed:
+        count = min(typed, rng.randrange(1, 10))
+        writer.type_decl(lines, signatures, KINDS[k % len(KINDS)], "T%d" % k, count)
+        typed -= count
+        k += 1
+    lines += ["}", "", "class G<X> {", "    class In {}", "}", "", ANNOTATION_TYPES, SUPERTYPES]
     return Unit("\n".join(lines), signatures, writer.shapes)

@@ -127,9 +127,6 @@ class Outer {
     assert signature(by_name["deep"]) == "Outer.Inner#deep()"
 
 
-SUPERTYPE_COMMA = ("_Extractor._scan resets the header at every ',' at its level, so the header that "
-                   "reaches '{' is the last supertype alone and names no type")
-
 # a type header naming two supertypes, the same header naming one, a member
 # and the member's signature
 SUPERTYPE_CASES = [
@@ -138,18 +135,18 @@ SUPERTYPE_CASES = [
     ("interface I extends X, Y", "interface I extends X", "default int m() { return 0; }", "I#m()"),
     ("enum E implements X, Y", "enum E implements X", "A; public int m() { return 0; }", "E#m()"),
     ("sealed class S permits A, B", "sealed class S permits A", "public int m() { return 0; }", "S#m()"),
+    ("record R(int a, int b) implements X, Y", "record R(int a, int b) implements X", "public int m() { return a; }",
+     "R#m()"),
 ]
 
 ONE_SUPERTYPE_CASES = [*SUPERTYPE_CASES, ("", "class D extends B<X, Y>", "int m() { return 0; }", "D#m()")]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUPERTYPE_COMMA)
 @pytest.mark.parametrize("two, one, member, sig", SUPERTYPE_CASES, ids=[case[3] for case in SUPERTYPE_CASES])
 def test_a_type_with_two_supertypes_keeps_its_methods(two, one, member, sig):
     assert [signature(d) for d in extract_methods(src(f"{two} {{ {member} }}"))] == [sig]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SUPERTYPE_COMMA)
 def test_a_type_with_two_supertypes_stays_in_its_nested_types_chain():
     decls = extract_methods(src("class O implements X, Y { static class In { void deep() { } } }"))
     assert [d.containerChain for d in decls] == [["O", "In"]]
@@ -159,6 +156,30 @@ def test_a_type_with_two_supertypes_stays_in_its_nested_types_chain():
 def test_a_type_with_one_supertype_keeps_its_methods(two, one, member, sig):
     """The control: generic arguments, commas included, are skipped whole."""
     assert [signature(d) for d in extract_methods(src(f"{one} {{ {member} }}"))] == [sig]
+
+
+def test_types_nested_in_a_record_and_an_annotation_type_keep_their_chains():
+    decls = extract_methods(src("record R(int a, int b) implements X, Y { class In { void deep() { } } }\n"
+                                "@interface N { int v() default 1; class C { int c() { return 0; } } }"))
+    assert [signature(d) for d in decls] == ["R.In#deep()", "N.C#c()"]
+
+
+# what may follow a method's parameter list: result dimensions (JLS 8.4),
+# then a throws clause whose types may carry type annotations
+AFTER_PARAMETERS_CASES = [
+    ("int g()[] { return null; }", "A#g()"),
+    ("int[] h(int a)[][] throws E { return null; }", "A#h(int)"),
+    ("String[] k() @TU [] @TU [] { return null; }", "A#k()"),
+    ("void t() throws @TU RuntimeException { }", "A#t()"),
+    ("void u() throws java.lang.@TU RuntimeException, @TU Error { }", "A#u()"),
+    ("void v() throws @N(k = 1) X, Y { }", "A#v()"),
+]
+
+
+@pytest.mark.parametrize("member, sig", AFTER_PARAMETERS_CASES, ids=[sig for _, sig in AFTER_PARAMETERS_CASES])
+def test_a_method_after_result_dimensions_or_an_annotated_throws_type_is_kept(member, sig):
+    assert [signature(d) for d in extract_methods(src(f"class A {{ {member} int z() {{ return 0; }} }}"))] == [
+        sig, "A#z()"]
 
 
 def test_enum_members_and_constant_bodies():

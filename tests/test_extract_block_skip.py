@@ -12,7 +12,8 @@ from dataclasses import astuple
 import pytest
 
 from methodlens.gitrepo import GitRepo
-from methodlens.java_extract import ExtractionError, LexicalError, _Extractor, extract_methods, normalize_source
+from methodlens.java_extract import (ExtractionError, LexicalError, _Extractor, extract_methods, normalize_source,
+                                     signature)
 from golden_corpus import corpus_files
 from oracles import extract_methods_full_scan
 from test_extract import SUPERTYPE_CASES
@@ -119,6 +120,10 @@ HAND_CASES = {
     "nested plain blocks": "class A { int m(int x) { if (x > 0) { while (f(x)) { x--; } } return x; } }",
     **{f"two supertypes: {two}": f"{two} {{ {member} }}" for two, _, member, _ in SUPERTYPE_CASES},
     "two supertypes around a nested type": "class O implements X, Y { static class In { void deep() { } } }",
+    "result dimensions after the parameter list": "class A { int g()[] { return null; } void n() { } }",
+    "type annotations in a throws clause":
+        "class A { void t() throws @TU RuntimeException { } void u() throws java.lang.@TU RuntimeException, "
+        "@TU Error { f(); } }",
 }
 
 
@@ -129,11 +134,12 @@ def test_hand_cases_extract_as_the_full_scan_does(text):
 
 def test_a_crossing_paren_pair_and_a_two_supertype_body_keep_their_outcomes():
     """Pinned outcomes of two hand cases: a block a paren pair leaves is
-    scanned, not stepped over; a body after a two-supertype header is
-    stepped over and still yields nothing, as the full scan does."""
+    scanned, not stepped over; a body after a two-supertype header holds
+    no type word, so `_blocks` marks it plain, yet it is scanned as the
+    type body it is and its method is kept."""
     crossing = HAND_CASES["a paren pair crossing a brace"]
     assert [d.name for d in extract_methods(crossing)] == ["m"]
     assert _Extractor(crossing, None)._blocks() == {18: 19}  # n's body alone
     two = HAND_CASES["two supertypes: interface I extends X, Y"]
-    assert extract_methods(two) == []
+    assert [signature(d) for d in extract_methods(two)] == ["I#m()"]
     assert _Extractor(two, None)._blocks() == {6: 17, 12: 16}  # the type body and m's

@@ -445,6 +445,49 @@ def test_an_operator_in_a_parameter_annotation_keeps_the_next_parameter(tmp_path
     assert len(history["revisions"]) == 1
 
 
+def test_a_type_whose_supertype_list_changes_keeps_its_methods_histories(tmp_path):
+    """D drops its second supertype at c03 and E gains one at c04; neither
+    edit touches a method, so every method is introduced at c01 and `size`'s
+    revisions are its two body edits, one on each side of the header edit."""
+    repo = init_repo(tmp_path, "supertypes")
+    d_source = ("class D implements %s {\n"
+                "  public void run() {\n  }\n\n"
+                "  int size() {\n    return %s;\n  }\n"
+                "}\n")
+    e_source = ("class E implements %s {\n"
+                "  public void run() {\n  }\n\n"
+                "  public int compareTo(E o) {\n    return 0;\n  }\n\n"
+                "  int size() {\n    return %s;\n  }\n"
+                "}\n")
+    shas = {
+        # C, with no supertype, is the control
+        "c01": commit_files(repo, "c01", "add", {"src/C.java": ("class C {\n  int f() {\n    return 0;\n  }\n\n"
+                                                                "  int g() {\n    return 1;\n  }\n}\n"),
+                                                 "src/D.java": d_source % ("Runnable, Cloneable", "1"),
+                                                 "src/E.java": e_source % ("Runnable", "1")}),
+        "c02": commit_files(repo, "c02", "edit", {"src/D.java": d_source % ("Runnable, Cloneable", "2"),
+                                                  "src/E.java": e_source % ("Runnable", "2")}),
+        "c03": commit_files(repo, "c03", "drop Cloneable", {"src/D.java": d_source % ("Runnable", "2")}),
+        "c04": commit_files(repo, "c04", "add Comparable", {"src/E.java": e_source % ("Runnable, Comparable<E>", "2")}),
+        "c05": commit_files(repo, "c05", "edit", {"src/D.java": d_source % ("Runnable", "3"),
+                                                  "src/E.java": e_source % ("Runnable, Comparable<E>", "3")}),
+    }
+    # a snapshot past the age window, so that label has methods to label
+    snapshot = commit_files(repo, "c11", "docs", {"README.md": "notes\n"})
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(repo=str(repo), commit=snapshot, out=str(out), project="p"))
+    _, methods = read_ndjson(out / "methods.ndjson")
+    _, histories = read_ndjson(out / "histories.ndjson")
+    expected = ["C#f()", "C#g()", "D#run()", "D#size()", "E#run()", "E#compareTo(E)", "E#size()"]
+    assert [m["signature"] for m in methods] == expected
+    traced = {h["identity"]["signature"]: h for h in histories}
+    assert sorted(traced) == sorted(expected)
+    for sig, history in traced.items():
+        assert history["introduction"]["commit"] == shas["c01"], sig
+        revisions = [r["commit"] for r in history["revisions"]]
+        assert revisions == ([shas["c02"], shas["c05"]] if sig.endswith("#size()") else []), sig
+
+
 def test_cli_report_emits_series_x_y(cli_artifacts):
     _, out = cli_artifacts
     assert main(["report", "--artifacts", str(out)]) == 0

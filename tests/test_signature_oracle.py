@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from decl_gen import generate_unit
+from decl_gen import KINDS, generate_unit
 from methodlens.java_extract import extract_methods, signature
 
 SEEDS = [3, 4, 5]
@@ -24,6 +24,13 @@ SHAPES = {
     "annotation", "annotation()", "array", "nested", "string,", "string<", "char,", "char<",
     "qualified annotation", "op<", "op>", "op>>", "op>>>", "op<<",
     "receiver", "annotated receiver", "bounded type parameters",
+    "result []", "@TU result []", "throws", "throws @TU",
+    "interface default", "interface static", "interface private",
+    *("supertypes=%d" % count for count in range(4)), *("permits=%d" % count for count in range(1, 4)),
+    "class extends", "class extends implements", "type parameters",
+    *("%s with supertypes" % kind for kind in KINDS if kind != "@interface"),
+    *("class in " + kind for kind in KINDS),
+    "enum constant body", "constructor", "compact constructor", "final permitted class", "non-sealed permitted class",
 }
 
 
