@@ -340,11 +340,8 @@ class TraceSession:
         cur_path = path
         k = 0
         while True:
-            indices = self._changed_at.get(cur_path, ())
-            i = bisect_left(indices, k)
-            if i == len(indices):
-                return steps
-            k = indices[i]
+            indices = self._changed_at[cur_path]
+            k = indices[bisect_left(indices, k)]
             change = self._changes[k][cur_path]
             steps.append((k, change))
             if change.status[0] == "A":

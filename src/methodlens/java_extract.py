@@ -285,10 +285,10 @@ def body_block(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = No
 
 # the words that begin a type declaration: the identifier after one names
 # the type (`record` is an identifier, the others are keywords)
-_TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
+TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
 # the tokens `_Extractor._blocks` reads: braces, parentheses and the type
 # words (no other token has these texts)
-_BLOCK_TEXTS = frozenset({"{", "}", "(", ")"}) | _TYPE_WORDS
+_BLOCK_TEXTS = frozenset({"{", "}", "(", ")"}) | TYPE_WORDS
 
 
 def _skip_parens(toks: list[Token], i: int) -> int:
@@ -403,7 +403,7 @@ class _Extractor:
         to the index of its '}'.
 
         A block is plain when it and every block inside it hold no type
-        word (`_TYPE_WORDS`), and its parentheses balance between its
+        word (`TYPE_WORDS`), and its parentheses balance between its
         braces without closing one opened before it. A plain block scanned
         outside a type body records nothing, no parenthesis skip leaves it,
         and none fails, so `_scan` steps over it.
@@ -495,25 +495,16 @@ class _Extractor:
                 i += 1
                 continue
             if txt == "=":
-                # field/constant initializer: consume expression, descending
-                # into any brace bodies it contains (anonymous classes, array
-                # initializers) to catch nested named types.
+                # field/constant initializer: it ends at its first ';' or '}'
+                # outside a brace body, and each brace body it holds
+                # (anonymous classes, lambdas, array initializers) is
+                # descended to catch nested named types.
                 i += 1
-                depth_paren = 0
-                while i < end:
-                    e = toks[i].text
-                    if e == "(" or e == "[":
-                        depth_paren += 1
-                    elif e == ")" or e == "]":
-                        depth_paren -= 1
-                    elif e == "{":
+                while i < end and toks[i].text not in (";", "}"):
+                    if toks[i].text == "{":
                         i = self._scan(i + 1, end, chain, in_type=False)
-                        continue
-                    elif e == ";" and depth_paren <= 0:
-                        break
-                    elif e == "}":
-                        break  # malformed; let outer level see it
-                    i += 1
+                    else:
+                        i += 1
                 reset()
                 continue
             if txt == "(":
@@ -545,7 +536,7 @@ class _Extractor:
                     i = self._scan(i + 1, end, chain, in_type=False)
                 reset()
                 continue
-            if type_name is None and t.kind == "identifier" and header and header[-1].text in _TYPE_WORDS:
+            if type_name is None and t.kind == "identifier" and header and header[-1].text in TYPE_WORDS:
                 type_name = txt
             header.append(t)
             i += 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from .java_extract import (
     MethodDeclaration,
     PRIMITIVE_TYPES,
+    TYPE_WORDS,
     Token,
     body_open_index,
     match_forward,
@@ -204,18 +205,18 @@ def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
             continue
         if t.kind == "keyword" and t.text == "for" and i + 1 < n and body[i + 1].text == "(":
             close = match_forward(body, i + 1, "(", ")")
-            inner = body[i + 2:close]
+            # the middle clause lies between the first two ';' outside
+            # lambda and anonymous-class bodies
             semis = []
-            depth = 0
-            for k, tok in enumerate(inner):
-                if tok.text in ("(", "["):
-                    depth += 1
-                elif tok.text in (")", "]"):
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
+            k = i + 2
+            while k < close and len(semis) < 2:
+                if body[k].text == "{":
+                    k = match_forward(body, k, "{", "}")
+                elif body[k].text == ";":
                     semis.append(k)
-            if len(semis) >= 2:
-                out.append(inner[semis[0] + 1:semis[1]])
+                k += 1
+            if len(semis) == 2:
+                out.append(body[semis[0] + 1:semis[1]])
             i = close + 1
             continue
         if t.text == "?" and _is_ternary_question(body, i):
@@ -372,15 +373,6 @@ def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[in
             while j < end and toks[j].text not in (":", "->"):
                 j += 1
             return min(j + 1, end), 0
-        if txt in ("class", "interface", "enum"):
-            j = i + 1
-            while j < end and toks[j].text != "{":
-                j += 1
-            if j < end:
-                close = match_forward(toks, j, "{", "}")
-                m = _scan_statements(toks, j + 1, min(close, end), depth)
-                return min(close + 1, end), m
-            return end, 0
         if txt == "else":  # stray else (defensive)
             return _scan_embedded(toks, i + 1, end, depth)
 
@@ -388,26 +380,26 @@ def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[in
     if t.kind == "identifier" and i + 1 < end and toks[i + 1].text == ":":
         return i + 2, 0
 
-    # expression or declaration statement: run to ';' at group depth 0,
-    # descending into any brace bodies (lambdas, anonymous classes, array
-    # initializers) which are depth-transparent.
+    # any other statement runs to its first ';' or '}' outside a brace body,
+    # descending into each brace body, which is depth-transparent; once a
+    # type word and the type's name are seen, it ends at a body's '}'
     best = 0
-    group = 0
+    named = False
     j = i
     while j < end:
         e = toks[j].text
-        if e in ("(", "["):
-            group += 1
-        elif e in (")", "]"):
-            group -= 1
-        elif e == "{":
+        if e == "{":
             close = match_forward(toks, j, "{", "}")
             best = max(best, _scan_statements(toks, j + 1, min(close, end), depth))
+            if named:
+                return min(close + 1, end), best
             j = close
-        elif e == ";" and group <= 0:
+        elif e == ";":
             return j + 1, best
-        elif e == "}" and group <= 0:
+        elif e == "}":
             return j, best  # malformed statement; let the caller see '}'
+        elif e in TYPE_WORDS and j + 1 < end and toks[j + 1].kind == "identifier":
+            named = True
         j += 1
     return end, best
 

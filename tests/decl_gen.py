@@ -12,7 +12,8 @@ parameters, and it names only types of java.lang and java.util, apart from
 java.lang.annotation's `Target` on its one type-use annotation and
 java.io's `Serializable`. A method's container chain is recorded as each
 type's header is written: the name after its type word, whatever type
-parameters, supertypes or `permits` list follow.
+parameters, supertypes or `permits` list follow.  A local type's chain is
+that of the named type whose member declares it, and its own name.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ THROWN = ["RuntimeException", "@TU IllegalStateException", "java.lang.@TU Error"
 # the kinds of type `generate_unit` nests in `Unit`, in turn
 KINDS = ["class", "interface", "enum", "record", "sealed interface", "@interface"]
 
+# the headers of a local type that declares one method, over its name {n},
+# with the shape each one covers
+LOCAL_TYPES = [("class {n}", "local class"), ("final class {n}", "local final class"),
+               ("@Deprecated class {n}", "local annotated class"), ("@Mark final class {n}", "local annotated class"),
+               ("record {n}(int v)", "local record")]
+# what declares a local type, with the lines before it, over the holding
+# method's name {m} and the local type's name {n}, and the lines after it
+LOCAL_HOLDERS = {
+    "local type in a method": (["void {m}() {{"], ["}"]),
+    "local type in an anonymous class initializer": (
+        ["Runnable f{n} = new Runnable() {{", "    public void run() {{"], ["    }", "};"]),
+    "local type in a lambda initializer": (["Runnable f{n} = () -> {{"], ["};"]),
+}
+
 # declaration annotations a parameter can carry: per annotation type, its
 # variants and the shape each one covers.  A parameter takes at most one
 # variant of a type, as javac requires of a type that is not repeatable.
@@ -91,6 +106,7 @@ class _Writer:
         self.rng = rng
         self.shapes: Counter = Counter()
         self.type_vars: list[str] = []
+        self.locals = 0  # local types written
 
     def _reference(self, depth: int) -> str:
         """A reference type, as a type argument may be."""
@@ -264,6 +280,30 @@ class _Writer:
             lines.append(indent + line)
             signatures.append("%s#%s(%s)" % (chain, name, params))
 
+    def local_types(self, lines: list[str], signatures: list[str], indent: str, chain: str, count: int) -> None:
+        """`count` local types in members of the type `chain`, each with one
+        method, whose chain is `chain` and the local type's name.  Every
+        local type has a name of its own, since two local types of one name
+        in one type give their methods one signature."""
+        rng = self.rng
+        kinds = [(holder, local) for holder in LOCAL_HOLDERS for local in LOCAL_TYPES]
+        rng.shuffle(kinds)
+        for holder, (header, shape) in kinds[:count]:
+            name = "L%d" % self.locals
+            self.locals += 1
+            self.shapes[holder] += 1
+            self.shapes[shape] += 1
+            before, after = LOCAL_HOLDERS[holder]
+            method = "t%d" % len(signatures)
+            if holder == "local type in a method":
+                signatures.append("%s#%s()" % (chain, method))
+            inner = indent + " " * 4 * len(before)
+            lines += [indent + line.format(m=method, n=name) for line in before]
+            lines.append(inner + header.format(n=name) + " {")
+            self.members(lines, signatures, inner + " " * 4, chain + "." + name, 1, [name])
+            lines.append(inner + "}")
+            lines += [indent + line for line in after]
+
     def _split(self, total: int, parts: int) -> list[int]:
         cuts = sorted(self.rng.randrange(total + 1) for _ in range(parts - 1))
         return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
@@ -359,7 +399,8 @@ def generate_unit(rng: random.Random, methods: int) -> Unit:
     """A compilation unit that holds `methods` declarations, with the
     signature of each in source order: in its class `Unit`, in `Unit`'s
     inner class `In`, and in types nested in `Unit` of each kind in `KINDS`
-    in turn, most with a class nested in them."""
+    in turn, most with a class nested in them.  Members of `In` and of
+    `Unit` declare local types, each with one method, beyond `methods`."""
     writer = _Writer(rng)
     lines = ["import java.util.*;", "", "class Unit {", "    static class Box<X> {}", ""]
     signatures: list[str] = []
@@ -367,6 +408,7 @@ def generate_unit(rng: random.Random, methods: int) -> Unit:
     writer.members(lines, signatures, " " * 4, "Unit", rng.randrange(methods - typed + 1), ["Unit"])
     lines += ["", "    class In {"]
     writer.members(lines, signatures, " " * 8, "Unit.In", methods - typed - len(signatures), ["In", "Unit.In"])
+    writer.local_types(lines, signatures, " " * 8, "Unit.In", rng.randrange(len(LOCAL_HOLDERS) * len(LOCAL_TYPES)))
     lines += ["    }", ""]
     k = 0
     while typed:
@@ -374,5 +416,6 @@ def generate_unit(rng: random.Random, methods: int) -> Unit:
         writer.type_decl(lines, signatures, KINDS[k % len(KINDS)], "T%d" % k, count)
         typed -= count
         k += 1
+    writer.local_types(lines, signatures, " " * 4, "Unit", len(LOCAL_HOLDERS) * len(LOCAL_TYPES))
     lines += ["}", "", "class G<X> {", "    class In {}", "}", "", ANNOTATION_TYPES, SUPERTYPES]
     return Unit("\n".join(lines), signatures, writer.shapes)

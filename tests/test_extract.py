@@ -353,6 +353,28 @@ class A {
     assert names(src(content)) == ["real"]
 
 
+def test_a_field_initializer_ends_at_its_first_semicolon_outside_a_brace_body():
+    # javac rejects `f(a;`; the members after it are still read
+    content = """\
+class B {
+    int x = f(a;
+    int keep() { return 1; }
+    int y = 2;
+    int after() { return 2; }
+}
+"""
+    assert [signature(d) for d in extract_methods(src(content))] == ["B#keep()", "B#after()"]
+
+
+def test_a_local_class_in_a_field_initializers_anonymous_class_is_a_named_type():
+    content = """\
+class A {
+    Runnable r = new Runnable() { public void run() { class L { int k() { return 1; } } } };
+}
+"""
+    assert [signature(d) for d in extract_methods(src(content))] == ["A.L#k()"]
+
+
 def test_local_named_class_methods_included():
     content = """\
 class A {

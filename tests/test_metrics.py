@@ -128,6 +128,13 @@ def test_mcclure_for_condition_clause_with_nested_groups():
     assert (v.nvar, v.ncomp) == (3, 1)  # i, g and a: the middle clause ends at its own semicolon
 
 
+def test_mcclure_for_condition_clause_after_a_lambda_body_in_the_init():
+    # the lambda body's ';' does not end the init clause
+    d = decl_of("void m() { for (Runnable r = () -> { go(); }; n < 3; n++) { } }")
+    v = compute_metric_vector(d)
+    assert (v.nvar, v.ncomp) == (1, 1)  # n < 3
+
+
 # --- indentation ---------------------------------------------------------------
 
 def test_indent_std_uniform_is_zero():
@@ -182,11 +189,17 @@ def test_depth_else_if_chain_stays_level():
     # local class bodies are transparent, at the top and inside an `if`
     ("class Local { void f() { while (a) { if (b) { c(); } } } }", 2),
     ("if (a) { class Local { void f() { for (;;) { } } } }", 2),
+    # a local type ends at its body's '}', whatever comes before its type
+    # word, so the statements after it count
+    ("final class L { } if (a) { if (b) { go(); } }", 2),
+    ("@Deprecated class L { } if (a) { if (b) { go(); } }", 2),
+    ("record R(int v) { } if (a) { if (b) { go(); } }", 2),
     # an empty statement adds no depth, but as a braceless body it is a block
     ("; while (busy()) ; ;", 1),
 ])
 def test_depth_counts_control_structures_inside_transparent_blocks(body, depth):
-    assert compute_metric_vector(decl_of(f"void m() {{ {body} }}")).maxBlockDepth == depth
+    d = decl_of(f"class T {{ void m() {{ {body} }} }}", "m")
+    assert compute_metric_vector(d).maxBlockDepth == depth
 
 
 # --- fanout ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from decl_gen import KINDS, generate_unit
+from decl_gen import KINDS, LOCAL_HOLDERS, LOCAL_TYPES, generate_unit
 from methodlens.java_extract import extract_methods, signature
 
 SEEDS = [3, 4, 5]
@@ -31,6 +31,7 @@ SHAPES = {
     *("%s with supertypes" % kind for kind in KINDS if kind != "@interface"),
     *("class in " + kind for kind in KINDS),
     "enum constant body", "constructor", "compact constructor", "final permitted class", "non-sealed permitted class",
+    *LOCAL_HOLDERS, *(shape for _, shape in LOCAL_TYPES),
 }
 
 
