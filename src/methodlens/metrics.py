@@ -297,124 +297,210 @@ def compute_indent_std(decl: MethodDeclaration) -> float:
     return math.sqrt(var)
 
 
-def _max_block_depth(body: list[Token]) -> int:
-    """Deepest nesting of control-structure blocks; the method body itself is
-    depth 0 and braceless single-statement bodies count as blocks."""
-    if len(body) < 2:
-        return 0
-    return _scan_statements(body, 1, len(body) - 1, 0)
+class _StatementWalker:
+    """One walk over a method body's statements gives two metrics:
+    maxBlockDepth, the deepest nesting of control-structure blocks that
+    `statements` returns (the method body itself is depth 0, and braceless
+    single-statement bodies count as blocks), and `variables`, the
+    local-variable declarators counted on the way."""
 
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.declarators = 0
 
-def _scan_statements(toks: list[Token], i: int, end: int, depth: int) -> int:
-    best = 0
-    while i < end:
-        i, m = _scan_statement(toks, i, end, depth)
-        best = max(best, m)
-    return best
+    def statements(self, i: int, end: int, depth: int) -> int:
+        best = 0
+        while i < end:
+            i, m = self._statement(i, end, depth)
+            best = max(best, m)
+        return best
 
+    def _skip_parens(self, i: int, end: int) -> int:
+        if i < end and self.toks[i].text == "(":
+            return min(match_forward(self.toks, i, "(", ")") + 1, end)
+        return i
 
-def _skip_paren_group(toks: list[Token], i: int, end: int) -> int:
-    if i < end and toks[i].text == "(":
-        return min(match_forward(toks, i, "(", ")") + 1, end)
-    return i
+    def _clauses(self, i: int, end: int) -> int:
+        """Index past the header of a `for` or `try` at i; a declaration
+        may start each of its ';'-separated clauses, and brace bodies in it
+        are jumped."""
+        toks = self.toks
+        j = self._skip_parens(i, end)
+        k = i
+        while k < j:
+            if toks[k].text == "{":
+                k = match_forward(toks, k, "{", "}")
+            elif k == i or toks[k].text == ";":  # the '(' or a ';'
+                self._declare(k + 1)
+            k += 1
+        return j
 
+    def _declare(self, i: int) -> None:
+        """Count the declarators of the local declaration at i, if one
+        starts there, past `final` and annotations."""
+        toks = self.toks
+        while i < len(toks) and toks[i].text in ("final", "@"):
+            i = skip_annotation(toks, i) if toks[i].text == "@" else i + 1
+        if i < len(toks):
+            self.declarators += _try_parse_declaration(toks, i)
 
-def _scan_statement(toks: list[Token], i: int, end: int, depth: int) -> tuple[int, int]:
-    """Consume one statement starting at i; returns (next index, max control
-    depth reached)."""
-    if i >= end:
-        return end, 0
-    t = toks[i]
-    txt = t.text
+    def _statement(self, i: int, end: int, depth: int) -> tuple[int, int]:
+        """Consume one statement starting at i; returns (next index, max
+        control depth reached)."""
+        if i >= end:
+            return end, 0
+        toks = self.toks
+        t = toks[i]
+        txt = t.text
 
-    if txt == ";":
-        return i + 1, 0
-    if txt == "{":
-        close = match_forward(toks, i, "{", "}")
-        m = _scan_statements(toks, i + 1, min(close, end), depth)
-        return min(close + 1, end), m
+        if txt == ";":
+            return i + 1, 0
+        if txt == "{":
+            close = match_forward(toks, i, "{", "}")
+            m = self.statements(i + 1, min(close, end), depth)
+            return min(close + 1, end), m
 
-    if t.kind == "keyword":
-        if txt == "if":
-            j = _skip_paren_group(toks, i + 1, end)
-            j, m1 = _scan_embedded(toks, j, end, depth)
-            best = m1
-            if j < end and toks[j].text == "else":
-                j += 1
-                if j < end and toks[j].text == "if":
-                    j, m2 = _scan_statement(toks, j, end, depth)  # else-if stays level
-                else:
-                    j, m2 = _scan_embedded(toks, j, end, depth)
-                best = max(best, m2)
-            return j, best
-        if txt in ("for", "while", "switch", "synchronized"):
-            j = _skip_paren_group(toks, i + 1, end)
-            return _scan_embedded(toks, j, end, depth)
-        if txt == "do":
-            j, m = _scan_embedded(toks, i + 1, end, depth)
-            if j < end and toks[j].text == "while":
-                j = _skip_paren_group(toks, j + 1, end)
-                if j < end and toks[j].text == ";":
+        if t.kind == "keyword":
+            if txt == "if":
+                j = self._skip_parens(i + 1, end)
+                j, best = self._embedded(j, end, depth)
+                if j < end and toks[j].text == "else":
                     j += 1
-            return j, m
-        if txt == "try":
-            j = _skip_paren_group(toks, i + 1, end)
-            j, best = _scan_embedded(toks, j, end, depth)
-            while j < end and toks[j].kind == "keyword" and toks[j].text in ("catch", "finally"):
-                kw = toks[j].text
-                j += 1
-                if kw == "catch":
-                    j = _skip_paren_group(toks, j, end)
-                j, m = _scan_embedded(toks, j, end, depth)
-                best = max(best, m)
-            return j, best
-        if txt in ("case", "default"):
-            j = i + 1
-            while j < end and toks[j].text not in (":", "->"):
-                j += 1
-            return min(j + 1, end), 0
-        if txt == "else":  # stray else (defensive)
-            return _scan_embedded(toks, i + 1, end, depth)
+                    if j < end and toks[j].text == "if":
+                        j, m = self._statement(j, end, depth)  # else-if stays level
+                    else:
+                        j, m = self._embedded(j, end, depth)
+                    best = max(best, m)
+                return j, best
+            if txt in ("for", "while", "switch", "synchronized"):
+                j = self._clauses(i + 1, end) if txt == "for" else self._skip_parens(i + 1, end)
+                return self._embedded(j, end, depth)
+            if txt == "do":
+                j, m = self._embedded(i + 1, end, depth)
+                if j < end and toks[j].text == "while":
+                    j = self._skip_parens(j + 1, end)
+                    if j < end and toks[j].text == ";":
+                        j += 1
+                return j, m
+            if txt == "try":
+                j = self._clauses(i + 1, end)
+                j, best = self._embedded(j, end, depth)
+                while j < end and toks[j].kind == "keyword" and toks[j].text in ("catch", "finally"):
+                    kw = toks[j].text
+                    j += 1
+                    if kw == "catch":
+                        j = self._skip_parens(j, end)
+                    j, m = self._embedded(j, end, depth)
+                    best = max(best, m)
+                return j, best
+            # a label, but not a `default` method of a local interface
+            if txt == "case" or txt == "default" and i + 1 < end and toks[i + 1].text in (":", "->"):
+                j = i + 1
+                while j < end and toks[j].text not in (":", "->"):
+                    j += 1
+                return min(j + 1, end), 0
+            if txt == "else":  # stray else (defensive)
+                return self._embedded(i + 1, end, depth)
 
-    # label
-    if t.kind == "identifier" and i + 1 < end and toks[i + 1].text == ":":
-        return i + 2, 0
+        # label
+        if t.kind == "identifier" and i + 1 < end and toks[i + 1].text == ":":
+            return i + 2, 0
 
-    # any other statement runs to its first ';' or '}' outside a brace body,
-    # descending into each brace body, which is depth-transparent; once a
-    # type word and the type's name are seen, it ends at a body's '}'
-    best = 0
-    named = False
+        # a local declaration may start here, but not at a switch rule's
+        # expression, as in `case 1 -> a < b && c > d;`
+        if toks[i - 1].text != "->":
+            self._declare(i)
+        # any other statement runs to its first ';' or '}' outside a brace
+        # body, descending into each brace body, which is depth-transparent;
+        # once a type word and the type's name are seen, it ends at a body's
+        # '}'.  A declaration may start after a brace body, as a field after
+        # a method does in a local or anonymous class.
+        best = 0
+        named = False
+        j = i
+        while j < end:
+            e = toks[j].text
+            if e == "{":
+                close = match_forward(toks, j, "{", "}")
+                best = max(best, self.statements(j + 1, min(close, end), depth))
+                if named:
+                    return min(close + 1, end), best
+                self._declare(close + 1)
+                j = close
+            elif e == ";":
+                return j + 1, best
+            elif e == "}":
+                return j, best  # malformed statement; let the caller see '}'
+            elif e in TYPE_WORDS and j + 1 < end and toks[j + 1].kind == "identifier":
+                named = True
+            j += 1
+        return end, best
+
+    def _embedded(self, i: int, end: int, depth: int) -> tuple[int, int]:
+        """Body of a control structure: a block or a single statement, at
+        depth + 1."""
+        if i >= end:
+            return end, depth + 1
+        if self.toks[i].text == "{":
+            close = match_forward(self.toks, i, "{", "}")
+            inner = self.statements(i + 1, min(close, end), depth + 1)
+            return min(close + 1, end), max(depth + 1, inner)
+        j, inner = self._statement(i, end, depth + 1)
+        return j, max(depth + 1, inner)
+
+
+_NAME_FOLLOWERS = {"=", ",", ";", ":"}
+
+
+def _try_parse_declaration(body: list[Token], i: int) -> int:
+    """Declarators of a `Type name (= init)? (, name (= init)?)*` at i; 0
+    means no declaration starts here (a `yield` statement never does)."""
+    n = len(body)
     j = i
-    while j < end:
-        e = toks[j].text
-        if e == "{":
-            close = match_forward(toks, j, "{", "}")
-            best = max(best, _scan_statements(toks, j + 1, min(close, end), depth))
-            if named:
-                return min(close + 1, end), best
-            j = close
-        elif e == ";":
-            return j + 1, best
-        elif e == "}":
-            return j, best  # malformed statement; let the caller see '}'
-        elif e in TYPE_WORDS and j + 1 < end and toks[j + 1].kind == "identifier":
-            named = True
+    t = body[j]
+    if t.kind == "keyword" and t.text in PRIMITIVE_TYPES and t.text != "void":
         j += 1
-    return end, best
-
-
-def _scan_embedded(toks: list[Token], i: int, end: int, depth: int) -> tuple[int, int]:
-    """Body of a control structure: a block or a single statement, at
-    depth + 1."""
-    if i >= end:
-        return end, depth + 1
-    if toks[i].text == "{":
-        close = match_forward(toks, i, "{", "}")
-        inner = _scan_statements(toks, i + 1, min(close, end), depth + 1)
-        return min(close + 1, end), max(depth + 1, inner)
-    j, inner = _scan_statement(toks, i, end, depth + 1)
-    return j, max(depth + 1, inner)
+    elif t.kind == "identifier" and t.text != "yield":
+        j += 1
+        while j + 1 < n and body[j].text == "." and body[j + 1].kind == "identifier":
+            j += 2
+    else:
+        return 0
+    if j < n and body[j].text == "<":
+        j = skip_angles(body, j)
+        if j is None:
+            return 0
+    while j + 1 < n and body[j].text == "[" and body[j + 1].text == "]":
+        j += 2
+    if j >= n or body[j].kind != "identifier":
+        return 0
+    j += 1
+    while j + 1 < n and body[j].text == "[" and body[j + 1].text == "]":
+        j += 2  # legacy `int a[]`
+    # not `)`, which ends e.g. an instanceof pattern variable
+    if j >= n or body[j].text not in _NAME_FOLLOWERS:
+        return 0
+    count = 1
+    # walk the rest of the statement, counting `, name` at group depth 0
+    depth = 0
+    while j < n:
+        txt = body[j].text
+        if txt in ("(", "[", "{"):
+            depth += 1
+        elif txt in (")", "]", "}"):
+            if depth == 0:
+                break
+            depth -= 1
+        elif txt == ";" and depth == 0:
+            break
+        elif txt == ":" and depth == 0:
+            break  # enhanced-for: single declarator
+        elif txt == "," and depth == 0:
+            if j + 1 < n and body[j + 1].kind == "identifier":
+                count += 1
+                j += 1
+        j += 1
+    return count
 
 
 def _fanout(body: list[Token], calls: set[int]) -> int:
@@ -512,135 +598,6 @@ def compute_readability_posnett(decl: MethodDeclaration, halstead: HalsteadCount
     return _logistic(z)
 
 
-_DECL_SKIP_LEADING = {"final"}
-_NAME_FOLLOWERS = {"=", ",", ";", ":"}
-
-
-def _count_local_declarators(body: list[Token]) -> int:
-    """Local-variable declarators in the body block.
-
-    Multi-declarator statements count each declarator; for-init, enhanced-for
-    and try-resource declarators are included; catch and lambda parameters
-    are not.
-    """
-    n = len(body)
-    count = 0
-    i = 1 if body and body[0].text == "{" else 0
-    statement_start = True
-    paren_kind: list[str] = []  # kind of each open paren group
-    prev_keyword = None
-    while i < n:
-        t = body[i]
-        txt = t.text
-        if txt == "(":
-            kind = prev_keyword or "other"
-            if kind == "catch":
-                i = match_forward(body, i, "(", ")") + 1
-                prev_keyword = None
-                statement_start = False
-                continue
-            paren_kind.append(kind)
-            statement_start = kind in ("for", "try")
-            prev_keyword = None
-            i += 1
-            continue
-        if txt == ")":
-            if paren_kind:
-                paren_kind.pop()
-            statement_start = False
-            i += 1
-            continue
-        if txt in ("{", "}", ";", ":"):
-            statement_start = not paren_kind or paren_kind[-1] in ("for", "try")
-            prev_keyword = None
-            i += 1
-            continue
-        if t.kind == "keyword":
-            prev_keyword = txt
-            if statement_start and txt in _DECL_SKIP_LEADING:
-                i += 1
-                continue
-            if statement_start and txt in PRIMITIVE_TYPES and txt != "void":
-                consumed, declarators = _try_parse_declaration(body, i, n)
-                if declarators:
-                    count += declarators
-                    i = consumed
-                    statement_start = False
-                    continue
-            statement_start = False
-            i += 1
-            continue
-        if statement_start and t.kind == "identifier" and txt != "yield":
-            consumed, declarators = _try_parse_declaration(body, i, n)
-            if declarators:
-                count += declarators
-                i = consumed
-                statement_start = False
-                continue
-        if statement_start and txt == "@":
-            i = skip_annotation(body, i)  # annotation on a local declaration
-            continue
-        statement_start = False
-        prev_keyword = None
-        i += 1
-    return count
-
-
-def _try_parse_declaration(body: list[Token], i: int, n: int) -> tuple[int, int]:
-    """Parse `Type name (= init)? (, name (= init)?)*` at i.
-
-    Returns (index after the parsed prefix, declarator count); count 0 means
-    no declaration starts here.
-    """
-    j = i
-    t = body[j]
-    if t.kind == "keyword" and t.text in PRIMITIVE_TYPES and t.text != "void":
-        j += 1
-    elif t.kind == "identifier":
-        j += 1
-        while j + 1 < n and body[j].text == "." and body[j + 1].kind == "identifier":
-            j += 2
-    else:
-        return i, 0
-    if j < n and body[j].text == "<":
-        j = skip_angles(body, j)
-        if j is None:
-            return i, 0
-    while j + 1 < n and body[j].text == "[" and body[j + 1].text == "]":
-        j += 2
-    if j >= n or body[j].kind != "identifier":
-        return i, 0
-    name_idx = j
-    j += 1
-    while j + 1 < n and body[j].text == "[" and body[j + 1].text == "]":
-        j += 2  # legacy `int a[]`
-    if j >= n or body[j].text not in _NAME_FOLLOWERS and body[j].text != ")":
-        return i, 0
-    if body[j].text == ")":  # e.g. instanceof pattern variables
-        return i, 0
-    count = 1
-    # walk the rest of the statement, counting `, name` at group depth 0
-    depth = 0
-    while j < n:
-        txt = body[j].text
-        if txt in ("(", "[", "{"):
-            depth += 1
-        elif txt in (")", "]", "}"):
-            if depth == 0:
-                break
-            depth -= 1
-        elif txt == ";" and depth == 0:
-            break
-        elif txt == ":" and depth == 0:
-            break  # enhanced-for: single declarator
-        elif txt == "," and depth == 0:
-            if j + 1 < n and body[j + 1].kind == "identifier":
-                count += 1
-                j += 1
-        j += 1
-    return name_idx + 1, count
-
-
 def _getter_setter(decl: MethodDeclaration, body: list[Token]) -> bool:
     inner = body[1:-1] if len(body) >= 2 else []
     if not inner:
@@ -671,20 +628,22 @@ def compute_metric_vector(decl: MethodDeclaration, memo: dict[str, list[Token]] 
     halstead = _halstead(body, calls)
     mccabe = _mccabe(body)
     nvar, ncomp = _mcclure(body)
+    walker = _StatementWalker(body)
+    max_depth = walker.statements(1, len(body) - 1, 0)  # inside the body's braces
     return MetricVector(
         size=size,
         mccabe=mccabe,
         nvar=nvar,
         ncomp=ncomp,
         indentStd=compute_indent_std(decl),
-        maxBlockDepth=_max_block_depth(body),
+        maxBlockDepth=max_depth,
         fanout=_fanout(body, calls),
         halsteadLength=halstead.length,
         maintainabilityIndex=compute_maintainability_index(size, mccabe, halstead),
         readability=_readability_buse(decl, toks, comment_lines),
         simpleReadability=compute_readability_posnett(decl, halstead),
         parameters=len(decl.parameterTypes),
-        variables=_count_local_declarators(body),
+        variables=walker.declarators,
         commentRatio=comment_lines / size,
         getterSetter=_getter_setter(decl, body),
         isPublic="public" in decl.modifiers,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from methodlens.java_extract import body_open_index, extract_methods, normalize_source, tokenize
+from methodlens.java_extract import body_open_index, extract_methods, match_forward, normalize_source, tokenize
 from methodlens.metrics import METRIC_NAMES, compute_metric_vector
 
 from golden_corpus import CORPUS, corpus_files, expected_vector
@@ -62,14 +62,23 @@ LOCAL_TYPES = ["class Z { }", "final class Z { }", "@Deprecated class Z { }", "r
                "interface Z { }", "enum Z { }"]
 
 
+def _wrap_body(text: str, head: str, tail: str) -> str:
+    """`text` with `head` inserted right after its body's '{' and `tail`
+    right before the body's '}'."""
+    code = [t for t in tokenize(text) if t.kind != "comment"]
+    open_idx = body_open_index(code)
+    brace, close = code[open_idx], code[match_forward(code, open_idx, "{", "}")]
+    lines = text.split("\n")
+    # the '}' first, so that the '{' keeps its column when both share a line
+    for tok, at, insert in ((close, close.column - 1, tail), (brace, brace.column, head)):
+        line = lines[tok.line - 1]
+        lines[tok.line - 1] = line[:at] + insert + line[at:]
+    return "\n".join(lines)
+
+
 def _with_first_statement(text: str, statement: str) -> str:
     """`text` with `statement` inserted right after its body's '{'."""
-    code = [t for t in tokenize(text) if t.kind != "comment"]
-    brace = code[body_open_index(code)]
-    lines = text.split("\n")
-    line = lines[brace.line - 1]
-    lines[brace.line - 1] = line[:brace.column] + " " + statement + line[brace.column:]
-    return "\n".join(lines)
+    return _wrap_body(text, " " + statement, "")
 
 
 @pytest.mark.parametrize("local", LOCAL_TYPES)
@@ -83,6 +92,23 @@ def test_a_leading_local_type_keeps_the_control_flow_metrics(local):
         actual = compute_metric_vector(dataclasses.replace(decl, bodyText=text, bodyBlock=None)).as_dict()
         expected = expected_vector(method.text, method.ledger)
         for name in ("mccabe", "nvar", "ncomp", "maxBlockDepth"):
+            if actual[name] != expected[name]:
+                wrong["%s.%s %s" % (method.class_name, method.name, name)] = (actual[name], expected[name])
+    assert not wrong
+
+
+def test_a_body_moved_into_a_lambda_argument_keeps_the_walk_metrics():
+    """Metamorphic: a method body's statements moved into a lambda body in
+    call arguments, `{ run(() -> { <body> }); }`, leave variables,
+    maxBlockDepth, mccabe, nvar and ncomp at the ledger's values, since a
+    block body inside call arguments is walked like any other."""
+    wrong = {}
+    for method in CORPUS:
+        decl = DECLS[(method.class_name, method.name)]
+        text = _wrap_body(method.text, " run(() -> {", "}); ")
+        actual = compute_metric_vector(dataclasses.replace(decl, bodyText=text, bodyBlock=None)).as_dict()
+        expected = expected_vector(method.text, method.ledger)
+        for name in ("variables", "maxBlockDepth", "mccabe", "nvar", "ncomp"):
             if actual[name] != expected[name]:
                 wrong["%s.%s %s" % (method.class_name, method.name, name)] = (actual[name], expected[name])
     assert not wrong
