@@ -394,7 +394,7 @@ class _StatementWalker:
                     best = max(best, m)
                 return j, best
             # a label, but not a `default` method of a local interface
-            if txt == "case" or txt == "default" and i + 1 < end and toks[i + 1].text in (":", "->"):
+            if txt == "case" or (txt == "default" and i + 1 < end and toks[i + 1].text in (":", "->")):
                 j = i + 1
                 while j < end and toks[j].text not in (":", "->"):
                     j += 1

@@ -76,11 +76,6 @@ def _wrap_body(text: str, head: str, tail: str) -> str:
     return "\n".join(lines)
 
 
-def _with_first_statement(text: str, statement: str) -> str:
-    """`text` with `statement` inserted right after its body's '{'."""
-    return _wrap_body(text, " " + statement, "")
-
-
 @pytest.mark.parametrize("local", LOCAL_TYPES)
 def test_a_leading_local_type_keeps_the_control_flow_metrics(local):
     """Metamorphic: an empty local type as a method body's first statement
@@ -88,7 +83,7 @@ def test_a_leading_local_type_keeps_the_control_flow_metrics(local):
     wrong = {}
     for method in CORPUS:
         decl = DECLS[(method.class_name, method.name)]
-        text = _with_first_statement(method.text, local)
+        text = _wrap_body(method.text, " " + local, "")
         actual = compute_metric_vector(dataclasses.replace(decl, bodyText=text, bodyBlock=None)).as_dict()
         expected = expected_vector(method.text, method.ledger)
         for name in ("mccabe", "nvar", "ncomp", "maxBlockDepth"):
