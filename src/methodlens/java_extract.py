@@ -286,9 +286,9 @@ def body_block(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = No
 # the words that begin a type declaration: the identifier after one names
 # the type (`record` is an identifier, the others are keywords)
 TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
-# the tokens `_Extractor._blocks` reads: braces, parentheses and the type
-# words (no other token has these texts)
-_BLOCK_TEXTS = frozenset({"{", "}", "(", ")"}) | TYPE_WORDS
+# the tokens `_Extractor._blocks` reads: braces and the type words (no other
+# token has these texts)
+_BLOCK_TEXTS = frozenset({"{", "}"}) | TYPE_WORDS
 
 
 def _skip_parens(toks: list[Token], i: int) -> int:
@@ -402,47 +402,37 @@ class _Extractor:
         """Check that the braces balance, and map the '{' of each plain block
         to the index of its '}'.
 
-        A block is plain when it and every block inside it hold no type
-        word (`TYPE_WORDS`), and its parentheses balance between its
-        braces without closing one opened before it. A plain block scanned
-        outside a type body records nothing, no parenthesis skip leaves it,
-        and none fails, so `_scan` steps over it.
+        A block is plain when no type word (`TYPE_WORDS`) lies between its
+        braces. A plain block scanned outside a type body reads no
+        parenthesis and names no type, so it records nothing and cannot
+        fail, and `_scan` steps over it.
         """
         plain: dict[int, int] = {}
-        # one entry per open block: its '{', the paren depth there, and
-        # whether it is still plain
-        open_blocks: list[list] = []
-        parens = 0
+        opens: list[int] = []  # the '{' of each open block
+        last_word = -1  # index of the last type word
         for i, t in enumerate(self.toks):
             txt = t.text
             if txt not in _BLOCK_TEXTS:
                 continue
-            if txt == "(":
-                parens += 1
-            elif txt == ")":
-                parens -= 1
-                if open_blocks and parens < open_blocks[-1][1]:
-                    open_blocks[-1][2] = False
-            elif txt == "{":
-                open_blocks.append([i, parens, True])
+            if txt == "{":
+                opens.append(i)
             elif txt == "}":
-                if not open_blocks:
+                if not opens:
                     raise ExtractionError("unbalanced braces", t.line)
-                start, depth, is_plain = open_blocks.pop()
-                if is_plain and parens == depth:
+                start = opens.pop()
+                if last_word < start:
                     plain[start] = i
-                elif open_blocks:
-                    open_blocks[-1][2] = False
-            elif open_blocks:  # a type word
-                open_blocks[-1][2] = False
-        if open_blocks:
+            else:  # a type word
+                last_word = i
+        if opens:
             raise ExtractionError("unbalanced braces", self.toks[-1].line)
         return plain
 
     def _scan(self, i: int, end: int, chain: tuple[str, ...], in_type: bool) -> int:
         """Scan tokens[i:end] at one nesting level; returns index past the
         closing '}' (or end). Every caller but the first starts just past a
-        '{', and a plain block outside a type body is stepped over."""
+        '{'. Outside a type body only braces and type words are read, and a
+        plain block is stepped over."""
         if not in_type and i - 1 in self.plain:
             return self.plain[i - 1] + 1
         toks = self.toks
@@ -471,7 +461,7 @@ class _Extractor:
                 continue
             if header_start is None:
                 header_start = i
-            if txt == "@":
+            if txt == "@" and in_type:
                 j = i + 1
                 name_parts = []
                 while j < end and toks[j].kind == "identifier":
@@ -494,7 +484,7 @@ class _Extractor:
                 header.append(t)
                 i += 1
                 continue
-            if txt == "=":
+            if txt == "=" and in_type:
                 # field/constant initializer: it ends at its first ';' or '}'
                 # outside a brace body, and each brace body it holds
                 # (anonymous classes, lambdas, array initializers) is
@@ -507,7 +497,7 @@ class _Extractor:
                         i += 1
                 reset()
                 continue
-            if txt == "(":
+            if txt == "(" and in_type:
                 close = _skip_parens(toks, i) - 1
                 k = close + 1
                 # result dimensions (`int g()[]`) and a throws clause, either
@@ -519,7 +509,7 @@ class _Extractor:
                     while k < end and (toks[k].kind == "identifier" or toks[k].text in (".", ",", "@")):
                         k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
                 if type_name is None and k < end and toks[k].text == "{":
-                    i = self._member_with_body(header, header_start, annotations, i, close, k, end, chain, in_type)
+                    i = self._member_with_body(header, header_start, annotations, i, close, k, end, chain)
                     reset()
                     continue
                 if k < end and toks[k].text == ";":
@@ -552,7 +542,6 @@ class _Extractor:
         body_open: int,
         end: int,
         chain: tuple[str, ...],
-        in_type: bool,
     ) -> int:
         toks = self.toks
         name_tok = header[-1] if header and header[-1].kind == "identifier" else None
@@ -562,9 +551,7 @@ class _Extractor:
             if not (t.kind == "keyword" and t.text in MODIFIERS)
         ]
         is_method = (
-            in_type
-            and chain
-            and name_tok is not None
+            name_tok is not None
             and any(t.kind == "identifier" or (t.kind == "keyword" and t.text in PRIMITIVE_TYPES)
                     or t.text in ("[", "]") for t in type_toks)
         )
@@ -601,10 +588,9 @@ def extract_methods(text: str, memo: dict[str, list[Token]] | None = None) -> li
     immediate container is an anonymous class or lambda are excluded.
     `memo` is handed to `tokenize`.
 
-    A block outside a type body (a method or initializer body, a lambda, an
-    anonymous class or an array initializer) is not scanned when neither it
-    nor any block inside it holds `class`, `interface`, `enum` or `record`,
-    and its parentheses balance between its braces without closing one
-    opened before it: such a block can declare nothing.
+    Parentheses are read only in a type body's member headers: outside a
+    type body every brace body is scanned, inside parentheses too, except a
+    block that holds no `class`, `interface`, `enum` or `record`, which can
+    declare nothing.
     """
     return _Extractor(text, memo).run()

@@ -60,12 +60,17 @@ LOCAL_TYPES = [("class {n}", "local class"), ("final class {n}", "local final cl
                ("@Deprecated class {n}", "local annotated class"), ("@Mark final class {n}", "local annotated class"),
                ("record {n}(int v)", "local record")]
 # what declares a local type, with the lines before it, over the holding
-# method's name {m} and the local type's name {n}, and the lines after it
+# method's name {m} and the local type's name {n}, and the lines after it.
+# A holder that names {m} declares that method.
 LOCAL_HOLDERS = {
     "local type in a method": (["void {m}() {{"], ["}"]),
     "local type in an anonymous class initializer": (
         ["Runnable f{n} = new Runnable() {{", "    public void run() {{"], ["    }", "};"]),
     "local type in a lambda initializer": (["Runnable f{n} = () -> {{"], ["};"]),
+    "local type in a lambda argument": (["void {m}() {{", "    new Thread(() -> {{"], ["    }).start();", "}"]),
+    "local type in an anonymous class argument": (
+        ["void {m}() {{", "    new Thread(new Runnable() {{", "        public void run() {{"],
+        ["        }", "    }).start();", "}"]),
 }
 
 # declaration annotations a parameter can carry: per annotation type, its
@@ -295,7 +300,7 @@ class _Writer:
             self.shapes[shape] += 1
             before, after = LOCAL_HOLDERS[holder]
             method = "t%d" % len(signatures)
-            if holder == "local type in a method":
+            if "{m}" in before[0]:
                 signatures.append("%s#%s()" % (chain, method))
             inner = indent + " " * 4 * len(before)
             lines += [indent + line.format(m=method, n=name) for line in before]
@@ -341,7 +346,8 @@ class _Writer:
                 header += " extends " + rng.choice(SUPERCLASSES)
                 supers -= 1
             header += self._interfaces("implements", supers)
-            if rng.random() < 0.3:
+            # the first class has a constructor, so that every unit writes one
+            if rng.random() < 0.3 or "constructor" not in self.shapes:
                 self.shapes["constructor"] += 1
                 first.append("%s() { }" % name)
         elif kind == "interface":

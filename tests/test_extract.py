@@ -1,5 +1,7 @@
 import json
 import random
+import shutil
+import subprocess
 
 import pytest
 
@@ -373,6 +375,54 @@ class A {
 }
 """
     assert [signature(d) for d in extract_methods(src(content))] == ["A.L#k()"]
+
+
+# A local type in a brace body inside parentheses, by what holds the body:
+# members of `A` and the signatures each gives.  Together they are one
+# class that javac 17 compiles.
+LOCAL_TYPES_IN_PARENTHESES = {
+    "lambda argument": ("""\
+    void m0() {
+        new Thread(() -> { class L0 { int k() { return 0; } } }).start();
+    }
+""", ["A#m0()", "A.L0#k()"]),
+    "anonymous class argument": ("""\
+    void m1() {
+        new Thread(new Runnable() { public void run() { record L1(int v) { int k() { return v; } } } }).start();
+    }
+""", ["A#m1()", "A.L1#k()"]),
+    "lambda in an if condition": ("""\
+    boolean m2() {
+        if (((java.util.function.IntSupplier) () -> { class L2 { int k() { return 2; } } return new L2().k(); })
+                .getAsInt() > 1) {
+            return true;
+        }
+        return false;
+    }
+""", ["A#m2()", "A.L2#k()"]),
+    "static initializer's call argument": ("""\
+    static {
+        new Thread(() -> { interface L3 { default int k() { return 3; } } }).start();
+    }
+""", ["A.L3#k()"]),
+}
+
+
+@pytest.mark.parametrize("member, signatures", LOCAL_TYPES_IN_PARENTHESES.values(),
+                         ids=LOCAL_TYPES_IN_PARENTHESES.keys())
+def test_a_local_type_in_a_brace_body_inside_parentheses_is_a_named_type(member, signatures):
+    assert [signature(d) for d in extract_methods(src("class A {\n%s}\n" % member))] == signatures
+
+
+def test_the_local_types_in_parentheses_compile_with_javac(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not on PATH")
+    path = tmp_path / "A.java"
+    path.write_text("class A {\n%s}\n" % "".join(member for member, _ in LOCAL_TYPES_IN_PARENTHESES.values()),
+                    encoding="utf-8")
+    done = subprocess.run([javac, "-proc:none", "-d", str(tmp_path), str(path)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_local_named_class_methods_included():

@@ -111,6 +111,15 @@ HAND_CASES = {
     "a local interface": "class A { void m() { interface J { default int v() { return 1; } } } }",
     "a local class inside a lambda inside call parens":
         "class A { void m() { run(() -> { class L { void x() { } } }); } void n() { } }",
+    "a local record inside an anonymous class inside call parens":
+        "class A { void m() { run(new R() { public void run() { record P(int a) { int k() { return a; } } } }); } }",
+    "a local class inside a lambda inside an if condition":
+        "class A { void m() { if (test(() -> { class L { void x() { } } })) { go(); } } void n() { } }",
+    "a local interface inside a static initializer's call parens":
+        "class A { static { run(() -> { interface J { default int v() { return 1; } } }); } void n() { } }",
+    "an unclosed annotation '(' in a body": "class A { void m() { @N( int x; } void n() { } }",
+    "an unclosed annotation '(' before a type": "@N( class A { void m() { } }",
+    "an unclosed annotation '(' on a member": "class A { @N( void m() { } void n() { } }",
     "anonymous classes with methods":
         "class A { Runnable r = new Runnable() { public void run() { go(); } };\n"
         "  void m() { new Thread() { public void run() { } }.start(); } }",
@@ -133,13 +142,24 @@ def test_hand_cases_extract_as_the_full_scan_does(text):
 
 
 def test_a_crossing_paren_pair_and_a_two_supertype_body_keep_their_outcomes():
-    """Pinned outcomes of two hand cases: a block a paren pair leaves is
-    scanned, not stepped over; a body after a two-supertype header holds
-    no type word, so `_blocks` marks it plain, yet it is scanned as the
-    type body it is and its method is kept."""
+    """Pinned outcomes of two hand cases: a paren pair in code is not read,
+    so a block it crosses is plain and ends at its own '}'; a body after a
+    two-supertype header holds no type word, so `_blocks` marks it plain,
+    yet it is scanned as the type body it is and its method is kept."""
     crossing = HAND_CASES["a paren pair crossing a brace"]
-    assert [d.name for d in extract_methods(crossing)] == ["m"]
-    assert _Extractor(crossing, None)._blocks() == {18: 19}  # n's body alone
+    assert [d.name for d in extract_methods(crossing)] == ["m", "n"]
+    assert _Extractor(crossing, None)._blocks() == {10: 12, 7: 13, 18: 19, 2: 20}
     two = HAND_CASES["two supertypes: interface I extends X, Y"]
     assert [signature(d) for d in extract_methods(two)] == ["I#m()"]
     assert _Extractor(two, None)._blocks() == {6: 17, 12: 16}  # the type body and m's
+
+
+def test_an_unclosed_paren_fails_only_in_a_type_bodys_member_headers():
+    """Pinned outcomes of hand cases: a '(' that never closes fails the
+    file in a member header or a member's annotation, and nowhere else."""
+    assert [d.name for d in extract_methods(HAND_CASES["an unbalanced '(' in a body"])] == ["m", "n"]
+    assert [d.name for d in extract_methods(HAND_CASES["an unclosed annotation '(' in a body"])] == ["m", "n"]
+    assert [d.name for d in extract_methods(HAND_CASES["an unclosed annotation '(' before a type"])] == ["m"]
+    for text in (HAND_CASES["an unclosed annotation '(' on a member"], "class A { void m( { } void n() { } }"):
+        with pytest.raises(ExtractionError, match="^line 1: unbalanced parentheses$"):
+            extract_methods(text)

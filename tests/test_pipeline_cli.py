@@ -445,6 +445,37 @@ def test_an_operator_in_a_parameter_annotation_keeps_the_next_parameter(tmp_path
     assert len(history["revisions"]) == 1
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: a local class's chain leaves out the method that declares it, so "
+                          "both local classes L give A.L#k(), and the unchanged one takes the edited one's "
+                          "revision (the local-class collision FOUND in CHANGES.md)")
+def test_two_local_classes_of_one_name_in_call_argument_lambdas_keep_their_own_histories(tmp_path):
+    """Only `a`'s `L.k` changes its body, at c02; `b`'s returns another
+    number from the start."""
+    repo = init_repo(tmp_path, "local-classes")
+    source = ("class A {\n"
+              "  void a() {\n"
+              "    new Thread(() -> {\n"
+              "      class L { int k() { return %s; } }\n"
+              "    }).start();\n"
+              "  }\n\n"
+              "  void b() {\n"
+              "    new Thread(() -> {\n"
+              "      class L { int k() { return 2; } }\n"
+              "    }).start();\n"
+              "  }\n"
+              "}\n")
+    commit_files(repo, "c01", "add", {"src/A.java": source % "1"})
+    commit_files(repo, "c02", "edit", {"src/A.java": source % "3"})
+    snapshot = commit_files(repo, "c11", "docs", {"README.md": "notes\n"})
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(repo=str(repo), commit=snapshot, out=str(out), project="p"))
+    _, histories = read_ndjson(out / "histories.ndjson")
+    revisions = {h["identity"]["startLine"]: len(h["revisions"]) for h in histories
+                 if h["identity"]["signature"] == "A.L#k()"}
+    assert revisions == {4: 1, 10: 0}
+
+
 def test_a_type_whose_supertype_list_changes_keeps_its_methods_histories(tmp_path):
     """D drops its second supertype at c03 and E gains one at c04; neither
     edit touches a method, so every method is introduced at c01 and `size`'s
