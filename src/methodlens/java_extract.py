@@ -1,9 +1,11 @@
 """Lexing of Java source and extraction of method declarations.
 
-The parser is declaration-level only: it tracks braces, parentheses and
-member headers well enough to find every named method with a body, but it
-builds no expression AST.  That is sufficient for the metric and history
-layers, which work on token streams and verbatim source lines.
+The parser is declaration-level only.  One pass over the braces, ';' and
+type words finds every type body; then the member headers of each type body
+are read well enough to find every named method with a body, and every
+block in it is jumped.  It builds no expression AST.  That is sufficient
+for the metric and history layers, which work on token streams and verbatim
+source lines.
 """
 
 from __future__ import annotations
@@ -286,9 +288,9 @@ def body_block(decl: MethodDeclaration, memo: dict[str, list[Token]] | None = No
 # the words that begin a type declaration: the identifier after one names
 # the type (`record` is an identifier, the others are keywords)
 TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
-# the tokens `_Extractor._blocks` reads: braces and the type words (no other
-# token has these texts)
-_BLOCK_TEXTS = frozenset({"{", "}"}) | TYPE_WORDS
+# the tokens `_Extractor._blocks` reads: braces, ';' and the type words (no
+# other token has these texts)
+_BLOCK_TEXTS = frozenset({"{", "}", ";"}) | TYPE_WORDS
 
 
 def _skip_parens(toks: list[Token], i: int) -> int:
@@ -388,80 +390,88 @@ class _Extractor:
     def __init__(self, text: str, memo: dict[str, list[Token]] | None):
         self.lines = text.split("\n")
         self.toks = [t for t in tokenize(text, memo) if t.kind != "comment"]
-        self.found: list[MethodDeclaration] = []
+        # (the index of the body's '}', the declaration) of each method found
+        self.found: list[tuple[int, MethodDeclaration]] = []
 
     def run(self) -> list[MethodDeclaration]:
-        self.plain = self._blocks()
-        self._scan(0, len(self.toks), (), in_type=False)
-        # Nested local-class methods are appended before their enclosing
-        # method finishes; restore source order.
-        self.found.sort(key=lambda d: (d.startLine, -d.endLine))
-        return self.found
+        self.close, self.types = self._blocks()
+        for body, chain in self.types.items():
+            self._scan(body, chain)
+        # Source order; on a tie, the method whose body closes first, as a
+        # depth-first walk that records each method at its body's end finds it.
+        self.found.sort(key=lambda f: (f[1].startLine, -f[1].endLine, f[0]))
+        return [d for _, d in self.found]
 
-    def _blocks(self) -> dict[int, int]:
-        """Check that the braces balance, and map the '{' of each plain block
-        to the index of its '}'.
+    def _blocks(self) -> tuple[dict[int, int], dict[int, tuple[str, ...]]]:
+        """Check that the braces balance; map each '{' to its '}', and the
+        '{' of each type body to the type's container chain, in source order.
 
-        A block is plain when no type word (`TYPE_WORDS`) lies between its
-        braces. A plain block scanned outside a type body reads no
-        parenthesis and names no type, so it records nothing and cannot
-        fail, and `_scan` steps over it.
+        A type body is the block that opens after a type word (`TYPE_WORDS`)
+        and the identifier right after it, with no ';' or brace between,
+        wherever that pair stands: in a type body, in a method body, or in a
+        lambda or anonymous class inside parentheses, an enum constant's
+        arguments included. Its chain is that of the innermost type body
+        around it, and the identifier.
         """
-        plain: dict[int, int] = {}
-        opens: list[int] = []  # the '{' of each open block
-        last_word = -1  # index of the last type word
-        for i, t in enumerate(self.toks):
+        toks = self.toks
+        n = len(toks)
+        close: dict[int, int] = {}
+        types: dict[int, tuple[str, ...]] = {}
+        opens: list[tuple[int, tuple[str, ...]]] = []  # each open '{' and the chain around it
+        chain: tuple[str, ...] = ()  # the innermost open type body's chain
+        name: str | None = None  # the identifier after a type word, until a ';' or brace
+        for i, t in enumerate(toks):
             txt = t.text
             if txt not in _BLOCK_TEXTS:
                 continue
             if txt == "{":
-                opens.append(i)
+                opens.append((i, chain))
+                if name is not None:
+                    chain = types[i] = chain + (name,)
+                    name = None
             elif txt == "}":
                 if not opens:
                     raise ExtractionError("unbalanced braces", t.line)
-                start = opens.pop()
-                if last_word < start:
-                    plain[start] = i
-            else:  # a type word
-                last_word = i
+                start, chain = opens.pop()
+                close[start] = i
+                name = None
+            elif txt == ";":
+                name = None
+            elif name is None and i + 1 < n and toks[i + 1].kind == "identifier":
+                name = toks[i + 1].text
         if opens:
             raise ExtractionError("unbalanced braces", self.toks[-1].line)
-        return plain
+        return close, types
 
-    def _scan(self, i: int, end: int, chain: tuple[str, ...], in_type: bool) -> int:
-        """Scan tokens[i:end] at one nesting level; returns index past the
-        closing '}' (or end). Every caller but the first starts just past a
-        '{'. Outside a type body only braces and type words are read, and a
-        plain block is stepped over."""
-        if not in_type and i - 1 in self.plain:
-            return self.plain[i - 1] + 1
+    def _scan(self, body: int, chain: tuple[str, ...]) -> None:
+        """Read the member headers of the type body whose '{' is
+        tokens[body]. Every block in it is jumped through the brace map: a
+        method body, an initializer, a brace body in a field initializer or
+        a nested type."""
         toks = self.toks
+        close = self.close
+        end = close[body]
         header: list[Token] = []
         header_start: int | None = None
         annotations: list[str] = []
-        # the identifier after the header's first type word that has one:
-        # the header declares that type, and its ',' separate supertypes
-        type_name: str | None = None
 
         def reset() -> None:
-            nonlocal header, header_start, annotations, type_name
+            nonlocal header, header_start, annotations
             header = []
             header_start = None
             annotations = []
-            type_name = None
 
+        i = body + 1
         while i < end:
             t = toks[i]
             txt = t.text
-            if txt == "}":
-                return i + 1
-            if txt == ";" or (txt == "," and type_name is None):
+            if txt in (";", ","):
                 reset()
                 i += 1
                 continue
             if header_start is None:
                 header_start = i
-            if txt == "@" and in_type:
+            if txt == "@":
                 j = i + 1
                 name_parts = []
                 while j < end and toks[j].kind == "identifier":
@@ -484,22 +494,17 @@ class _Extractor:
                 header.append(t)
                 i += 1
                 continue
-            if txt == "=" and in_type:
-                # field/constant initializer: it ends at its first ';' or '}'
-                # outside a brace body, and each brace body it holds
-                # (anonymous classes, lambdas, array initializers) is
-                # descended to catch nested named types.
+            if txt == "=":
+                # field/constant initializer: it ends at its first ';' outside
+                # a brace body (anonymous classes, lambdas, array initializers)
                 i += 1
-                while i < end and toks[i].text not in (";", "}"):
-                    if toks[i].text == "{":
-                        i = self._scan(i + 1, end, chain, in_type=False)
-                    else:
-                        i += 1
+                while i < end and toks[i].text != ";":
+                    i = close[i] + 1 if toks[i].text == "{" else i + 1
                 reset()
                 continue
-            if txt == "(" and in_type:
-                close = _skip_parens(toks, i) - 1
-                k = close + 1
+            if txt == "(":
+                close_paren = _skip_parens(toks, i) - 1
+                k = close_paren + 1
                 # result dimensions (`int g()[]`) and a throws clause, either
                 # perhaps with type annotations
                 while k < end and toks[k].text in ("[", "]", "@"):
@@ -508,8 +513,9 @@ class _Extractor:
                     k += 1
                     while k < end and (toks[k].kind == "identifier" or toks[k].text in (".", ",", "@")):
                         k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
-                if type_name is None and k < end and toks[k].text == "{":
-                    i = self._member_with_body(header, header_start, annotations, i, close, k, end, chain)
+                if k < end and toks[k].text == "{" and k not in self.types:
+                    self._member_with_body(header, header_start, annotations, i, close_paren, k, chain)
+                    i = close[k] + 1
                     reset()
                     continue
                 if k < end and toks[k].text == ";":
@@ -517,20 +523,14 @@ class _Extractor:
                     i = k + 1
                     continue
                 header.append(t)  # a record's components, or another parenthesized header part
-                i = close + 1
+                i = close_paren + 1
                 continue
             if txt == "{":
-                if type_name is not None:
-                    i = self._scan(i + 1, end, chain + (type_name,), in_type=True)
-                else:
-                    i = self._scan(i + 1, end, chain, in_type=False)
+                i = close[i] + 1
                 reset()
                 continue
-            if type_name is None and t.kind == "identifier" and header and header[-1].text in TYPE_WORDS:
-                type_name = txt
             header.append(t)
             i += 1
-        return i
 
     def _member_with_body(
         self,
@@ -540,9 +540,8 @@ class _Extractor:
         open_idx: int,
         close_idx: int,
         body_open: int,
-        end: int,
         chain: tuple[str, ...],
-    ) -> int:
+    ) -> None:
         toks = self.toks
         name_tok = header[-1] if header and header[-1].kind == "identifier" else None
         pre_name = header[:-1] if name_tok is not None else header
@@ -555,30 +554,27 @@ class _Extractor:
             and any(t.kind == "identifier" or (t.kind == "keyword" and t.text in PRIMITIVE_TYPES)
                     or t.text in ("[", "]") for t in type_toks)
         )
-        body_close = self._scan(body_open + 1, end, chain, in_type=False)
         if is_method:
+            body_close = self.close[body_open]
             start_line = toks[header_start].line
-            end_line = toks[body_close - 1].line
+            end_line = toks[body_close].line
             body_text = "\n".join(self.lines[start_line - 1:end_line])
             # the block starts at the first '{' from the first token on the
             # header's line, as a lex of body_text alone finds it
             first = header_start
             while first and toks[first - 1].line == start_line:
                 first -= 1
-            self.found.append(
-                MethodDeclaration(
-                    name=name_tok.text,
-                    parameterTypes=_parse_parameter_types(toks, open_idx, close_idx),
-                    modifiers={t.text for t in header if t.kind == "keyword" and t.text in MODIFIERS},
-                    annotations=list(annotations),
-                    bodyText=body_text,
-                    startLine=start_line,
-                    endLine=end_line,
-                    containerChain=list(chain),
-                    bodyBlock=_from_body_open(self.lines, toks, first, end_line),
-                )
-            )
-        return body_close
+            self.found.append((body_close, MethodDeclaration(
+                name=name_tok.text,
+                parameterTypes=_parse_parameter_types(toks, open_idx, close_idx),
+                modifiers={t.text for t in header if t.kind == "keyword" and t.text in MODIFIERS},
+                annotations=list(annotations),
+                bodyText=body_text,
+                startLine=start_line,
+                endLine=end_line,
+                containerChain=list(chain),
+                bodyBlock=_from_body_open(self.lines, toks, first, end_line),
+            )))
 
 
 def extract_methods(text: str, memo: dict[str, list[Token]] | None = None) -> list[MethodDeclaration]:
@@ -588,9 +584,9 @@ def extract_methods(text: str, memo: dict[str, list[Token]] | None = None) -> li
     immediate container is an anonymous class or lambda are excluded.
     `memo` is handed to `tokenize`.
 
-    Parentheses are read only in a type body's member headers: outside a
-    type body every brace body is scanned, inside parentheses too, except a
-    block that holds no `class`, `interface`, `enum` or `record`, which can
-    declare nothing.
+    A `class`, `interface`, `enum` or `record` and the identifier after it
+    open a type at the next '{' at their level, wherever they stand, an enum
+    constant's arguments included.  Member headers, and so parentheses, are
+    read only inside type bodies.
     """
     return _Extractor(text, memo).run()

@@ -60,18 +60,34 @@ LOCAL_TYPES = [("class {n}", "local class"), ("final class {n}", "local final cl
                ("@Deprecated class {n}", "local annotated class"), ("@Mark final class {n}", "local annotated class"),
                ("record {n}(int v)", "local record")]
 # what declares a local type, with the lines before it, over the holding
-# method's name {m} and the local type's name {n}, and the lines after it.
-# A holder that names {m} declares that method.
+# method's name {m} and the local type's name {n}, and the lines after it,
+# over {n}.  A holder that names {m} declares that method.  The enum
+# {n}Args is a named type, so a local type in its constant's argument has
+# the enum's chain and its own name.
 LOCAL_HOLDERS = {
-    "local type in a method": (["void {m}() {{"], ["}"]),
+    "local type in a method": (["void {m}() {{"], ["}}"]),
     "local type in an anonymous class initializer": (
-        ["Runnable f{n} = new Runnable() {{", "    public void run() {{"], ["    }", "};"]),
-    "local type in a lambda initializer": (["Runnable f{n} = () -> {{"], ["};"]),
-    "local type in a lambda argument": (["void {m}() {{", "    new Thread(() -> {{"], ["    }).start();", "}"]),
+        ["Runnable f{n} = new Runnable() {{", "    public void run() {{"], ["    }}", "}};"]),
+    "local type in a lambda initializer": (["Runnable f{n} = () -> {{"], ["}};"]),
+    "local type in a lambda argument": (["void {m}() {{", "    new Thread(() -> {{"], ["    }}).start();", "}}"]),
     "local type in an anonymous class argument": (
         ["void {m}() {{", "    new Thread(new Runnable() {{", "        public void run() {{"],
-        ["        }", "    }).start();", "}"]),
+        ["        }}", "    }}).start();", "}}"]),
+    "local type in an enum constant's argument": (
+        ["enum {n}Args {{", "    X(() -> {{"], ["    }});", "    {n}Args(Runnable r) {{ }}", "}}"]),
 }
+
+# comments on lines of their own before a member header, with the shape
+# each covers; a comment on a header's own line is another matter, since a
+# declaration's text starts at its header's line
+COMMENTS = [("/** Returns {@code 0}; see {@link Object}. */", "javadoc"),
+            ("/**\n * Holds { a brace } and a ';'.\n * @see Object\n */", "javadoc"),
+            ("/* class X { ; */", "block comment"), ("/*\n * } class Y {\n */", "block comment")]
+# a method body's first statement, whose literals hold braces, ';' and a
+# type's header, with the shape each covers
+LITERALS = [('String s = "class X { ; }";', "string literal"), ('String s = "\\" } {";', "string literal"),
+            ("char c = '{', d = '}', e = ';';", "char literal"),
+            ('String s = """\n        class X {\n        }; {\n        """;', "text block")]
 
 # declaration annotations a parameter can carry: per annotation type, its
 # variants and the shape each one covers.  A parameter takes at most one
@@ -246,6 +262,10 @@ class _Writer:
             header.append("<%s>" % ", ".join(params))
         returns, body = rng.choice([("void", "{ }"), ("int", "{ return 0; }"), ("String", "{ return null; }"),
                                     ("java.util.List<String>", "{ return null; }")])
+        if rng.random() < 0.2:
+            statement, shape = rng.choice(LITERALS)
+            self.shapes[shape] += 1
+            body = "{ " + statement + body[1:]
         dims = ""
         if returns != "void" and rng.random() < 0.15:  # result dimensions after the parameter list
             dims = rng.choice(["[]", "[][]", " @TU []"])
@@ -281,6 +301,10 @@ class _Writer:
         signature."""
         for _ in range(count):
             name = "t%d" % len(signatures)
+            if self.rng.random() < 0.2:
+                comment, shape = self.rng.choice(COMMENTS)
+                self.shapes[shape] += 1
+                lines += [indent + part for part in comment.split("\n")]
             line, params = self.method(name, self.rng.choice(receivers), interface)
             lines.append(indent + line)
             signatures.append("%s#%s(%s)" % (chain, name, params))
@@ -305,9 +329,10 @@ class _Writer:
             inner = indent + " " * 4 * len(before)
             lines += [indent + line.format(m=method, n=name) for line in before]
             lines.append(inner + header.format(n=name) + " {")
-            self.members(lines, signatures, inner + " " * 4, chain + "." + name, 1, [name])
+            owner = "%s.%sArgs" % (chain, name) if before[0].startswith("enum") else chain
+            self.members(lines, signatures, inner + " " * 4, owner + "." + name, 1, [name])
             lines.append(inner + "}")
-            lines += [indent + line for line in after]
+            lines += [indent + line.format(n=name) for line in after]
 
     def _split(self, total: int, parts: int) -> list[int]:
         cuts = sorted(self.rng.randrange(total + 1) for _ in range(parts - 1))
@@ -339,7 +364,9 @@ class _Writer:
         permitted = []
         if kind == "class":
             header = "static class " + name + params
-            if supers and rng.random() < 0.6:
+            # the first class with two supertypes or more extends one, so that
+            # every unit writes both clauses
+            if supers and (rng.random() < 0.6 or supers > 1 and "class extends implements" not in self.shapes):
                 self.shapes["class extends"] += 1
                 if supers > 1:
                     self.shapes["class extends implements"] += 1

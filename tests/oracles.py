@@ -19,8 +19,10 @@ import numpy as np
 from methodlens.gitrepo import GitRepo
 from methodlens.history import (SMALL_METHOD_CHARS, MethodHistory, MethodIdentity, Revision, TraceSession,
                                 body_similarity, levenshtein, line_diff)
-from methodlens.java_extract import (KEYWORDS, WORD_LITERALS, ExtractionError, LexicalError, MethodDeclaration,
-                                     _Extractor, body_block, extract_methods, normalize_source, signature)
+from methodlens.java_extract import (KEYWORDS, MODIFIERS, PRIMITIVE_TYPES, TYPE_WORDS, WORD_LITERALS, ExtractionError,
+                                     LexicalError, MethodDeclaration, Token, _from_body_open, _parse_parameter_types,
+                                     _skip_parens, body_block, extract_methods, normalize_source, signature,
+                                     skip_angles, skip_annotation, tokenize)
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
                            TreeConfig, _matrix)
 
@@ -366,17 +368,213 @@ def predict_forest_reference(model, X) -> np.ndarray:
     return (votes * 2 > len(roots)).astype(int)
 
 
-class _FullScanExtractor(_Extractor):
-    """Extraction before it stepped over plain blocks: the brace balance is
-    checked as it is, and then every block is scanned."""
+# The tokens the reference reads in its brace pass (`_Extractor._blocks`).
+_BLOCK_TEXTS = frozenset({"{", "}"}) | TYPE_WORDS
+
+
+# Kept verbatim from before extraction found every type in its brace pass:
+# this one reads member headers in type bodies and walks code blocks that
+# hold a type word token by token, so it names a type where its own header
+# loop meets one.
+class _Extractor:
+    def __init__(self, text: str, memo: dict[str, list[Token]] | None):
+        self.lines = text.split("\n")
+        self.toks = [t for t in tokenize(text, memo) if t.kind != "comment"]
+        self.found: list[MethodDeclaration] = []
+
+    def run(self) -> list[MethodDeclaration]:
+        self.plain = self._blocks()
+        self._scan(0, len(self.toks), (), in_type=False)
+        # Nested local-class methods are appended before their enclosing
+        # method finishes; restore source order.
+        self.found.sort(key=lambda d: (d.startLine, -d.endLine))
+        return self.found
 
     def _blocks(self) -> dict[int, int]:
-        super()._blocks()
-        return {}
+        """Check that the braces balance, and map the '{' of each plain block
+        to the index of its '}'.
+
+        A block is plain when no type word (`TYPE_WORDS`) lies between its
+        braces. A plain block scanned outside a type body reads no
+        parenthesis and names no type, so it records nothing and cannot
+        fail, and `_scan` steps over it.
+        """
+        plain: dict[int, int] = {}
+        opens: list[int] = []  # the '{' of each open block
+        last_word = -1  # index of the last type word
+        for i, t in enumerate(self.toks):
+            txt = t.text
+            if txt not in _BLOCK_TEXTS:
+                continue
+            if txt == "{":
+                opens.append(i)
+            elif txt == "}":
+                if not opens:
+                    raise ExtractionError("unbalanced braces", t.line)
+                start = opens.pop()
+                if last_word < start:
+                    plain[start] = i
+            else:  # a type word
+                last_word = i
+        if opens:
+            raise ExtractionError("unbalanced braces", self.toks[-1].line)
+        return plain
+
+    def _scan(self, i: int, end: int, chain: tuple[str, ...], in_type: bool) -> int:
+        """Scan tokens[i:end] at one nesting level; returns index past the
+        closing '}' (or end). Every caller but the first starts just past a
+        '{'. Outside a type body only braces and type words are read, and a
+        plain block is stepped over."""
+        if not in_type and i - 1 in self.plain:
+            return self.plain[i - 1] + 1
+        toks = self.toks
+        header: list[Token] = []
+        header_start: int | None = None
+        annotations: list[str] = []
+        # the identifier after the header's first type word that has one:
+        # the header declares that type, and its ',' separate supertypes
+        type_name: str | None = None
+
+        def reset() -> None:
+            nonlocal header, header_start, annotations, type_name
+            header = []
+            header_start = None
+            annotations = []
+            type_name = None
+
+        while i < end:
+            t = toks[i]
+            txt = t.text
+            if txt == "}":
+                return i + 1
+            if txt == ";" or (txt == "," and type_name is None):
+                reset()
+                i += 1
+                continue
+            if header_start is None:
+                header_start = i
+            if txt == "@" and in_type:
+                j = i + 1
+                name_parts = []
+                while j < end and toks[j].kind == "identifier":
+                    name_parts.append(toks[j].text)
+                    j += 1
+                    if j < end and toks[j].text == ".":
+                        j += 1
+                    else:
+                        break
+                annotations.append("@" + ".".join(name_parts))
+                if j < end and toks[j].text == "(":
+                    j = _skip_parens(toks, j)
+                i = j
+                continue
+            if txt == "<":
+                past = skip_angles(toks, i)
+                if past is not None:
+                    i = past
+                    continue
+                header.append(t)
+                i += 1
+                continue
+            if txt == "=" and in_type:
+                # field/constant initializer: it ends at its first ';' or '}'
+                # outside a brace body, and each brace body it holds
+                # (anonymous classes, lambdas, array initializers) is
+                # descended to catch nested named types.
+                i += 1
+                while i < end and toks[i].text not in (";", "}"):
+                    if toks[i].text == "{":
+                        i = self._scan(i + 1, end, chain, in_type=False)
+                    else:
+                        i += 1
+                reset()
+                continue
+            if txt == "(" and in_type:
+                close = _skip_parens(toks, i) - 1
+                k = close + 1
+                # result dimensions (`int g()[]`) and a throws clause, either
+                # perhaps with type annotations
+                while k < end and toks[k].text in ("[", "]", "@"):
+                    k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
+                if k < end and toks[k].text == "throws":
+                    k += 1
+                    while k < end and (toks[k].kind == "identifier" or toks[k].text in (".", ",", "@")):
+                        k = skip_annotation(toks, k) if toks[k].text == "@" else k + 1
+                if type_name is None and k < end and toks[k].text == "{":
+                    i = self._member_with_body(header, header_start, annotations, i, close, k, end, chain)
+                    reset()
+                    continue
+                if k < end and toks[k].text == ";":
+                    reset()  # abstract/native signature or enum constant
+                    i = k + 1
+                    continue
+                header.append(t)  # a record's components, or another parenthesized header part
+                i = close + 1
+                continue
+            if txt == "{":
+                if type_name is not None:
+                    i = self._scan(i + 1, end, chain + (type_name,), in_type=True)
+                else:
+                    i = self._scan(i + 1, end, chain, in_type=False)
+                reset()
+                continue
+            if type_name is None and t.kind == "identifier" and header and header[-1].text in TYPE_WORDS:
+                type_name = txt
+            header.append(t)
+            i += 1
+        return i
+
+    def _member_with_body(
+        self,
+        header: list[Token],
+        header_start: int,
+        annotations: list[str],
+        open_idx: int,
+        close_idx: int,
+        body_open: int,
+        end: int,
+        chain: tuple[str, ...],
+    ) -> int:
+        toks = self.toks
+        name_tok = header[-1] if header and header[-1].kind == "identifier" else None
+        pre_name = header[:-1] if name_tok is not None else header
+        type_toks = [
+            t for t in pre_name
+            if not (t.kind == "keyword" and t.text in MODIFIERS)
+        ]
+        is_method = (
+            name_tok is not None
+            and any(t.kind == "identifier" or (t.kind == "keyword" and t.text in PRIMITIVE_TYPES)
+                    or t.text in ("[", "]") for t in type_toks)
+        )
+        body_close = self._scan(body_open + 1, end, chain, in_type=False)
+        if is_method:
+            start_line = toks[header_start].line
+            end_line = toks[body_close - 1].line
+            body_text = "\n".join(self.lines[start_line - 1:end_line])
+            # the block starts at the first '{' from the first token on the
+            # header's line, as a lex of body_text alone finds it
+            first = header_start
+            while first and toks[first - 1].line == start_line:
+                first -= 1
+            self.found.append(
+                MethodDeclaration(
+                    name=name_tok.text,
+                    parameterTypes=_parse_parameter_types(toks, open_idx, close_idx),
+                    modifiers={t.text for t in header if t.kind == "keyword" and t.text in MODIFIERS},
+                    annotations=list(annotations),
+                    bodyText=body_text,
+                    startLine=start_line,
+                    endLine=end_line,
+                    containerChain=list(chain),
+                    bodyBlock=_from_body_open(self.lines, toks, first, end_line),
+                )
+            )
+        return body_close
 
 
-def extract_methods_full_scan(text: str) -> list[MethodDeclaration]:
-    return _FullScanExtractor(text, None).run()
+def extract_methods_reference(text: str) -> list[MethodDeclaration]:
+    return _Extractor(text, None).run()
 
 
 def _version_methods(repo: GitRepo, blob: str, path: str) -> list[MethodDeclaration] | None:

@@ -425,6 +425,52 @@ def test_the_local_types_in_parentheses_compile_with_javac(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# An enum constant's argument that declares a local type, by what holds it:
+# an enum `E` and the signatures it gives, which javac 17 compiles.
+LOCAL_TYPES_IN_ENUM_ARGUMENTS = {
+    "lambda": ("""\
+enum E {
+    X(f(() -> { class L { int k() { return 1; } } return new L().k(); }));
+    E(int v) { }
+    static int f(java.util.function.IntSupplier s) { return s.getAsInt(); }
+}
+""", ["E.L#k()", "E#f(java.util.function.IntSupplier)"]),
+    "anonymous class": ("""\
+enum E {
+    X(new Runnable() { public void run() { record L(int v) { int k() { return v; } } } });
+    E(Runnable r) { }
+}
+""", ["E.L#k()"]),
+}
+
+
+@pytest.mark.parametrize("enum, signatures", LOCAL_TYPES_IN_ENUM_ARGUMENTS.values(),
+                         ids=LOCAL_TYPES_IN_ENUM_ARGUMENTS.keys())
+def test_a_local_type_in_an_enum_constants_argument_is_a_named_type(enum, signatures):
+    assert [signature(d) for d in extract_methods(src(enum))] == signatures
+
+
+def test_the_local_types_in_enum_arguments_compile_with_javac(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not on PATH")
+    paths = []
+    for k, (enum, _) in enumerate(LOCAL_TYPES_IN_ENUM_ARGUMENTS.values()):
+        paths.append(tmp_path / f"E{k}.java")
+        paths[-1].write_text(enum.replace("E", f"E{k}"), encoding="utf-8")
+    done = subprocess.run([javac, "-proc:none", "-d", str(tmp_path), *map(str, paths)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a type opens at the first '{' after its name, so an array in a supertype's type "
+                          "annotation is taken for its body (docs/metric_ledger.md, 'Which declarations are methods')")
+def test_an_array_in_a_supertypes_type_annotation_is_not_the_type_body():
+    # javac 17 compiles it, with `@Target(ElementType.TYPE_USE) @interface Ann { int[] value(); }`
+    content = "class O {\n    static class A implements @Ann({1}) Runnable { public void run() { } }\n}\n"
+    assert [signature(d) for d in extract_methods(src(content))] == ["O.A#run()"]
+
+
 def test_local_named_class_methods_included():
     content = """\
 class A {

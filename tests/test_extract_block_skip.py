@@ -1,12 +1,18 @@
-"""Extraction steps over the blocks that cannot hold a declaration
-(`_Extractor._blocks`), against the scan of every block it replaced
-(`oracles.extract_methods_full_scan`): the same declarations, field by field
-and body blocks included, or the same error type, message and line. Covers
-every version of the three test histories and of the benchmark's two
-repositories, the golden corpus, seeded compositions of the lexer test's
-pieces with Java headers, and hand cases."""
+"""Extraction finds every type in its brace pass (`_Extractor._blocks`) and
+reads member headers only inside type bodies, against the full scan it
+replaced (`oracles.extract_methods_reference`), which walked each code block
+that holds a type word token by token and named a type where its header loop
+met one: the same
+declarations, field by field and body blocks included, in the same order,
+or the same error type, message and line. Covers every version of the three
+test histories and of the benchmark's two repositories, the golden corpus,
+seeded compositions of the lexer test's pieces with Java headers, and hand
+cases. The compositions on which the two differ are pinned, and javac
+rejects each of them."""
 
 import random
+import shutil
+import subprocess
 from dataclasses import astuple
 
 import pytest
@@ -14,8 +20,9 @@ import pytest
 from methodlens.gitrepo import GitRepo
 from methodlens.java_extract import (ExtractionError, LexicalError, _Extractor, extract_methods, normalize_source,
                                      signature)
+from decl_gen import generate_unit
 from golden_corpus import corpus_files
-from oracles import extract_methods_full_scan
+from oracles import extract_methods_reference
 from test_extract import SUPERTYPE_CASES
 from test_lexer_memo import bench_repos, chain_versions, layout_repo, small_history  # noqa: F401 (fixtures)
 from test_lexer_oracle import PIECES, WEIGHTS
@@ -28,13 +35,19 @@ def outcome(extract, text):
         return (type(err), str(err), err.line)
 
 
-def assert_extracts_as_the_full_scan(text: str) -> tuple[bool, int, int]:
-    """(whether it fails, its declarations, its plain blocks)."""
-    got = outcome(extract_methods, text)
-    assert got == outcome(extract_methods_full_scan, text), text
-    if isinstance(got, tuple):
+def counts(text: str) -> tuple[bool, int, int]:
+    """(whether it fails, its declarations, its blocks that are no type body)."""
+    try:
+        declarations = extract_methods(text)
+    except (ExtractionError, LexicalError):
         return True, 0, 0
-    return False, len(got), len(_Extractor(text, None)._blocks())
+    close, types = _Extractor(text, None)._blocks()
+    return False, len(declarations), len(close) - len(types)
+
+
+def assert_extracts_as_the_full_scan(text: str) -> tuple[bool, int, int]:
+    assert outcome(extract_methods, text) == outcome(extract_methods_reference, text), text
+    return counts(text)
 
 
 @pytest.mark.parametrize("name, versions, failing, declarations", [
@@ -57,6 +70,18 @@ def test_every_version_on_the_chain_extracts_as_the_full_scan_does(name, version
 def test_the_golden_corpus_extracts_as_the_full_scan_does():
     seen = [assert_extracts_as_the_full_scan(normalize_source(text)) for text in corpus_files().values()]
     assert sum(d for _, d, _ in seen) > 0 and sum(p for _, _, p in seen) > 0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_generated_units_extract_as_the_full_scan_does(seed):
+    """The same declarations but for the methods of local types in an enum
+    constant's argument (`decl_gen`'s enum `{n}Args`), which the full scan
+    stepped over with the argument list."""
+    text = generate_unit(random.Random(seed), 700).source
+    got = outcome(extract_methods, text)
+    in_arguments = [d for d in got if d[7][-1] + "Args" in d[7]]  # d[7] is the container chain
+    assert in_arguments
+    assert [d for d in got if d not in in_arguments] == outcome(extract_methods_reference, text)
 
 
 # (opening, closing) around a block: types, then members of a type body,
@@ -87,15 +112,51 @@ def compose(rng: random.Random, in_type: bool, depth: int = 0) -> str:
     return " ".join(parts)
 
 
-def test_seeded_compositions_extract_as_the_full_scan_does():
+def compositions() -> list[str]:
     rng = random.Random(20261019)
-    seen = [assert_extracts_as_the_full_scan(normalize_source(f"class T {{ {compose(rng, in_type=True)} }}"))
-            for _ in range(3000)]
+    return [normalize_source(f"class T {{ {compose(rng, in_type=True)} }}") for _ in range(3000)]
+
+
+# The compositions whose declarations differ from the reference's, by index,
+# with the signatures each gives. Each is malformed Java: a stray `record`,
+# `enum`, `=`, `,`, `(` or `@` in a type body made the reference's header
+# loop name a type the brace pass does not, or miss one it finds.
+DIFFERING_COMPOSITIONS = {
+    233: ["T.R#m()", "T.R#m()"], 668: ["T.A#m()", "T.A.N#n(int,String)"], 977: ["T.E#n(int,String)", "T#n(int,String)"],
+    1674: ["T.D#g(T)"], 1939: ["T#m()", "T.N#n(int,String)"], 2020: ["T#g(T)", "T#m()", "T#n(int,String)"],
+    2760: ["T#g(T)", "T#m()"], 2852: ["T.E#n(int,String)", "T.E#g(T)"], 2943: ["T.record.N#n(int,String)"],
+    2959: ["T#g(T)", "T.E#g(T)", "T.D#m()"],
+}
+
+
+def test_seeded_compositions_extract_as_the_full_scan_does():
+    seen = []
+    for index, text in enumerate(compositions()):
+        if index in DIFFERING_COMPOSITIONS:
+            got = [signature(d) for d in extract_methods(text)]
+            assert got == DIFFERING_COMPOSITIONS[index] != [signature(d) for d in extract_methods_reference(text)]
+            seen.append(counts(text))
+        else:
+            seen.append(assert_extracts_as_the_full_scan(text))
     failing = sum(f for f, _, _ in seen)
     with_declarations = sum(d > 0 for _, d, _ in seen)
-    with_plain_blocks = sum(p > 0 for _, _, p in seen)
-    assert min(failing, with_declarations, with_plain_blocks, len(seen) - failing) > 500, (
-        failing, with_declarations, with_plain_blocks)
+    with_code_blocks = sum(c > 0 for _, _, c in seen)
+    assert min(failing, with_declarations, with_code_blocks, len(seen) - failing) > 500, (
+        failing, with_declarations, with_code_blocks)
+
+
+def test_the_differing_compositions_do_not_compile_with_javac(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not on PATH")
+    texts = compositions()
+    paths = []
+    for index in DIFFERING_COMPOSITIONS:
+        paths.append(tmp_path / f"T{index}.java")
+        paths[-1].write_text(texts[index].replace("class T ", f"class T{index} ", 1), encoding="utf-8")
+    done = subprocess.run([javac, "-proc:none", "-Xmaxerrs", "100000", "-d", str(tmp_path), *map(str, paths)],
+                          capture_output=True, text=True)
+    assert {path.name for path in paths if f"{path.name}:" not in done.stderr} == set()
 
 
 HAND_CASES = {
@@ -143,15 +204,16 @@ def test_hand_cases_extract_as_the_full_scan_does(text):
 
 def test_a_crossing_paren_pair_and_a_two_supertype_body_keep_their_outcomes():
     """Pinned outcomes of two hand cases: a paren pair in code is not read,
-    so a block it crosses is plain and ends at its own '}'; a body after a
-    two-supertype header holds no type word, so `_blocks` marks it plain,
-    yet it is scanned as the type body it is and its method is kept."""
+    so a block it crosses ends at its own '}', and only `A`'s body is a type
+    body; a body after a two-supertype header is the type body of the
+    identifier after `interface`, however the ',' splits the header, and its
+    method is kept."""
     crossing = HAND_CASES["a paren pair crossing a brace"]
     assert [d.name for d in extract_methods(crossing)] == ["m", "n"]
-    assert _Extractor(crossing, None)._blocks() == {10: 12, 7: 13, 18: 19, 2: 20}
+    assert _Extractor(crossing, None)._blocks() == ({10: 12, 7: 13, 18: 19, 2: 20}, {2: ("A",)})
     two = HAND_CASES["two supertypes: interface I extends X, Y"]
     assert [signature(d) for d in extract_methods(two)] == ["I#m()"]
-    assert _Extractor(two, None)._blocks() == {6: 17, 12: 16}  # the type body and m's
+    assert _Extractor(two, None)._blocks() == ({12: 16, 6: 17}, {6: ("I",)})  # m's body, the type body
 
 
 def test_an_unclosed_paren_fails_only_in_a_type_bodys_member_headers():

@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from decl_gen import KINDS, LOCAL_HOLDERS, LOCAL_TYPES, generate_unit
+from decl_gen import COMMENTS, KINDS, LITERALS, LOCAL_HOLDERS, LOCAL_TYPES, generate_unit
 from methodlens.java_extract import extract_methods, signature
 
 SEEDS = [3, 4, 5]
@@ -32,6 +32,7 @@ SHAPES = {
     *("class in " + kind for kind in KINDS),
     "enum constant body", "constructor", "compact constructor", "final permitted class", "non-sealed permitted class",
     *LOCAL_HOLDERS, *(shape for _, shape in LOCAL_TYPES),
+    *(shape for _, shape in COMMENTS), *(shape for _, shape in LITERALS),
 }
 
 
