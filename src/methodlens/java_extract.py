@@ -407,34 +407,37 @@ class _Extractor:
         '{' of each type body to the type's container chain, in source order.
 
         A type body is the block that opens after a type word (`TYPE_WORDS`)
-        and the identifier right after it, with no ';' or brace between,
-        wherever that pair stands: in a type body, in a method body, or in a
-        lambda or anonymous class inside parentheses, an enum constant's
-        arguments included. Its chain is that of the innermost type body
-        around it, and the identifier.
+        and the identifier right after it, with no ';' or brace between but
+        an annotation's array value (a block whose '{' follows '(', ',', '='
+        or '{', as in `record R(@A({1}) int c)`), wherever that pair stands:
+        in a type body, in a method body, or in a lambda or anonymous class
+        inside parentheses, an enum constant's arguments included. Its chain
+        is that of the innermost type body around it, and the identifier.
         """
         toks = self.toks
         n = len(toks)
         close: dict[int, int] = {}
         types: dict[int, tuple[str, ...]] = {}
-        opens: list[tuple[int, tuple[str, ...]]] = []  # each open '{' and the chain around it
+        # each open '{', the chain around it and the type pending at its '}'
+        opens: list[tuple[int, tuple[str, ...], str | None]] = []
         chain: tuple[str, ...] = ()  # the innermost open type body's chain
-        name: str | None = None  # the identifier after a type word, until a ';' or brace
+        name: str | None = None  # the identifier after a type word, until a ';' or a brace but an array value
         for i, t in enumerate(toks):
             txt = t.text
             if txt not in _BLOCK_TEXTS:
                 continue
             if txt == "{":
-                opens.append((i, chain))
-                if name is not None:
+                if name is None or toks[i - 1].text in ("(", ",", "=", "{"):
+                    opens.append((i, chain, name))
+                else:
+                    opens.append((i, chain, None))
                     chain = types[i] = chain + (name,)
-                    name = None
+                name = None
             elif txt == "}":
                 if not opens:
                     raise ExtractionError("unbalanced braces", t.line)
-                start, chain = opens.pop()
+                start, chain, name = opens.pop()
                 close[start] = i
-                name = None
             elif txt == ";":
                 name = None
             elif name is None and i + 1 < n and toks[i + 1].kind == "identifier":

@@ -47,7 +47,8 @@ SUPERCLASSES = ["Base", "Base2<Integer, String>"]
 # bounded type parameters of a generic type, over the variable {v} and the
 # first one {w}
 TYPE_BOUNDS = ["{v} extends Number", "{v} extends Comparable<? super {v}>", "{v} extends S2<String, {w}> & S0"]
-RECORD_COMPONENTS = ["", "int c0", "int c0, String c1", "java.util.Map<String, Integer> c0, long... c1"]
+RECORD_COMPONENTS = ["", "int c0", "int c0, String c1", "java.util.Map<String, Integer> c0, long... c1",
+                     "@Ints({1, 2}) int c0"]
 # distinct exception types a throws clause names, some behind a type annotation
 THROWN = ["RuntimeException", "@TU IllegalStateException", "java.lang.@TU Error", "IllegalArgumentException",
           "java.lang.@TU UnsupportedOperationException"]
@@ -387,8 +388,13 @@ class _Writer:
                 constants[-1] += " { int inConstant() { return 1; } }"
             first.append(", ".join(constants) + ";")
         elif kind == "record":
-            header = "record %s%s(%s)%s" % (name, params, rng.choice(RECORD_COMPONENTS),
-                                            self._interfaces("implements", supers))
+            components = rng.choice(RECORD_COMPONENTS)
+            # the first record's component carries an annotation's array, so
+            # that every unit writes a '{' in a type's header
+            if "@" in components or "annotated record component" not in self.shapes:
+                self.shapes["annotated record component"] += 1
+                components = RECORD_COMPONENTS[-1]
+            header = "record %s%s(%s)%s" % (name, params, components, self._interfaces("implements", supers))
             if rng.random() < 0.3:
                 self.shapes["compact constructor"] += 1
                 first.append("%s { }" % name)

@@ -462,13 +462,41 @@ def test_the_local_types_in_enum_arguments_compile_with_javac(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a type opens at the first '{' after its name, so an array in a supertype's type "
-                          "annotation is taken for its body (docs/metric_ledger.md, 'Which declarations are methods')")
-def test_an_array_in_a_supertypes_type_annotation_is_not_the_type_body():
-    # javac 17 compiles it, with `@Target(ElementType.TYPE_USE) @interface Ann { int[] value(); }`
-    content = "class O {\n    static class A implements @Ann({1}) Runnable { public void run() { } }\n}\n"
-    assert [signature(d) for d in extract_methods(src(content))] == ["O.A#run()"]
+# A type header that holds an annotation's array value, and the signatures
+# it gives; javac 17 compiles each with `Ann` and `Names` below.
+ARRAYS_IN_TYPE_HEADERS = {
+    "a record component's annotation": ('record R(@Names({"a", "b"}) String name) { String k() { return name; } }',
+                                        ["R#k()"]),
+    "a record component's annotation element": ("record S(@Ann(value = {1, 2}) int c) { int k() { return c; } }",
+                                                ["S#k()"]),
+    "a type parameter's annotation": ("class A<@Ann({1}) T> { void m() { } }", ["A#m()"]),
+    "a supertype's type annotation": ("class B implements @Ann({1}) Runnable { public void run() { } }",
+                                      ["B#run()"]),
+}
+ARRAY_ANNOTATIONS = """\
+@java.lang.annotation.Target({java.lang.annotation.ElementType.TYPE_USE, java.lang.annotation.ElementType.TYPE_PARAMETER})
+@interface Ann { int[] value(); }
+@interface Names { String[] value(); }
+"""
+
+
+@pytest.mark.parametrize("header, signatures", ARRAYS_IN_TYPE_HEADERS.values(), ids=ARRAYS_IN_TYPE_HEADERS.keys())
+def test_an_array_in_a_type_headers_annotation_is_not_the_type_body(header, signatures):
+    assert [signature(d) for d in extract_methods(src(header))] == signatures
+    nested = [signature(d) for d in extract_methods(src("class O {\n    static %s\n}\n" % header))]
+    assert nested == ["O." + s for s in signatures]
+
+
+def test_the_arrays_in_type_headers_compile_with_javac(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not on PATH")
+    path = tmp_path / "O.java"
+    path.write_text("class O {\n%s}\n%s" % ("".join("    static %s\n" % header for header, _ in
+                                                     ARRAYS_IN_TYPE_HEADERS.values()), ARRAY_ANNOTATIONS),
+                    encoding="utf-8")
+    done = subprocess.run([javac, "-proc:none", "-d", str(tmp_path), str(path)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_local_named_class_methods_included():

@@ -122,8 +122,9 @@ def compositions() -> list[str]:
 # `enum`, `=`, `,`, `(` or `@` in a type body made the reference's header
 # loop name a type the brace pass does not, or miss one it finds.
 DIFFERING_COMPOSITIONS = {
-    233: ["T.R#m()", "T.R#m()"], 668: ["T.A#m()", "T.A.N#n(int,String)"], 977: ["T.E#n(int,String)", "T#n(int,String)"],
-    1674: ["T.D#g(T)"], 1939: ["T#m()", "T.N#n(int,String)"], 2020: ["T#g(T)", "T#m()", "T#n(int,String)"],
+    233: ["T.R#m()", "T.R#m()"], 668: ["T.A#m()", "T.A.N#n(int,String)"], 729: ["T#g(T)", "T.R#g(T)"],
+    977: ["T.E#n(int,String)", "T#n(int,String)"], 1674: ["T.D#g(T)"], 1939: ["T#m()", "T.N#n(int,String)"],
+    1958: ["T.I#g(T)", "T.I#m()"], 2020: ["T#g(T)", "T#m()", "T#n(int,String)"],
     2760: ["T#g(T)", "T#m()"], 2852: ["T.E#n(int,String)", "T.E#g(T)"], 2943: ["T.record.N#n(int,String)"],
     2959: ["T#g(T)", "T.E#g(T)", "T.D#m()"],
 }
@@ -194,6 +195,13 @@ HAND_CASES = {
     "type annotations in a throws clause":
         "class A { void t() throws @TU RuntimeException { } void u() throws java.lang.@TU RuntimeException, "
         "@TU Error { f(); } }",
+    "a nested record whose annotated component has an array value":
+        'class O { record R(@JsonAlias({"a", "b"}) String name) { String k() { return name; } } void z() { } }',
+    "a nested record whose components' annotations name array elements":
+        "class O { record R(@A(v = {1, 2}) int c, @B({}) int d) { int k() { return c; } } void z() { } }",
+    "an array value in a nested type's type parameter annotation": "class O { class A<@Ann({1}) T> { void m() { } } }",
+    "an array value in a nested type's supertype annotation":
+        "class O { static class A implements @Ann({1}) Runnable { public void run() { } } }",
 }
 
 

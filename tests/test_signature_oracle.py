@@ -30,7 +30,8 @@ SHAPES = {
     "class extends", "class extends implements", "type parameters",
     *("%s with supertypes" % kind for kind in KINDS if kind != "@interface"),
     *("class in " + kind for kind in KINDS),
-    "enum constant body", "constructor", "compact constructor", "final permitted class", "non-sealed permitted class",
+    "enum constant body", "constructor", "compact constructor", "annotated record component",
+    "final permitted class", "non-sealed permitted class",
     *LOCAL_HOLDERS, *(shape for _, shape in LOCAL_TYPES),
     *(shape for _, shape in COMMENTS), *(shape for _, shape in LITERALS),
 }
