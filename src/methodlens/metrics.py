@@ -1,8 +1,9 @@
 """The 17 method-level code metrics, computed from a method's declaration text.
 
 `compute_metric_vector` lexes the declaration once and hands the tokens, or
-the body slice of them, to the private function behind each metric; the
-formula functions that need no tokens stay public.
+the body slice of them, to the private function behind each metric; one
+walk over the body's statements gives maxBlockDepth, variables, nvar and
+ncomp.  The formula functions that need no tokens stay public.
 
 Every convention that is not forced by the metric's usual definition
 (Halstead operator/operand classification, the predicate set, tab width,
@@ -190,41 +191,6 @@ def _ternary_condition(toks: list[Token], i: int) -> list[Token]:
     return toks[start:i]
 
 
-def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
-    """Decision expressions: if/while/do conditions, the for condition
-    clause, switch selectors, and ternary conditions."""
-    out: list[list[Token]] = []
-    n = len(body)
-    i = 0
-    while i < n:
-        t = body[i]
-        if t.kind == "keyword" and t.text in ("if", "while", "switch") and i + 1 < n and body[i + 1].text == "(":
-            close = match_forward(body, i + 1, "(", ")")
-            out.append(body[i + 2:close])
-            i = close + 1
-            continue
-        if t.kind == "keyword" and t.text == "for" and i + 1 < n and body[i + 1].text == "(":
-            close = match_forward(body, i + 1, "(", ")")
-            # the middle clause lies between the first two ';' outside
-            # lambda and anonymous-class bodies
-            semis = []
-            k = i + 2
-            while k < close and len(semis) < 2:
-                if body[k].text == "{":
-                    k = match_forward(body, k, "{", "}")
-                elif body[k].text == ";":
-                    semis.append(k)
-                k += 1
-            if len(semis) == 2:
-                out.append(body[semis[0] + 1:semis[1]])
-            i = close + 1
-            continue
-        if t.text == "?" and _is_ternary_question(body, i):
-            out.append(_ternary_condition(body, i))
-        i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # individual metrics
 
@@ -258,18 +224,16 @@ def _mccabe(body: list[Token]) -> int:
     return 1 + count
 
 
-def _mcclure(body: list[Token]) -> tuple[int, int]:
+def _mcclure(predicates: list[list[Token]]) -> tuple[int, int]:
     """(nvar, ncomp): distinct identifiers and comparison operators inside
-    decision expressions."""
+    the decision expressions the statement walk reads."""
     names: set[str] = set()
     comparisons = 0
-    for expr in _predicate_expressions(body):
+    for expr in predicates:
         for t in expr:
             if t.kind == "identifier":
                 names.add(t.text)
-            elif t.text in ("==", "!=", "<", "<=", ">", ">="):
-                comparisons += 1
-            elif t.kind == "keyword" and t.text == "instanceof":
+            elif t.text in ("==", "!=", "<", "<=", ">", ">=", "instanceof"):
                 comparisons += 1
     return len(names), comparisons
 
@@ -298,15 +262,21 @@ def compute_indent_std(decl: MethodDeclaration) -> float:
 
 
 class _StatementWalker:
-    """One walk over a method body's statements gives two metrics:
-    maxBlockDepth, the deepest nesting of control-structure blocks that
-    `statements` returns (the method body itself is depth 0, and braceless
-    single-statement bodies count as blocks), and `variables`, the
-    local-variable declarators counted on the way."""
+    """One walk over a method body's statements, the one reader of
+    control-structure headers, gives maxBlockDepth, the deepest nesting of
+    control-structure blocks that `statements` returns (the method body
+    itself is depth 0, and braceless single-statement bodies count as
+    blocks); `variables`, the local declarators it counts; and nvar and
+    ncomp, over the decision expressions it records in `predicates`: each
+    `if`, `while` and do-`while` condition, `switch` selector and classic
+    `for` middle clause, and each ternary condition in a statement it
+    walks.  A header's brace bodies are not walked, so a ternary in a
+    header counts only as part of that header's own condition."""
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.declarators = 0
+        self.predicates: list[list[Token]] = []
 
     def statements(self, i: int, end: int, depth: int) -> int:
         best = 0
@@ -315,24 +285,36 @@ class _StatementWalker:
             best = max(best, m)
         return best
 
-    def _skip_parens(self, i: int, end: int) -> int:
+    def _skip_parens(self, i: int, end: int, decision: bool = False) -> int:
+        """Index past the parenthesized group at i, if any; a decision
+        group, a condition or a selector, is recorded."""
         if i < end and self.toks[i].text == "(":
-            return min(match_forward(self.toks, i, "(", ")") + 1, end)
+            close = match_forward(self.toks, i, "(", ")")
+            if decision:
+                self.predicates.append(self.toks[i + 1:close])
+            return min(close + 1, end)
         return i
 
     def _clauses(self, i: int, end: int) -> int:
-        """Index past the header of a `for` or `try` at i; a declaration
-        may start each of its ';'-separated clauses, and brace bodies in it
-        are jumped."""
+        """Index past the header of a `for` or `try` at i, whose brace
+        bodies are jumped.  A declaration may start a `for` header's first
+        clause and each ';'-separated resource of a `try`; the middle clause
+        of a classic `for` is recorded as a decision expression."""
         toks = self.toks
+        loop = toks[i - 1].text == "for"
         j = self._skip_parens(i, end)
+        starts = []  # of the clauses, each past the '(' or a ';'
         k = i
         while k < j:
             if toks[k].text == "{":
                 k = match_forward(toks, k, "{", "}")
-            elif k == i or toks[k].text == ";":  # the '(' or a ';'
-                self._declare(k + 1)
+            elif k == i or toks[k].text == ";":
+                starts.append(k + 1)
             k += 1
+        for k in starts[:1] if loop else starts:
+            self._declare(k)
+        if loop and len(starts) > 2:
+            self.predicates.append(toks[starts[1]:starts[2] - 1])
         return j
 
     def _declare(self, i: int) -> None:
@@ -362,7 +344,7 @@ class _StatementWalker:
 
         if t.kind == "keyword":
             if txt == "if":
-                j = self._skip_parens(i + 1, end)
+                j = self._skip_parens(i + 1, end, decision=True)
                 j, best = self._embedded(j, end, depth)
                 if j < end and toks[j].text == "else":
                     j += 1
@@ -373,12 +355,13 @@ class _StatementWalker:
                     best = max(best, m)
                 return j, best
             if txt in ("for", "while", "switch", "synchronized"):
-                j = self._clauses(i + 1, end) if txt == "for" else self._skip_parens(i + 1, end)
+                j = (self._clauses(i + 1, end) if txt == "for"
+                     else self._skip_parens(i + 1, end, decision=txt != "synchronized"))
                 return self._embedded(j, end, depth)
             if txt == "do":
                 j, m = self._embedded(i + 1, end, depth)
                 if j < end and toks[j].text == "while":
-                    j = self._skip_parens(j + 1, end)
+                    j = self._skip_parens(j + 1, end, decision=True)
                     if j < end and toks[j].text == ";":
                         j += 1
                 return j, m
@@ -431,6 +414,11 @@ class _StatementWalker:
                 return j + 1, best
             elif e == "}":
                 return j, best  # malformed statement; let the caller see '}'
+            elif e == "switch":  # a switch expression
+                j = self._skip_parens(j + 1, end, decision=True)
+                continue
+            elif e == "?" and _is_ternary_question(toks, j):
+                self.predicates.append(_ternary_condition(toks, j))
             elif e in TYPE_WORDS and j + 1 < end and toks[j + 1].kind == "identifier":
                 named = True
             j += 1
@@ -627,9 +615,9 @@ def compute_metric_vector(decl: MethodDeclaration, memo: dict[str, list[Token]] 
     size, comment_lines = _line_counts(toks)
     halstead = _halstead(body, calls)
     mccabe = _mccabe(body)
-    nvar, ncomp = _mcclure(body)
     walker = _StatementWalker(body)
     max_depth = walker.statements(1, len(body) - 1, 0)  # inside the body's braces
+    nvar, ncomp = _mcclure(walker.predicates)
     return MetricVector(
         size=size,
         mccabe=mccabe,

@@ -15,7 +15,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -285,35 +285,35 @@ def read_ndjson(path: Path) -> tuple[dict, list[dict]]:
     return header, records
 
 
-# the parses of the run_pipeline call in progress, and what its stages
-# shared of the files they wrote, path -> {loader: result}; None outside
-# one, so a stage subcommand or a direct runner call parses every time and
-# nothing outlives the call
-_RUN_READS: ContextVar[dict[Path, dict[Callable, object]] | None] = ContextVar("_RUN_READS", default=None)
+# what the run_pipeline call in progress holds of each file, path ->
+# {kind: value}; a kind is a parser, for a parse of the file, or a name, for
+# a value made from it.  None outside a call, so a stage subcommand or a
+# direct runner call parses every time and nothing outlives the call
+_RUN_READS: ContextVar[dict[Path, dict[object, object]] | None] = ContextVar("_RUN_READS", default=None)
 
 
-def _read_once(load: Callable, path: Path):
-    """`load(path)`; during a run_pipeline call the first stage to load
-    `path` parses it, unless the stage that wrote it shared the result
-    (`_share`), and the later stages share the result until the run writes
-    `path` again.  A load that raises keeps nothing."""
+def _read_once(path: Path, kind, make: Callable):
+    """`make()`, the `kind` of value made from `path`; during a run_pipeline
+    call the first stage to ask makes it, unless the stage that wrote
+    `path` shared it (`_share`), and the later stages share it until the run
+    writes `path` again.  A make that raises keeps nothing."""
     reads = _RUN_READS.get()
     if reads is None:
-        return load(path)
-    loaded = reads.setdefault(Path(path), {})
-    if load not in loaded:
-        loaded[load] = load(path)
-    return loaded[load]
+        return make()
+    held = reads.setdefault(Path(path), {})
+    if kind not in held:
+        held[kind] = make()
+    return held[kind]
 
 
-def _share(path: Path, load: Callable, value) -> None:
-    """Make `value` the run's `load(path)`, as if a stage had parsed it.  A
-    stage calls it once it has written `path`, with what `load` parses from
-    those bytes, equal type for type; outside a run_pipeline call it does
+def _share(path: Path, kind, value) -> None:
+    """Make `value` the run's `kind` of `path`, as if a stage had made it.
+    A stage calls it once it has written `path`, with what a parse of those
+    bytes gives, equal type for type; outside a run_pipeline call it does
     nothing."""
     reads = _RUN_READS.get()
     if reads is not None:
-        reads.setdefault(Path(path), {})[load] = value
+        reads.setdefault(Path(path), {})[kind] = value
 
 
 @contextmanager
@@ -519,15 +519,9 @@ def run_extract(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path,
     methods_path = out / "methods.ndjson"
     write_ndjson(methods_path, "extract", digests, records,
                  extra_header={"snapshot": snapshot, "project": config.project_name()}, shared=True)
-    _share(methods_path, _snapshot_memos, memos)
-
-
-def _snapshot_memos(methods_path: Path) -> dict[str, dict[str, list[Token]]]:
-    """The line memo each snapshot file with methods was extracted through,
-    by path, as a load of `methods_path` for `_read_once`: extract shares
-    them once it has written the file, and trace takes each over for the
-    file's walk.  Loaded otherwise, it parses nothing and gives none."""
-    return {}
+    # the line memo each snapshot file with methods was extracted through,
+    # by path; trace takes each over for the file's walk
+    _share(methods_path, "memos", memos)
 
 
 def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, digests: dict[str, str], *,
@@ -536,7 +530,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
     at `snapshot`.  Each file is lexed through one memo: the one extract
     lexed the file through, when this run's extract wrote `methods_path`,
     and a fresh one otherwise."""
-    header, records = _read_once(read_ndjson, methods_path)
+    header, records = _read_once(methods_path, read_ndjson, lambda: read_ndjson(methods_path))
     written_at = header.get("snapshot")
     if written_at != snapshot:
         raise ConfigError(f"--commit resolves to {snapshot}, but {methods_path} was written at {written_at}; "
@@ -547,7 +541,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
         for record in records:
             by_file.setdefault(record["file"], []).append(decl_from_record(record))
     session = TraceSession(repo, snapshot, config.theta, project=project)
-    memos = _read_once(_snapshot_memos, methods_path)
+    memos = _read_once(methods_path, "memos", dict)
     carried = 0  # distinct lines extract lexed alone and handed over
     measured: list[tuple[MethodHistory, MetricVector]] = []
     for path, decls in by_file.items():
@@ -583,7 +577,7 @@ def run_trace(config: PipelineConfig, repo: GitRepo, snapshot: str, out: Path, d
 
 
 def run_label(config: PipelineConfig, out: Path, digests: dict[str, str], *, histories_path: Path) -> None:
-    header, records = _read_once(read_ndjson, histories_path)
+    header, records = _read_once(histories_path, read_ndjson, lambda: read_ndjson(histories_path))
     with _parsing(histories_path):
         snapshot_time = header["snapshotTime"]
         histories = [history_from_record(r) for r in records]
@@ -632,7 +626,7 @@ def _parse_dataset(dataset_path: Path) -> list[LabeledMethod]:
 def _load_dataset(dataset_path: Path) -> list[LabeledMethod]:
     """The methods of `dataset_path`; the stages of one run share the list,
     and none of them changes it."""
-    return _read_once(_parse_dataset, dataset_path)
+    return _read_once(dataset_path, _parse_dataset, lambda: _parse_dataset(dataset_path))
 
 
 def _by_project(methods: list[LabeledMethod]) -> dict[str, list[LabeledMethod]]:
@@ -668,21 +662,15 @@ def run_bugs(config: PipelineConfig, out: Path, digests: dict[str, str], *, data
                       lambda group: bug_capture(group, indicator=config.indicator, dataset=dataset))
 
 
-@dataclass(frozen=True)
-class _Correlations:
-    """`correlation_table` of `methods`, the methods of the dataset it is
-    called with, as a load of that dataset for `_read_once`: the loads of
-    one indicator are one key, so the stages of a run share the table."""
-    indicator: str
-    methods: list[LabeledMethod] = field(compare=False, repr=False)
-
-    def __call__(self, dataset_path: Path) -> list[CorrelationEntry]:
-        return correlation_table(self.methods, indicator=self.indicator)
+def _correlations(dataset_path: Path, methods: list[LabeledMethod], indicator: str) -> list[CorrelationEntry]:
+    """`correlation_table` of `methods`, the methods of `dataset_path`; the
+    stages of a run share the table of each indicator."""
+    return _read_once(dataset_path, f"correlations {indicator}",
+                      lambda: correlation_table(methods, indicator=indicator))
 
 
 def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path) -> None:
-    methods = _load_dataset(dataset_path)
-    table = _read_once(_Correlations(config.indicator, methods), dataset_path)
+    table = _correlations(dataset_path, _load_dataset(dataset_path), config.indicator)
     rows = [(e.metric, _fmt(e.tau), _fmt(e.pValue), e.n) for e in table]
     write_csv(out / "correlations.csv", ["metric", "tau", "p", "n"], rows)
 
@@ -690,13 +678,13 @@ def run_correlate(config: PipelineConfig, out: Path, digests: dict[str, str], *,
 def run_rank(config: PipelineConfig, out: Path, digests: dict[str, str], *, dataset_path: Path,
              histories_path: Path) -> None:
     methods = _load_dataset(dataset_path)
-    _, history_records = _read_once(read_ndjson, histories_path)
+    _, history_records = _read_once(histories_path, read_ndjson, lambda: read_ndjson(histories_path))
     with _parsing(histories_path):
         history_by_key = {identity_from_record(r["identity"]).as_str(): r for r in history_records}
     missing = next((m.identity.as_str() for m in methods if m.identity.as_str() not in history_by_key), None)
     if missing is not None:
         raise ValueError(f"{histories_path} has no history for {missing}")
-    table = _read_once(_Correlations(config.indicator, methods), dataset_path)
+    table = _correlations(dataset_path, methods, config.indicator)
     ranking = composite_scores(methods, signs_from_table(table))
     good, ugly = select_surprising(
         methods, ranking, top_n=config.top_n, per_project_cap=config.per_project_cap

@@ -21,8 +21,9 @@ from methodlens.history import (SMALL_METHOD_CHARS, MethodHistory, MethodIdentit
                                 body_similarity, levenshtein, line_diff)
 from methodlens.java_extract import (KEYWORDS, MODIFIERS, PRIMITIVE_TYPES, TYPE_WORDS, WORD_LITERALS, ExtractionError,
                                      LexicalError, MethodDeclaration, Token, _from_body_open, _parse_parameter_types,
-                                     _skip_parens, body_block, extract_methods, normalize_source, signature,
-                                     skip_angles, skip_annotation, tokenize)
+                                     _skip_parens, body_block, extract_methods, match_forward, normalize_source,
+                                     signature, skip_angles, skip_annotation, tokenize)
+from methodlens.metrics import _is_ternary_question, _ternary_condition
 from methodlens.ml import (LEARNING_RATE, MAX_ITER, TOL, LogisticConfig, LogisticModel, MinMaxScaler, NonFiniteLoss,
                            TreeConfig, _matrix)
 
@@ -112,6 +113,61 @@ def population_std(values) -> float:
 def logistic(z: float) -> float:
     z = max(-30.0, min(30.0, z))
     return 1.0 / (1.0 + math.exp(-z))
+
+
+# McClure's decision expressions as they were read before the statement
+# walk read them: one linear scan over the body that takes if/while/switch
+# headers and the for condition clause whole and every other ternary
+# condition.  Kept verbatim as the reference for nvar and ncomp.
+def _predicate_expressions(body: list[Token]) -> list[list[Token]]:
+    """Decision expressions: if/while/do conditions, the for condition
+    clause, switch selectors, and ternary conditions."""
+    out: list[list[Token]] = []
+    n = len(body)
+    i = 0
+    while i < n:
+        t = body[i]
+        if t.kind == "keyword" and t.text in ("if", "while", "switch") and i + 1 < n and body[i + 1].text == "(":
+            close = match_forward(body, i + 1, "(", ")")
+            out.append(body[i + 2:close])
+            i = close + 1
+            continue
+        if t.kind == "keyword" and t.text == "for" and i + 1 < n and body[i + 1].text == "(":
+            close = match_forward(body, i + 1, "(", ")")
+            # the middle clause lies between the first two ';' outside
+            # lambda and anonymous-class bodies
+            semis = []
+            k = i + 2
+            while k < close and len(semis) < 2:
+                if body[k].text == "{":
+                    k = match_forward(body, k, "{", "}")
+                elif body[k].text == ";":
+                    semis.append(k)
+                k += 1
+            if len(semis) == 2:
+                out.append(body[semis[0] + 1:semis[1]])
+            i = close + 1
+            continue
+        if t.text == "?" and _is_ternary_question(body, i):
+            out.append(_ternary_condition(body, i))
+        i += 1
+    return out
+
+
+def _mcclure(body: list[Token]) -> tuple[int, int]:
+    """(nvar, ncomp): distinct identifiers and comparison operators inside
+    decision expressions."""
+    names: set[str] = set()
+    comparisons = 0
+    for expr in _predicate_expressions(body):
+        for t in expr:
+            if t.kind == "identifier":
+                names.add(t.text)
+            elif t.text in ("==", "!=", "<", "<=", ">", ">="):
+                comparisons += 1
+            elif t.kind == "keyword" and t.text == "instanceof":
+                comparisons += 1
+    return len(names), comparisons
 
 
 # The Java lexer as it was before it became one regex pass: a per-position

@@ -376,6 +376,12 @@ def test_counts_for_init_and_resources_included_catch_excluded():
     assert compute_metric_vector(d).variables == 4  # i, j, r, s
 
 
+def test_a_for_header_declares_in_its_first_clause_only():
+    # the condition `i < a && b > c` is not read as a `Type<...> name`
+    d = decl_of("void m(int a, int b, int c) { for (int i = 0; i < a && b > c; i++) { } }")
+    assert compute_metric_vector(d).variables == 1
+
+
 def test_counts_lambda_parameters_excluded():
     d = decl_of("void m() { items.forEach(x -> consume(x)); int kept = 1; }")
     assert compute_metric_vector(d).variables == 1

@@ -116,8 +116,7 @@ def test_what_a_stage_shares_equals_a_parse_of_what_it_wrote(config, tables, par
             load = getattr(pipeline, PARSERS[path.name])
             # the rest parse nothing: the correlation table, and the line
             # memos extract hands to trace
-            assert all(isinstance(other, pipeline._Correlations) or other is pipeline._snapshot_memos
-                       for other in loads if other is not load)
+            assert all(other == "memos" or other.startswith("correlations ") for other in loads if other is not load)
             assert strictly_equal(loads[load], load(path)), path.name
 
 

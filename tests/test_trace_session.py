@@ -305,7 +305,7 @@ def test_trace_takes_over_the_memos_extract_lexed_through_and_the_run_keeps_none
 
         def run(*args, **kwargs):
             real(*args, **kwargs)
-            held[name] = dict(pipeline._RUN_READS.get()[methods_path][pipeline._snapshot_memos])
+            held[name] = dict(pipeline._RUN_READS.get()[methods_path]["memos"])
 
         monkeypatch.setattr(pipeline, f"run_{name}", run)
 
